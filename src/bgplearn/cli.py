@@ -74,6 +74,17 @@ def load_config(path: Optional[str], overrides: list[str]
     return evo, ep
 
 
+class InputError(ValueError):
+    """Unreadable or malformed input data; exits EXIT_BAD_INPUT."""
+
+
+def _load_store(path: str):
+    try:
+        return load_file(path)
+    except (ValueError, OSError) as exc:
+        raise InputError("store %s: %s" % (path, exc)) from exc
+
+
 def _build_endpoint(args, ep_cfg: EndpointConfig) -> Endpoint:
     url = getattr(args, "endpoint_url", None) or os.environ.get("BGPLEARN_ENDPOINT")
     if url:
@@ -83,7 +94,7 @@ def _build_endpoint(args, ep_cfg: EndpointConfig) -> Endpoint:
     if getattr(args, "store", None):
         ep_cfg.backend = LOCAL
         ep_cfg.store_path = args.store
-        return Endpoint(ep_cfg, store=load_file(args.store))
+        return Endpoint(ep_cfg, store=_load_store(args.store))
     raise ValueError("either --store or --endpoint-url is required")
 
 
@@ -103,6 +114,9 @@ def cmd_learn(args) -> int:
         if args.seed is not None:
             evo_cfg.seed = args.seed
         endpoint = _build_endpoint(args, ep_cfg)
+    except InputError as exc:
+        print("input error: %s" % exc, file=sys.stderr)
+        return EXIT_BAD_INPUT
     except (ValueError, OSError) as exc:
         print("configuration error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -136,7 +136,10 @@ class Endpoint:
             result = self._batched_select(gp, projection, values, limit)
         else:
             result = self._backend_select(gp, projection, values, limit)
-        self._cache.put(key, result)
+        # a remote HARD_TIMEOUT only comes from 5xx answers, which are
+        # transient: caching it would keep a fitness penalty for the whole TTL
+        if not (self.config.backend == REMOTE and result.status == HARD_TIMEOUT):
+            self._cache.put(key, result)
         return result
 
     def run_ask_coverage(self, gp: GraphPattern,
@@ -197,6 +200,9 @@ class Endpoint:
         delay = self.config.backoff
         last_error = None
         for attempt in range(self.config.retries + 1):
+            if attempt:
+                time.sleep(delay)
+                delay *= 2
             try:
                 status_code, payload = post(
                     self.config.url, data={"query": query},
@@ -204,20 +210,20 @@ class Endpoint:
                     timeout=self.config.hard_timeout)
             except Exception as exc:  # network failure: retry with backoff
                 last_error = exc
-                if attempt < self.config.retries:
-                    time.sleep(delay)
-                    delay *= 2
                 continue
-            if status_code >= 500:
-                # endpoint overload/timeout: fitness punishment, not a crash
-                return EvalResult(tuple(projection), [],
-                                  time.time() - started, HARD_TIMEOUT)
+            if status_code >= 500:  # overload/timeout: retry with backoff
+                last_error = None
+                continue
             if status_code >= 400:
                 raise RuntimeError("SPARQL endpoint rejected query: HTTP %d"
                                    % status_code)
             rows = _parse_sparql_json(payload, projection)
             return EvalResult(tuple(projection), rows, time.time() - started,
                               COMPLETE)
+        if last_error is None:
+            # the last attempt got a 5xx answer: fitness punishment, not a crash
+            return EvalResult(tuple(projection), [],
+                              time.time() - started, HARD_TIMEOUT)
         raise EndpointUnreachable("endpoint unreachable after %d retries: %s"
                                   % (self.config.retries, last_error))
 

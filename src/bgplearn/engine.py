@@ -240,4 +240,4 @@ def ask(store: TripleStore, gp: GraphPattern, binding: Optional[dict] = None,
 
 def _ground_in_store(store: TripleStore, tp: TriplePattern) -> bool:
     ids = tuple(store.term_id(node) for node in tp)
-    return None not in ids and len(store.match_ids(*ids)) > 0
+    return None not in ids and store.count(*ids) > 0

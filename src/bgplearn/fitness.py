@@ -152,10 +152,7 @@ def evaluate(endpoint, gp: GraphPattern, gt: list[GroundTruthPair],
                           gt_matches=0, timeout_penalty=0.0, query_time_s=0.0, **base)
         return ev, ft
 
-    sources: list[Term] = []
-    for pair in gt:
-        if pair.source not in sources:
-            sources.append(pair.source)
+    sources = list(dict.fromkeys(pair.source for pair in gt))
     res = endpoint.run_select(gp, [SOURCE_VAR, TARGET_VAR],
                               values=([SOURCE_VAR], [(s,) for s in sources]),
                               limit=None)

@@ -136,6 +136,8 @@ class TripleStore:
 
     Terms are interned to integer ids; all lookups and iteration orders are
     in dictionary-id order, so results are deterministic for a given load.
+    Per-subject, per-predicate and per-object triple totals are kept beside
+    the indexes, so every `count` is answered without enumerating matches.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
@@ -145,6 +147,9 @@ class TripleStore:
         self._spo: dict[int, dict[int, set[int]]] = {}
         self._pos: dict[int, dict[int, set[int]]] = {}
         self._osp: dict[int, dict[int, set[int]]] = {}
+        self._s_total: dict[int, int] = {}
+        self._p_total: dict[int, int] = {}
+        self._o_total: dict[int, int] = {}
         for t in triples:
             self._add(t)
 
@@ -165,6 +170,9 @@ class TripleStore:
         self._spo.setdefault(s, {}).setdefault(p, set()).add(o)
         self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
         self._osp.setdefault(o, {}).setdefault(s, set()).add(p)
+        self._s_total[s] = self._s_total.get(s, 0) + 1
+        self._p_total[p] = self._p_total.get(p, 0) + 1
+        self._o_total[o] = self._o_total.get(o, 0) + 1
 
     def __len__(self) -> int:
         return len(self._triples)
@@ -256,17 +264,31 @@ class TripleStore:
 
     def count(self, s: Optional[int] = None, p: Optional[int] = None,
               o: Optional[int] = None) -> int:
-        """Exact cardinality of a bound/unbound slot combination (for join planning)."""
-        if s is None and p is None and o is None:
-            return len(self._triples)
-        return len(self.match_ids(s, p, o))
+        """Exact cardinality of a bound/unbound slot combination (for join planning).
+
+        Read from the per-slot totals and nested index sets; never enumerates
+        matches. An absent or out-of-range id counts 0.
+        """
+        if s is not None:
+            if p is not None:
+                if o is not None:
+                    return 1 if (s, p, o) in self._triples else 0
+                return len(self._spo.get(s, {}).get(p, ()))
+            if o is not None:
+                return len(self._osp.get(o, {}).get(s, ()))
+            return self._s_total.get(s, 0)
+        if p is not None:
+            if o is not None:
+                return len(self._pos.get(p, {}).get(o, ()))
+            return self._p_total.get(p, 0)
+        if o is not None:
+            return self._o_total.get(o, 0)
+        return len(self._triples)
 
     def degree(self, node: Term, direction: str = BIDI) -> int:
         nid = self._ids.get(node)
-        if nid is None:
-            return 0
-        out_deg = sum(len(os) for os in self._spo.get(nid, {}).values())
-        in_deg = sum(len(ps) for ps in self._osp.get(nid, {}).values())
+        out_deg = self._s_total.get(nid, 0)
+        in_deg = self._o_total.get(nid, 0)
         if direction == OUT:
             return out_deg
         if direction == IN:
@@ -312,6 +334,9 @@ _UNESCAPES = {
 }
 
 
+_HEX_ESCAPES = {"u": re.compile(r"[0-9A-Fa-f]{4}"), "U": re.compile(r"[0-9A-Fa-f]{8}")}
+
+
 def _unescape(raw: str, line: int, col: int) -> str:
     out = []
     i = 0
@@ -327,12 +352,16 @@ def _unescape(raw: str, line: int, col: int) -> str:
         if e in _UNESCAPES:
             out.append(_UNESCAPES[e])
             i += 2
-        elif e == "u":
-            out.append(chr(int(raw[i + 2:i + 6], 16)))
-            i += 6
-        elif e == "U":
-            out.append(chr(int(raw[i + 2:i + 10], 16)))
-            i += 10
+        elif e in _HEX_ESCAPES:
+            m = _HEX_ESCAPES[e].match(raw, i + 2)
+            if m is None:
+                raise RDFSyntaxError("malformed \\%s escape in literal" % e, line, col)
+            code = int(m.group(), 16)
+            if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+                raise RDFSyntaxError("\\%s%s is not a Unicode scalar value"
+                                     % (e, m.group()), line, col)
+            out.append(chr(code))
+            i = m.end()
         else:
             raise RDFSyntaxError("unknown escape \\%s in literal" % e, line, col)
     return "".join(out)

@@ -126,6 +126,18 @@ class TestLearnCommand:
                      "--out", str(workdir / "out")])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("content", ['<http://x/s> <http://x/p> "\\uZZZZ" .\n',
+                                         None], ids=["malformed", "missing"])
+    def test_bad_store_exits_2(self, workdir, capsys, content):
+        store = workdir / "bad.nt"
+        if content is not None:
+            store.write_text(content)
+        code = main(["learn", "--store", str(store),
+                     "--gt", str(workdir / "gt.tsv"),
+                     "--out", str(workdir / "out")])
+        assert code == EXIT_BAD_INPUT
+        assert "input error" in capsys.readouterr().err
+
     def test_bad_config_key_exits_1(self, workdir):
         code = run_learn(workdir, extra=["--set", "bogus=1"])
         assert code == EXIT_USAGE

@@ -155,10 +155,27 @@ class TestRemote:
             ep.run_select(CAPITAL_GP, [TARGET_VAR])
 
     def test_http_5xx_is_hard_timeout(self):
-        post = _FakePost([("http", 503)])
-        ep = _remote(post)
+        post = _FakePost([("http", 503)] * 10)
+        ep = _remote(post, retries=2)
         res = ep.run_select(CAPITAL_GP, [TARGET_VAR])
         assert res.status == HARD_TIMEOUT and res.rows == []
+        assert len(post.calls) == 3  # retried like a network failure
+
+    def test_http_5xx_retried_then_success(self):
+        post = _FakePost([("http", 503), ("ok", ["http://x/G"])])
+        ep = _remote(post, retries=3)
+        res = ep.run_select(CAPITAL_GP, [TARGET_VAR])
+        assert res.status == COMPLETE and res.rows[0][0].value == "http://x/G"
+        assert len(post.calls) == 2
+
+    def test_http_5xx_timeout_not_cached(self):
+        post = _FakePost([("http", 503), ("ok", ["http://x/G"])])
+        ep = _remote(post, retries=0)
+        first = ep.run_select(CAPITAL_GP, [TARGET_VAR])
+        assert first.status == HARD_TIMEOUT
+        second = ep.run_select(CAPITAL_GP, [TARGET_VAR])
+        assert second.status == COMPLETE
+        assert [row[0].value for row in second.rows] == ["http://x/G"]
 
     def test_max_inflight_respected(self, capitals_store):
         post = _FakePost([("ok", [])] * 64)

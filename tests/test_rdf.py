@@ -79,8 +79,24 @@ class TestParser:
         assert len(store) == 1
 
     def test_literal_escapes(self):
-        store = load_ntriples('<http://x/s> <http://x/p> "a\\"b\\nc\\u0041" .')
-        assert list(store.triples())[0].o.value == 'a"b\ncA'
+        store = load_ntriples('<http://x/s> <http://x/p> "a\\"b\\nc\\u0041\\U0001F600" .')
+        assert list(store.triples())[0].o.value == 'a"b\ncA\U0001F600'
+
+    def test_short_unicode_escape_rejected(self):
+        with pytest.raises(RDFSyntaxError) as exc:
+            load_ntriples('<http://x/s> <http://x/p>\n "a\\u12" .')
+        assert (exc.value.line, exc.value.column) == (2, 2)
+        with pytest.raises(RDFSyntaxError):
+            load_ntriples('<http://x/s> <http://x/p> "\\U0001F60" .')
+
+    def test_invalid_unicode_escape_rejected(self):
+        with pytest.raises(RDFSyntaxError) as exc:
+            load_ntriples('<http://x/s> <http://x/p> "\\uZZZZ" .')
+        assert (exc.value.line, exc.value.column) == (1, 27)
+        with pytest.raises(RDFSyntaxError):
+            load_ntriples('<http://x/s> <http://x/p> "\\U0011FFFF" .')
+        with pytest.raises(RDFSyntaxError):  # a surrogate cannot be encoded as UTF-8
+            load_ntriples('<http://x/s> <http://x/p> "\\uD800" .')
 
     def test_syntax_error_position(self):
         with pytest.raises(RDFSyntaxError) as exc:
@@ -146,6 +162,21 @@ class TestMatch:
                         and (p is None or t.p == p)
                         and (o is None or t.o == o)}
             assert set(store.match(s, p, o)) == expected
+        # counts come from the index totals; match_ids is the reference
+        probe_ids = tuple(store.term_id(t) for t in probe)
+        absent = store.term_id(probe.p)  # predicates never occur as nodes here
+        past_end = len(store.terms)
+        for ids in (probe_ids, (absent,) * 3, (past_end,) * 3):
+            for mask in range(8):
+                bound = [tid if mask & bit else None
+                         for tid, bit in zip(ids, (4, 2, 1))]
+                assert store.count(*bound) == len(store.match_ids(*bound)), bound
+        for node in store.terms + [ex("absent")]:
+            out_deg = sum(t.s == node for t in triples)
+            in_deg = sum(t.o == node for t in triples)
+            assert store.degree(node, OUT) == out_deg
+            assert store.degree(node, IN) == in_deg
+            assert store.degree(node, BIDI) == out_deg + in_deg
 
     def test_index_consistency(self, capitals_store):
         spo, pos, osp = capitals_store.index_sizes()
