@@ -8,7 +8,7 @@ from .evolution import (EvolutionConfig, HallOfFame, Individual, LearnResult,
 from .fitness import (CoverageLedger, FitnessTuple, GroundTruthPair,
                       PatternEvaluation, evaluate, score, update_ledger)
 from .patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR, TriplePattern,
-                       Variable, to_ask_sparql, to_select_sparql)
+                       Variable, to_select_sparql)
 from .iojson import GroundTruthError, parse_ground_truth
 from .predict import (PatternPortfolio, PortfolioEntry, RankedPrediction, fuse,
                       predict_targets, reduce_queries)

@@ -71,7 +71,8 @@ def load_config(path: Optional[str], overrides: list[str]
             setattr(ep, key, _coerce(key, value, getattr(ep, key)))
         else:
             raise ValueError("unknown config key: %r" % key)
-    return evo, ep
+    # rebuilt so that the configs' own checks see the values set above
+    return dataclasses.replace(evo), dataclasses.replace(ep)
 
 
 class InputError(ValueError):
@@ -177,10 +178,21 @@ def _load_portfolio(path: str) -> predict_mod.PatternPortfolio:
     return predict_mod.PatternPortfolio(entries)
 
 
+def _endpoint_config(args) -> Optional[EndpointConfig]:
+    """The endpoint part of --config/--set, or None after reporting why not."""
+    try:
+        return load_config(args.config, args.set or [])[1]
+    except (ValueError, OSError) as exc:
+        print("configuration error: %s" % exc, file=sys.stderr)
+        return None
+
+
 def cmd_predict(args) -> int:
+    ep_cfg = _endpoint_config(args)
+    if ep_cfg is None:
+        return EXIT_USAGE
     try:
         portfolio = _load_portfolio(args.patterns)
-        _, ep_cfg = load_config(args.config, args.set or [])
         endpoint = _build_endpoint(args, ep_cfg)
         with open(args.sources) as fh:
             sources = [iri(line.strip().strip("<>"))
@@ -217,10 +229,12 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    ep_cfg = _endpoint_config(args)
+    if ep_cfg is None:
+        return EXIT_USAGE
     try:
         portfolio = _load_portfolio(args.patterns)
         gt = _read_gt(args.gt)
-        _, ep_cfg = load_config(args.config, args.set or [])
         endpoint = _build_endpoint(args, ep_cfg)
     except (GroundTruthError, ValueError, OSError) as exc:
         print("input error: %s" % exc, file=sys.stderr)

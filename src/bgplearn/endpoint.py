@@ -1,7 +1,7 @@
 """Uniform query interface over a local store or a remote SPARQL endpoint.
 
-Adds VALUES batching, bounded in-flight requests, retry with backoff, and an
-LRU cache keyed by the pattern's canonical form so renamed-variable twins hit.
+Adds VALUES batching, retry with backoff, and an LRU cache keyed by the
+pattern's canonical form so renamed-variable twins hit.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ class EndpointConfig:
     backend: str = LOCAL
     store_path: Optional[str] = None
     url: Optional[str] = None
-    max_inflight: int = 1
     soft_timeout: float = engine.DEFAULT_SOFT_TIMEOUT
     hard_timeout: float = engine.DEFAULT_HARD_TIMEOUT
     cache_capacity: int = 100_000
@@ -41,8 +40,6 @@ class EndpointConfig:
     default_limit: int = engine.DEFAULT_LIMIT
 
     def __post_init__(self):
-        if self.max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 
@@ -81,10 +78,6 @@ class _LRUCache:
         return len(self._data)
 
 
-def _term_token(term: Term) -> str:
-    return term.n3()
-
-
 def _cache_key(gp: GraphPattern, projection, values, limit) -> str:
     form = canonicalize(gp)
     mapping = form.variable_mapping
@@ -96,13 +89,13 @@ def _cache_key(gp: GraphPattern, projection, values, limit) -> str:
     if values is not None:
         vvars, rows = values
         parts.append("V:" + ",".join(canon_var(v) for v in vvars))
-        parts.extend("R:" + "|".join(_term_token(t) for t in row) for row in rows)
+        parts.extend("R:" + "|".join(t.n3() for t in row) for row in rows)
     parts.append("L:%s" % (limit,))
     return "\x1e".join(parts)
 
 
 class Endpoint:
-    """Facade sharing a cache and an in-flight limit across all callers."""
+    """Facade sharing one cache across all callers."""
 
     def __init__(self, config: EndpointConfig, store: Optional[TripleStore] = None,
                  http_post: Optional[Callable] = None):
@@ -120,7 +113,6 @@ class Endpoint:
         if ttl is None and config.backend == REMOTE:
             ttl = 3600.0
         self._cache = _LRUCache(config.cache_capacity, ttl)
-        self._inflight = threading.Semaphore(config.max_inflight)
         self.backend_calls = 0
 
     # -- public API ---------------------------------------------------------
@@ -185,13 +177,12 @@ class Endpoint:
     # -- backends -----------------------------------------------------------
 
     def _backend_select(self, gp, projection, values, limit) -> EvalResult:
-        with self._inflight:
-            self.backend_calls += 1
-            if self.config.backend == LOCAL:
-                return engine.select(self.store, gp, projection, values, limit,
-                                     self.config.soft_timeout,
-                                     self.config.hard_timeout)
-            return self._remote_select(gp, projection, values, limit)
+        self.backend_calls += 1
+        if self.config.backend == LOCAL:
+            return engine.select(self.store, gp, projection, values, limit,
+                                 self.config.soft_timeout,
+                                 self.config.hard_timeout)
+        return self._remote_select(gp, projection, values, limit)
 
     def _remote_select(self, gp, projection, values, limit) -> EvalResult:
         query = to_select_sparql(gp, projection, values, limit)

@@ -4,7 +4,6 @@ hall of fame, and the multi-run driver with the cross-run coverage ledger."""
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from typing import Optional
 
@@ -50,7 +49,6 @@ class EvolutionConfig:
     score_threshold: float = 2.0
     min_remains: float = 0.5
     seed: int = 42
-    eval_workers: int = 1
     overfit_factor: float = 0.1
     overfit_min_sources: int = 2
     overfit_min_targets: int = 2
@@ -99,10 +97,7 @@ class HallOfFame:
             if held is None or ind.fitness > held.fitness:
                 self._by_key[key] = ind
         if len(self._by_key) > self.size:
-            ranked = sorted(self._by_key.items(),
-                            key=lambda kv: (kv[1].fitness.key(), kv[0]),
-                            reverse=True)
-            self._by_key = dict(ranked[:self.size])
+            self._by_key = {ind.canonical_key: ind for ind in self.best(self.size)}
 
     def best(self, n: Optional[int] = None) -> list[Individual]:
         ranked = sorted(self._by_key.items(),
@@ -336,6 +331,30 @@ def mut_simplify(gp: GraphPattern, rng: random.Random) -> Optional[GraphPattern]
     return out if out != gp else None
 
 
+def _weighted_draws(weights: list[float], m: int,
+                    rng: random.Random) -> list[int]:
+    """Up to `m` indices drawn without replacement with probability
+    proportional to their weights; stops once the weight left is 0."""
+    indices = list(range(len(weights)))
+    pool = list(weights)
+    picks: list[int] = []
+    for _ in range(m):
+        total = sum(pool)
+        if total <= 0:
+            break
+        r = rng.random() * total
+        acc = 0.0
+        pick = len(pool) - 1  # if rounding leaves r at the total
+        for j, w in enumerate(pool):
+            acc += w
+            if r < acc:
+                pick = j
+                break
+        picks.append(indices.pop(pick))
+        del pool[pick]
+    return picks
+
+
 def fix_var(gp: GraphPattern, endpoint, gt: list[GroundTruthPair],
             ledger: Optional[CoverageLedger], rng: random.Random,
             cfg: EvolutionConfig) -> list[GraphPattern]:
@@ -349,25 +368,7 @@ def fix_var(gp: GraphPattern, endpoint, gt: list[GroundTruthPair],
                else [1.0] * len(gt))
     if sum(weights) <= 0:
         weights = [1.0] * len(gt)  # saturated ledger: uniform fallback
-    m = min(cfg.fix_var_sample_size, len(gt))
-    indices = list(range(len(gt)))
-    sampled: list[int] = []
-    pool_w = list(weights)
-    for _ in range(m):  # weighted sampling without replacement
-        total = sum(pool_w)
-        if total <= 0:
-            break
-        r = rng.random() * total
-        acc = 0.0
-        pick = len(indices) - 1
-        for j, w in enumerate(pool_w):
-            acc += w
-            if r < acc:
-                pick = j
-                break
-        sampled.append(indices[pick])
-        del indices[pick]
-        del pool_w[pick]
+    sampled = _weighted_draws(weights, cfg.fix_var_sample_size, rng)
     pairs = [(gt[i].source, gt[i].target) for i in sampled]
 
     res = endpoint.run_select(gp, [SOURCE_VAR, TARGET_VAR, var],
@@ -382,23 +383,10 @@ def fix_var(gp: GraphPattern, endpoint, gt: list[GroundTruthPair],
             counts[term] = counts.get(term, 0) + 1
     terms = sorted(counts, key=lambda t: (-counts[t], t.sort_key()))
     children: list[GraphPattern] = []
-    pool = list(terms)
-    pool_w2 = [float(counts[t]) for t in pool]
-    draws = min(cfg.fix_var_children, len(pool))
-    for _ in range(draws):  # frequency-weighted draws without replacement
-        total = sum(pool_w2)
-        r = rng.random() * total
-        acc = 0.0
-        pick = len(pool) - 1
-        for j, w in enumerate(pool_w2):
-            acc += w
-            if r < acc:
-                pick = j
-                break
-        term = pool.pop(pick)
-        pool_w2.pop(pick)
+    for k in _weighted_draws([float(counts[t]) for t in terms],
+                             cfg.fix_var_children, rng):
         try:
-            children.append(gp.substitute({var: term}))
+            children.append(gp.substitute({var: terms[k]}))
         except ValueError:
             pass  # term invalid in this slot (e.g. literal subject)
     return children
@@ -452,22 +440,11 @@ def fit_to_live(individual: Individual, cfg: EvolutionConfig) -> bool:
 def _evaluate_all(individuals: list[Individual], endpoint,
                   gt: list[GroundTruthPair], ledger: CoverageLedger,
                   cfg: EvolutionConfig) -> None:
-    todo = [ind for ind in individuals if ind.fitness is None]
-    if not todo:
-        return
     score_cfg = cfg.score_config()
-
-    def run(ind: Individual):
-        return evaluate(endpoint, ind.pattern, gt, ledger, score_cfg)
-
-    if cfg.eval_workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.eval_workers) as pool:
-            results = list(pool.map(run, todo))
-    else:
-        results = [run(ind) for ind in todo]
-    for ind, (ev, ft) in zip(todo, results):
-        ind.evaluation = ev
-        ind.fitness = ft
+    for ind in individuals:
+        if ind.fitness is None:
+            ind.evaluation, ind.fitness = evaluate(endpoint, ind.pattern, gt,
+                                                   ledger, score_cfg)
 
 
 def tournament(pool: list[Individual], k: int, rng: random.Random) -> Individual:

@@ -8,9 +8,7 @@ from typing import Optional
 
 from .fitness import CoverageLedger, FitnessTuple, GroundTruthPair, PatternEvaluation
 from .patterns import GraphPattern, TriplePattern, Variable, is_var
-from .rdf import BNODE, IRI, LITERAL, Term, bnode, iri, literal
-
-_ABS_IRI_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
+from .rdf import _ABS_IRI_RE, BNODE, IRI, LITERAL, Term, bnode, iri, literal
 
 
 class GroundTruthError(ValueError):

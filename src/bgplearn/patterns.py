@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional, Union
 
-from .rdf import IRI, LITERAL, Term, escape_literal
+from .rdf import IRI, LITERAL, Term
 
 SOURCE_NAME = "source"
 TARGET_NAME = "target"
@@ -193,13 +193,6 @@ class GraphPattern:
     def substitute(self, binding: Binding) -> "GraphPattern":
         return GraphPattern(t.substitute(binding) for t in self.triples)
 
-    def fresh_variable(self, prefix: str = "v") -> Variable:
-        taken = {v.name for v in self.variables()}
-        i = 0
-        while "%s%d" % (prefix, i) in taken:
-            i += 1
-        return Variable("%s%d" % (prefix, i))
-
     def text(self) -> str:
         return " ".join(t.n3() for t in self.sorted_triples())
 
@@ -208,22 +201,9 @@ class GraphPattern:
 # SPARQL 1.1 serialization
 
 
-def _sparql_term(node: Node) -> str:
-    if isinstance(node, Variable):
-        return node.n3()
-    if node.kind == LITERAL:
-        lit = '"%s"' % escape_literal(node.value)
-        if node.lang is not None:
-            return "%s@%s" % (lit, node.lang)
-        if node.datatype is not None:
-            return '%s^^<%s>' % (lit, node.datatype)
-        return lit
-    return node.n3()
-
-
 def values_clause(variables: list[Variable], rows: list[tuple]) -> str:
     head = " ".join(v.n3() for v in variables)
-    body = " ".join("(%s)" % " ".join(_sparql_term(t) for t in row) for row in rows)
+    body = " ".join("(%s)" % " ".join(t.n3() for t in row) for row in rows)
     return "VALUES (%s) { %s }" % (head, body)
 
 
@@ -233,22 +213,8 @@ def to_select_sparql(gp: GraphPattern, projection: list[Variable],
     parts = ["SELECT DISTINCT %s WHERE {" % " ".join(v.n3() for v in projection)]
     if values is not None:
         parts.append(" " + values_clause(*values))
-    for t in gp.sorted_triples():
-        parts.append(" %s %s %s ." % (_sparql_term(t.s), _sparql_term(t.p),
-                                      _sparql_term(t.o)))
+    parts.extend(" " + t.n3() for t in gp.sorted_triples())
     parts.append(" }")
     if limit is not None:
         parts.append(" LIMIT %d" % limit)
-    return "".join(parts)
-
-
-def to_ask_sparql(gp: GraphPattern,
-                  values: Optional[tuple[list[Variable], list[tuple]]] = None) -> str:
-    parts = ["ASK {"]
-    if values is not None:
-        parts.append(" " + values_clause(*values))
-    for t in gp.sorted_triples():
-        parts.append(" %s %s %s ." % (_sparql_term(t.s), _sparql_term(t.p),
-                                      _sparql_term(t.o)))
-    parts.append(" }")
     return "".join(parts)

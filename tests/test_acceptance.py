@@ -534,7 +534,7 @@ def test_criterion_11_determinism(tmp_path):
     gt_path.write_text("".join("<%s>\t<%s>\n" % (p.source.value, p.target.value)
                                for p in gt))
     fast = ["--set", "population_size=40", "--set", "max_generations=4",
-            "--set", "max_runs=2", "--set", "eval_workers=3",
+            "--set", "max_runs=2",
             "--set", "soft_timeout=0.05", "--set", "hard_timeout=0.2"]
     outputs = []
     for label in ("a", "b"):
@@ -550,5 +550,5 @@ def test_criterion_11_determinism(tmp_path):
     for name in outputs[0]:
         assert outputs[0][name] == outputs[1][name], \
             "%s differs between identically seeded runs" % name
-    _passed(11, "two identically seeded learn invocations (with parallel "
-                "evaluation) produce byte-identical JSON outputs")
+    _passed(11, "two identically seeded learn invocations produce "
+                "byte-identical JSON outputs")

@@ -64,6 +64,23 @@ class TestConfig:
                 continue
             load_config(None, ["%s=%s" % (f.name, value)])
 
+    @pytest.mark.parametrize("setting", ["bogus=1", "batch_size=0"],
+                             ids=["bogus", "batch_size"])
+    @pytest.mark.parametrize("command", ["learn", "predict", "evaluate"])
+    def test_bad_config_key_exits_1(self, workdir, capsys, command, setting):
+        (workdir / "patterns.json").write_text('{"patterns": []}')
+        (workdir / "sources.txt").write_text("<http://example.org/Berlin>\n")
+        inputs = {"learn": ["--gt", str(workdir / "gt.tsv"),
+                            "--out", str(workdir / "out")],
+                  "predict": ["--patterns", str(workdir / "patterns.json"),
+                              "--sources", str(workdir / "sources.txt")],
+                  "evaluate": ["--patterns", str(workdir / "patterns.json"),
+                               "--gt", str(workdir / "gt.tsv")]}
+        code = main([command, "--store", str(workdir / "store.ttl"),
+                     *inputs[command], "--set", setting])
+        assert code == EXIT_USAGE
+        assert "configuration error" in capsys.readouterr().err
+
 
 class TestLearnCommand:
     def test_learn_outputs(self, workdir, capsys):
@@ -137,10 +154,6 @@ class TestLearnCommand:
                      "--out", str(workdir / "out")])
         assert code == EXIT_BAD_INPUT
         assert "input error" in capsys.readouterr().err
-
-    def test_bad_config_key_exits_1(self, workdir):
-        code = run_learn(workdir, extra=["--set", "bogus=1"])
-        assert code == EXIT_USAGE
 
 
 class TestPredictCommand:

@@ -1,5 +1,4 @@
 import json
-import threading
 
 import pytest
 
@@ -8,6 +7,7 @@ from bgplearn.endpoint import (Endpoint, EndpointConfig, EndpointUnreachable,
 from bgplearn.engine import COMPLETE, HARD_TIMEOUT
 from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
                                TriplePattern, Variable)
+from bgplearn.rdf import bnode, literal
 
 from conftest import ex
 
@@ -103,25 +103,15 @@ class _FakePost:
     def __init__(self, responses):
         self.responses = list(responses)
         self.calls = []
-        self.inflight = 0
-        self.max_seen = 0
-        self._lock = threading.Lock()
 
     def __call__(self, url, data, headers, timeout):
-        with self._lock:
-            self.inflight += 1
-            self.max_seen = max(self.max_seen, self.inflight)
-        try:
-            self.calls.append(data["query"])
-            action = self.responses.pop(0) if self.responses else ("ok", [])
-            if action[0] == "error":
-                raise ConnectionError("boom")
-            if action[0] == "http":
-                return action[1], None
-            return 200, _sparql_json(action[1])
-        finally:
-            with self._lock:
-                self.inflight -= 1
+        self.calls.append(data["query"])
+        action = self.responses.pop(0) if self.responses else ("ok", [])
+        if action[0] == "error":
+            raise ConnectionError("boom")
+        if action[0] == "http":
+            return action[1], None
+        return 200, _sparql_json(action[1])
 
 
 def _remote(post, **kw):
@@ -140,6 +130,29 @@ class TestRemote:
         assert res.rows[0][0].value == "http://x/Germany"
         assert "SELECT DISTINCT ?target" in post.calls[0]
         assert "VALUES" in post.calls[0]
+
+    def test_posted_query_text(self):
+        xsd_int = "http://www.w3.org/2001/XMLSchema#integer"
+        gp = GraphPattern([
+            TriplePattern(SOURCE_VAR, ex("capitalOf"), TARGET_VAR),
+            TriplePattern(SOURCE_VAR, ex("label"),
+                          literal('say "hi" \\ now\nok', lang="en")),
+            TriplePattern(TARGET_VAR, ex("code"), literal("42", datatype=xsd_int)),
+            TriplePattern(bnode("b0"), ex("near"), SOURCE_VAR)])
+        rows = [(ex("Berlin"), ex("Germany")), (bnode("b1"), ex("France"))]
+        post = _FakePost([("ok", [])])
+        _remote(post).run_select(gp, [SOURCE_VAR, TARGET_VAR],
+                                 values=([SOURCE_VAR, TARGET_VAR], rows), limit=5)
+        assert post.calls == [
+            "SELECT DISTINCT ?source ?target WHERE {"
+            " VALUES (?source ?target) {"
+            " (<http://example.org/Berlin> <http://example.org/Germany>)"
+            " (_:b1 <http://example.org/France>) }"
+            " _:b0 <http://example.org/near> ?source ."
+            " ?source <http://example.org/capitalOf> ?target ."
+            r' ?source <http://example.org/label> "say \"hi\" \\ now\nok"@en .'
+            ' ?target <http://example.org/code> "42"^^<%s> .'
+            " } LIMIT 5" % xsd_int]
 
     def test_retry_then_success(self):
         post = _FakePost([("error",), ("error",), ("ok", ["http://x/G"])])
@@ -177,24 +190,8 @@ class TestRemote:
         assert second.status == COMPLETE
         assert [row[0].value for row in second.rows] == ["http://x/G"]
 
-    def test_max_inflight_respected(self, capitals_store):
-        post = _FakePost([("ok", [])] * 64)
-        ep = _remote(post, max_inflight=1)
-        threads = [threading.Thread(
-            target=lambda i=i: ep.run_select(
-                CAPITAL_GP, [TARGET_VAR],
-                values=([SOURCE_VAR], [(ex("s%d" % i),)])))
-            for i in range(16)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert post.max_seen <= 1
-
 
 class TestConfig:
     def test_invariants(self):
-        with pytest.raises(ValueError):
-            EndpointConfig(max_inflight=0)
         with pytest.raises(ValueError):
             EndpointConfig(batch_size=0)

@@ -235,6 +235,23 @@ class TestFixVar:
                            random.Random(2), EvolutionConfig())
         assert CAPITAL_GP in children
 
+    def test_sampling_stops_at_zero_weight(self, capitals_store, capitals_gt):
+        inner = local_endpoint(capitals_store)
+        sent = []
+
+        class Spy:
+            config = inner.config
+
+            def run_select(self, gp, projection, values=None, limit=None):
+                sent.append(list(values[1]))
+                return inner.run_select(gp, projection, values, limit)
+
+        gp = GraphPattern([TriplePattern(SOURCE_VAR, V("p"), TARGET_VAR)])
+        fix_var(gp, Spy(), capitals_gt, CoverageLedger([1.0, 0.0, 1.0]),
+                random.Random(0), EvolutionConfig())
+        # covered pairs weigh 0: only the uncovered pair is sampled
+        assert sent == [[(ex("Paris"), ex("France"))]]
+
     def test_child_count_bounded(self, capitals_store, capitals_gt):
         ep = local_endpoint(capitals_store)
         gp = GraphPattern([TriplePattern(SOURCE_VAR, V("p"), V("o")),
