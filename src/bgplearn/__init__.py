@@ -2,7 +2,7 @@
 
 from .canon import CanonicalForm, canonicalize, pattern_key
 from .endpoint import Endpoint, EndpointConfig, local_endpoint
-from .engine import EvalResult, ask, join_plan, select
+from .engine import EvalResult, join_plan, select
 from .evolution import (EvolutionConfig, HallOfFame, Individual, LearnResult,
                         LearnedPattern, fit_to_live, learn)
 from .fitness import (CoverageLedger, FitnessTuple, GroundTruthPair,

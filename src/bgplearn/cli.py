@@ -7,16 +7,15 @@ import dataclasses
 import json
 import os
 import sys
-from typing import Optional
+from typing import Optional, Union, get_args, get_type_hints
 
 from . import evalharness, evolution, predict as predict_mod
 from .endpoint import Endpoint, EndpointConfig, EndpointUnreachable, LOCAL, REMOTE
 from .evolution import EvolutionConfig
-from .fitness import CoverageLedger, GroundTruthPair
-from .iojson import (GroundTruthError, dumps, fitness_to_json, learned_from_json,
-                     learned_to_json, ledger_from_json, ledger_to_json,
-                     parse_ground_truth, run_record_to_json)
-from .patterns import SOURCE_VAR, TARGET_VAR
+from .fitness import GroundTruthPair
+from .iojson import (GroundTruthError, dumps, learned_from_json, learned_to_json,
+                     ledger_from_json, ledger_to_json, parse_ground_truth,
+                     run_record_to_json)
 from .rdf import iri, load_file
 from .report import build_report
 
@@ -25,25 +24,17 @@ EXIT_USAGE = 1
 EXIT_BAD_INPUT = 2
 EXIT_ENDPOINT = 3
 
-_EVO_FIELDS = {f.name: f.type for f in dataclasses.fields(EvolutionConfig)}
-_EP_FIELDS = {f.name: f.type for f in dataclasses.fields(EndpointConfig)}
+_EVO_TYPES = get_type_hints(EvolutionConfig)
+_EP_TYPES = get_type_hints(EndpointConfig)
 
 
-def _coerce(name: str, raw: str, current):
-    if isinstance(current, bool):
+def _coerce(raw: str, declared):
+    """`raw` converted to a field's declared type; Optional[X] converts to X."""
+    declared = next((t for t in get_args(declared) if t is not type(None)), declared)
+    if declared is bool:
         return raw.lower() in ("1", "true", "yes", "on")
-    if isinstance(current, int) and not isinstance(current, bool):
-        return int(raw)
-    if isinstance(current, float):
-        return float(raw)
-    if current is None:
-        try:
-            return int(raw)
-        except ValueError:
-            try:
-                return float(raw)
-            except ValueError:
-                return raw
+    if declared in (int, float):
+        return declared(raw)
     return raw
 
 
@@ -65,10 +56,10 @@ def load_config(path: Optional[str], overrides: list[str]
         key, _, value = ov.partition("=")
         items.append((key.strip(), value.strip()))
     for key, value in items:
-        if key in _EVO_FIELDS:
-            setattr(evo, key, _coerce(key, value, getattr(evo, key)))
-        elif key in _EP_FIELDS:
-            setattr(ep, key, _coerce(key, value, getattr(ep, key)))
+        if key in _EVO_TYPES:
+            setattr(evo, key, _coerce(value, _EVO_TYPES[key]))
+        elif key in _EP_TYPES:
+            setattr(ep, key, _coerce(value, _EP_TYPES[key]))
         else:
             raise ValueError("unknown config key: %r" % key)
     # rebuilt so that the configs' own checks see the values set above
@@ -99,6 +90,20 @@ def _build_endpoint(args, ep_cfg: EndpointConfig) -> Endpoint:
     raise ValueError("either --store or --endpoint-url is required")
 
 
+def _open_endpoint(args) -> Union[tuple[EvolutionConfig, Endpoint], int]:
+    """The configs from --config/--set and the endpoint they configure, or
+    the exit code after reporting why not."""
+    try:
+        evo_cfg, ep_cfg = load_config(args.config, args.set or [])
+        return evo_cfg, _build_endpoint(args, ep_cfg)
+    except InputError as exc:
+        print("input error: %s" % exc, file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except (ValueError, OSError) as exc:
+        print("configuration error: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
+
+
 def _read_gt(path: str) -> list[GroundTruthPair]:
     with open(path) as fh:
         return parse_ground_truth(fh.read())
@@ -110,17 +115,12 @@ def cmd_learn(args) -> int:
     except (GroundTruthError, OSError) as exc:
         print("ground truth error: %s" % exc, file=sys.stderr)
         return EXIT_BAD_INPUT
-    try:
-        evo_cfg, ep_cfg = load_config(args.config, args.set or [])
-        if args.seed is not None:
-            evo_cfg.seed = args.seed
-        endpoint = _build_endpoint(args, ep_cfg)
-    except InputError as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (ValueError, OSError) as exc:
-        print("configuration error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+    opened = _open_endpoint(args)
+    if isinstance(opened, int):
+        return opened
+    evo_cfg, endpoint = opened
+    if args.seed is not None:
+        evo_cfg.seed = args.seed
 
     os.makedirs(args.out, exist_ok=True)
     ledger = None
@@ -178,22 +178,13 @@ def _load_portfolio(path: str) -> predict_mod.PatternPortfolio:
     return predict_mod.PatternPortfolio(entries)
 
 
-def _endpoint_config(args) -> Optional[EndpointConfig]:
-    """The endpoint part of --config/--set, or None after reporting why not."""
-    try:
-        return load_config(args.config, args.set or [])[1]
-    except (ValueError, OSError) as exc:
-        print("configuration error: %s" % exc, file=sys.stderr)
-        return None
-
-
 def cmd_predict(args) -> int:
-    ep_cfg = _endpoint_config(args)
-    if ep_cfg is None:
-        return EXIT_USAGE
+    opened = _open_endpoint(args)
+    if isinstance(opened, int):
+        return opened
+    endpoint = opened[1]
     try:
         portfolio = _load_portfolio(args.patterns)
-        endpoint = _build_endpoint(args, ep_cfg)
         with open(args.sources) as fh:
             sources = [iri(line.strip().strip("<>"))
                        for line in fh if line.strip() and not line.startswith("#")]
@@ -229,13 +220,13 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    ep_cfg = _endpoint_config(args)
-    if ep_cfg is None:
-        return EXIT_USAGE
+    opened = _open_endpoint(args)
+    if isinstance(opened, int):
+        return opened
+    endpoint = opened[1]
     try:
         portfolio = _load_portfolio(args.patterns)
         gt = _read_gt(args.gt)
-        endpoint = _build_endpoint(args, ep_cfg)
     except (GroundTruthError, ValueError, OSError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -9,14 +9,13 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import engine
 from .canon import canonicalize
 from .engine import COMPLETE, HARD_TIMEOUT, SOFT_TIMEOUT, EvalResult
-from .patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR, Variable,
-                       to_select_sparql)
+from .patterns import GraphPattern, Variable, to_select_sparql
 from .rdf import Term, TripleStore, iri, literal, bnode
 
 LOCAL = "local"
@@ -133,21 +132,6 @@ class Endpoint:
         if not (self.config.backend == REMOTE and result.status == HARD_TIMEOUT):
             self._cache.put(key, result)
         return result
-
-    def run_ask_coverage(self, gp: GraphPattern,
-                         pairs: list[tuple[Term, Term]]) -> tuple[list[bool], str]:
-        """Batched coverage check; semantically equal to per-pair ASK queries."""
-        if not gp.is_complete:
-            raise ValueError("coverage requires a complete pattern")
-        if not pairs:
-            return [], COMPLETE
-        res = self.run_select(gp, [SOURCE_VAR, TARGET_VAR],
-                              values=([SOURCE_VAR, TARGET_VAR], list(pairs)),
-                              limit=None)
-        if res.status == HARD_TIMEOUT:
-            return [False] * len(pairs), HARD_TIMEOUT
-        found = res.row_set()
-        return [(s, t) in found for s, t in pairs], res.status
 
     # -- batching -----------------------------------------------------------
 

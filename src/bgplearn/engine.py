@@ -1,4 +1,4 @@
-"""Local evaluation of basic graph patterns: join planning, SELECT/ASK, timeouts.
+"""Local evaluation of basic graph patterns: join planning, SELECT, timeouts.
 
 Evaluation cost is metered in deterministic work ticks (one tick per candidate
 triple touched) and converted to seconds at a fixed nominal rate, so that
@@ -7,7 +7,7 @@ reported query times and timeout behaviour are reproducible across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .patterns import GraphPattern, TriplePattern, Variable, is_var
@@ -45,9 +45,6 @@ class EvalResult:
 
     def row_set(self) -> frozenset[tuple[Term, ...]]:
         return frozenset(self.rows)
-
-    def bindings(self) -> list[dict[Variable, Term]]:
-        return [dict(zip(self.variables, row)) for row in self.rows]
 
 
 class _SoftTimeout(Exception):
@@ -127,25 +124,49 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
         return EvalResult(tuple(projection), [], 0.0, HARD_TIMEOUT)
 
     plan = join_plan(store, gp, set(values_vars))
-    # pre-resolve term ids per plan slot; a fixed term missing from the store
-    # makes the whole pattern unmatchable
-    slot_ids: list[list] = []
+    # bindings are lists of term ids indexed by a slot per variable; each plan
+    # triple compiles to (is_var, slot or term id) entries. A fixed term
+    # missing from the store makes the whole pattern unmatchable.
+    slot_of: dict[Variable, int] = {}
+    compiled: list[list[tuple[bool, Optional[int]]]] = []
     unmatchable = False
     for tp in plan:
-        slots = []
+        entries = []
         for node in tp:
             if is_var(node):
-                slots.append(node)
+                entries.append((True, slot_of.setdefault(node, len(slot_of))))
             else:
                 tid = store.term_id(node)
-                if tid is None:
-                    unmatchable = True
-                slots.append(tid)
-        slot_ids.append(slots)
+                unmatchable = unmatchable or tid is None
+                entries.append((False, tid))
+        compiled.append(entries)
+    for v in (*values_vars, *projection):
+        slot_of.setdefault(v, len(slot_of))
+    projected = [slot_of[v] for v in projection]
+
+    # VALUES terms missing from the store get negative ids, which match
+    # nothing; a None entry leaves its variable unbound
+    unknown: dict[Term, int] = {}
+    value_slots = [slot_of[v] for v in values_vars]
+    initial = []
+    for row in (values[1] if values else [()]):
+        binding = [None] * len(slot_of)
+        for slot, term in zip(value_slots, row):
+            tid = store.term_id(term)
+            if tid is None and term is not None:
+                tid = unknown.setdefault(term, ~len(unknown))
+            binding[slot] = tid
+        initial.append(binding)
+    missing = list(unknown)
+
+    def decode(tid: Optional[int]) -> Optional[Term]:
+        if tid is None:
+            return None
+        return store.term(tid) if tid >= 0 else missing[~tid]
 
     ticks = 0
     rows: list[tuple[Term, ...]] = []
-    seen: set[tuple[Term, ...]] = set()
+    seen: set[tuple] = set()
 
     def charge(n: int) -> None:
         nonlocal ticks
@@ -155,52 +176,39 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
         if soft_budget is not None and ticks > soft_budget:
             raise _SoftTimeout
 
-    def emit(binding: dict) -> bool:
-        row = tuple(binding.get(v) for v in projection)
-        if row in seen:
+    def emit(binding: list) -> bool:
+        key = tuple(binding[slot] for slot in projected)
+        if key in seen:
             return False
         charge(1)
-        seen.add(row)
-        rows.append(row)
+        seen.add(key)
+        rows.append(tuple(map(decode, key)))
         return limit is not None and len(rows) >= limit
 
-    def extend(depth: int, binding: dict) -> bool:
-        if depth == len(plan):
+    def extend(depth: int, binding: list) -> bool:
+        if depth == len(compiled):
             return emit(binding)
-        tp = plan[depth]
-        slots = slot_ids[depth]
-        lookup = []
-        for node, slot in zip(tp, slots):
-            if isinstance(slot, Variable):
-                term = binding.get(slot)
-                if term is None:
-                    lookup.append(None)
-                else:
-                    tid = store.term_id(term)
-                    if tid is None:
-                        return False
-                    lookup.append(tid)
-            else:
-                lookup.append(slot)
+        entries = compiled[depth]
+        lookup = [binding[x] if is_variable else x for is_variable, x in entries]
+        if unknown and any(tid is not None and tid < 0 for tid in lookup):
+            return False
         matches = store.match_ids(*lookup)
         charge(max(1, len(matches)))
         for trip in matches:
             new = binding
-            ok = True
-            for node, tid in zip(tp, trip):
-                if not isinstance(node, Variable):
+            for (is_variable, slot), tid in zip(entries, trip):
+                if not is_variable:
                     continue
-                term = store.term(tid)
-                cur = new.get(node)
+                cur = new[slot]
                 if cur is None:
                     if new is binding:
-                        new = dict(binding)
-                    new[node] = term
-                elif cur != term:
-                    ok = False
+                        new = list(binding)
+                    new[slot] = tid
+                elif cur != tid:
                     break
-            if ok and extend(depth + 1, new):
-                return True
+            else:
+                if extend(depth + 1, new):
+                    return True
         return False
 
     status = COMPLETE
@@ -208,36 +216,12 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
         if unmatchable and gp.triples:
             pass  # no solutions; Complete with zero rows
         else:
-            initial = ([dict(zip(values_vars, row)) for row in values[1]]
-                       if values else [{}])
             for binding in initial:
                 charge(1)
-                if extend(0, dict(binding)):
+                if extend(0, binding):
                     break
     except _SoftTimeout:
         status = SOFT_TIMEOUT
     except _HardTimeout:
         return EvalResult(tuple(projection), [], ticks / TICKS_PER_SECOND, HARD_TIMEOUT)
     return EvalResult(tuple(projection), rows, ticks / TICKS_PER_SECOND, status)
-
-
-def ask(store: TripleStore, gp: GraphPattern, binding: Optional[dict] = None,
-        soft_timeout: Optional[float] = DEFAULT_SOFT_TIMEOUT,
-        hard_timeout: Optional[float] = DEFAULT_HARD_TIMEOUT
-        ) -> tuple[bool, str]:
-    """True iff at least one solution exists for the bound pattern."""
-    bound = gp.substitute(binding) if binding else gp
-    if not bound.triples:
-        raise DegenerateQueryError("ASK over empty pattern")
-    free = sorted(bound.variables(), key=lambda v: v.name)
-    if not free:
-        ok = all(_ground_in_store(store, tp) for tp in bound.triples)
-        return ok, COMPLETE
-    res = select(store, bound, [free[0]], limit=1,
-                 soft_timeout=soft_timeout, hard_timeout=hard_timeout)
-    return bool(res.rows), res.status
-
-
-def _ground_in_store(store: TripleStore, tp: TriplePattern) -> bool:
-    ids = tuple(store.term_id(node) for node in tp)
-    return None not in ids and store.count(*ids) > 0

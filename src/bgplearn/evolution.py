@@ -4,7 +4,7 @@ hall of fame, and the multi-run driver with the cross-run coverage ledger."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 from typing import Optional
 
 from .canon import pattern_key
@@ -12,7 +12,7 @@ from .engine import HARD_TIMEOUT
 from .fitness import (CoverageLedger, FitnessTuple, GroundTruthPair,
                       PatternEvaluation, ScoreConfig, evaluate, update_ledger)
 from .patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR, TriplePattern,
-                       Variable, is_var)
+                       Variable)
 from .rdf import LITERAL, Term
 from .simplify import simplify
 

@@ -50,10 +50,6 @@ class CoverageLedger:
     def to_json(self) -> str:
         return json.dumps(self.values)
 
-    @classmethod
-    def from_json(cls, text: str) -> "CoverageLedger":
-        return cls(json.loads(text))
-
     def __eq__(self, other):
         return isinstance(other, CoverageLedger) and self.values == other.values
 
@@ -92,11 +88,6 @@ class FitnessTuple:
 
     def __ge__(self, other):
         return self.key() >= other.key()
-
-    def as_list(self) -> list:
-        return [self.remains, self.score, self.gain, self.f1, self.avg_result_len,
-                self.gt_matches, self.pattern_length, self.pattern_vars,
-                self.timeout_penalty, self.query_time_s]
 
 
 @dataclass

@@ -8,7 +8,7 @@ from typing import Optional
 
 from .fitness import CoverageLedger, FitnessTuple, GroundTruthPair, PatternEvaluation
 from .patterns import GraphPattern, TriplePattern, Variable, is_var
-from .rdf import _ABS_IRI_RE, BNODE, IRI, LITERAL, Term, bnode, iri, literal
+from .rdf import _ABS_IRI_RE, BNODE, IRI, Term, bnode, iri, literal
 
 
 class GroundTruthError(ValueError):

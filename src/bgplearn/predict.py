@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
 
-from .fitness import FitnessTuple, PatternEvaluation
+from .fitness import FitnessTuple
 from .patterns import GraphPattern, SOURCE_VAR, TARGET_VAR
 from .rdf import Term
 

@@ -191,12 +191,6 @@ class TripleStore:
     def terms(self) -> list[Term]:
         return list(self._terms)
 
-    def index_sizes(self) -> tuple[int, int, int]:
-        spo = sum(len(os) for ps in self._spo.values() for os in ps.values())
-        pos = sum(len(ss) for os in self._pos.values() for ss in os.values())
-        osp = sum(len(ps) for ss in self._osp.values() for ps in ss.values())
-        return spo, pos, osp
-
     def match_ids(self, s: Optional[int], p: Optional[int], o: Optional[int]
                   ) -> list[tuple[int, int, int]]:
         """All id-triples matching the bound slots, sorted by (s, p, o) ids."""
@@ -243,24 +237,6 @@ class TripleStore:
             out.extend(self._triples)
         out.sort()
         return out
-
-    def match(self, s: Optional[Term] = None, p: Optional[Term] = None,
-              o: Optional[Term] = None) -> Iterator[Triple]:
-        sid = pid = oid = None
-        if s is not None:
-            sid = self._ids.get(s)
-            if sid is None:
-                return iter(())
-        if p is not None:
-            pid = self._ids.get(p)
-            if pid is None:
-                return iter(())
-        if o is not None:
-            oid = self._ids.get(o)
-            if oid is None:
-                return iter(())
-        rows = self.match_ids(sid, pid, oid)
-        return (Triple(self._terms[a], self._terms[b], self._terms[c]) for a, b, c in rows)
 
     def count(self, s: Optional[int] = None, p: Optional[int] = None,
               o: Optional[int] = None) -> int:

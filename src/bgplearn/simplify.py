@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Optional
 
-from .patterns import GraphPattern, TriplePattern, Variable, is_var
+from .patterns import GraphPattern, TriplePattern, is_var
 from .rdf import Term
 
 Checker = Callable[[GraphPattern, GraphPattern], bool]

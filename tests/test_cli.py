@@ -36,6 +36,18 @@ def run_learn(workdir, out="out", extra=()):
                  *FAST, *extra])
 
 
+def command_inputs(workdir, command):
+    """Arguments of `command` other than the backend and config; writes the
+    input files they name."""
+    (workdir / "patterns.json").write_text('{"patterns": []}')
+    (workdir / "sources.txt").write_text("<http://example.org/Berlin>\n")
+    return {"learn": ["--gt", str(workdir / "gt.tsv"), "--out", str(workdir / "out")],
+            "predict": ["--patterns", str(workdir / "patterns.json"),
+                        "--sources", str(workdir / "sources.txt")],
+            "evaluate": ["--patterns", str(workdir / "patterns.json"),
+                         "--gt", str(workdir / "gt.tsv")]}[command]
+
+
 class TestConfig:
     def test_defaults(self):
         evo, ep = load_config(None, [])
@@ -64,20 +76,24 @@ class TestConfig:
                 continue
             load_config(None, ["%s=%s" % (f.name, value)])
 
-    @pytest.mark.parametrize("setting", ["bogus=1", "batch_size=0"],
-                             ids=["bogus", "batch_size"])
+    def test_values_follow_declared_type(self):
+        _evo, ep = load_config(None, ["url=3", "cache_ttl=2", "store_path=7.5"])
+        assert ep.url == "3" and ep.store_path == "7.5"
+        assert ep.cache_ttl == 2.0 and isinstance(ep.cache_ttl, float)
+
+    @pytest.mark.parametrize("setting", ["bogus=1", "batch_size=0", "cache_ttl=abc"],
+                             ids=["bogus", "batch_size", "cache_ttl"])
     @pytest.mark.parametrize("command", ["learn", "predict", "evaluate"])
     def test_bad_config_key_exits_1(self, workdir, capsys, command, setting):
-        (workdir / "patterns.json").write_text('{"patterns": []}')
-        (workdir / "sources.txt").write_text("<http://example.org/Berlin>\n")
-        inputs = {"learn": ["--gt", str(workdir / "gt.tsv"),
-                            "--out", str(workdir / "out")],
-                  "predict": ["--patterns", str(workdir / "patterns.json"),
-                              "--sources", str(workdir / "sources.txt")],
-                  "evaluate": ["--patterns", str(workdir / "patterns.json"),
-                               "--gt", str(workdir / "gt.tsv")]}
         code = main([command, "--store", str(workdir / "store.ttl"),
-                     *inputs[command], "--set", setting])
+                     *command_inputs(workdir, command), "--set", setting])
+        assert code == EXIT_USAGE
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["learn", "predict", "evaluate"])
+    def test_no_backend_exits_1(self, workdir, capsys, monkeypatch, command):
+        monkeypatch.delenv("BGPLEARN_ENDPOINT", raising=False)
+        code = main([command, *command_inputs(workdir, command)])
         assert code == EXIT_USAGE
         assert "configuration error" in capsys.readouterr().err
 
@@ -136,12 +152,6 @@ class TestLearnCommand:
                      "--gt", str(workdir / "empty.tsv"),
                      "--out", str(workdir / "out")])
         assert code == EXIT_BAD_INPUT
-
-    def test_no_backend_exits_1(self, workdir, monkeypatch):
-        monkeypatch.delenv("BGPLEARN_ENDPOINT", raising=False)
-        code = main(["learn", "--gt", str(workdir / "gt.tsv"),
-                     "--out", str(workdir / "out")])
-        assert code == EXIT_USAGE
 
     @pytest.mark.parametrize("content", ['<http://x/s> <http://x/p> "\\uZZZZ" .\n',
                                          None], ids=["malformed", "missing"])

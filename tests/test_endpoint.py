@@ -67,32 +67,6 @@ class TestBatching:
         assert ep.backend_calls == 3
 
 
-class TestAskCoverage:
-    def test_fixture_pairs(self, capitals_store):
-        ep = local_endpoint(capitals_store)
-        flags, status = ep.run_ask_coverage(
-            CAPITAL_GP, [(ex("Berlin"), ex("Germany")),
-                         (ex("Berlin"), ex("France"))])
-        assert flags == [True, False] and status == COMPLETE
-
-    def test_empty_pairs(self, capitals_store):
-        ep = local_endpoint(capitals_store)
-        flags, status = ep.run_ask_coverage(CAPITAL_GP, [])
-        assert flags == [] and status == COMPLETE
-
-    def test_all_three_covered(self, capitals_store, capitals_gt):
-        ep = local_endpoint(capitals_store)
-        flags, _ = ep.run_ask_coverage(CAPITAL_GP,
-                                       [(p.source, p.target) for p in capitals_gt])
-        assert flags == [True, True, True]
-
-    def test_incomplete_pattern_rejected(self, capitals_store):
-        ep = local_endpoint(capitals_store)
-        frag = GraphPattern([TriplePattern(SOURCE_VAR, V("p"), V("v"))])
-        with pytest.raises(ValueError):
-            ep.run_ask_coverage(frag, [(ex("Berlin"), ex("Germany"))])
-
-
 def _sparql_json(rows):
     return {"head": {"vars": ["target"]},
             "results": {"bindings": [

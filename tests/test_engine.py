@@ -3,7 +3,8 @@ import random
 import pytest
 
 from bgplearn.engine import (COMPLETE, HARD_TIMEOUT, SOFT_TIMEOUT,
-                             DegenerateQueryError, ask, join_plan, select)
+                             TICKS_PER_SECOND, DegenerateQueryError,
+                             join_plan, select)
 from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
                                TriplePattern, Variable)
 from bgplearn.rdf import load_ntriples
@@ -101,22 +102,49 @@ def iri_a():
     return iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
 
 
-class TestAsk:
-    def test_capital_true(self, capitals_store):
-        ok, status = ask(capitals_store, CAPITAL_GP,
-                         {SOURCE_VAR: ex("Berlin"), TARGET_VAR: ex("Germany")})
-        assert ok and status == COMPLETE
+_PINNED = {
+    # ?source's VALUES row Atlantis is not in the store: it joins nothing
+    "absent_values_term_joined": dict(
+        pattern=gp(TriplePattern(SOURCE_VAR, ex("capitalOf"), TARGET_VAR),
+                   TriplePattern(TARGET_VAR, iri_a(), ex("Country"))),
+        projection=[SOURCE_VAR, TARGET_VAR],
+        values=([SOURCE_VAR], [(ex("Paris"),), (ex("Atlantis"),), (ex("Berlin"),)]),
+        rows=[(ex("Paris"), ex("France")), (ex("Berlin"), ex("Germany"))],
+        status=COMPLETE, ticks=9),
+    # ?x occurs only in VALUES and the projection: both rows give one answer
+    "absent_values_term_projected": dict(
+        pattern=CAPITAL_GP, projection=[V("x")],
+        values=([V("x"), SOURCE_VAR], [(ex("Atlantis"), ex("Berlin")),
+                                       (ex("Atlantis"), ex("Paris"))]),
+        rows=[(ex("Atlantis"),)], status=COMPLETE, ticks=5),
+    "absent_constant": dict(
+        pattern=gp(TriplePattern(SOURCE_VAR, ex("nosuch"), TARGET_VAR)),
+        projection=[SOURCE_VAR, TARGET_VAR], rows=[], status=COMPLETE, ticks=0),
+    "repeated_variable": dict(
+        pattern=gp(TriplePattern(V("x"), V("p"), V("x"))), projection=[V("x")],
+        rows=[], status=COMPLETE, ticks=9),
+    "limit_1": dict(
+        pattern=gp(TriplePattern(V("s"), V("p"), V("o"))), projection=[V("s")],
+        limit=1, rows=[(ex("Berlin"),)], status=COMPLETE, ticks=10),
+    "soft_timeout": dict(
+        pattern=gp(TriplePattern(V("s"), V("p"), V("o")),
+                   TriplePattern(V("o"), V("q"), V("z"))),
+        projection=[V("s"), V("z")], soft_timeout=20 / TICKS_PER_SECOND,
+        rows=[(ex("Berlin"), ex("Country")), (ex("Berlin"), ex("France")),
+              (ex("Paris"), ex("Country"))],
+        status=SOFT_TIMEOUT, ticks=21),
+}
 
-    def test_capital_false(self, capitals_store):
-        ok, _ = ask(capitals_store, CAPITAL_GP,
-                    {SOURCE_VAR: ex("Berlin"), TARGET_VAR: ex("France")})
-        assert not ok
 
-    def test_all_variable_triple(self, capitals_store):
-        pattern = gp(TriplePattern(SOURCE_VAR, V("p"), TARGET_VAR))
-        ok, _ = ask(capitals_store, pattern,
-                    {SOURCE_VAR: ex("Berlin"), TARGET_VAR: ex("Germany")})
-        assert ok
+@pytest.mark.parametrize("case", list(_PINNED))
+def test_select_pinned(capitals_store, case):
+    """Rows in order, status and the exact metered time of fixed queries."""
+    c = _PINNED[case]
+    res = select(capitals_store, c["pattern"], c["projection"], c.get("values"),
+                 c.get("limit"), c.get("soft_timeout", 2.0), None)
+    assert res.rows == c["rows"]
+    assert res.status == c["status"]
+    assert res.elapsed == c["ticks"] / TICKS_PER_SECOND
 
 
 class TestJoinPlan:

@@ -34,10 +34,6 @@ class TestLedger:
         led = CoverageLedger.zeros(3).updated([[1.0, 0.0, 0.5]])
         assert led.remains() == pytest.approx(3 - 1.5)
 
-    def test_json_round_trip(self):
-        led = CoverageLedger([0.25, 1.0, 0.0])
-        assert CoverageLedger.from_json(led.to_json()) == led
-
 
 def _ft(**kw):
     base = dict(remains=0.0, score=0.0, gain=0.0, f1=0.0, avg_result_len=0.0,
@@ -76,10 +72,6 @@ class TestTupleOrdering:
         fa = FitnessTuple(**dict(zip(fields, a)))
         fb = FitnessTuple(**dict(zip(fields, b)))
         assert (fa < fb) + (fb < fa) + (fa.key() == fb.key()) == 1
-
-    def test_key_round_trip_vs_as_list(self):
-        f = _ft(remains=1.5, gain=2.0, pattern_length=3)
-        assert len(f.as_list()) == 10
 
 
 class TestScore:
