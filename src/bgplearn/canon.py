@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .patterns import GraphPattern, Variable, is_var
 from .rdf import BNODE, Term
@@ -19,7 +20,7 @@ MAX_VERTICES = 200
 @dataclass(frozen=True)
 class CanonicalForm:
     key: str
-    variable_mapping: dict  # Variable -> canonical Variable
+    variable_mapping: MappingProxyType  # Variable -> canonical Variable, read-only
 
     def __hash__(self):
         return hash(self.key)
@@ -54,7 +55,16 @@ def _initial_color(vertex) -> str:
 
 
 def canonicalize(gp: GraphPattern) -> CanonicalForm:
-    """Canonical form via color refinement with deterministic individualization."""
+    """Canonical form via color refinement with deterministic individualization.
+
+    Computed once per pattern object and kept on it: patterns are immutable.
+    """
+    if gp._canon is None:
+        object.__setattr__(gp, "_canon", _compute(gp))
+    return gp._canon
+
+
+def _compute(gp: GraphPattern) -> CanonicalForm:
     if not gp.triples:
         raise ValueError("cannot canonicalize an empty pattern")
 
@@ -134,7 +144,7 @@ def canonicalize(gp: GraphPattern) -> CanonicalForm:
         return best
 
     key, mapping = search({v: _initial_color(v) for v in vertices})
-    return CanonicalForm(key=key, variable_mapping=mapping)
+    return CanonicalForm(key=key, variable_mapping=MappingProxyType(mapping))
 
 
 def pattern_key(gp: GraphPattern) -> str:

@@ -24,6 +24,13 @@ REMOTE = "remote"
 _STATUS_RANK = {COMPLETE: 0, SOFT_TIMEOUT: 1, HARD_TIMEOUT: 2}
 
 
+# lowest accepted value of each numeric setting; 0 is valid where it means
+# "nothing": no caching, no retry, no wait, a budget that is spent at once
+_LOWER_BOUNDS = (("batch_size", 1), ("default_limit", 1), ("cache_capacity", 0),
+                 ("cache_ttl", 0), ("retries", 0), ("backoff", 0),
+                 ("soft_timeout", 0), ("hard_timeout", 0))
+
+
 @dataclass
 class EndpointConfig:
     backend: str = LOCAL
@@ -39,8 +46,11 @@ class EndpointConfig:
     default_limit: int = engine.DEFAULT_LIMIT
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        # None means no limit: an unmetered engine.select budget, or no TTL
+        for name, low in _LOWER_BOUNDS:
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise ValueError("%s must be >= %s" % (name, low))
 
 
 class EndpointUnreachable(RuntimeError):

@@ -61,7 +61,7 @@ class EvolutionConfig:
 class Individual:
     """A pattern plus its cached fitness; any structural change invalidates it."""
 
-    __slots__ = ("pattern", "fitness", "evaluation", "_key")
+    __slots__ = ("pattern", "fitness", "evaluation")
 
     def __init__(self, pattern: GraphPattern,
                  fitness: Optional[FitnessTuple] = None,
@@ -69,13 +69,10 @@ class Individual:
         self.pattern = pattern
         self.fitness = fitness
         self.evaluation = evaluation
-        self._key: Optional[str] = None
 
     @property
     def canonical_key(self) -> str:
-        if self._key is None:
-            self._key = pattern_key(self.pattern)
-        return self._key
+        return pattern_key(self.pattern)
 
     def __repr__(self):
         return "Individual(%s)" % self.pattern.text()

@@ -103,13 +103,18 @@ class TriplePattern:
 
 
 class GraphPattern:
-    """A set of triple patterns; the evolutionary individual."""
+    """A set of triple patterns; the evolutionary individual.
 
-    __slots__ = ("triples", "_hash")
+    `_canon` holds the canonical form once `canon.canonicalize` has computed
+    it; it takes no part in equality, hashing or repr.
+    """
+
+    __slots__ = ("triples", "_hash", "_canon")
 
     def __init__(self, triples: Iterable[TriplePattern] = ()):
         object.__setattr__(self, "triples", frozenset(triples))
         object.__setattr__(self, "_hash", hash(self.triples))
+        object.__setattr__(self, "_canon", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GraphPattern is immutable")

@@ -15,6 +15,7 @@ from .rdf import Term
 
 FUSION_STRATEGIES = ("target_occs", "scores", "f_measures", "gp_precisions",
                      "precisions")
+_ZERO_SUMS = (0.0,) * len(FUSION_STRATEGIES)
 
 
 @dataclass
@@ -134,20 +135,20 @@ def fuse(target_sets: list[set[Term]], portfolio: PatternPortfolio,
     selected = portfolio.selected()
     if len(target_sets) != len(selected):
         raise ValueError("one target set per selected pattern required")
-    values: dict[str, dict[Term, float]] = {s: {} for s in FUSION_STRATEGIES}
+    # one row of the five sums per target, in FUSION_STRATEGIES order
+    sums: dict[Term, list[float]] = {}
     for entry, tset in zip(selected, target_sets):
+        if not tset:
+            continue
+        weights = (1.0, entry.score, entry.f1, entry.gp_precision, 1.0 / len(tset))
         for t in tset:
-            values["target_occs"][t] = values["target_occs"].get(t, 0.0) + 1.0
-            values["scores"][t] = values["scores"].get(t, 0.0) + entry.score
-            values["f_measures"][t] = values["f_measures"].get(t, 0.0) + entry.f1
-            values["gp_precisions"][t] = (values["gp_precisions"].get(t, 0.0)
-                                          + entry.gp_precision)
-            values["precisions"][t] = (values["precisions"].get(t, 0.0)
-                                       + 1.0 / len(tset))
+            sums[t] = [a + w for a, w in zip(sums.get(t, _ZERO_SUMS), weights)]
+    # stable sorts: by term first, then by value, give (-value, sort_key) order
+    by_term = sorted(sums.items(), key=lambda kv: kv[0].sort_key())
     rankings = {}
-    for strategy, by_target in values.items():
-        rankings[strategy] = sorted(by_target.items(),
-                                    key=lambda kv: (-kv[1], kv[0].sort_key()))
+    for i, strategy in enumerate(FUSION_STRATEGIES):
+        ranked = sorted(by_term, key=lambda kv: -kv[1][i])
+        rankings[strategy] = [(t, row[i]) for t, row in ranked]
     return RankedPrediction(source=source, rankings=rankings)
 
 

@@ -103,3 +103,46 @@ class TestRandomized:
                 continue
             assert pattern_key(p) != pattern_key(q)
             seen += 1
+
+
+class TestMemo:
+    @staticmethod
+    def _pair():
+        """Two equal patterns built separately."""
+        return tuple(gp(TriplePattern(SOURCE_VAR, V("p"), V("v")),
+                        TriplePattern(V("v"), ex("q"), TARGET_VAR))
+                     for _ in range(2))
+
+    def test_same_form_object(self):
+        a, _ = self._pair()
+        assert canonicalize(a) is canonicalize(a)
+
+    @pytest.mark.parametrize("canonicalised", [0, 1, 2],
+                             ids=["neither", "one", "both"])
+    def test_equality_ignores_memo(self, canonicalised):
+        a, b = self._pair()
+        text = repr(a)
+        for p in (a, b)[:canonicalised]:
+            canonicalize(p)
+        assert a == b and b == a
+        assert hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+        assert repr(a) == text == repr(b)
+        assert pattern_key(a) == pattern_key(b)
+
+    def test_pattern_still_immutable(self):
+        a, _ = self._pair()
+        canonicalize(a)
+        with pytest.raises(AttributeError):
+            a.triples = frozenset()
+        with pytest.raises(AttributeError):
+            a._canon = None
+
+    def test_variable_mapping_read_only(self):
+        a, _ = self._pair()
+        mapping = canonicalize(a).variable_mapping
+        with pytest.raises(TypeError):
+            mapping[V("p")] = V("x")
+        with pytest.raises(TypeError):
+            del mapping[SOURCE_VAR]
+        assert canonicalize(a).variable_mapping[V("v")] == mapping[V("v")]

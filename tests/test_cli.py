@@ -81,8 +81,10 @@ class TestConfig:
         assert ep.url == "3" and ep.store_path == "7.5"
         assert ep.cache_ttl == 2.0 and isinstance(ep.cache_ttl, float)
 
-    @pytest.mark.parametrize("setting", ["bogus=1", "batch_size=0", "cache_ttl=abc"],
-                             ids=["bogus", "batch_size", "cache_ttl"])
+    @pytest.mark.parametrize("setting", ["bogus=1", "batch_size=0", "cache_ttl=abc",
+                                         "cache_capacity=-5", "soft_timeout=-1"],
+                             ids=["bogus", "batch_size", "cache_ttl",
+                                  "cache_capacity", "soft_timeout"])
     @pytest.mark.parametrize("command", ["learn", "predict", "evaluate"])
     def test_bad_config_key_exits_1(self, workdir, capsys, command, setting):
         code = main([command, "--store", str(workdir / "store.ttl"),

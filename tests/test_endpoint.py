@@ -167,5 +167,12 @@ class TestRemote:
 
 class TestConfig:
     def test_invariants(self):
-        with pytest.raises(ValueError):
-            EndpointConfig(batch_size=0)
+        # each numeric setting at its lowest accepted value, then just below it
+        for name, lowest, below in [
+                ("batch_size", 1, 0), ("default_limit", 1, 0),
+                ("cache_capacity", 0, -5), ("cache_ttl", 0.0, -1.0),
+                ("retries", 0, -1), ("backoff", 0.0, -0.5),
+                ("soft_timeout", 0.0, -1.0), ("hard_timeout", 0.0, -0.01)]:
+            EndpointConfig(**{name: lowest})
+            with pytest.raises(ValueError, match=name):
+                EndpointConfig(**{name: below})

@@ -10,6 +10,7 @@ from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
 from bgplearn.predict import (FUSION_STRATEGIES, PatternPortfolio,
                               PortfolioEntry, fuse, precision_loss, predict,
                               predict_targets, reduce_queries)
+from bgplearn.rdf import bnode, literal
 
 from conftest import ex
 
@@ -107,6 +108,20 @@ class TestPredictTargets:
         assert predict_targets(ep, portfolio, ex("Berlin")) == [set()]
 
 
+def _naive_rankings(entries, tsets):
+    """Per-strategy sums in selection order, sorted by (-value, sort_key)."""
+    values = {s: {} for s in FUSION_STRATEGIES}
+    for e, ts in zip(entries, tsets):
+        for t in ts:
+            for strategy, w in (("target_occs", 1.0), ("scores", e.score),
+                                ("f_measures", e.f1),
+                                ("gp_precisions", e.gp_precision),
+                                ("precisions", 1.0 / len(ts))):
+                values[strategy][t] = values[strategy].get(t, 0.0) + w
+    return {s: sorted(d.items(), key=lambda kv: (-kv[1], kv[0].sort_key()))
+            for s, d in values.items()}
+
+
 class TestFuse:
     def test_single_pattern_two_targets(self):
         entry = _entry([1.0], score=2.0, f1=0.8, avg=2.0)
@@ -157,6 +172,32 @@ class TestFuse:
                 assert got == pytest.approx(expected)
                 vals = [v for _, v in pred.rankings[strategy]]
                 assert vals == sorted(vals, reverse=True)
+
+    def test_exact_rankings_with_forced_ties(self):
+        # integer weights and shared target sets force value ties, so the
+        # order inside a tie comes from Term.sort_key across term kinds
+        terms = [ex("b"), ex("a"), bnode("n1"), bnode("n0"), literal("x"),
+                 literal("x", lang="en"), literal("x", lang="de"), ex("c")]
+        cases = [([(2, 1, 1), (2, 1, 2), (1, 0, 4), (3, 1, 1), (1, 1, 2)],
+                  [set(terms[:3]), set(terms[1:6]), set(),
+                   {terms[0], terms[4], terms[7]}, set(terms)])]
+        rng = random.Random(5)
+        for _ in range(50):
+            n = rng.randint(1, 6)
+            weights = [(rng.randint(0, 3), rng.randint(0, 2), rng.randint(1, 4))
+                       for _ in range(n)]
+            tsets = [set(rng.sample(terms, rng.randint(0, len(terms))))
+                     for _ in range(n)]
+            tsets[rng.randrange(n)] = set()
+            cases.append((weights, tsets))
+        for weights, tsets in cases:
+            entries = [_entry([1.0], score=float(s), f1=float(f), avg=float(a))
+                       for s, f, a in weights]
+            portfolio = PatternPortfolio(entries,
+                                         representatives=list(range(len(entries))))
+            pred = fuse(tsets, portfolio, ex("s"))
+            assert list(pred.rankings) == list(FUSION_STRATEGIES)
+            assert pred.rankings == _naive_rankings(entries, tsets)
 
     def test_tie_break_lexicographic(self):
         portfolio = PatternPortfolio([_entry([1.0])], representatives=[0])
