@@ -85,7 +85,6 @@ def _build_endpoint(args, ep_cfg: EndpointConfig) -> Endpoint:
         return Endpoint(ep_cfg)
     if getattr(args, "store", None):
         ep_cfg.backend = LOCAL
-        ep_cfg.store_path = args.store
         return Endpoint(ep_cfg, store=_load_store(args.store))
     raise ValueError("either --store or --endpoint-url is required")
 
@@ -135,6 +134,9 @@ def cmd_learn(args) -> int:
     try:
         result = evolution.learn(endpoint, gt, evo_cfg, ledger=ledger,
                                  start_run=start_run)
+    except ValueError as exc:
+        print("input error: %s" % exc, file=sys.stderr)
+        return EXIT_BAD_INPUT
     except EndpointUnreachable as exc:
         print("endpoint unreachable: %s" % exc, file=sys.stderr)
         return EXIT_ENDPOINT

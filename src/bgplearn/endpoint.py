@@ -34,7 +34,6 @@ _LOWER_BOUNDS = (("batch_size", 1), ("default_limit", 1), ("cache_capacity", 0),
 @dataclass
 class EndpointConfig:
     backend: str = LOCAL
-    store_path: Optional[str] = None
     url: Optional[str] = None
     soft_timeout: float = engine.DEFAULT_SOFT_TIMEOUT
     hard_timeout: float = engine.DEFAULT_HARD_TIMEOUT
@@ -111,10 +110,7 @@ class Endpoint:
         self.config = config
         self.store = store
         if config.backend == LOCAL and store is None:
-            if config.store_path is None:
-                raise ValueError("local backend requires a store or store_path")
-            from .rdf import load_file
-            self.store = load_file(config.store_path)
+            raise ValueError("local backend requires a store")
         if config.backend == REMOTE and not config.url and http_post is None:
             raise ValueError("remote backend requires a url")
         self._http_post = http_post

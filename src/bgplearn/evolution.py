@@ -390,14 +390,14 @@ def fix_var(gp: GraphPattern, endpoint, gt: list[GroundTruthPair],
 
 
 _LOCAL_STRATEGIES = (
-    ("p_introduce_var", lambda gp, rng, cfg: mut_introduce_var(gp, rng)),
-    ("p_split_var", lambda gp, rng, cfg: mut_split_var(gp, rng)),
-    ("p_merge_var", lambda gp, rng, cfg: mut_merge_var(gp, rng)),
-    ("p_del_triple", lambda gp, rng, cfg: mut_del_triple(gp, rng)),
-    ("p_expand_node", lambda gp, rng, cfg: mut_expand_node(gp, rng)),
-    ("p_add_edge", lambda gp, rng, cfg: mut_add_edge(gp, rng)),
-    ("p_increase_dist", lambda gp, rng, cfg: mut_increase_dist(gp, rng)),
-    ("p_simplify", lambda gp, rng, cfg: mut_simplify(gp, rng)),
+    ("p_introduce_var", mut_introduce_var),
+    ("p_split_var", mut_split_var),
+    ("p_merge_var", mut_merge_var),
+    ("p_del_triple", mut_del_triple),
+    ("p_expand_node", mut_expand_node),
+    ("p_add_edge", mut_add_edge),
+    ("p_increase_dist", mut_increase_dist),
+    ("p_simplify", mut_simplify),
 )
 
 
@@ -410,7 +410,7 @@ def mutate(individual: Individual, endpoint, gt: list[GroundTruthPair],
     changed = False
     for prob_name, strategy in _LOCAL_STRATEGIES:
         if rng.random() < getattr(cfg, prob_name):
-            out = strategy(gp, rng, cfg)
+            out = strategy(gp, rng)
             if out is not None:
                 gp = out
                 changed = True
@@ -527,8 +527,12 @@ def learn(endpoint, gt: list[GroundTruthPair], cfg: EvolutionConfig,
     """Multi-run driver: accepted patterns accumulate, the ledger refocuses runs."""
     if not gt:
         raise ValueError("ground truth must be non-empty")
+    if ledger is None:
+        ledger = CoverageLedger.zeros(len(gt))
+    elif len(ledger) != len(gt):
+        raise ValueError("ledger has %d entries but the ground truth has %d pairs"
+                         % (len(ledger), len(gt)))
     rng = random.Random(cfg.seed)
-    ledger = ledger if ledger is not None else CoverageLedger.zeros(len(gt))
     results: dict[str, LearnedPattern] = {}
     runs: list[RunRecord] = []
 

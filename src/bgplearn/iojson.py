@@ -6,8 +6,10 @@ import json
 import re
 from typing import Optional
 
+from .evolution import LearnedPattern
 from .fitness import CoverageLedger, FitnessTuple, GroundTruthPair, PatternEvaluation
-from .patterns import GraphPattern, TriplePattern, Variable, is_var
+from .patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR, TriplePattern, Variable,
+                       is_var, to_select_sparql)
 from .rdf import _ABS_IRI_RE, BNODE, IRI, Term, bnode, iri, literal
 
 
@@ -70,7 +72,6 @@ def fitness_from_json(obj: dict) -> FitnessTuple:
 
 
 def learned_to_json(lp) -> dict:
-    from .patterns import SOURCE_VAR, TARGET_VAR, to_select_sparql
     return {
         "pattern": pattern_to_json(lp.pattern),
         "sparql": to_select_sparql(lp.pattern, [SOURCE_VAR, TARGET_VAR]),
@@ -84,7 +85,6 @@ def learned_to_json(lp) -> dict:
 
 
 def learned_from_json(obj: dict):
-    from .evolution import LearnedPattern
     return LearnedPattern(
         pattern=pattern_from_json(obj["pattern"]),
         fitness=fitness_from_json(obj["fitness"]),

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import gzip
 import re
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 IRI = "iri"
@@ -131,27 +133,37 @@ class Triple:
         return "%s %s %s ." % (self.s.n3(), self.p.n3(), self.o.n3())
 
 
-class TripleStore:
-    """Immutable-after-load set of triples with SPO/POS/OSP indexes.
+def _groups(rows: list, slots: tuple[int, ...]) -> Iterator[tuple]:
+    """(bound values, matching rows) for each distinct value of `slots`; the
+    sort is stable, so each group keeps the order of `rows`."""
+    bound = itemgetter(*slots)
+    return ((k, tuple(g)) for k, g in groupby(sorted(rows, key=bound), bound))
 
-    Terms are interned to integer ids; all lookups and iteration orders are
-    in dictionary-id order, so results are deterministic for a given load.
-    Per-subject, per-predicate and per-object triple totals are kept beside
-    the indexes, so every `count` is answered without enumerating matches.
+
+class TripleStore:
+    """Immutable-after-load set of triples behind one pre-sorted lookup table.
+
+    Terms are interned to integer ids. At load, every bound/unbound slot
+    combination of every triple, from `(s, p, o)` to `(None, None, None)`,
+    is mapped to the tuple of its matching id-triples in (s, p, o) order, so
+    every lookup and every count is one dict read and results are
+    deterministic for a given load.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
         self._terms: list[Term] = []
         self._ids: dict[Term, int] = {}
-        self._triples: set[tuple[int, int, int]] = set()
-        self._spo: dict[int, dict[int, set[int]]] = {}
-        self._pos: dict[int, dict[int, set[int]]] = {}
-        self._osp: dict[int, dict[int, set[int]]] = {}
-        self._s_total: dict[int, int] = {}
-        self._p_total: dict[int, int] = {}
-        self._o_total: dict[int, int] = {}
-        for t in triples:
-            self._add(t)
+        intern = self._intern
+        spo = sorted({(intern(t.s), intern(t.p), intern(t.o)) for t in triples})
+        index = {(None, None, None): tuple(spo)}
+        index.update((key, (key,)) for key in spo)
+        index.update(((s, p, None), m) for (s, p), m in _groups(spo, (0, 1)))
+        index.update(((s, None, o), m) for (s, o), m in _groups(spo, (0, 2)))
+        index.update(((None, p, o), m) for (p, o), m in _groups(spo, (1, 2)))
+        index.update(((s, None, None), m) for s, m in _groups(spo, (0,)))
+        index.update(((None, p, None), m) for p, m in _groups(spo, (1,)))
+        index.update(((None, None, o), m) for o, m in _groups(spo, (2,)))
+        self._index: dict[tuple, tuple[tuple[int, int, int], ...]] = index
 
     def _intern(self, term: Term) -> int:
         tid = self._ids.get(term)
@@ -161,25 +173,12 @@ class TripleStore:
             self._terms.append(term)
         return tid
 
-    def _add(self, t: Triple) -> None:
-        s, p, o = self._intern(t.s), self._intern(t.p), self._intern(t.o)
-        key = (s, p, o)
-        if key in self._triples:
-            return
-        self._triples.add(key)
-        self._spo.setdefault(s, {}).setdefault(p, set()).add(o)
-        self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
-        self._osp.setdefault(o, {}).setdefault(s, set()).add(p)
-        self._s_total[s] = self._s_total.get(s, 0) + 1
-        self._p_total[p] = self._p_total.get(p, 0) + 1
-        self._o_total[o] = self._o_total.get(o, 0) + 1
-
     def __len__(self) -> int:
-        return len(self._triples)
+        return len(self._index[None, None, None])
 
     def __contains__(self, t: Triple) -> bool:
         key = (self._ids.get(t.s), self._ids.get(t.p), self._ids.get(t.o))
-        return None not in key and key in self._triples
+        return None not in key and key in self._index
 
     def term_id(self, term: Term) -> Optional[int]:
         return self._ids.get(term)
@@ -192,79 +191,25 @@ class TripleStore:
         return list(self._terms)
 
     def match_ids(self, s: Optional[int], p: Optional[int], o: Optional[int]
-                  ) -> list[tuple[int, int, int]]:
-        """All id-triples matching the bound slots, sorted by (s, p, o) ids."""
-        out = []
-        if s is not None and s >= len(self._terms):
-            return out
-        if p is not None and p >= len(self._terms):
-            return out
-        if o is not None and o >= len(self._terms):
-            return out
-        if s is not None:
-            ps = self._spo.get(s)
-            if not ps:
-                return out
-            if p is not None:
-                os_ = ps.get(p)
-                if not os_:
-                    return out
-                if o is not None:
-                    if o in os_:
-                        out.append((s, p, o))
-                else:
-                    out.extend((s, p, oo) for oo in os_)
-            else:
-                for pp, os_ in ps.items():
-                    if o is not None:
-                        if o in os_:
-                            out.append((s, pp, o))
-                    else:
-                        out.extend((s, pp, oo) for oo in os_)
-        elif p is not None:
-            os_map = self._pos.get(p)
-            if not os_map:
-                return out
-            if o is not None:
-                out.extend((ss, p, o) for ss in os_map.get(o, ()))
-            else:
-                for oo, ss_set in os_map.items():
-                    out.extend((ss, p, oo) for ss in ss_set)
-        elif o is not None:
-            for ss, pp_set in self._osp.get(o, {}).items():
-                out.extend((ss, pp, o) for pp in pp_set)
-        else:
-            out.extend(self._triples)
-        out.sort()
-        return out
+                  ) -> tuple[tuple[int, int, int], ...]:
+        """All id-triples matching the bound slots, sorted by (s, p, o) ids.
+
+        An absent, negative or past-the-end id matches nothing.
+        """
+        return self._index.get((s, p, o), ())
 
     def count(self, s: Optional[int] = None, p: Optional[int] = None,
               o: Optional[int] = None) -> int:
-        """Exact cardinality of a bound/unbound slot combination (for join planning).
-
-        Read from the per-slot totals and nested index sets; never enumerates
-        matches. An absent or out-of-range id counts 0.
-        """
-        if s is not None:
-            if p is not None:
-                if o is not None:
-                    return 1 if (s, p, o) in self._triples else 0
-                return len(self._spo.get(s, {}).get(p, ()))
-            if o is not None:
-                return len(self._osp.get(o, {}).get(s, ()))
-            return self._s_total.get(s, 0)
-        if p is not None:
-            if o is not None:
-                return len(self._pos.get(p, {}).get(o, ()))
-            return self._p_total.get(p, 0)
-        if o is not None:
-            return self._o_total.get(o, 0)
-        return len(self._triples)
+        """Exact cardinality of a bound/unbound slot combination (for join planning)."""
+        return len(self._index.get((s, p, o), ()))
 
     def degree(self, node: Term, direction: str = BIDI) -> int:
         nid = self._ids.get(node)
-        out_deg = self._s_total.get(nid, 0)
-        in_deg = self._o_total.get(nid, 0)
+        if nid is None:
+            out_deg = in_deg = 0
+        else:
+            out_deg = len(self._index.get((nid, None, None), ()))
+            in_deg = len(self._index.get((None, None, nid), ()))
         if direction == OUT:
             return out_deg
         if direction == IN:
@@ -274,7 +219,7 @@ class TripleStore:
         raise ValueError("unknown direction: %r" % direction)
 
     def triples(self) -> Iterator[Triple]:
-        for s, p, o in sorted(self._triples):
+        for s, p, o in self._index[None, None, None]:
             yield Triple(self._terms[s], self._terms[p], self._terms[o])
 
     def serialize(self) -> str:
@@ -282,7 +227,7 @@ class TripleStore:
 
     def edges(self) -> set[tuple[int, int]]:
         """Distinct (subject-id, object-id) pairs, predicates collapsed."""
-        return {(s, o) for s, _, o in self._triples}
+        return {(s, o) for s, _, o in self._index[None, None, None]}
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Optional
 
-from .patterns import GraphPattern, TriplePattern, is_var
+from .patterns import GraphPattern, SOURCE_VAR, TARGET_VAR, TriplePattern, is_var
 from .rdf import Term
 
 Checker = Callable[[GraphPattern, GraphPattern], bool]
@@ -101,8 +101,6 @@ def simplify(gp: GraphPattern, checker: Optional[Checker] = None) -> GraphPatter
 
 def projection_checker(endpoint, values=None) -> Checker:
     """Equivalence oracle: same ?source/?target projection on the endpoint."""
-    from .patterns import SOURCE_VAR, TARGET_VAR
-
     def check(before: GraphPattern, after: GraphPattern) -> bool:
         proj = [SOURCE_VAR, TARGET_VAR]
         r1 = endpoint.run_select(before, proj, values=values, limit=None)

@@ -77,8 +77,8 @@ class TestConfig:
             load_config(None, ["%s=%s" % (f.name, value)])
 
     def test_values_follow_declared_type(self):
-        _evo, ep = load_config(None, ["url=3", "cache_ttl=2", "store_path=7.5"])
-        assert ep.url == "3" and ep.store_path == "7.5"
+        _evo, ep = load_config(None, ["url=3", "cache_ttl=2"])
+        assert ep.url == "3"
         assert ep.cache_ttl == 2.0 and isinstance(ep.cache_ttl, float)
 
     @pytest.mark.parametrize("setting", ["bogus=1", "batch_size=0", "cache_ttl=abc",
@@ -132,6 +132,18 @@ class TestLearnCommand:
         # fully covered ground truth: resuming adds no runs below min_remains
         ledger2 = json.loads((workdir / "out" / "ledger.json").read_text())
         assert ledger2["next_run"] >= next_run
+
+    @pytest.mark.parametrize("n_ledger, n_gt", [(3, 2), (2, 3)],
+                             ids=["longer_ledger", "shorter_ledger"])
+    def test_resume_with_ledger_of_other_length_exits_2(self, workdir, capsys,
+                                                         n_ledger, n_gt):
+        lines = GT_TSV.splitlines(keepends=True)
+        (workdir / "gt.tsv").write_text("".join(lines[:1 + n_gt]))
+        (workdir / "out").mkdir()
+        (workdir / "out" / "ledger.json").write_text(
+            json.dumps({"values": [0.0] * n_ledger, "next_run": 1}))
+        assert run_learn(workdir, extra=["--resume"]) == EXIT_BAD_INPUT
+        assert "input error" in capsys.readouterr().err
 
     def test_missing_gt_exits_2(self, workdir):
         code = main(["learn", "--store", str(workdir / "store.ttl"),

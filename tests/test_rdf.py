@@ -153,17 +153,35 @@ class TestMatch:
                         and (o is None or t.o == o)}
             ids = [None if t is None else store.term_id(t) for t in (s, p, o)]
             matches = store.match_ids(*ids)
-            assert matches == sorted(matches)
+            assert isinstance(matches, tuple)
+            assert list(matches) == sorted(matches)
             assert {Triple(*map(store.term, trip)) for trip in matches} == expected
-        # counts come from the index totals; match_ids is the reference
+        # counts must agree with match_ids, the reference
         probe_ids = tuple(store.term_id(t) for t in probe)
         absent = store.term_id(probe.p)  # predicates never occur as nodes here
         past_end = len(store.terms)
-        for ids in (probe_ids, (absent,) * 3, (past_end,) * 3):
+        for ids in (probe_ids, (absent,) * 3, (past_end,) * 3, (-1,) * 3):
             for mask in range(8):
                 bound = [tid if mask & bit else None
                          for tid, bit in zip(ids, (4, 2, 1))]
                 assert store.count(*bound) == len(store.match_ids(*bound)), bound
+        # a negative or past-the-end id in any bound slot matches nothing
+        for bad in (-1, past_end):
+            for mask in range(1, 8):
+                bound = [bad if mask & bit else tid
+                         for tid, bit in zip(probe_ids, (4, 2, 1))]
+                assert store.match_ids(*bound) == (), bound
+                assert store.count(*bound) == 0, bound
+        assert probe in store
+        assert Triple(probe.s, probe.p, ex("absent")) not in store
+        assert Triple(ex("absent1"), ex("absent2"), ex("absent3")) not in store
+        dup = load_ntriples(probe.n3() + "\n" + probe.n3() + "\n")
+        assert len(dup) == 1
+        dup_ids = [dup.term_id(t) for t in probe]
+        for mask in range(8):
+            bound = [tid if mask & bit else None for tid, bit in zip(dup_ids, (4, 2, 1))]
+            assert len(dup.match_ids(*bound)) == 1, bound
+            assert dup.count(*bound) == 1, bound
         for node in store.terms + [ex("absent")]:
             out_deg = sum(t.s == node for t in triples)
             in_deg = sum(t.o == node for t in triples)
