@@ -12,7 +12,7 @@ from typing import Optional, Union, get_args, get_type_hints
 from . import evalharness, evolution, predict as predict_mod
 from .endpoint import Endpoint, EndpointConfig, EndpointUnreachable, LOCAL, REMOTE
 from .evolution import EvolutionConfig
-from .fitness import GroundTruthPair
+from .fitness import CoverageLedger, GroundTruthPair
 from .iojson import (GroundTruthError, dumps, learned_from_json, learned_to_json,
                      ledger_from_json, ledger_to_json, parse_ground_truth,
                      run_record_to_json)
@@ -108,6 +108,17 @@ def _read_gt(path: str) -> list[GroundTruthPair]:
         return parse_ground_truth(fh.read())
 
 
+def _read_ledger(path: str) -> tuple[CoverageLedger, int]:
+    """The coverage ledger and the next run index a session saved in `path`."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    ledger = ledger_from_json(doc)
+    next_run = doc.get("next_run", 1)
+    if type(next_run) is not int or next_run < 1:
+        raise ValueError("next_run must be an integer >= 1, not %r" % (next_run,))
+    return ledger, next_run
+
+
 def cmd_learn(args) -> int:
     try:
         gt = _read_gt(args.gt)
@@ -126,10 +137,11 @@ def cmd_learn(args) -> int:
     start_run = 1
     ledger_path = os.path.join(args.out, "ledger.json")
     if args.resume and os.path.exists(ledger_path):
-        with open(ledger_path) as fh:
-            doc = json.load(fh)
-        ledger = ledger_from_json(doc)
-        start_run = doc.get("next_run", 1)
+        try:
+            ledger, start_run = _read_ledger(ledger_path)
+        except (ValueError, OSError) as exc:
+            print("input error: ledger %s: %s" % (ledger_path, exc), file=sys.stderr)
+            return EXIT_BAD_INPUT
 
     try:
         result = evolution.learn(endpoint, gt, evo_cfg, ledger=ledger,

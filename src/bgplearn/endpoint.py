@@ -93,11 +93,11 @@ def _cache_key(gp: GraphPattern, projection, values, limit) -> str:
     def canon_var(v: Variable) -> str:
         return mapping.get(v, v).n3()
 
-    parts = [form.key, "P:" + ",".join(canon_var(v) for v in projection)]
+    parts = [form.key, "P:" + ",".join([canon_var(v) for v in projection])]
     if values is not None:
         vvars, rows = values
-        parts.append("V:" + ",".join(canon_var(v) for v in vvars))
-        parts.extend("R:" + "|".join(t.n3() for t in row) for row in rows)
+        parts.append("V:" + ",".join([canon_var(v) for v in vvars]))
+        parts += ["R:" + "|".join([t.n3() for t in row]) for row in rows]
     parts.append("L:%s" % (limit,))
     return "\x1e".join(parts)
 

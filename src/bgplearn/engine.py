@@ -7,7 +7,9 @@ reported query times and timeout behaviour are reproducible across runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from .patterns import GraphPattern, TriplePattern, Variable, is_var
@@ -47,12 +49,8 @@ class EvalResult:
         return frozenset(self.rows)
 
 
-class _SoftTimeout(Exception):
-    pass
-
-
-class _HardTimeout(Exception):
-    pass
+class _Stop(Exception):
+    """Ends a join early: the row limit is reached or the tick budget overrun."""
 
 
 def _estimate(store: TripleStore, tp: TriplePattern, bound: set[Variable]) -> int:
@@ -107,12 +105,57 @@ def _project_vars(gp: GraphPattern, projection, values_vars) -> None:
                          % ", ".join(v.n3() for v in missing))
 
 
+def _tuple_getter(slots: list[int]):
+    """`itemgetter` that returns a tuple for any number of slots."""
+    if len(slots) == 1:
+        slot = slots[0]
+        return lambda binding: (binding[slot],)
+    if not slots:
+        return lambda binding: ()
+    return itemgetter(*slots)
+
+
+# One plan triple compiled for one set of bound slots: the getter of its
+# lookup key, the (position, slot) pairs it binds, the position pairs that
+# must hold one id (an unbound variable repeated in the triple), and whether
+# its key reads a bound VALUES slot, the only kind that can hold a negative id.
+_Pairs = tuple[tuple[int, int], ...]
+_Step = tuple[itemgetter, _Pairs, _Pairs, bool]
+
+
+def _compile(triple_slots: list[tuple[int, int, int]],
+             values_bound: frozenset[int]) -> list[_Step]:
+    """Steps of the plan when only `values_bound` is bound before the first;
+    negative slots hold constants and are always bound."""
+    bound = set(values_bound)
+    steps = []
+    for slots in triple_slots:
+        first: dict[int, int] = {}
+        pairs = []
+        for pos, slot in enumerate(slots):
+            if slot < 0 or slot in bound:
+                continue
+            if slot in first:
+                pairs.append((first[slot], pos))
+            else:
+                first[slot] = pos
+        writes = tuple((pos, slot) for slot, pos in first.items())
+        steps.append((itemgetter(*slots), writes, tuple(pairs),
+                      not values_bound.isdisjoint(slots)))
+        bound.update(first)
+    return steps
+
+
 def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
            values: Optional[tuple[list[Variable], list[tuple]]] = None,
            limit: Optional[int] = None,
            soft_timeout: Optional[float] = DEFAULT_SOFT_TIMEOUT,
            hard_timeout: Optional[float] = DEFAULT_HARD_TIMEOUT) -> EvalResult:
-    """DISTINCT solution mappings of the natural join of gp, VALUES-restricted."""
+    """DISTINCT solution mappings of the natural join of gp, VALUES-restricted.
+
+    The plan is compiled once into one step per triple; every VALUES row then
+    runs through the steps depth first.
+    """
     if not gp.triples and values is None:
         raise DegenerateQueryError("pattern with zero triples and no VALUES")
     values_vars = values[0] if values else []
@@ -124,104 +167,125 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
         return EvalResult(tuple(projection), [], 0.0, HARD_TIMEOUT)
 
     plan = join_plan(store, gp, set(values_vars))
-    # bindings are lists of term ids indexed by a slot per variable; each plan
-    # triple compiles to (is_var, slot or term id) entries. A fixed term
-    # missing from the store makes the whole pattern unmatchable.
+    # a binding is a list of term ids: one slot per variable (plan order, then
+    # VALUES and projection order), then the plan's constants, addressed by
+    # negative slots from the end; a triple's lookup key is then one
+    # itemgetter, and an unbound variable's slot reads None
     slot_of: dict[Variable, int] = {}
-    compiled: list[list[tuple[bool, Optional[int]]]] = []
-    unmatchable = False
+    constants: list[int] = []
+    triple_slots = []
     for tp in plan:
-        entries = []
+        slots = []
         for node in tp:
             if is_var(node):
-                entries.append((True, slot_of.setdefault(node, len(slot_of))))
-            else:
-                tid = store.term_id(node)
-                unmatchable = unmatchable or tid is None
-                entries.append((False, tid))
-        compiled.append(entries)
+                slots.append(slot_of.setdefault(node, len(slot_of)))
+                continue
+            tid = store.term_id(node)
+            if tid is None:  # a constant missing from the store matches nothing
+                return EvalResult(tuple(projection), [], 0.0, COMPLETE)
+            constants.append(tid)
+            slots.append(-len(constants))
+        triple_slots.append(tuple(slots))
     for v in (*values_vars, *projection):
         slot_of.setdefault(v, len(slot_of))
-    projected = [slot_of[v] for v in projection]
+    template = [None] * len(slot_of) + constants[::-1]
 
     # VALUES terms missing from the store get negative ids, which match
-    # nothing; a None entry leaves its variable unbound
-    unknown: dict[Term, int] = {}
+    # nothing; a None entry leaves its variable unbound. Steps are compiled
+    # once per set of VALUES slots a row leaves bound.
     value_slots = [slot_of[v] for v in values_vars]
-    initial = []
+    all_bound = frozenset(value_slots)
+    compiled = {all_bound: _compile(triple_slots, all_bound)}
+    term_id = store.term_id
+    unknown: dict[Term, int] = {}
+    work = []  # (initial binding, its steps) per VALUES row
     for row in (values[1] if values else [()]):
-        binding = [None] * len(slot_of)
+        binding = template.copy()
+        unbound = len(row) < len(value_slots)
         for slot, term in zip(value_slots, row):
-            tid = store.term_id(term)
-            if tid is None and term is not None:
-                tid = unknown.setdefault(term, ~len(unknown))
+            if term is None:
+                unbound = True
+                tid = None
+            else:
+                tid = term_id(term)
+                if tid is None:
+                    tid = unknown.setdefault(term, ~len(unknown))
             binding[slot] = tid
-        initial.append(binding)
+        bound = all_bound
+        if unbound:
+            bound = frozenset(s for s in value_slots if binding[s] is not None)
+            if bound not in compiled:
+                compiled[bound] = _compile(triple_slots, bound)
+        work.append((binding, compiled[bound]))
+
+    budget = min((b for b in (soft_budget, hard_budget) if b is not None),
+                 default=math.inf)
+    max_rows = math.inf if limit is None else limit
+    project = _tuple_getter([slot_of[v] for v in projection])
+    match_ids = store.match_ids
+    last = len(triple_slots) - 1
+    found: dict[tuple, None] = {}  # distinct projected id rows, in order
+    ticks = 0
+
+    def emit(binding: list) -> None:
+        nonlocal ticks
+        row = project(binding)
+        if row not in found:
+            ticks += 1
+            if ticks > budget:
+                raise _Stop
+            found[row] = None
+            if len(found) >= max_rows:
+                raise _Stop
+
+    def extend(binding: list, steps: list[_Step], depth: int) -> None:
+        nonlocal ticks
+        key, writes, pairs, reads_values = steps[depth]
+        lookup = key(binding)
+        if reads_values and unknown and any(tid is not None and tid < 0
+                                            for tid in lookup):
+            return
+        matches = match_ids(*lookup)
+        ticks += len(matches) or 1
+        if ticks > budget:
+            raise _Stop
+        # bind in place; the slots are reset once all matches are tried
+        for trip in matches:
+            if pairs and any(trip[a] != trip[b] for a, b in pairs):
+                continue
+            for pos, slot in writes:
+                binding[slot] = trip[pos]
+            if depth < last:
+                extend(binding, steps, depth + 1)
+            else:
+                emit(binding)
+        for _pos, slot in writes:
+            binding[slot] = None
+
+    status = COMPLETE
+    try:
+        for binding, steps in work:
+            ticks += 1
+            if ticks > budget:
+                raise _Stop
+            if steps:
+                extend(binding, steps, 0)
+            else:
+                emit(binding)
+    except _Stop:
+        if ticks > budget:
+            if hard_budget is not None and ticks > hard_budget:
+                return EvalResult(tuple(projection), [], ticks / TICKS_PER_SECOND,
+                                  HARD_TIMEOUT)
+            status = SOFT_TIMEOUT
+
     missing = list(unknown)
+    term = store.term
 
     def decode(tid: Optional[int]) -> Optional[Term]:
         if tid is None:
             return None
-        return store.term(tid) if tid >= 0 else missing[~tid]
+        return term(tid) if tid >= 0 else missing[~tid]
 
-    ticks = 0
-    rows: list[tuple[Term, ...]] = []
-    seen: set[tuple] = set()
-
-    def charge(n: int) -> None:
-        nonlocal ticks
-        ticks += n
-        if hard_budget is not None and ticks > hard_budget:
-            raise _HardTimeout
-        if soft_budget is not None and ticks > soft_budget:
-            raise _SoftTimeout
-
-    def emit(binding: list) -> bool:
-        key = tuple(binding[slot] for slot in projected)
-        if key in seen:
-            return False
-        charge(1)
-        seen.add(key)
-        rows.append(tuple(map(decode, key)))
-        return limit is not None and len(rows) >= limit
-
-    def extend(depth: int, binding: list) -> bool:
-        if depth == len(compiled):
-            return emit(binding)
-        entries = compiled[depth]
-        lookup = [binding[x] if is_variable else x for is_variable, x in entries]
-        if unknown and any(tid is not None and tid < 0 for tid in lookup):
-            return False
-        matches = store.match_ids(*lookup)
-        charge(max(1, len(matches)))
-        for trip in matches:
-            new = binding
-            for (is_variable, slot), tid in zip(entries, trip):
-                if not is_variable:
-                    continue
-                cur = new[slot]
-                if cur is None:
-                    if new is binding:
-                        new = list(binding)
-                    new[slot] = tid
-                elif cur != tid:
-                    break
-            else:
-                if extend(depth + 1, new):
-                    return True
-        return False
-
-    status = COMPLETE
-    try:
-        if unmatchable and gp.triples:
-            pass  # no solutions; Complete with zero rows
-        else:
-            for binding in initial:
-                charge(1)
-                if extend(0, binding):
-                    break
-    except _SoftTimeout:
-        status = SOFT_TIMEOUT
-    except _HardTimeout:
-        return EvalResult(tuple(projection), [], ticks / TICKS_PER_SECOND, HARD_TIMEOUT)
+    rows = [tuple(map(decode, row)) for row in found]
     return EvalResult(tuple(projection), rows, ticks / TICKS_PER_SECOND, status)

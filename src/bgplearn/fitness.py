@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 from .engine import COMPLETE, HARD_TIMEOUT, SOFT_TIMEOUT
@@ -21,7 +21,7 @@ class CoverageLedger:
 
     def __init__(self, values: Iterable[float]):
         self.values = [float(v) for v in values]
-        if any(v < 0 or v > 1 for v in self.values):
+        if not all(0.0 <= v <= 1.0 for v in self.values):  # NaN fails too
             raise ValueError("ledger entries must lie in [0, 1]")
 
     @classmethod
@@ -92,11 +92,10 @@ class FitnessTuple:
 
 @dataclass
 class PatternEvaluation:
-    """Per-pair precision vector, coverage flags, and per-source result lengths."""
+    """Per-pair precision vector and coverage flags."""
 
     pv: list[float]
     covered: list[bool]
-    result_lengths: dict[Term, int] = field(default_factory=dict)
 
     @property
     def gt_matches(self) -> int:
@@ -152,20 +151,21 @@ def evaluate(endpoint, gp: GraphPattern, gt: list[GroundTruthPair],
     targets_by_source: dict[Term, set[Term]] = {}
     for s, t in res.rows:
         targets_by_source.setdefault(s, set()).add(t)
-    lengths = {s: len(targets_by_source.get(s, ())) for s in sources}
 
     pv = []
     covered = []
+    total_len = 0
     for s, t in gt:
         tset = targets_by_source.get(s)
         hit = bool(tset) and t in tset
         covered.append(hit)
         pv.append(1.0 / len(tset) if hit else 0.0)
+        if tset:
+            total_len += len(tset)
 
     gt_matches = sum(covered)
     recall = gt_matches / n if n else 0.0
-    avg_result_len = (sum(len(targets_by_source.get(p.source, ())) for p in gt) / n
-                      if n else 0.0)
+    avg_result_len = total_len / n if n else 0.0
     precision = 1.0 / avg_result_len if avg_result_len > 0 else 0.0
     f1 = (2 * precision * recall / (precision + recall)
           if precision > 0 and recall > 0 else 0.0)
@@ -173,9 +173,9 @@ def evaluate(endpoint, gp: GraphPattern, gt: list[GroundTruthPair],
     if penalty > 0:
         gain = 0.0
     else:
-        gain = sum(max(0.0, p - ledger[i]) for i, p in enumerate(pv))
+        gain = sum([max(0.0, p - v) for p, v in zip(pv, ledger.values)])
 
-    ev = PatternEvaluation(pv=pv, covered=covered, result_lengths=lengths)
+    ev = PatternEvaluation(pv=pv, covered=covered)
     sc = score(gain, ev, gt, score_config)
     ft = FitnessTuple(score=sc, gain=gain, f1=f1, avg_result_len=avg_result_len,
                       gt_matches=gt_matches, timeout_penalty=penalty,

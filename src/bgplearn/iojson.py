@@ -116,8 +116,14 @@ def ledger_to_json(ledger: CoverageLedger) -> dict:
     return {"values": ledger.values, "remains": ledger.remains()}
 
 
-def ledger_from_json(obj: dict) -> CoverageLedger:
-    return CoverageLedger(obj["values"])
+def ledger_from_json(obj) -> CoverageLedger:
+    """The ledger of a `ledger.json` document; ValueError if it is malformed."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("values"), list):
+        raise ValueError('a ledger is an object with a "values" list')
+    try:
+        return CoverageLedger(obj["values"])
+    except TypeError as exc:
+        raise ValueError("ledger values must be numbers: %s" % exc) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ class RDFSyntaxError(ValueError):
 class Term:
     """An RDF node: IRI, blank node, or literal. Immutable and hashable."""
 
-    __slots__ = ("kind", "value", "datatype", "lang", "_hash")
+    __slots__ = ("kind", "value", "datatype", "lang", "_hash", "_n3")
 
     def __init__(self, kind: str, value: str, datatype: Optional[str] = None,
                  lang: Optional[str] = None):
@@ -69,6 +69,14 @@ class Term:
         return (_KIND_ORDER[self.kind], self.value, self.datatype or "", self.lang or "")
 
     def n3(self) -> str:
+        try:
+            return self._n3
+        except AttributeError:  # the slot is filled on the first call
+            text = self._format_n3()
+            object.__setattr__(self, "_n3", text)
+            return text
+
+    def _format_n3(self) -> str:
         if self.kind == IRI:
             return "<%s>" % self.value
         if self.kind == BNODE:

@@ -67,11 +67,19 @@ def random_pattern(rng, n_triples=3, n_vars=4, store=None, with_reserved=True):
     return GraphPattern(triples)
 
 
+def _values_bindings(values):
+    if values is None:
+        return [{}]
+    return [{v: t for v, t in zip(values[0], row) if t is not None}
+            for row in values[1]]
+
+
 def naive_select(store, gp, projection, values=None):
     """Independent oracle: per-pattern naive membership filtering, then a full
     cartesian product with a join consistency check. No indexes, no planning.
     VALUES bindings are substituted per row before filtering, which keeps the
-    product tractable without changing the semantics."""
+    product tractable without changing the semantics; a None entry leaves its
+    variable unbound."""
     all_triples = list(store.triples())
 
     def candidates(tp, base):
@@ -91,7 +99,7 @@ def naive_select(store, gp, projection, values=None):
         return out
 
     patterns = sorted(gp.triples, key=TriplePattern.sort_key)
-    initial = ([dict(zip(values[0], row)) for row in values[1]] if values else [{}])
+    initial = _values_bindings(values)
     rows = set()
     for base in initial:
         cand_lists = [candidates(tp, base) for tp in patterns]
@@ -118,7 +126,7 @@ def naive_select(store, gp, projection, values=None):
 def naive_cost(store, gp, values=None):
     """Size of the cartesian product the naive oracle would enumerate."""
     all_triples = list(store.triples())
-    initial = ([dict(zip(values[0], row)) for row in values[1]] if values else [{}])
+    initial = _values_bindings(values)
     total = 0
     for base in initial:
         product = 1

@@ -1,6 +1,9 @@
 import json
 import os
+import random
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -8,7 +11,7 @@ from bgplearn.cli import (EXIT_BAD_INPUT, EXIT_OK, EXIT_USAGE, load_config,
                           main)
 from bgplearn.report import build_report
 
-from conftest import CAPITALS_TTL
+from conftest import CAPITALS_TTL, ex, random_store
 
 GT_TSV = """\
 @prefix : <http://example.org/> .
@@ -122,6 +125,35 @@ class TestLearnCommand:
             assert (workdir / "a" / name).read_bytes() == \
                    (workdir / "b" / name).read_bytes()
 
+    def test_learn_deterministic_across_hash_seeds(self, tmp_path):
+        """Two processes with different string hash seeds write the same bytes,
+        so no output depends on the iteration order of a set or dict of terms.
+        The random store has enough tied candidates for that order to show."""
+        rng = random.Random(4)
+        store = random_store(rng, n_triples=120, n_nodes=20, n_preds=3)
+        edges = sorted({(t.s.value, t.o.value) for t in store.triples()
+                        if t.p == ex("p0")})
+        (tmp_path / "store.nt").write_text(store.serialize())
+        (tmp_path / "gt.tsv").write_text(
+            "".join("<%s>\t<%s>\n" % edge for edge in rng.sample(edges, 8)))
+        import bgplearn
+        src = os.path.dirname(os.path.dirname(bgplearn.__file__))
+        for out, hash_seed in (("a", "1"), ("b", "2")):
+            path = filter(None, [src, os.environ.get("PYTHONPATH")])
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(path))
+            subprocess.run(
+                [sys.executable, "-m", "bgplearn.cli", "learn",
+                 "--store", str(tmp_path / "store.nt"), "--gt", str(tmp_path / "gt.tsv"),
+                 "--out", str(tmp_path / out), "--seed", "11", *FAST],
+                env=env, check=True, capture_output=True, timeout=120)
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert "patterns.json" in names and "run_001.json" in names
+        assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == \
+                   (tmp_path / "b" / name).read_bytes(), name
+
     def test_resume_advances_run_counter(self, workdir):
         run_learn(workdir)
         ledger = json.loads((workdir / "out" / "ledger.json").read_text())
@@ -142,6 +174,19 @@ class TestLearnCommand:
         (workdir / "out").mkdir()
         (workdir / "out" / "ledger.json").write_text(
             json.dumps({"values": [0.0] * n_ledger, "next_run": 1}))
+        assert run_learn(workdir, extra=["--resume"]) == EXIT_BAD_INPUT
+        assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        '{"next_run": 1}', "not json", '{"values": ["abc", 0, 0]}',
+        '{"values": [2.0, 0, 0]}', '{"values": [NaN, 0, 0]}',
+        '{"values": [0, 0, 0], "next_run": "x"}',
+        '{"values": [0, 0, 0], "next_run": 0}', "[0, 0, 0]"],
+        ids=["no_values", "not_json", "string_value", "value_above_1", "nan_value",
+             "string_next_run", "zero_next_run", "bare_list"])
+    def test_resume_with_malformed_ledger_exits_2(self, workdir, capsys, text):
+        (workdir / "out").mkdir()
+        (workdir / "out" / "ledger.json").write_text(text)
         assert run_learn(workdir, extra=["--resume"]) == EXIT_BAD_INPUT
         assert "input error" in capsys.readouterr().err
 

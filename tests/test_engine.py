@@ -102,6 +102,18 @@ def iri_a():
     return iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
 
 
+LOOPS_TTL = """
+@prefix : <http://example.org/> .
+:a :p :a .
+:a :p :b .
+:b :q :b .
+:b :p :a .
+:c :q :c .
+"""
+
+TWO_HOP_GP = gp(TriplePattern(SOURCE_VAR, ex("capitalOf"), TARGET_VAR),
+                TriplePattern(TARGET_VAR, iri_a(), ex("Country")))
+
 _PINNED = {
     # ?source's VALUES row Atlantis is not in the store: it joins nothing
     "absent_values_term_joined": dict(
@@ -133,6 +145,39 @@ _PINNED = {
         rows=[(ex("Berlin"), ex("Country")), (ex("Berlin"), ex("France")),
               (ex("Paris"), ex("Country"))],
         status=SOFT_TIMEOUT, ticks=21),
+    # one query, three sets of VALUES slots left unbound, one absent term
+    "values_mixed_none": dict(
+        pattern=TWO_HOP_GP, projection=[SOURCE_VAR, TARGET_VAR],
+        values=([SOURCE_VAR, TARGET_VAR],
+                [(ex("Paris"), None), (None, ex("Norway")),
+                 (ex("Berlin"), ex("Germany")), (None, None),
+                 (ex("Atlantis"), None)]),
+        rows=[(ex("Paris"), ex("France")), (ex("Oslo"), ex("Norway")),
+              (ex("Berlin"), ex("Germany"))],
+        status=COMPLETE, ticks=20),
+    "repeated_variable_matches": dict(
+        store=LOOPS_TTL,
+        pattern=gp(TriplePattern(V("x"), V("p"), V("x"))),
+        projection=[V("x"), V("p")],
+        rows=[(ex("a"), ex("p")), (ex("b"), ex("q")), (ex("c"), ex("q"))],
+        status=COMPLETE, ticks=9),
+    # the budget is overrun in the second triple's lookups: no rows, but the
+    # metered time is every tick spent
+    "hard_timeout_mid_join": dict(
+        pattern=gp(TriplePattern(V("s"), V("p"), V("o")),
+                   TriplePattern(V("o"), V("q"), V("z"))),
+        projection=[V("s"), V("z")], hard_timeout=20 / TICKS_PER_SECOND,
+        rows=[], status=HARD_TIMEOUT, ticks=21),
+    "values_only": dict(
+        pattern=gp(), projection=[V("x")],
+        values=([V("x")], [(ex("Berlin"),), (ex("Atlantis"),), (ex("Berlin"),),
+                           (None,)]),
+        rows=[(ex("Berlin"),), (ex("Atlantis"),), (None,)],
+        status=COMPLETE, ticks=7),
+    "limit_at_last_depth": dict(
+        pattern=TWO_HOP_GP, projection=[SOURCE_VAR, TARGET_VAR], limit=2,
+        rows=[(ex("Berlin"), ex("Germany")), (ex("Paris"), ex("France"))],
+        status=COMPLETE, ticks=8),
 }
 
 
@@ -140,8 +185,9 @@ _PINNED = {
 def test_select_pinned(capitals_store, case):
     """Rows in order, status and the exact metered time of fixed queries."""
     c = _PINNED[case]
-    res = select(capitals_store, c["pattern"], c["projection"], c.get("values"),
-                 c.get("limit"), c.get("soft_timeout", 2.0), None)
+    store = load_ntriples(c["store"]) if "store" in c else capitals_store
+    res = select(store, c["pattern"], c["projection"], c.get("values"),
+                 c.get("limit"), c.get("soft_timeout", 2.0), c.get("hard_timeout"))
     assert res.rows == c["rows"]
     assert res.status == c["status"]
     assert res.elapsed == c["ticks"] / TICKS_PER_SECOND
@@ -180,5 +226,33 @@ class TestOracleEquivalence:
             res = select(store, pattern, projection,
                          soft_timeout=None, hard_timeout=None)
             expected = naive_select(store, pattern, projection)
+            assert res.row_set() == expected
+            checked += 1
+
+    def test_random_values_tables_match_bruteforce(self):
+        """VALUES rows mixing store terms, None entries and absent terms, over
+        pattern variables and one variable the pattern does not use."""
+        rng = random.Random(43)
+        checked = 0
+        while checked < 60:
+            store = random_store(rng, n_triples=rng.randint(10, 40),
+                                 n_nodes=rng.randint(5, 10), n_preds=3)
+            pattern = random_pattern(rng, n_triples=rng.randint(1, 3),
+                                     n_vars=2, store=store)
+            pattern_vars = sorted(pattern.variables(), key=lambda v: v.name)
+            if not pattern_vars:
+                continue
+            values_vars = rng.sample(pattern_vars,
+                                     rng.randint(1, min(2, len(pattern_vars))))
+            if rng.random() < 0.5:
+                values_vars.append(V("extra"))
+            choices = store.terms + [None, ex("absent1"), ex("absent2")]
+            rows = [tuple(rng.choice(choices) for _ in values_vars)
+                    for _ in range(rng.randint(1, 5))]
+            projection = sorted(set(pattern_vars) | set(values_vars),
+                                key=lambda v: v.name)
+            res = select(store, pattern, projection, values=(values_vars, rows),
+                         soft_timeout=None, hard_timeout=None)
+            expected = naive_select(store, pattern, projection, (values_vars, rows))
             assert res.row_set() == expected
             checked += 1

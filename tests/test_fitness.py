@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bgplearn.endpoint import local_endpoint
+from bgplearn.engine import select
 from bgplearn.fitness import (CoverageLedger, FitnessTuple, GroundTruthPair,
                               ScoreConfig, evaluate, score, update_ledger)
 from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
@@ -79,8 +80,7 @@ class TestScore:
         from bgplearn.fitness import PatternEvaluation
         pv = [1.0 if i in matched else 0.0 for i in range(len(self.gt))]
         covered = [i in matched for i in range(len(self.gt))]
-        lengths = {self.gt[i].source: 1 for i in matched}
-        return PatternEvaluation(pv=pv, covered=covered, result_lengths=lengths)
+        return PatternEvaluation(pv=pv, covered=covered)
 
     gt = [GroundTruthPair(ex("a"), ex("x")),
           GroundTruthPair(ex("b"), ex("y")),
@@ -100,8 +100,7 @@ class TestScore:
         gt = [GroundTruthPair(ex("a"), ex("x")),
               GroundTruthPair(ex("a"), ex("y"))]
         from bgplearn.fitness import PatternEvaluation
-        ev = PatternEvaluation(pv=[1.0, 1.0], covered=[True, True],
-                               result_lengths={ex("a"): 2})
+        ev = PatternEvaluation(pv=[1.0, 1.0], covered=[True, True])
         assert score(2.0, ev, gt, ScoreConfig()) == pytest.approx(0.2)
 
 
@@ -127,7 +126,9 @@ class TestEvaluate:
         led = CoverageLedger.zeros(len(capitals_gt))
         ev, fit = evaluate(ep, ALLVAR_GP, capitals_gt, led)
         assert ev.covered == [True, True, True]
-        berlin_len = ev.result_lengths[ex("Berlin")]
+        berlin = select(capitals_store, ALLVAR_GP, [TARGET_VAR],
+                        values=([SOURCE_VAR], [(ex("Berlin"),)]))
+        berlin_len = len(berlin.rows)
         assert berlin_len >= 2
         assert ev.pv[0] == pytest.approx(1.0 / berlin_len)
         assert fit.avg_result_len > 1.0

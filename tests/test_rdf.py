@@ -32,6 +32,45 @@ class TestTerm:
             t.value = "other"
 
 
+_N3_TERMS = {
+    "iri": (lambda: iri("http://x/a"), "<http://x/a>"),
+    "bnode": (lambda: bnode("b1"), "_:b1"),
+    "lang": (lambda: literal("chat", lang="fr"), '"chat"@fr'),
+    "datatype": (lambda: literal("1", datatype="http://x/int"), '"1"^^<http://x/int>'),
+    "escapes": (lambda: literal('a"b\\c\nd\te\r'), '"a\\"b\\\\c\\nd\\te\\r"'),
+}
+
+
+class TestN3Memo:
+    @pytest.mark.parametrize("kind", list(_N3_TERMS))
+    def test_first_and_second_call_agree(self, kind):
+        make, text = _N3_TERMS[kind]
+        t = make()
+        assert t.n3() == text
+        assert t.n3() == text
+
+    @pytest.mark.parametrize("kind", list(_N3_TERMS))
+    @pytest.mark.parametrize("serialised", [0, 1, 2], ids=["neither", "one", "both"])
+    def test_equality_ignores_memo(self, kind, serialised):
+        make, _text = _N3_TERMS[kind]
+        a, b = make(), make()
+        text = repr(a)
+        for t in (a, b)[:serialised]:
+            t.n3()
+        assert a == b and b == a
+        assert hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+        assert repr(a) == text == repr(b)
+
+    def test_term_still_immutable(self):
+        t = literal("x", lang="en")
+        t.n3()
+        with pytest.raises(AttributeError):
+            t.value = "y"
+        with pytest.raises(AttributeError):
+            t._n3 = "other"
+
+
 class TestTriple:
     def test_subject_literal_rejected(self):
         with pytest.raises(ValueError):
