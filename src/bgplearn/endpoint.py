@@ -97,7 +97,9 @@ def _cache_key(gp: GraphPattern, projection, values, limit) -> str:
     if values is not None:
         vvars, rows = values
         parts.append("V:" + ",".join([canon_var(v) for v in vvars]))
-        parts += ["R:" + "|".join([t.n3() for t in row]) for row in rows]
+        # SPARQL's UNDEF for an unbound entry; no term's N-Triples text is this
+        parts += ["R:" + "|".join(["UNDEF" if t is None else t.nt for t in row])
+                  for row in rows]
     parts.append("L:%s" % (limit,))
     return "\x1e".join(parts)
 

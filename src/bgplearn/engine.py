@@ -191,17 +191,22 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
     template = [None] * len(slot_of) + constants[::-1]
 
     # VALUES terms missing from the store get negative ids, which match
-    # nothing; a None entry leaves its variable unbound. Steps are compiled
-    # once per set of VALUES slots a row leaves bound.
+    # nothing; a None entry, or the end of a short row, leaves its variable
+    # unbound, and a longer row is an error (a bare Term is a 5-tuple). Steps
+    # are compiled once per set of VALUES slots a row leaves bound.
     value_slots = [slot_of[v] for v in values_vars]
+    width = len(value_slots)
     all_bound = frozenset(value_slots)
     compiled = {all_bound: _compile(triple_slots, all_bound)}
     term_id = store.term_id
     unknown: dict[Term, int] = {}
     work = []  # (initial binding, its steps) per VALUES row
     for row in (values[1] if values else [()]):
+        if len(row) > width:
+            raise ValueError("VALUES row %r is longer than its %d variables"
+                             % (row, width))
         binding = template.copy()
-        unbound = len(row) < len(value_slots)
+        unbound = len(row) < width
         for slot, term in zip(value_slots, row):
             if term is None:
                 unbound = True

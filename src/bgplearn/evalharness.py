@@ -41,7 +41,7 @@ def split_pairs(pairs: list[GroundTruthPair], ratio: float = 0.1,
 def rank_of_truth(ranked, truth: Term) -> float:
     """1-based rank of the true target, or infinity when absent."""
     for i, item in enumerate(ranked):
-        target = item[0] if isinstance(item, tuple) else item
+        target = item if isinstance(item, Term) else item[0]
         if target == truth:
             return i + 1
     return math.inf

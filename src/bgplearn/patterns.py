@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import Iterable, Iterator, Optional, Union
 
 from .rdf import IRI, LITERAL, Term
@@ -12,23 +13,13 @@ TARGET_NAME = "target"
 _VAR_KIND_ORDER = 9  # variables sort after all term kinds
 
 
-class Variable:
-    __slots__ = ("name", "_hash")
+class Variable(namedtuple("_Variable", "name")):
+    __slots__ = ()
 
-    def __init__(self, name: str):
+    def __new__(cls, name: str):
         if not name:
             raise ValueError("variable name must be non-empty")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_hash", hash(("?", name)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Variable is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Variable) and self.name == other.name
-
-    def __hash__(self):
-        return self._hash
+        return tuple.__new__(cls, (name,))
 
     def __repr__(self):
         return "Variable(%r)" % self.name
@@ -56,31 +47,15 @@ def is_var(node: Node) -> bool:
     return isinstance(node, Variable)
 
 
-class TriplePattern:
-    __slots__ = ("s", "p", "o", "_hash")
+class TriplePattern(namedtuple("_TriplePattern", "s p o")):
+    __slots__ = ()
 
-    def __init__(self, s: Node, p: Node, o: Node):
+    def __new__(cls, s: Node, p: Node, o: Node):
         if isinstance(s, Term) and s.kind == LITERAL:
             raise ValueError("triple pattern subject must not be a literal")
         if isinstance(p, Term) and p.kind != IRI:
             raise ValueError("triple pattern predicate must be an IRI or variable")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "o", o)
-        object.__setattr__(self, "_hash", hash((s, p, o)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TriplePattern is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, TriplePattern)
-                and self.s == other.s and self.p == other.p and self.o == other.o)
-
-    def __hash__(self):
-        return self._hash
-
-    def __iter__(self):
-        return iter((self.s, self.p, self.o))
+        return tuple.__new__(cls, (s, p, o))
 
     def __repr__(self):
         return "TriplePattern(%s)" % self.n3()
@@ -92,7 +67,7 @@ class TriplePattern:
         return "%s %s %s ." % (self.s.n3(), self.p.n3(), self.o.n3())
 
     def variables(self) -> Iterator[Variable]:
-        for node in (self.s, self.p, self.o):
+        for node in self:
             if isinstance(node, Variable):
                 yield node
 
@@ -208,7 +183,8 @@ class GraphPattern:
 
 def values_clause(variables: list[Variable], rows: list[tuple]) -> str:
     head = " ".join(v.n3() for v in variables)
-    body = " ".join("(%s)" % " ".join(t.n3() for t in row) for row in rows)
+    body = " ".join("(%s)" % " ".join("UNDEF" if t is None else t.nt for t in row)
+                    for row in rows)
     return "VALUES (%s) { %s }" % (head, body)
 
 

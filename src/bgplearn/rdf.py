@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gzip
 import re
+from collections import namedtuple
 from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
@@ -30,13 +31,14 @@ class RDFSyntaxError(ValueError):
         self.column = column
 
 
-class Term:
-    """An RDF node: IRI, blank node, or literal. Immutable and hashable."""
+class Term(namedtuple("_Term", "kind value datatype lang nt")):
+    """An RDF node: IRI, blank node, or literal. An immutable tuple that keeps
+    its N-Triples text `nt`; order terms with `sort_key()`."""
 
-    __slots__ = ("kind", "value", "datatype", "lang", "_hash", "_n3")
+    __slots__ = ()
 
-    def __init__(self, kind: str, value: str, datatype: Optional[str] = None,
-                 lang: Optional[str] = None):
+    def __new__(cls, kind: str, value: str, datatype: Optional[str] = None,
+                lang: Optional[str] = None):
         if kind not in (IRI, BNODE, LITERAL):
             raise ValueError("unknown term kind: %r" % kind)
         if kind == IRI and not _ABS_IRI_RE.match(value or ""):
@@ -45,22 +47,20 @@ class Term:
             raise ValueError("datatype/lang only valid on literals")
         if datatype is not None and lang is not None:
             raise ValueError("literal has at most one of datatype and language tag")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "datatype", datatype)
-        object.__setattr__(self, "lang", lang)
-        object.__setattr__(self, "_hash", hash((kind, value, datatype, lang)))
+        if kind == IRI:
+            nt = "<%s>" % value
+        elif kind == BNODE:
+            nt = "_:%s" % value
+        elif lang is not None:
+            nt = '"%s"@%s' % (escape_literal(value), lang)
+        elif datatype is not None:
+            nt = '"%s"^^<%s>' % (escape_literal(value), datatype)
+        else:
+            nt = '"%s"' % escape_literal(value)
+        return tuple.__new__(cls, (kind, value, datatype, lang, nt))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Term is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, Term)
-                and self.kind == other.kind and self.value == other.value
-                and self.datatype == other.datatype and self.lang == other.lang)
-
-    def __hash__(self):
-        return self._hash
+    def __getnewargs__(self):
+        return self[:4]
 
     def __repr__(self):
         return "Term(%s)" % self.n3()
@@ -69,24 +69,7 @@ class Term:
         return (_KIND_ORDER[self.kind], self.value, self.datatype or "", self.lang or "")
 
     def n3(self) -> str:
-        try:
-            return self._n3
-        except AttributeError:  # the slot is filled on the first call
-            text = self._format_n3()
-            object.__setattr__(self, "_n3", text)
-            return text
-
-    def _format_n3(self) -> str:
-        if self.kind == IRI:
-            return "<%s>" % self.value
-        if self.kind == BNODE:
-            return "_:%s" % self.value
-        lit = '"%s"' % escape_literal(self.value)
-        if self.lang is not None:
-            return "%s@%s" % (lit, self.lang)
-        if self.datatype is not None:
-            return '%s^^<%s>' % (lit, self.datatype)
-        return lit
+        return self.nt
 
 
 def iri(value: str) -> Term:
@@ -106,33 +89,17 @@ def escape_literal(s: str) -> str:
             .replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t"))
 
 
-class Triple:
+class Triple(namedtuple("_Triple", "s p o")):
     """A ground RDF statement. Subject is never a literal; predicate is an IRI."""
 
-    __slots__ = ("s", "p", "o", "_hash")
+    __slots__ = ()
 
-    def __init__(self, s: Term, p: Term, o: Term):
+    def __new__(cls, s: Term, p: Term, o: Term):
         if s.kind == LITERAL:
             raise ValueError("triple subject must not be a literal")
         if p.kind != IRI:
             raise ValueError("triple predicate must be an IRI")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "o", o)
-        object.__setattr__(self, "_hash", hash((s, p, o)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Triple is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, Triple)
-                and self.s == other.s and self.p == other.p and self.o == other.o)
-
-    def __hash__(self):
-        return self._hash
-
-    def __iter__(self):
-        return iter((self.s, self.p, self.o))
+        return tuple.__new__(cls, (s, p, o))
 
     def __repr__(self):
         return "Triple(%s %s %s)" % (self.s.n3(), self.p.n3(), self.o.n3())

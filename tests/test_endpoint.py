@@ -4,9 +4,9 @@ import pytest
 
 from bgplearn.endpoint import (Endpoint, EndpointConfig, EndpointUnreachable,
                                LOCAL, REMOTE, local_endpoint)
-from bgplearn.engine import COMPLETE, HARD_TIMEOUT
+from bgplearn.engine import COMPLETE, HARD_TIMEOUT, select
 from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
-                               TriplePattern, Variable)
+                               TriplePattern, Variable, to_select_sparql)
 from bgplearn.rdf import bnode, literal
 
 from conftest import ex
@@ -45,6 +45,21 @@ class TestCaching:
         ep.run_select(CAPITAL_GP, [TARGET_VAR],
                       values=([SOURCE_VAR], [(ex("Paris"),)]))
         assert ep.backend_calls == calls + 1
+
+
+class TestUnboundValues:
+    VALUES = ([SOURCE_VAR], [(ex("Berlin"),), (None,)])
+
+    def test_endpoint_rows_equal_engine_rows(self, capitals_store):
+        projection = [SOURCE_VAR, TARGET_VAR]
+        res = local_endpoint(capitals_store).run_select(CAPITAL_GP, projection,
+                                                        values=self.VALUES)
+        expected = select(capitals_store, CAPITAL_GP, projection, values=self.VALUES)
+        assert res.rows == expected.rows and len(res.rows) == 3
+
+    def test_sparql_writes_undef(self):
+        query = to_select_sparql(CAPITAL_GP, [TARGET_VAR], self.VALUES)
+        assert "VALUES (?source) { (<http://example.org/Berlin>) (UNDEF) }" in query
 
 
 class TestBatching:

@@ -193,6 +193,18 @@ def test_select_pinned(capitals_store, case):
     assert res.elapsed == c["ticks"] / TICKS_PER_SECOND
 
 
+class TestValuesRows:
+    def test_row_longer_than_variables_rejected(self, capitals_store):
+        with pytest.raises(ValueError):
+            select(capitals_store, CAPITAL_GP, [TARGET_VAR],
+                   values=([SOURCE_VAR], [(ex("Berlin"), ex("junk"))]))
+
+    def test_bare_term_row_rejected(self, capitals_store):
+        with pytest.raises(ValueError):
+            select(capitals_store, CAPITAL_GP, [TARGET_VAR],
+                   values=([SOURCE_VAR], [ex("Berlin")]))
+
+
 class TestJoinPlan:
     def test_single_triple(self, capitals_store):
         tp = TriplePattern(SOURCE_VAR, ex("capitalOf"), TARGET_VAR)

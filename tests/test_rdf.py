@@ -1,8 +1,11 @@
+import copy
 import gzip
+import pickle
 import random
 
 import pytest
 
+from bgplearn.patterns import TriplePattern, Variable
 from bgplearn.rdf import (BIDI, IN, OUT, RDFSyntaxError, Term, Triple, TripleStore,
                           bnode, iri, literal, load_ntriples, parse_triples)
 
@@ -67,8 +70,38 @@ class TestN3Memo:
         t.n3()
         with pytest.raises(AttributeError):
             t.value = "y"
+
+
+_VALUE_TYPES = {
+    "term": lambda: literal("a\"b", lang="en"),
+    "triple": lambda: Triple(ex("s"), ex("p"), literal("1", datatype="http://x/int")),
+    "variable": lambda: Variable("x"),
+    "triple_pattern": lambda: TriplePattern(Variable("x"), ex("p"), bnode("b")),
+}
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("kind", list(_VALUE_TYPES))
+    def test_fields_read_only(self, kind):
+        value = _VALUE_TYPES[kind]()
+        for name in value._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+
+    @pytest.mark.parametrize("kind", list(_VALUE_TYPES))
+    def test_no_instance_dict(self, kind):
+        value = _VALUE_TYPES[kind]()
+        assert not hasattr(value, "__dict__")
         with pytest.raises(AttributeError):
-            t._n3 = "other"
+            value.extra = 1
+
+    @pytest.mark.parametrize("kind", list(_VALUE_TYPES))
+    def test_copy_and_pickle_round_trip(self, kind):
+        value = _VALUE_TYPES[kind]()
+        for twin in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value)
+            assert twin == value and hash(twin) == hash(value)
+            assert repr(twin) == repr(value)
 
 
 class TestTriple:
