@@ -97,8 +97,13 @@ def _cache_key(gp: GraphPattern, projection, values, limit) -> str:
     if values is not None:
         vvars, rows = values
         parts.append("V:" + ",".join([canon_var(v) for v in vvars]))
-        # SPARQL's UNDEF for an unbound entry; no term's N-Triples text is this
-        parts += ["R:" + "|".join(["UNDEF" if t is None else t.nt for t in row])
+        # SPARQL's UNDEF for an unbound entry, as values_clause writes it;
+        # no term's N-Triples text is this. A full-width row, the hot case,
+        # is read as it is.
+        width = len(vvars)
+        parts += ["R:" + "|".join(["UNDEF" if t is None else t.nt
+                                   for t in (row if len(row) == width
+                                             else row + (None,) * (width - len(row)))])
                   for row in rows]
     parts.append("L:%s" % (limit,))
     return "\x1e".join(parts)

@@ -183,7 +183,10 @@ class GraphPattern:
 
 def values_clause(variables: list[Variable], rows: list[tuple]) -> str:
     head = " ".join(v.n3() for v in variables)
-    body = " ".join("(%s)" % " ".join("UNDEF" if t is None else t.nt for t in row)
+    width = len(variables)
+    # a short row leaves its last variables unbound, as in engine.select
+    body = " ".join("(%s)" % " ".join("UNDEF" if t is None else t.nt
+                                      for t in row + (None,) * (width - len(row)))
                     for row in rows)
     return "VALUES (%s) { %s }" % (head, body)
 

@@ -211,18 +211,25 @@ class TripleStore:
 
 _RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
+# Whitespace and comments before a token are skipped atomically (a lookahead
+# captures them, the backreference consumes them), so a token that fails after
+# a comment is never re-read from inside it. `bad` takes any other character.
 _TOKEN_RE = re.compile(r"""
-      (?P<ws>\s+)
-    | (?P<comment>\#[^\n]*)
-    | (?P<iriref><[^<>"{}|^`\\\x00-\x20]*>)
-    | (?P<literal>"(?:[^"\\\n]|\\.)*")
-    | (?P<blank>_:[A-Za-z0-9][A-Za-z0-9_.\-]*)
-    | (?P<langtag>@[A-Za-z][A-Za-z0-9\-]*)
-    | (?P<dtsep>\^\^)
-    | (?P<punct>[.;,])
-    | (?P<pname>(?:[A-Za-z_][\w\-.]*)?:[\w\-.:%]*)
-    | (?P<word>[A-Za-z_][\w\-]*)
+    (?=(?P<skip>(?:\s+|\#[^\n]*)*))(?P=skip)
+    (?: (?P<iriref><[^<>"{}|^`\\\x00-\x20]*>)
+      | (?P<literal>"(?:[^"\\\n]|\\.)*")
+      | (?P<blank>_:[A-Za-z0-9][A-Za-z0-9_.\-]*)
+      | (?P<langtag>@[A-Za-z][A-Za-z0-9\-]*)
+      | (?P<dtsep>\^\^)
+      | (?P<punct>[.;,])
+      | (?P<pname>(?:[A-Za-z_][\w\-.]*)?:[\w\-.:%]*)
+      | (?P<word>[A-Za-z_][\w\-]*)
+      | (?P<end>\Z)
+      | (?P<bad>.)
+    )
 """, re.VERBOSE)
+
+_ESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
 
 _UNESCAPES = {
     "t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
@@ -230,119 +237,95 @@ _UNESCAPES = {
 }
 
 
-_HEX_ESCAPES = {"u": re.compile(r"[0-9A-Fa-f]{4}"), "U": re.compile(r"[0-9A-Fa-f]{8}")}
+def _unescape_one(m: re.Match) -> str:
+    digits = m.group(1) or m.group(2)
+    if digits:
+        code = int(digits, 16)
+        if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+            raise ValueError("%s is not a Unicode scalar value" % m.group())
+        return chr(code)
+    e = m.group(3)
+    if e in ("u", "U"):
+        raise ValueError("malformed \\%s escape in literal" % e)
+    if e not in _UNESCAPES:
+        raise ValueError("unknown escape \\%s in literal" % e)
+    return _UNESCAPES[e]
 
 
-def _unescape(raw: str, line: int, col: int) -> str:
-    out = []
-    i = 0
-    while i < len(raw):
-        c = raw[i]
-        if c != "\\":
-            out.append(c)
-            i += 1
-            continue
-        if i + 1 >= len(raw):
-            raise RDFSyntaxError("dangling escape in literal", line, col)
-        e = raw[i + 1]
-        if e in _UNESCAPES:
-            out.append(_UNESCAPES[e])
-            i += 2
-        elif e in _HEX_ESCAPES:
-            m = _HEX_ESCAPES[e].match(raw, i + 2)
-            if m is None:
-                raise RDFSyntaxError("malformed \\%s escape in literal" % e, line, col)
-            code = int(m.group(), 16)
-            if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
-                raise RDFSyntaxError("\\%s%s is not a Unicode scalar value"
-                                     % (e, m.group()), line, col)
-            out.append(chr(code))
-            i = m.end()
-        else:
-            raise RDFSyntaxError("unknown escape \\%s in literal" % e, line, col)
-    return "".join(out)
-
-
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.line_start = 0
-
-    def where(self) -> tuple[int, int]:
-        return self.line, self.pos - self.line_start + 1
-
-    def next(self) -> Optional[tuple[str, str, int, int]]:
-        while self.pos < len(self.text):
-            m = _TOKEN_RE.match(self.text, self.pos)
-            if m is None:
-                line, col = self.where()
-                raise RDFSyntaxError(
-                    "unexpected character %r" % self.text[self.pos], line, col)
-            kind = m.lastgroup
-            value = m.group()
-            line, col = self.where()
-            self.pos = m.end()
-            nl = value.count("\n")
-            if nl:
-                self.line += nl
-                self.line_start = m.start() + value.rfind("\n") + 1
-            if kind in ("ws", "comment"):
-                continue
-            return kind, value, line, col
-        if '"' in self.text[self.pos:]:
-            line, col = self.where()
-            raise RDFSyntaxError("unterminated literal", line, col)
-        return None
+def _unescape(raw: str) -> str:
+    """A literal's body with its escapes decoded; a bad escape raises
+    ValueError with the message to report."""
+    if "\\" not in raw:
+        return raw
+    return _ESCAPE_RE.sub(_unescape_one, raw)
 
 
 class _Parser:
+    """Tokens are `(kind, text, offset)`; line and column are worked out from
+    the offset only when an error is raised."""
+
     def __init__(self, text: str):
-        self.tok = _Tokenizer(text)
+        self.text = text
+        self.pos = 0
         self.prefixes: dict[str, str] = {}
         self.pushed: Optional[tuple] = None
+
+    def _error(self, message: str, offset: int) -> RDFSyntaxError:
+        line_start = self.text.rfind("\n", 0, offset) + 1
+        return RDFSyntaxError(message, self.text.count("\n", 0, offset) + 1,
+                              offset - line_start + 1)
 
     def _next(self, required: Optional[str] = None):
         t = self.pushed
         if t is not None:
             self.pushed = None
-        else:
-            t = self.tok.next()
-        if t is None and required:
-            line, col = self.tok.where()
-            raise RDFSyntaxError("unexpected end of input, expected %s" % required,
-                                 line, col)
-        return t
+            return t
+        m = _TOKEN_RE.match(self.text, self.pos)
+        kind = m.lastgroup
+        offset = m.start(kind)
+        if kind == "end":
+            if required:
+                raise self._error("unexpected end of input, expected %s" % required,
+                                  offset)
+            return None
+        if kind == "bad":
+            char = self.text[offset]
+            raise self._error("unterminated literal" if char == '"'
+                              else "unexpected character %r" % char, offset)
+        self.pos = m.end()
+        return kind, m.group(kind), offset
 
     def _push(self, t) -> None:
         self.pushed = t
 
-    def _expand_pname(self, value: str, line: int, col: int) -> Term:
+    def _expand_pname(self, value: str, offset: int) -> Term:
         pfx, _, local = value.partition(":")
         if pfx not in self.prefixes:
-            raise RDFSyntaxError("undeclared prefix %r" % pfx, line, col)
+            raise self._error("undeclared prefix %r" % pfx, offset)
         return iri(self.prefixes[pfx] + local)
 
     def _term(self, tok, *, as_predicate: bool = False, as_subject: bool = False) -> Term:
-        kind, value, line, col = tok
+        kind, value, offset = tok
         if kind == "iriref":
             value = value[1:-1]
             if not _ABS_IRI_RE.match(value):
-                raise RDFSyntaxError("invalid IRI <%s>" % value, line, col)
+                raise self._error("invalid IRI <%s>" % value, offset)
             return iri(value)
         if kind == "pname":
-            return self._expand_pname(value, line, col)
+            return self._expand_pname(value, offset)
         if kind == "blank":
             if as_predicate:
-                raise RDFSyntaxError("blank node not allowed as predicate", line, col)
+                raise self._error("blank node not allowed as predicate", offset)
             return bnode(value[2:])
         if kind == "word" and value == "a" and as_predicate:
             return iri(_RDF_TYPE)
         if kind == "literal":
             if as_predicate or as_subject:
-                raise RDFSyntaxError("literal not allowed in this position", line, col)
-            raw = _unescape(value[1:-1], line, col)
+                raise self._error("literal not allowed in this position", offset)
+            try:
+                raw = _unescape(value[1:-1])
+            except ValueError as exc:
+                raise self._error(str(exc), offset) from None
             nxt = self._next()
             if nxt is not None and nxt[0] == "langtag":
                 return literal(raw, lang=nxt[1][1:])
@@ -351,39 +334,36 @@ class _Parser:
                 if dtok[0] == "iriref":
                     dt = dtok[1][1:-1]
                 elif dtok[0] == "pname":
-                    dt = self._expand_pname(dtok[1], dtok[2], dtok[3]).value
+                    dt = self._expand_pname(dtok[1], dtok[2]).value
                 else:
-                    raise RDFSyntaxError("expected datatype IRI", dtok[2], dtok[3])
+                    raise self._error("expected datatype IRI", dtok[2])
                 if not _ABS_IRI_RE.match(dt):
-                    raise RDFSyntaxError("invalid datatype IRI <%s>" % dt, line, col)
+                    raise self._error("invalid datatype IRI <%s>" % dt, offset)
                 return literal(raw, datatype=dt)
             if nxt is not None:
                 self._push(nxt)
             return literal(raw)
-        raise RDFSyntaxError("unexpected token %r" % value, line, col)
+        raise self._error("unexpected token %r" % value, offset)
 
-    def _directive(self, tok) -> bool:
-        kind, value, line, col = tok
-        word = value.lstrip("@").lower()
-        if kind in ("langtag", "word") and word == "prefix":
-            ptok = self._next("prefix name")
-            if ptok[0] != "pname" or not ptok[1].endswith(":"):
-                raise RDFSyntaxError("expected prefix declaration", ptok[2], ptok[3])
-            itok = self._next("prefix IRI")
-            if itok[0] != "iriref":
-                raise RDFSyntaxError("expected IRI in prefix declaration", itok[2], itok[3])
-            ns = itok[1][1:-1]
-            if not _ABS_IRI_RE.match(ns):
-                raise RDFSyntaxError("invalid IRI <%s>" % ns, itok[2], itok[3])
-            self.prefixes[ptok[1][:-1]] = ns
-            dot = self._next()
-            if value.startswith("@"):
-                if dot is None or dot[1] != ".":
-                    raise RDFSyntaxError("@prefix directive must end with '.'", line, col)
-            elif dot is not None and dot[1] != ".":
-                self._push(dot)
-            return True
-        return False
+    def _prefix(self, tok) -> None:
+        """The rest of an `@prefix` or SPARQL `PREFIX` directive."""
+        _, value, offset = tok
+        ptok = self._next("prefix name")
+        if ptok[0] != "pname" or not ptok[1].endswith(":"):
+            raise self._error("expected prefix declaration", ptok[2])
+        itok = self._next("prefix IRI")
+        if itok[0] != "iriref":
+            raise self._error("expected IRI in prefix declaration", itok[2])
+        ns = itok[1][1:-1]
+        if not _ABS_IRI_RE.match(ns):
+            raise self._error("invalid IRI <%s>" % ns, itok[2])
+        self.prefixes[ptok[1][:-1]] = ns
+        dot = self._next()
+        if value.startswith("@"):
+            if dot is None or dot[1] != ".":
+                raise self._error("@prefix directive must end with '.'", offset)
+        elif dot is not None and dot[1] != ".":
+            self._push(dot)
 
     def parse(self) -> Iterator[Triple]:
         while True:
@@ -391,7 +371,7 @@ class _Parser:
             if tok is None:
                 return
             if tok[0] in ("langtag", "word") and tok[1].lstrip("@").lower() == "prefix":
-                self._directive(tok)
+                self._prefix(tok)
                 continue
             subject = self._term(tok, as_subject=True)
             while True:  # predicate-object list
@@ -414,7 +394,7 @@ class _Parser:
                     continue
                 break
             if sep[1] != ".":
-                raise RDFSyntaxError("expected '.' at end of statement", sep[2], sep[3])
+                raise self._error("expected '.' at end of statement", sep[2])
 
 
 def parse_triples(data) -> Iterator[Triple]:

@@ -61,6 +61,22 @@ class TestUnboundValues:
         query = to_select_sparql(CAPITAL_GP, [TARGET_VAR], self.VALUES)
         assert "VALUES (?source) { (<http://example.org/Berlin>) (UNDEF) }" in query
 
+    def test_sparql_pads_short_row(self):
+        values = ([SOURCE_VAR, TARGET_VAR], [(ex("Berlin"),)])
+        query = to_select_sparql(CAPITAL_GP, [SOURCE_VAR], values)
+        assert ("VALUES (?source ?target) { (<http://example.org/Berlin> UNDEF) }"
+                in query)
+
+    def test_short_row_shares_cache_entry(self, capitals_store):
+        ep = local_endpoint(capitals_store)
+        projection = [SOURCE_VAR, TARGET_VAR]
+        short = ep.run_select(CAPITAL_GP, projection,
+                              values=(projection, [(ex("Berlin"),)]))
+        padded = ep.run_select(CAPITAL_GP, projection,
+                               values=(projection, [(ex("Berlin"), None)]))
+        assert ep.backend_calls == 1
+        assert padded is short
+
 
 class TestBatching:
     def test_batched_equals_unbatched(self, capitals_store):

@@ -180,8 +180,10 @@ class TestParser:
             load_ntriples("<notabsolute> <http://x/p> <http://x/o> .")
 
     def test_unterminated_literal(self):
-        with pytest.raises(RDFSyntaxError):
+        with pytest.raises(RDFSyntaxError) as exc:
             load_ntriples('<http://x/s> <http://x/p> "open')
+        assert str(exc.value) == "unterminated literal (line 1, column 27)"
+        assert (exc.value.line, exc.value.column) == (1, 27)
 
     def test_missing_dot(self):
         with pytest.raises(RDFSyntaxError):
@@ -195,6 +197,71 @@ class TestParser:
         store = load_ntriples("_:b1 <http://x/p> _:b2 .")
         t = list(store.triples())[0]
         assert t.s == bnode("b1") and t.o == bnode("b2")
+
+
+_S_P = "<http://x/s> <http://x/p> "
+
+# input, message, line, column
+_SYNTAX_ERRORS = {
+    "after_comment": (_S_P + "# <http://x/o> .\n ] .", "unexpected character ']'", 2, 2),
+    "undeclared_prefix": ("@prefix ex: <http://x/> .\nex:s nope:p ex:o .",
+                          "undeclared prefix 'nope'", 2, 6),
+    "malformed_u": (_S_P + '\n "a\\u12" .', "malformed \\u escape in literal", 2, 2),
+    "malformed_U": (_S_P + '"\\U0001F60" .', "malformed \\U escape in literal", 1, 27),
+    "surrogate": (_S_P + '"x\\uD800" .', "\\uD800 is not a Unicode scalar value", 1, 27),
+    "beyond_unicode": (_S_P + '"\\U0011FFFF" .',
+                       "\\U0011FFFF is not a Unicode scalar value", 1, 27),
+    "unknown_escape": (_S_P + '"a\\qb" .', "unknown escape \\q in literal", 1, 27),
+    "literal_subject": ('"s" <http://x/p> <http://x/o> .',
+                        "literal not allowed in this position", 1, 1),
+    "literal_predicate": ('<http://x/s> "p" <http://x/o> .',
+                          "literal not allowed in this position", 1, 14),
+    "bnode_predicate": ("<http://x/s> _:p <http://x/o> .",
+                        "blank node not allowed as predicate", 1, 14),
+    "missing_dot": (_S_P + "<http://x/o>\n" + _S_P + "<http://x/o> .",
+                    "expected '.' at end of statement", 2, 1),
+    "end_after_semicolon": (_S_P + "<http://x/o> ; # more\n",
+                            "unexpected end of input, expected '.' or predicate", 2, 1),
+    "prefix_without_colon": ("@prefix ex <http://x/> .", "expected prefix declaration", 1, 9),
+    "prefix_without_dot": ("@prefix ex: <http://x/>\nex:s ex:p ex:o .",
+                           "@prefix directive must end with '.'", 1, 1),
+    "invalid_datatype": ('@prefix ex: <http://x/> .\nex:s ex:p "1"^^<int> .',
+                         "invalid datatype IRI <int>", 2, 11),
+}
+
+
+class TestParserPinned:
+    """Exact messages, positions and output of the parser."""
+
+    @pytest.mark.parametrize("case", list(_SYNTAX_ERRORS))
+    def test_syntax_error(self, case):
+        text, message, line, column = _SYNTAX_ERRORS[case]
+        with pytest.raises(RDFSyntaxError) as exc:
+            list(parse_triples(text))
+        assert str(exc.value) == "%s (line %d, column %d)" % (message, line, column)
+        assert (exc.value.line, exc.value.column) == (line, column)
+
+    def test_turtle_subset_triples(self):
+        text = r"""# leading comment "not a literal
+@prefix ex: <http://x/> .
+PREFIX xsd: <http://www.w3.org/2001/XMLSchema#>
+ex:s a ex:T ;  # type
+    ex:name "café \"q\"\tand\\back"@fr-CA , "plain" ;
+    ex:age "42"^^xsd:integer ;
+    ex:sym "\U0001F600\n\r\b\f\'"^^<http://x/dt> ;
+    .
+_:b1 <http://x/p> ex:o . # trailing
+"""
+        s, x = iri("http://x/s"), "http://x/"
+        assert list(parse_triples(text)) == [
+            Triple(s, iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type"), iri(x + "T")),
+            Triple(s, iri(x + "name"), literal('café "q"\tand\\back', lang="fr-CA")),
+            Triple(s, iri(x + "name"), literal("plain")),
+            Triple(s, iri(x + "age"),
+                   literal("42", datatype="http://www.w3.org/2001/XMLSchema#integer")),
+            Triple(s, iri(x + "sym"), literal("\U0001F600\n\r\b\f'", datatype=x + "dt")),
+            Triple(bnode("b1"), iri(x + "p"), iri(x + "o")),
+        ]
 
 
 class TestRoundTrip:
