@@ -1,11 +1,13 @@
 """Uniform query interface over a local store or a remote SPARQL endpoint.
 
 Adds VALUES batching, retry with backoff, and an LRU cache keyed by the
-pattern's canonical form so renamed-variable twins hit.
+pattern's canonical form, so renamed-variable twins hit, and by a number for
+its VALUES table.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from collections import OrderedDict
@@ -86,7 +88,38 @@ class _LRUCache:
         return len(self._data)
 
 
-def _cache_key(gp: GraphPattern, projection, values, limit) -> str:
+class _TableNumbers:
+    """A number for each VALUES table, so that a cache key names a table in a
+    few bytes. Numbers are never reused, so clearing the registry when it
+    holds more than `capacity` tables can cause misses but never a stale hit.
+    Two threads that miss on one table at once give it two numbers, which
+    also costs only a miss, so the registry needs no lock."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._numbers: dict = {}
+        self._next = itertools.count()
+
+    def number(self, width: int, rows) -> int:
+        """The number of `rows` padded with None (SPARQL's UNDEF) to `width`
+        entries; ValueError for a longer row, as engine.select raises."""
+        if set(map(len, rows)) <= {width}:
+            table = tuple(rows)
+        else:
+            for row in rows:
+                if len(row) > width:
+                    raise engine.long_row_error(row, width)
+            table = tuple([row + (None,) * (width - len(row)) for row in rows])
+        n = self._numbers.get(table)
+        if n is None:
+            if len(self._numbers) > self.capacity:
+                self._numbers.clear()
+            n = self._numbers[table] = next(self._next)
+        return n
+
+
+def _cache_key(gp: GraphPattern, projection, values, limit,
+               tables: _TableNumbers) -> str:
     form = canonicalize(gp)
     mapping = form.variable_mapping
 
@@ -97,14 +130,7 @@ def _cache_key(gp: GraphPattern, projection, values, limit) -> str:
     if values is not None:
         vvars, rows = values
         parts.append("V:" + ",".join([canon_var(v) for v in vvars]))
-        # SPARQL's UNDEF for an unbound entry, as values_clause writes it;
-        # no term's N-Triples text is this. A full-width row, the hot case,
-        # is read as it is.
-        width = len(vvars)
-        parts += ["R:" + "|".join(["UNDEF" if t is None else t.nt
-                                   for t in (row if len(row) == width
-                                             else row + (None,) * (width - len(row)))])
-                  for row in rows]
+        parts.append("T:%d" % tables.number(len(vvars), rows))
     parts.append("L:%s" % (limit,))
     return "\x1e".join(parts)
 
@@ -125,6 +151,7 @@ class Endpoint:
         if ttl is None and config.backend == REMOTE:
             ttl = 3600.0
         self._cache = _LRUCache(config.cache_capacity, ttl)
+        self._tables = _TableNumbers(config.cache_capacity)
         self.backend_calls = 0
 
     # -- public API ---------------------------------------------------------
@@ -132,7 +159,7 @@ class Endpoint:
     def run_select(self, gp: GraphPattern, projection: list[Variable],
                    values: Optional[tuple[list[Variable], list[tuple]]] = None,
                    limit: Optional[int] = None) -> EvalResult:
-        key = _cache_key(gp, projection, values, limit)
+        key = _cache_key(gp, projection, values, limit, self._tables)
         hit = self._cache.get(key)
         if hit is not None:
             return hit

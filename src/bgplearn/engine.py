@@ -105,6 +105,11 @@ def _project_vars(gp: GraphPattern, projection, values_vars) -> None:
                          % ", ".join(v.n3() for v in missing))
 
 
+def long_row_error(row: tuple, width: int) -> ValueError:
+    """The error for a VALUES row with more entries than its variables."""
+    return ValueError("VALUES row %r is longer than its %d variables" % (row, width))
+
+
 def _tuple_getter(slots: list[int]):
     """`itemgetter` that returns a tuple for any number of slots."""
     if len(slots) == 1:
@@ -203,8 +208,7 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
     work = []  # (initial binding, its steps) per VALUES row
     for row in (values[1] if values else [()]):
         if len(row) > width:
-            raise ValueError("VALUES row %r is longer than its %d variables"
-                             % (row, width))
+            raise long_row_error(row, width)
         binding = template.copy()
         unbound = len(row) < width
         for slot, term in zip(value_slots, row):

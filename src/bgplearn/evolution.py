@@ -4,8 +4,10 @@ hall of fame, and the multi-run driver with the cross-run coverage ledger."""
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional
+from itertools import accumulate
+from typing import Optional, Sequence
 
 from .canon import pattern_key
 from .engine import HARD_TIMEOUT
@@ -328,27 +330,28 @@ def mut_simplify(gp: GraphPattern, rng: random.Random) -> Optional[GraphPattern]
     return out if out != gp else None
 
 
-def _weighted_draws(weights: list[float], m: int,
+def _weighted_draws(weights: Sequence[float], m: int,
                     rng: random.Random) -> list[int]:
     """Up to `m` indices drawn without replacement with probability
-    proportional to their weights; stops once the weight left is 0."""
+    proportional to their non-negative weights; stops once the weight left
+    is 0. The pick of a draw is the first index whose running sum of the
+    pool, added left to right from 0.0, exceeds `rng.random()` times the
+    pool's `sum`, or the last index if rounding leaves none."""
     indices = list(range(len(weights)))
     pool = list(weights)
+    prefix = [0.0]  # prefix[j + 1]: running sum of pool[:j + 1]
     picks: list[int] = []
     for _ in range(m):
         total = sum(pool)
         if total <= 0:
             break
         r = rng.random() * total
-        acc = 0.0
-        pick = len(pool) - 1  # if rounding leaves r at the total
-        for j, w in enumerate(pool):
-            acc += w
-            if r < acc:
-                pick = j
-                break
+        if prefix[-1] <= r:  # extend the running sums past r, or to the end
+            prefix[-1:] = accumulate(pool[len(prefix) - 1:], initial=prefix[-1])
+        pick = min(bisect_right(prefix, r), len(pool)) - 1
         picks.append(indices.pop(pick))
         del pool[pick]
+        del prefix[pick + 1:]  # the sums before the pick stay valid
     return picks
 
 
@@ -361,10 +364,10 @@ def fix_var(gp: GraphPattern, endpoint, gt: list[GroundTruthPair],
         return []
     var = candidates[rng.randrange(len(candidates))]
 
-    weights = ([1.0 - ledger[i] for i in range(len(gt))] if ledger is not None
-               else [1.0] * len(gt))
-    if sum(weights) <= 0:
-        weights = [1.0] * len(gt)  # saturated ledger: uniform fallback
+    if ledger is not None and ledger.remains() > 0:
+        weights = ledger.weights
+    else:
+        weights = [1.0] * len(gt)  # no ledger or a saturated one: uniform
     sampled = _weighted_draws(weights, cfg.fix_var_sample_size, rng)
     pairs = [(gt[i].source, gt[i].target) for i in sampled]
 

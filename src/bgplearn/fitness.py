@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import itemgetter, sub
 from typing import Iterable, NamedTuple, Optional
 
 from .engine import COMPLETE, HARD_TIMEOUT, SOFT_TIMEOUT
@@ -20,9 +22,13 @@ class CoverageLedger:
     """Per ground-truth-pair best precision achieved by any accepted pattern so far."""
 
     def __init__(self, values: Iterable[float]):
-        self.values = [float(v) for v in values]
+        self.values = tuple([float(v) for v in values])
         if not all(0.0 <= v <= 1.0 for v in self.values):  # NaN fails too
             raise ValueError("ledger entries must lie in [0, 1]")
+        # a ledger never changes, and fitness and fix-var read these on
+        # every query: each pair's fix-var weight, 1 - value, and their sum
+        self.weights = tuple([1.0 - v for v in self.values])
+        self._remains = sum(self.weights)
 
     @classmethod
     def zeros(cls, n: int) -> "CoverageLedger":
@@ -31,11 +37,8 @@ class CoverageLedger:
     def __len__(self) -> int:
         return len(self.values)
 
-    def __getitem__(self, i: int) -> float:
-        return self.values[i]
-
     def remains(self) -> float:
-        return sum(1.0 - v for v in self.values)
+        return self._remains
 
     def updated(self, pv_vectors: Iterable[list[float]]) -> "CoverageLedger":
         new = list(self.values)
@@ -115,7 +118,7 @@ def score(gain: float, evaluation: PatternEvaluation, gt: list[GroundTruthPair],
     if gain < 0:
         raise ValueError("gain must be non-negative")
     cfg = config or ScoreConfig()
-    matched = [pair for pair, hit in zip(gt, evaluation.covered) if hit]
+    matched = list(compress(gt, evaluation.covered))
     sources = {p.source for p in matched}
     targets = {p.target for p in matched}
     penalty = 1.0
@@ -142,9 +145,9 @@ def evaluate(endpoint, gp: GraphPattern, gt: list[GroundTruthPair],
                           gt_matches=0, timeout_penalty=0.0, query_time_s=0.0, **base)
         return ev, ft
 
-    sources = list(dict.fromkeys(pair.source for pair in gt))
+    sources = dict.fromkeys(map(itemgetter(0), gt))
     res = endpoint.run_select(gp, [SOURCE_VAR, TARGET_VAR],
-                              values=([SOURCE_VAR], [(s,) for s in sources]),
+                              values=([SOURCE_VAR], list(zip(sources))),
                               limit=None)
     penalty = _STATUS_PENALTY[res.status]
 
@@ -152,16 +155,16 @@ def evaluate(endpoint, gp: GraphPattern, gt: list[GroundTruthPair],
     for s, t in res.rows:
         targets_by_source.setdefault(s, set()).add(t)
 
-    pv = []
-    covered = []
-    total_len = 0
-    for s, t in gt:
-        tset = targets_by_source.get(s)
-        hit = bool(tset) and t in tset
-        covered.append(hit)
-        pv.append(1.0 / len(tset) if hit else 0.0)
-        if tset:
-            total_len += len(tset)
+    # each pair's target set, or None if its source has no row: only the
+    # pairs with a set take a step in Python
+    tsets = list(map(targets_by_source.get, map(itemgetter(0), gt)))
+    pv = [0.0] * n
+    covered = [False] * n
+    for i in compress(range(n), tsets):
+        if gt[i].target in tsets[i]:
+            covered[i] = True
+            pv[i] = 1.0 / len(tsets[i])
+    total_len = sum(map(len, filter(None, tsets)))
 
     gt_matches = sum(covered)
     recall = gt_matches / n if n else 0.0
@@ -173,7 +176,8 @@ def evaluate(endpoint, gp: GraphPattern, gt: list[GroundTruthPair],
     if penalty > 0:
         gain = 0.0
     else:
-        gain = sum([max(0.0, p - v) for p, v in zip(pv, ledger.values)])
+        # max(0.0, p - v) per pair, summed in pair order
+        gain = sum(map(max, repeat(0.0), map(sub, pv, ledger.values)))
 
     ev = PatternEvaluation(pv=pv, covered=covered)
     sc = score(gain, ev, gt, score_config)

@@ -113,7 +113,7 @@ def dumps(doc) -> str:
 
 
 def ledger_to_json(ledger: CoverageLedger) -> dict:
-    return {"values": ledger.values, "remains": ledger.remains()}
+    return {"values": list(ledger.values), "remains": ledger.remains()}
 
 
 def ledger_from_json(obj) -> CoverageLedger:

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -7,7 +8,7 @@ from bgplearn.endpoint import (Endpoint, EndpointConfig, EndpointUnreachable,
 from bgplearn.engine import COMPLETE, HARD_TIMEOUT, select
 from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
                                TriplePattern, Variable, to_select_sparql)
-from bgplearn.rdf import bnode, literal
+from bgplearn.rdf import bnode, iri, literal, load_ntriples
 
 from conftest import ex
 
@@ -45,6 +46,46 @@ class TestCaching:
         ep.run_select(CAPITAL_GP, [TARGET_VAR],
                       values=([SOURCE_VAR], [(ex("Paris"),)]))
         assert ep.backend_calls == calls + 1
+
+
+class TestValuesTableKey:
+    STORE = "<http://e/a> <http://e/rel> <http://e/x> .\n"
+    GP = GraphPattern([TriplePattern(SOURCE_VAR, iri("http://e/rel"), TARGET_VAR)])
+
+    def test_term_holding_separator_misses_cache(self):
+        ep = local_endpoint(load_ntriples(self.STORE))
+        projection = [SOURCE_VAR, TARGET_VAR]
+        # one IRI whose text is what two rows' texts joined would read as
+        odd = [(iri("http://e/a>\x1eR:<http://e/b"),)]
+        assert ep.run_select(self.GP, projection, values=([SOURCE_VAR], odd)).rows == []
+        two = [(iri("http://e/a"),), (iri("http://e/b"),)]
+        res = ep.run_select(self.GP, projection, values=([SOURCE_VAR], two))
+        assert res.rows == [(iri("http://e/a"), iri("http://e/x"))]
+
+    def test_bounded_registry_never_stale(self, capitals_store):
+        ep = local_endpoint(capitals_store, cache_capacity=2)
+        rng = random.Random(5)
+        sources = [ex(name) for name in ("Berlin", "Paris", "Oslo", "Rome")]
+        projection = [SOURCE_VAR, TARGET_VAR]
+        for _ in range(60):
+            rows = [(s,) for s in rng.sample(sources, rng.randint(1, 4))]
+            res = ep.run_select(CAPITAL_GP, projection, values=([SOURCE_VAR], rows))
+            expected = select(capitals_store, CAPITAL_GP, projection,
+                              values=([SOURCE_VAR], rows))
+            assert res.rows == expected.rows
+            assert len(ep._tables._numbers) <= 3
+
+    def test_long_row_refused_before_sending(self, capitals_store):
+        post = _FakePost([("ok", [])])
+        ep = _remote(post)
+        values = ([SOURCE_VAR], [(ex("Berlin"),), (ex("Berlin"), ex("Paris"))])
+        with pytest.raises(ValueError) as remote_exc:
+            ep.run_select(CAPITAL_GP, [SOURCE_VAR], values=values)
+        assert post.calls == [] and len(ep._cache) == 0
+        with pytest.raises(ValueError) as local_exc:
+            select(capitals_store, CAPITAL_GP, [SOURCE_VAR], values=values)
+        assert str(remote_exc.value) == str(local_exc.value)
+        assert "is longer than its 1 variables" in str(remote_exc.value)
 
 
 class TestUnboundValues:

@@ -12,7 +12,7 @@ from bgplearn.evolution import (EvolutionConfig, HallOfFame, Individual,
                                 mut_introduce_var, mut_merge_var,
                                 mut_simplify, mut_split_var, mutate,
                                 next_generation, run_single, tournament,
-                                _random_path)
+                                _random_path, _weighted_draws)
 from bgplearn.fitness import CoverageLedger, FitnessTuple, GroundTruthPair
 from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
                                TriplePattern, Variable)
@@ -235,8 +235,9 @@ class TestFixVar:
                            random.Random(2), EvolutionConfig())
         assert CAPITAL_GP in children
 
-    def test_sampling_stops_at_zero_weight(self, capitals_store, capitals_gt):
-        inner = local_endpoint(capitals_store)
+    @staticmethod
+    def _sampled_pairs(store, gt, ledger, seed):
+        inner = local_endpoint(store)
         sent = []
 
         class Spy:
@@ -247,8 +248,21 @@ class TestFixVar:
                 return inner.run_select(gp, projection, values, limit)
 
         gp = GraphPattern([TriplePattern(SOURCE_VAR, V("p"), TARGET_VAR)])
-        fix_var(gp, Spy(), capitals_gt, CoverageLedger([1.0, 0.0, 1.0]),
-                random.Random(0), EvolutionConfig())
+        fix_var(gp, Spy(), gt, ledger, random.Random(seed), EvolutionConfig())
+        return sent
+
+    def test_saturated_ledger_samples_like_no_ledger(self, capitals_store,
+                                                     capitals_gt):
+        for seed in range(5):
+            saturated = self._sampled_pairs(capitals_store, capitals_gt,
+                                            CoverageLedger([1.0, 1.0, 1.0]), seed)
+            assert saturated == self._sampled_pairs(capitals_store, capitals_gt,
+                                                    None, seed)
+            assert sorted(saturated[0]) == sorted(capitals_gt)
+
+    def test_sampling_stops_at_zero_weight(self, capitals_store, capitals_gt):
+        sent = self._sampled_pairs(capitals_store, capitals_gt,
+                                   CoverageLedger([1.0, 0.0, 1.0]), 0)
         # covered pairs weigh 0: only the uncovered pair is sampled
         assert sent == [[(ex("Paris"), ex("France"))]]
 
@@ -259,6 +273,79 @@ class TestFixVar:
         cfg = EvolutionConfig(fix_var_children=2)
         children = fix_var(gp, ep, capitals_gt, None, random.Random(3), cfg)
         assert len(children) <= 2
+
+
+def _reference_draws(weights, m, rng):
+    """The linear-scan sampler that _weighted_draws replaced, kept verbatim."""
+    indices = list(range(len(weights)))
+    pool = list(weights)
+    picks = []
+    for _ in range(m):
+        total = sum(pool)
+        if total <= 0:
+            break
+        r = rng.random() * total
+        acc = 0.0
+        pick = len(pool) - 1  # if rounding leaves r at the total
+        for j, w in enumerate(pool):
+            acc += w
+            if r < acc:
+                pick = j
+                break
+        picks.append(indices.pop(pick))
+        del pool[pick]
+    return picks
+
+
+def _random_weights(rng):
+    n = rng.randint(0, 60)
+    kind = rng.randrange(5)
+    if kind == 0:  # fix-var weights of a ledger, some pairs saturated or open
+        return [1.0 - rng.choice([0.0, 1.0, 0.5, 1.0 / rng.randint(1, 9),
+                                  rng.random()]) for _ in range(n)]
+    if kind == 1:  # term counts
+        return [float(rng.randint(1, 50)) for _ in range(n)]
+    if kind == 2:  # zeros among positive weights
+        return [rng.choice([0.0, 0.0, rng.random()]) for _ in range(n)]
+    if kind == 3:  # an all-zero pool
+        return [0.0] * n
+    return [rng.choice([0.0, 1.0]) * 10.0 ** rng.randint(-300, 300)
+            * rng.random() for _ in range(n)]  # magnitudes 1e-300 to 1e300
+
+
+class TestWeightedDraws:
+    def test_same_picks_and_rng_state_as_reference(self):
+        gen = random.Random(12)
+        for case in range(3000):
+            weights = _random_weights(gen)
+            m = gen.randint(0, len(weights) + 5)  # m > n included
+            ref_rng, rng = random.Random(case), random.Random(case)
+            expected = _reference_draws(weights, m, ref_rng)
+            assert _weighted_draws(tuple(weights), m, rng) == expected, weights
+            assert rng.getstate() == ref_rng.getstate()
+
+    def test_all_zero_pool_draws_nothing(self):
+        rng = random.Random(0)
+        state = rng.getstate()
+        assert _weighted_draws([0.0, 0.0, 0.0], 5, rng) == []
+        assert rng.getstate() == state
+
+    @pytest.mark.parametrize("u, expected", [
+        (0.0, [1, 3]),  # r = 0 passes over leading zero weights
+        (1.0, [3, 2]),  # as if r rounded up to the total: the last index
+    ])
+    def test_r_at_either_end(self, u, expected):
+        class Fixed(random.Random):
+            def random(self):
+                return u
+
+        weights = [0.0, 2.0, 0.0, 1.0]
+        assert (_weighted_draws(weights, 2, Fixed())
+                == _reference_draws(weights, 2, Fixed()) == expected)
+
+    def test_draws_without_replacement(self):
+        picks = _weighted_draws([1.0, 2.0, 3.0, 4.0], 10, random.Random(4))
+        assert sorted(picks) == [0, 1, 2, 3]
 
 
 class TestFitToLive:

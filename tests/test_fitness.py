@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -7,12 +8,14 @@ from hypothesis import strategies as st
 
 from bgplearn.endpoint import local_endpoint
 from bgplearn.engine import select
-from bgplearn.fitness import (CoverageLedger, FitnessTuple, GroundTruthPair,
-                              ScoreConfig, evaluate, score, update_ledger)
+from bgplearn.fitness import (_STATUS_PENALTY, CoverageLedger, FitnessTuple,
+                              GroundTruthPair, PatternEvaluation, ScoreConfig,
+                              evaluate, score, update_ledger)
+from bgplearn.iojson import dumps, ledger_to_json
 from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
                                TriplePattern, Variable)
 
-from conftest import ex
+from conftest import ex, random_pattern, random_store
 
 V = Variable
 CAPITAL_GP = GraphPattern([TriplePattern(SOURCE_VAR, ex("capitalOf"), TARGET_VAR)])
@@ -34,6 +37,28 @@ class TestLedger:
     def test_remains_after_update(self):
         led = CoverageLedger.zeros(3).updated([[1.0, 0.0, 0.5]])
         assert led.remains() == pytest.approx(3 - 1.5)
+
+    @staticmethod
+    def _random_values(rng):
+        return [rng.choice([0.0, 1.0, 1.0 / rng.randint(1, 9), rng.random()])
+                for _ in range(rng.randint(0, 400))]
+
+    def test_remains_bit_equal_to_sum(self):
+        rng = random.Random(3)
+        for values in [[]] + [self._random_values(rng) for _ in range(200)]:
+            led = CoverageLedger(values)
+            # repr round-trips a float exactly
+            assert repr(led.remains()) == repr(sum(1.0 - v for v in values))
+            assert led.weights == tuple(1.0 - v for v in values)
+
+    def test_json_bytes_unchanged(self):
+        rng = random.Random(4)
+        for _ in range(50):
+            values = self._random_values(rng)
+            led = CoverageLedger(values)
+            assert led.to_json() == json.dumps(values)
+            doc = {"values": values, "remains": sum(1.0 - v for v in values)}
+            assert dumps(ledger_to_json(led)) == dumps(doc)
 
 
 def _ft(**kw):
@@ -184,3 +209,86 @@ class TestEvaluate:
         new = update_ledger(led, [ev])
         assert list(new.values) == [1.0, 1.0, 1.0]
         assert new.remains() == 0.0
+
+
+def _reference_evaluate(endpoint, gp, gt, ledger, score_config=None):
+    """fitness.evaluate and score as per-pair loops, kept verbatim as the
+    reference for the same float operations in the same order."""
+    n = len(gt)
+    remains = sum(1.0 - v for v in ledger.values)
+    base = dict(remains=remains, pattern_length=gp.length,
+                pattern_vars=gp.variable_count)
+    sources = list(dict.fromkeys(pair.source for pair in gt))
+    res = endpoint.run_select(gp, [SOURCE_VAR, TARGET_VAR],
+                              values=([SOURCE_VAR], [(s,) for s in sources]),
+                              limit=None)
+    penalty = _STATUS_PENALTY[res.status]
+    targets_by_source = {}
+    for s, t in res.rows:
+        targets_by_source.setdefault(s, set()).add(t)
+    pv = []
+    covered = []
+    total_len = 0
+    for s, t in gt:
+        tset = targets_by_source.get(s)
+        hit = bool(tset) and t in tset
+        covered.append(hit)
+        pv.append(1.0 / len(tset) if hit else 0.0)
+        if tset:
+            total_len += len(tset)
+    gt_matches = sum(covered)
+    recall = gt_matches / n if n else 0.0
+    avg_result_len = total_len / n if n else 0.0
+    precision = 1.0 / avg_result_len if avg_result_len > 0 else 0.0
+    f1 = (2 * precision * recall / (precision + recall)
+          if precision > 0 and recall > 0 else 0.0)
+    if penalty > 0:
+        gain = 0.0
+    else:
+        gain = sum([max(0.0, p - v) for p, v in zip(pv, ledger.values)])
+    cfg = score_config or ScoreConfig()
+    matched = [pair for pair, hit in zip(gt, covered) if hit]
+    if (len({p.source for p in matched}) < cfg.min_distinct_sources
+            or len({p.target for p in matched}) < cfg.min_distinct_targets):
+        sc = gain * cfg.overfit_factor
+    else:
+        sc = gain * 1.0
+    ft = FitnessTuple(score=sc, gain=gain, f1=f1, avg_result_len=avg_result_len,
+                      gt_matches=gt_matches, timeout_penalty=penalty,
+                      query_time_s=res.elapsed, **base)
+    return PatternEvaluation(pv=pv, covered=covered), ft
+
+
+def test_evaluate_equals_per_pair_reference():
+    rng = random.Random(21)
+    budgets = [dict(soft_timeout=None, hard_timeout=None)] * 4 + [
+        dict(soft_timeout=0.0, hard_timeout=None),
+        dict(soft_timeout=None, hard_timeout=0.0)]
+    for _ in range(150):
+        store = random_store(rng, rng.randint(30, 120), rng.randint(8, 16),
+                             rng.randint(2, 4))
+        nodes = sorted(store.terms, key=lambda t: t.sort_key())
+        preds = [V("p")] + sorted({tr.p for tr in store.triples()},
+                                  key=lambda t: t.sort_key())
+        gp = GraphPattern(rng.choice([
+            [TriplePattern(SOURCE_VAR, rng.choice(preds), TARGET_VAR)],
+            [TriplePattern(TARGET_VAR, rng.choice(preds), SOURCE_VAR)],
+            [TriplePattern(SOURCE_VAR, rng.choice(preds), V("x")),
+             TriplePattern(V("x"), rng.choice(preds), TARGET_VAR)]]))
+        answers = select(store, gp, [SOURCE_VAR, TARGET_VAR], limit=None).rows
+        # pairs the pattern finds, repeated sources and pairs, and sources
+        # it never reaches
+        gt = [GroundTruthPair(*rng.choice(answers))
+              for _ in answers[:rng.randint(0, 20)]]
+        gt += [GroundTruthPair(rng.choice(nodes[:6]), rng.choice(nodes))
+               for _ in range(rng.randint(1, 20))]
+        rng.shuffle(gt)
+        ledger = CoverageLedger([rng.choice([0.0, 1.0, 0.5, rng.random()])
+                                 for _ in gt])
+        budget = rng.choice(budgets)
+        ev, ft = evaluate(local_endpoint(store, **budget), gp, gt, ledger)
+        ref_ev, ref_ft = _reference_evaluate(local_endpoint(store, **budget),
+                                             gp, gt, ledger)
+        # repr round-trips every float and tells 1 from 1.0
+        assert repr((ev.pv, ev.covered)) == repr((ref_ev.pv, ref_ev.covered))
+        assert repr(ft) == repr(ref_ft)
