@@ -17,8 +17,8 @@ from typing import Callable, Optional
 from . import engine
 from .canon import canonicalize
 from .engine import COMPLETE, HARD_TIMEOUT, SOFT_TIMEOUT, EvalResult
-from .patterns import GraphPattern, Variable, to_select_sparql
-from .rdf import Term, TripleStore, iri, literal, bnode
+from .patterns import GraphPattern, Variable, long_row_error, to_select_sparql
+from .rdf import Term, TripleStore, bnode, iri, is_token, literal
 
 LOCAL = "local"
 REMOTE = "remote"
@@ -108,7 +108,7 @@ class _TableNumbers:
         else:
             for row in rows:
                 if len(row) > width:
-                    raise engine.long_row_error(row, width)
+                    raise long_row_error(row, width)
             table = tuple([row + (None,) * (width - len(row)) for row in rows])
         n = self._numbers.get(table)
         if n is None:
@@ -152,6 +152,7 @@ class Endpoint:
             ttl = 3600.0
         self._cache = _LRUCache(config.cache_capacity, ttl)
         self._tables = _TableNumbers(config.cache_capacity)
+        self._plans = engine.PlanMemo(config.cache_capacity)
         self.backend_calls = 0
 
     # -- public API ---------------------------------------------------------
@@ -205,7 +206,7 @@ class Endpoint:
         if self.config.backend == LOCAL:
             return engine.select(self.store, gp, projection, values, limit,
                                  self.config.soft_timeout,
-                                 self.config.hard_timeout)
+                                 self.config.hard_timeout, plans=self._plans)
         return self._remote_select(gp, projection, values, limit)
 
     def _remote_select(self, gp, projection, values, limit) -> EvalResult:
@@ -249,15 +250,28 @@ def _requests_post(url, data, headers, timeout):
     return resp.status_code, (resp.json() if resp.status_code < 400 else None)
 
 
+def _nt_field(value: str, token: str, form: str) -> str:
+    """`value` if the parser reads `form % value` as one `token`; ValueError
+    otherwise, as a term holding it would change the text of later queries."""
+    if not is_token(token, form % value):
+        raise ValueError("SPARQL JSON value %r is not an N-Triples %s"
+                         % (value, token))
+    return value
+
+
 def _json_term(obj: dict) -> Term:
     typ = obj.get("type")
     if typ == "uri":
-        return iri(obj["value"])
+        return iri(_nt_field(obj["value"], "iriref", "<%s>"))
     if typ == "bnode":
-        return bnode(obj["value"])
+        return bnode(_nt_field(obj["value"], "blank", "_:%s"))
     if typ in ("literal", "typed-literal"):
-        return literal(obj["value"], datatype=obj.get("datatype"),
-                       lang=obj.get("xml:lang"))
+        datatype, lang = obj.get("datatype"), obj.get("xml:lang")
+        if datatype is not None:
+            _nt_field(datatype, "iriref", "<%s>")
+        if lang is not None:
+            _nt_field(lang, "langtag", "@%s")
+        return literal(obj["value"], datatype=datatype, lang=lang)
     raise ValueError("unknown SPARQL JSON term type: %r" % typ)
 
 

@@ -3,6 +3,12 @@
 Evaluation cost is metered in deterministic work ticks (one tick per candidate
 triple touched) and converted to seconds at a fixed nominal rate, so that
 reported query times and timeout behaviour are reproducible across runs.
+
+A plan (join order, slot layout and compiled steps) depends only on the
+store, the pattern, the VALUES variables and the projection. `select` plans
+each call afresh unless it is given a `PlanMemo`, which keeps the plan of
+each such shape so that it runs with any VALUES table, limit and budget.
+Planning costs no ticks, so a memo changes no result.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
 
-from .patterns import GraphPattern, TriplePattern, Variable, is_var
+from .patterns import GraphPattern, TriplePattern, Variable, is_var, long_row_error
 from .rdf import Term, TripleStore
 
 COMPLETE = "complete"
@@ -105,11 +111,6 @@ def _project_vars(gp: GraphPattern, projection, values_vars) -> None:
                          % ", ".join(v.n3() for v in missing))
 
 
-def long_row_error(row: tuple, width: int) -> ValueError:
-    """The error for a VALUES row with more entries than its variables."""
-    return ValueError("VALUES row %r is longer than its %d variables" % (row, width))
-
-
 def _tuple_getter(slots: list[int]):
     """`itemgetter` that returns a tuple for any number of slots."""
     if len(slots) == 1:
@@ -151,58 +152,115 @@ def _compile(triple_slots: list[tuple[int, int, int]],
     return steps
 
 
+class _Plan:
+    """What select works out from the store, the pattern, the VALUES
+    variables and the projection alone: the join order, the slot layout, the
+    projection getter and the steps compiled for each set of bound VALUES
+    slots. `triple_slots` is None when a constant is missing from the store,
+    so that the query matches nothing."""
+
+    __slots__ = ("triple_slots", "template", "value_slots", "all_bound",
+                 "project", "_steps")
+
+    def __init__(self, store: TripleStore, gp: GraphPattern,
+                 projection: list[Variable], values_vars: list[Variable]):
+        _project_vars(gp, projection, values_vars)
+        plan = join_plan(store, gp, set(values_vars))
+        # a binding is a list of term ids: one slot per variable (plan order,
+        # then VALUES and projection order), then the plan's constants,
+        # addressed by negative slots from the end; a triple's lookup key is
+        # then one itemgetter, and an unbound variable's slot reads None
+        slot_of: dict[Variable, int] = {}
+        constants: list[int] = []
+        triple_slots = []
+        for tp in plan:
+            slots = []
+            for node in tp:
+                if is_var(node):
+                    slots.append(slot_of.setdefault(node, len(slot_of)))
+                    continue
+                tid = store.term_id(node)
+                if tid is None:  # a constant missing from the store matches nothing
+                    self.triple_slots = None
+                    return
+                constants.append(tid)
+                slots.append(-len(constants))
+            triple_slots.append(tuple(slots))
+        for v in (*values_vars, *projection):
+            slot_of.setdefault(v, len(slot_of))
+        self.triple_slots = triple_slots
+        self.template = [None] * len(slot_of) + constants[::-1]
+        self.value_slots = [slot_of[v] for v in values_vars]
+        self.all_bound = frozenset(self.value_slots)
+        self.project = _tuple_getter([slot_of[v] for v in projection])
+        self._steps = {self.all_bound: _compile(triple_slots, self.all_bound)}
+
+    def steps(self, bound: frozenset[int]) -> list[_Step]:
+        """The steps for a row that leaves just the VALUES slots `bound` bound."""
+        steps = self._steps.get(bound)
+        if steps is None:
+            steps = self._steps[bound] = _compile(self.triple_slots, bound)
+        return steps
+
+
+class PlanMemo:
+    """Plans over one store, by (pattern, VALUES variables, projection), so
+    that a query shape is planned once however many VALUES tables, limits
+    and budgets it runs with. Cleared when it holds more than `capacity`
+    plans. Two threads that miss on one shape at once both plan it, and two
+    that compile one set of bound slots both compile it; the plans and steps
+    they make are equal, so the memo needs no lock."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._plans: dict = {}
+
+    def plan(self, store: TripleStore, gp: GraphPattern,
+             projection: list[Variable], values_vars: list[Variable]) -> _Plan:
+        key = (gp, tuple(values_vars), tuple(projection))
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = _Plan(store, gp, projection, values_vars)
+            if len(self._plans) > self.capacity:
+                self._plans.clear()
+            self._plans[key] = plan
+        return plan
+
+
 def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
            values: Optional[tuple[list[Variable], list[tuple]]] = None,
            limit: Optional[int] = None,
            soft_timeout: Optional[float] = DEFAULT_SOFT_TIMEOUT,
-           hard_timeout: Optional[float] = DEFAULT_HARD_TIMEOUT) -> EvalResult:
+           hard_timeout: Optional[float] = DEFAULT_HARD_TIMEOUT,
+           plans: Optional[PlanMemo] = None) -> EvalResult:
     """DISTINCT solution mappings of the natural join of gp, VALUES-restricted.
 
-    The plan is compiled once into one step per triple; every VALUES row then
-    runs through the steps depth first.
+    The plan is compiled into one step per triple, or taken from `plans`,
+    which must hold plans over `store` only; every VALUES row then runs
+    through the steps depth first.
     """
     if not gp.triples and values is None:
         raise DegenerateQueryError("pattern with zero triples and no VALUES")
     values_vars = values[0] if values else []
-    _project_vars(gp, projection, values_vars)
+    if plans is None:
+        plan = _Plan(store, gp, projection, values_vars)
+    else:
+        plan = plans.plan(store, gp, projection, values_vars)
 
     soft_budget = None if soft_timeout is None else int(soft_timeout * TICKS_PER_SECOND)
     hard_budget = None if hard_timeout is None else int(hard_timeout * TICKS_PER_SECOND)
     if hard_budget is not None and hard_budget <= 0:
         return EvalResult(tuple(projection), [], 0.0, HARD_TIMEOUT)
-
-    plan = join_plan(store, gp, set(values_vars))
-    # a binding is a list of term ids: one slot per variable (plan order, then
-    # VALUES and projection order), then the plan's constants, addressed by
-    # negative slots from the end; a triple's lookup key is then one
-    # itemgetter, and an unbound variable's slot reads None
-    slot_of: dict[Variable, int] = {}
-    constants: list[int] = []
-    triple_slots = []
-    for tp in plan:
-        slots = []
-        for node in tp:
-            if is_var(node):
-                slots.append(slot_of.setdefault(node, len(slot_of)))
-                continue
-            tid = store.term_id(node)
-            if tid is None:  # a constant missing from the store matches nothing
-                return EvalResult(tuple(projection), [], 0.0, COMPLETE)
-            constants.append(tid)
-            slots.append(-len(constants))
-        triple_slots.append(tuple(slots))
-    for v in (*values_vars, *projection):
-        slot_of.setdefault(v, len(slot_of))
-    template = [None] * len(slot_of) + constants[::-1]
+    if plan.triple_slots is None:
+        return EvalResult(tuple(projection), [], 0.0, COMPLETE)
 
     # VALUES terms missing from the store get negative ids, which match
     # nothing; a None entry, or the end of a short row, leaves its variable
-    # unbound, and a longer row is an error (a bare Term is a 5-tuple). Steps
-    # are compiled once per set of VALUES slots a row leaves bound.
-    value_slots = [slot_of[v] for v in values_vars]
+    # unbound, and a longer row is an error (a bare Term is a 5-tuple)
+    value_slots = plan.value_slots
     width = len(value_slots)
-    all_bound = frozenset(value_slots)
-    compiled = {all_bound: _compile(triple_slots, all_bound)}
+    all_steps = plan.steps(plan.all_bound)
+    template = plan.template
     term_id = store.term_id
     unknown: dict[Term, int] = {}
     work = []  # (initial binding, its steps) per VALUES row
@@ -220,19 +278,18 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
                 if tid is None:
                     tid = unknown.setdefault(term, ~len(unknown))
             binding[slot] = tid
-        bound = all_bound
         if unbound:
-            bound = frozenset(s for s in value_slots if binding[s] is not None)
-            if bound not in compiled:
-                compiled[bound] = _compile(triple_slots, bound)
-        work.append((binding, compiled[bound]))
+            work.append((binding, plan.steps(frozenset(
+                s for s in value_slots if binding[s] is not None))))
+        else:
+            work.append((binding, all_steps))
 
     budget = min((b for b in (soft_budget, hard_budget) if b is not None),
                  default=math.inf)
     max_rows = math.inf if limit is None else limit
-    project = _tuple_getter([slot_of[v] for v in projection])
+    project = plan.project
     match_ids = store.match_ids
-    last = len(triple_slots) - 1
+    last = len(plan.triple_slots) - 1
     found: dict[tuple, None] = {}  # distinct projected id rows, in order
     ticks = 0
 

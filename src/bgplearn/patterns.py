@@ -181,9 +181,17 @@ class GraphPattern:
 # SPARQL 1.1 serialization
 
 
+def long_row_error(row: tuple, width: int) -> ValueError:
+    """The error for a VALUES row with more entries than its variables."""
+    return ValueError("VALUES row %r is longer than its %d variables" % (row, width))
+
+
 def values_clause(variables: list[Variable], rows: list[tuple]) -> str:
     head = " ".join(v.n3() for v in variables)
     width = len(variables)
+    for row in rows:
+        if len(row) > width:
+            raise long_row_error(row, width)
     # a short row leaves its last variables unbound, as in engine.select
     body = " ".join("(%s)" % " ".join("UNDEF" if t is None else t.nt
                                       for t in row + (None,) * (width - len(row)))

@@ -4,6 +4,7 @@ per-source pattern execution, and five rank-fusion strategies."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -15,7 +16,6 @@ from .rdf import Term
 
 FUSION_STRATEGIES = ("target_occs", "scores", "f_measures", "gp_precisions",
                      "precisions")
-_ZERO_SUMS = (0.0,) * len(FUSION_STRATEGIES)
 
 
 @dataclass
@@ -135,20 +135,29 @@ def fuse(target_sets: list[set[Term]], portfolio: PatternPortfolio,
     selected = portfolio.selected()
     if len(target_sets) != len(selected):
         raise ValueError("one target set per selected pattern required")
-    # one row of the five sums per target, in FUSION_STRATEGIES order
-    sums: dict[Term, list[float]] = {}
+    # the five sums of each target, one list per strategy in
+    # FUSION_STRATEGIES order, each in sort_key order of the targets
+    terms = sorted(set().union(*target_sets), key=Term.sort_key)
+    index = dict(zip(terms, range(len(terms))))
+    sums = [[0.0] * len(terms) for _ in FUSION_STRATEGIES]
+    occs, scores, f_measures, gp_precisions, precisions = sums
     for entry, tset in zip(selected, target_sets):
         if not tset:
             continue
-        weights = (1.0, entry.score, entry.f1, entry.gp_precision, 1.0 / len(tset))
-        for t in tset:
-            sums[t] = [a + w for a, w in zip(sums.get(t, _ZERO_SUMS), weights)]
+        score, f1, gp_precision = entry.score, entry.f1, entry.gp_precision
+        share = 1.0 / len(tset)
+        for i in map(index.__getitem__, tset):
+            occs[i] += 1.0
+            scores[i] += score
+            f_measures[i] += f1
+            gp_precisions[i] += gp_precision
+            precisions[i] += share
     # stable sorts: by term first, then by value, give (-value, sort_key) order
-    by_term = sorted(sums.items(), key=lambda kv: kv[0].sort_key())
     rankings = {}
-    for i, strategy in enumerate(FUSION_STRATEGIES):
-        ranked = sorted(by_term, key=lambda kv: -kv[1][i])
-        rankings[strategy] = [(t, row[i]) for t, row in ranked]
+    for strategy, column in zip(FUSION_STRATEGIES, sums):
+        ranked = list(zip(terms, column))
+        ranked.sort(key=itemgetter(1), reverse=True)
+        rankings[strategy] = ranked
     return RankedPrediction(source=source, rankings=rankings)
 
 

@@ -229,6 +229,14 @@ _TOKEN_RE = re.compile(r"""
     )
 """, re.VERBOSE)
 
+
+def is_token(kind: str, text: str) -> bool:
+    """Whether the parser reads all of `text` as one token of `kind`, such as
+    "iriref", "blank" or "langtag"."""
+    m = _TOKEN_RE.match(text)
+    return m.lastgroup == kind and m.end() == len(text)
+
+
 _ESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
 
 _UNESCAPES = {

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from bgplearn import endpoint
 from bgplearn.cli import (EXIT_BAD_INPUT, EXIT_OK, EXIT_USAGE, load_config,
                           main)
 from bgplearn.report import build_report
@@ -49,6 +50,24 @@ def command_inputs(workdir, command):
                         "--sources", str(workdir / "sources.txt")],
             "evaluate": ["--patterns", str(workdir / "patterns.json"),
                          "--gt", str(workdir / "gt.tsv")]}[command]
+
+
+def test_learn_refuses_unwritable_remote_term(workdir, capsys, monkeypatch):
+    """An IRI in a remote answer that would change the text of later queries
+    is an input error, exit 2, not something to learn from."""
+    bad = "http://e/a> . ?x ?y <http://e/z"
+
+    def post(url, data, headers, timeout):
+        return 200, {"results": {"bindings": [
+            {"source": {"type": "uri", "value": "http://example.org/Berlin"},
+             "target": {"type": "uri", "value": bad}}]}}
+
+    monkeypatch.setattr(endpoint, "_requests_post", post)
+    code = main(["learn", "--endpoint-url", "http://fake/sparql",
+                 *command_inputs(workdir, "learn"), "--seed", "11", *FAST])
+    err = capsys.readouterr().err
+    assert code == EXIT_BAD_INPUT
+    assert "input error" in err and repr(bad) in err
 
 
 class TestConfig:

@@ -108,6 +108,14 @@ class TestUnboundValues:
         assert ("VALUES (?source ?target) { (<http://example.org/Berlin> UNDEF) }"
                 in query)
 
+    def test_sparql_refuses_long_row(self, capitals_store):
+        values = ([SOURCE_VAR], [(ex("Berlin"),), (ex("Berlin"), ex("Paris"))])
+        with pytest.raises(ValueError) as sparql_exc:
+            to_select_sparql(CAPITAL_GP, [SOURCE_VAR], values)
+        with pytest.raises(ValueError) as local_exc:
+            select(capitals_store, CAPITAL_GP, [SOURCE_VAR], values=values)
+        assert str(sparql_exc.value) == str(local_exc.value)
+
     def test_short_row_shares_cache_entry(self, capitals_store):
         ep = local_endpoint(capitals_store)
         projection = [SOURCE_VAR, TARGET_VAR]
@@ -199,6 +207,35 @@ class TestRemote:
             r' ?source <http://example.org/label> "say \"hi\" \\ now\nok"@en .'
             ' ?target <http://example.org/code> "42"^^<%s> .'
             " } LIMIT 5" % xsd_int]
+
+    def test_json_terms_parsed(self):
+        xsd_int = "http://www.w3.org/2001/XMLSchema#integer"
+        answers = [{"type": "bnode", "value": "b0"},
+                   {"type": "literal", "value": 'say "hi"', "xml:lang": "en-GB"},
+                   {"type": "typed-literal", "value": "42", "datatype": xsd_int}]
+        ep = _remote(lambda url, data, headers, timeout: (200, {
+            "results": {"bindings": [{"target": a} for a in answers]}}))
+        res = ep.run_select(CAPITAL_GP, [TARGET_VAR])
+        assert res.rows == [(bnode("b0"),), (literal('say "hi"', lang="en-GB"),),
+                            (literal("42", datatype=xsd_int),)]
+
+    @pytest.mark.parametrize("term", [
+        {"type": "uri", "value": "http://e/a> . ?x ?y <http://e/z"},
+        {"type": "uri", "value": "http://e/a b"},
+        {"type": "bnode", "value": "b0 . ?x ?y"},
+        {"type": "literal", "value": "v", "datatype": "http://e/t> . ?x ?y <http://e/z"},
+        {"type": "literal", "value": "v", "xml:lang": "en . ?x ?y"}],
+        ids=["iri", "iri-space", "bnode", "datatype", "lang"])
+    def test_unwritable_json_term_refused(self, term):
+        """A term N-Triples cannot write would change the text of every later
+        query built from it, so the answer is refused, not learned from."""
+        bad = term.get("datatype") or term.get("xml:lang") or term["value"]
+        ep = _remote(lambda url, data, headers, timeout: (200, {
+            "results": {"bindings": [{"target": term}]}}))
+        with pytest.raises(ValueError) as exc:
+            ep.run_select(CAPITAL_GP, [TARGET_VAR])
+        assert repr(bad) in str(exc.value)
+        assert len(ep._cache) == 0
 
     def test_retry_then_success(self):
         post = _FakePost([("error",), ("error",), ("ok", ["http://x/G"])])

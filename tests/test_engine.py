@@ -1,13 +1,18 @@
+import math
 import random
+from typing import Optional
 
 import pytest
 
-from bgplearn.engine import (COMPLETE, HARD_TIMEOUT, SOFT_TIMEOUT,
-                             TICKS_PER_SECOND, DegenerateQueryError,
-                             join_plan, select)
+from bgplearn.endpoint import local_endpoint
+from bgplearn.engine import (COMPLETE, DEFAULT_HARD_TIMEOUT, DEFAULT_SOFT_TIMEOUT,
+                             HARD_TIMEOUT, SOFT_TIMEOUT, TICKS_PER_SECOND,
+                             DegenerateQueryError, EvalResult, PlanMemo, _compile,
+                             _project_vars, _Step, _Stop, _tuple_getter, join_plan,
+                             select)
 from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
-                               TriplePattern, Variable)
-from bgplearn.rdf import load_ntriples
+                               TriplePattern, Variable, is_var, long_row_error)
+from bgplearn.rdf import Term, TripleStore, load_ntriples
 
 from conftest import ex, naive_select, random_pattern, random_store
 
@@ -268,3 +273,255 @@ class TestOracleEquivalence:
             expected = naive_select(store, pattern, projection, (values_vars, rows))
             assert res.row_set() == expected
             checked += 1
+
+
+# engine.select before plans were memoised, kept verbatim as the reference
+# that every plan, memoised or not, must reproduce bit for bit
+
+def _reference_select(store: TripleStore, gp: GraphPattern,
+                      projection: list[Variable],
+                      values: Optional[tuple[list[Variable], list[tuple]]] = None,
+                      limit: Optional[int] = None,
+                      soft_timeout: Optional[float] = DEFAULT_SOFT_TIMEOUT,
+                      hard_timeout: Optional[float] = DEFAULT_HARD_TIMEOUT) -> EvalResult:
+    """DISTINCT solution mappings of the natural join of gp, VALUES-restricted.
+
+    The plan is compiled once into one step per triple; every VALUES row then
+    runs through the steps depth first.
+    """
+    if not gp.triples and values is None:
+        raise DegenerateQueryError("pattern with zero triples and no VALUES")
+    values_vars = values[0] if values else []
+    _project_vars(gp, projection, values_vars)
+
+    soft_budget = None if soft_timeout is None else int(soft_timeout * TICKS_PER_SECOND)
+    hard_budget = None if hard_timeout is None else int(hard_timeout * TICKS_PER_SECOND)
+    if hard_budget is not None and hard_budget <= 0:
+        return EvalResult(tuple(projection), [], 0.0, HARD_TIMEOUT)
+
+    plan = join_plan(store, gp, set(values_vars))
+    # a binding is a list of term ids: one slot per variable (plan order, then
+    # VALUES and projection order), then the plan's constants, addressed by
+    # negative slots from the end; a triple's lookup key is then one
+    # itemgetter, and an unbound variable's slot reads None
+    slot_of: dict[Variable, int] = {}
+    constants: list[int] = []
+    triple_slots = []
+    for tp in plan:
+        slots = []
+        for node in tp:
+            if is_var(node):
+                slots.append(slot_of.setdefault(node, len(slot_of)))
+                continue
+            tid = store.term_id(node)
+            if tid is None:  # a constant missing from the store matches nothing
+                return EvalResult(tuple(projection), [], 0.0, COMPLETE)
+            constants.append(tid)
+            slots.append(-len(constants))
+        triple_slots.append(tuple(slots))
+    for v in (*values_vars, *projection):
+        slot_of.setdefault(v, len(slot_of))
+    template = [None] * len(slot_of) + constants[::-1]
+
+    # VALUES terms missing from the store get negative ids, which match
+    # nothing; a None entry, or the end of a short row, leaves its variable
+    # unbound, and a longer row is an error (a bare Term is a 5-tuple). Steps
+    # are compiled once per set of VALUES slots a row leaves bound.
+    value_slots = [slot_of[v] for v in values_vars]
+    width = len(value_slots)
+    all_bound = frozenset(value_slots)
+    compiled = {all_bound: _compile(triple_slots, all_bound)}
+    term_id = store.term_id
+    unknown: dict[Term, int] = {}
+    work = []  # (initial binding, its steps) per VALUES row
+    for row in (values[1] if values else [()]):
+        if len(row) > width:
+            raise long_row_error(row, width)
+        binding = template.copy()
+        unbound = len(row) < width
+        for slot, term in zip(value_slots, row):
+            if term is None:
+                unbound = True
+                tid = None
+            else:
+                tid = term_id(term)
+                if tid is None:
+                    tid = unknown.setdefault(term, ~len(unknown))
+            binding[slot] = tid
+        bound = all_bound
+        if unbound:
+            bound = frozenset(s for s in value_slots if binding[s] is not None)
+            if bound not in compiled:
+                compiled[bound] = _compile(triple_slots, bound)
+        work.append((binding, compiled[bound]))
+
+    budget = min((b for b in (soft_budget, hard_budget) if b is not None),
+                 default=math.inf)
+    max_rows = math.inf if limit is None else limit
+    project = _tuple_getter([slot_of[v] for v in projection])
+    match_ids = store.match_ids
+    last = len(triple_slots) - 1
+    found: dict[tuple, None] = {}  # distinct projected id rows, in order
+    ticks = 0
+
+    def emit(binding: list) -> None:
+        nonlocal ticks
+        row = project(binding)
+        if row not in found:
+            ticks += 1
+            if ticks > budget:
+                raise _Stop
+            found[row] = None
+            if len(found) >= max_rows:
+                raise _Stop
+
+    def extend(binding: list, steps: list[_Step], depth: int) -> None:
+        nonlocal ticks
+        key, writes, pairs, reads_values = steps[depth]
+        lookup = key(binding)
+        if reads_values and unknown and any(tid is not None and tid < 0
+                                            for tid in lookup):
+            return
+        matches = match_ids(*lookup)
+        ticks += len(matches) or 1
+        if ticks > budget:
+            raise _Stop
+        # bind in place; the slots are reset once all matches are tried
+        for trip in matches:
+            if pairs and any(trip[a] != trip[b] for a, b in pairs):
+                continue
+            for pos, slot in writes:
+                binding[slot] = trip[pos]
+            if depth < last:
+                extend(binding, steps, depth + 1)
+            else:
+                emit(binding)
+        for _pos, slot in writes:
+            binding[slot] = None
+
+    status = COMPLETE
+    try:
+        for binding, steps in work:
+            ticks += 1
+            if ticks > budget:
+                raise _Stop
+            if steps:
+                extend(binding, steps, 0)
+            else:
+                emit(binding)
+    except _Stop:
+        if ticks > budget:
+            if hard_budget is not None and ticks > hard_budget:
+                return EvalResult(tuple(projection), [], ticks / TICKS_PER_SECOND,
+                                  HARD_TIMEOUT)
+            status = SOFT_TIMEOUT
+
+    missing = list(unknown)
+    term = store.term
+
+    def decode(tid: Optional[int]) -> Optional[Term]:
+        if tid is None:
+            return None
+        return term(tid) if tid >= 0 else missing[~tid]
+
+    rows = [tuple(map(decode, row)) for row in found]
+    return EvalResult(tuple(projection), rows, ticks / TICKS_PER_SECOND, status)
+
+
+def _random_budget(rng, ticks: int):
+    """Soft and hard timeouts: none, spent at once, ample, or short of the
+    `ticks` the query needs in full, so that it times out in the middle."""
+    return [rng.choice([None, 0.0, 10.0, rng.randint(1, ticks + 1) / TICKS_PER_SECOND])
+            for _ in ("soft", "hard")]
+
+
+def _random_query(rng, store):
+    """A pattern with repeated variables and sometimes an absent constant, a
+    projection, and VALUES variables that may include one the pattern lacks."""
+    variables = [SOURCE_VAR, TARGET_VAR, V("v0")][:rng.randint(1, 3)]
+    nodes = sorted(store.terms, key=lambda t: t.sort_key())
+    preds = sorted({tr.p for tr in store.triples()}, key=lambda t: t.sort_key())
+    if rng.random() < 0.1:
+        preds.append(ex("absent"))
+    pattern = GraphPattern(
+        TriplePattern(rng.choice(variables * 3 + nodes[:1]),
+                      rng.choice(variables + preds * 2),
+                      rng.choice(variables * 3 + nodes[:1]))
+        for _ in range(rng.randint(1, 3)))
+    pattern_vars = sorted(pattern.variables(), key=lambda v: v.name)
+    values_vars = rng.sample(pattern_vars, rng.randint(0, min(2, len(pattern_vars))))
+    if rng.random() < 0.3:
+        values_vars.append(V("extra"))
+    known = pattern_vars + values_vars
+    projection = rng.sample(known, rng.randint(1, len(known))) if known else []
+    return pattern, projection, values_vars
+
+
+def _random_table(rng, store, values_vars):
+    """Rows of store terms, None entries, absent terms and short rows."""
+    choices = store.terms + [None, ex("absent1"), ex("absent2")]
+    rows = []
+    for _ in range(rng.randint(0, 6)):
+        row = tuple(rng.choice(choices) for _ in values_vars)
+        rows.append(row[:rng.randint(0, len(row))] if rng.random() < 0.2 else row)
+    return rows
+
+
+def _same(res, ref):
+    assert (res.variables, res.rows, res.status) == (ref.variables, ref.rows, ref.status)
+    assert repr(res.elapsed) == repr(ref.elapsed)
+
+
+class TestPlanMemo:
+    def test_select_equals_reference(self):
+        """Rows in order, status and ticks equal the reference, planned per
+        call and with one memo shared across tables, budgets and limits."""
+        rng = random.Random(44)
+        for _ in range(40):
+            store = random_store(rng, n_triples=rng.randint(15, 60),
+                                 n_nodes=rng.randint(3, 8), n_preds=3)
+            memo = PlanMemo(1000)
+            shapes = [_random_query(rng, store) for _ in range(6)]
+            for _ in range(30):
+                pattern, projection, values_vars = rng.choice(shapes)
+                if rng.random() < 0.3:  # one pattern and projection, another shape
+                    values_vars = values_vars[::-1]
+                values = None
+                if values_vars or not pattern.triples or rng.random() < 0.3:
+                    values = (values_vars, _random_table(rng, store, values_vars))
+                limit = rng.choice([None, 1, 2, 3, 5, 8])
+                full = _reference_select(store, pattern, projection, values, limit,
+                                         None, None)
+                soft, hard = _random_budget(rng, round(full.elapsed * TICKS_PER_SECOND))
+                args = (store, pattern, projection, values, limit, soft, hard)
+                ref = _reference_select(*args)
+                _same(select(*args), ref)
+                _same(select(*args, plans=memo), ref)
+
+    def test_bounded_memo_equals_engine(self, capitals_store):
+        ep = local_endpoint(capitals_store, cache_capacity=2)
+        rng = random.Random(6)
+        sources = [ex(name) for name in ("Berlin", "Paris", "Oslo", "Rome")]
+        for _ in range(60):
+            pattern = random_pattern(rng, n_triples=rng.randint(1, 2), n_vars=1,
+                                     store=capitals_store)
+            projection = sorted(pattern.variables() | {SOURCE_VAR},
+                                key=lambda v: v.name)
+            values = ([SOURCE_VAR], [(s,) for s in rng.sample(sources, 2)])
+            res = ep.run_select(pattern, projection, values=values)
+            expected = select(capitals_store, pattern, projection, values=values)
+            assert (res.rows, res.status, res.elapsed) == (
+                expected.rows, expected.status, expected.elapsed)
+            assert len(ep._plans._plans) <= 3
+
+    def test_projection_error_never_memoised(self, capitals_store):
+        memo = PlanMemo(10)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="projection variables"):
+                select(capitals_store, CAPITAL_GP, [V("nowhere")], plans=memo)
+            assert memo._plans == {}
+        ep = local_endpoint(capitals_store)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="projection variables"):
+                ep.run_select(CAPITAL_GP, [V("nowhere")])
+        assert ep._plans._plans == {}

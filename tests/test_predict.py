@@ -8,13 +8,15 @@ from bgplearn.fitness import FitnessTuple
 from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
                                TriplePattern, Variable)
 from bgplearn.predict import (FUSION_STRATEGIES, PatternPortfolio,
-                              PortfolioEntry, fuse, precision_loss, predict,
-                              predict_targets, reduce_queries)
-from bgplearn.rdf import bnode, literal
+                              PortfolioEntry, RankedPrediction, fuse,
+                              precision_loss, predict, predict_targets,
+                              reduce_queries)
+from bgplearn.rdf import Term, bnode, literal
 
 from conftest import ex
 
 V = Variable
+EX_INT = "http://www.w3.org/2001/XMLSchema#integer"
 
 
 def _fit(score=1.0, f1=0.5, avg=2.0):
@@ -120,6 +122,54 @@ def _naive_rankings(entries, tsets):
                 values[strategy][t] = values[strategy].get(t, 0.0) + w
     return {s: sorted(d.items(), key=lambda kv: (-kv[1], kv[0].sort_key()))
             for s, d in values.items()}
+
+
+_ZERO_SUMS = (0.0,) * len(FUSION_STRATEGIES)
+
+
+# predict.fuse as it was before it summed into one list per strategy, kept
+# verbatim as the reference that fuse must reproduce bit for bit
+def _reference_fuse(target_sets: list[set[Term]], portfolio: PatternPortfolio,
+                    source: Term) -> RankedPrediction:
+    """Aggregate per-pattern target sets into the five ranked fusion lists."""
+    selected = portfolio.selected()
+    if len(target_sets) != len(selected):
+        raise ValueError("one target set per selected pattern required")
+    # one row of the five sums per target, in FUSION_STRATEGIES order
+    sums: dict[Term, list[float]] = {}
+    for entry, tset in zip(selected, target_sets):
+        if not tset:
+            continue
+        weights = (1.0, entry.score, entry.f1, entry.gp_precision, 1.0 / len(tset))
+        for t in tset:
+            sums[t] = [a + w for a, w in zip(sums.get(t, _ZERO_SUMS), weights)]
+    # stable sorts: by term first, then by value, give (-value, sort_key) order
+    by_term = sorted(sums.items(), key=lambda kv: kv[0].sort_key())
+    rankings = {}
+    for i, strategy in enumerate(FUSION_STRATEGIES):
+        ranked = sorted(by_term, key=lambda kv: -kv[1][i])
+        rankings[strategy] = [(t, row[i]) for t, row in ranked]
+    return RankedPrediction(source=source, rankings=rankings)
+
+
+def test_fuse_equals_reference():
+    """Value ties, empty sets, signed zero weights and a subset of
+    representatives; repr tells -0.0 from 0.0 and round-trips every float."""
+    rng = random.Random(22)
+    terms = [ex("b"), ex("a"), ex("c"), bnode("n1"), bnode("n0"), literal("x"),
+             literal("x", lang="en"), literal("x", datatype=EX_INT), literal("1")]
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        entries = [_entry([1.0], score=rng.choice([0.0, -0.0, 1.0, 2.0, rng.random()]),
+                          f1=rng.choice([0.0, -0.0, 0.5, rng.random()]),
+                          avg=rng.choice([0.0, 0.5, 2.0, rng.uniform(0.1, 9)]))
+                   for _ in range(n)]
+        reps = sorted(rng.sample(range(n), rng.randint(1, n)))
+        portfolio = PatternPortfolio(entries, representatives=reps)
+        tsets = [set(rng.sample(terms, rng.choice([0, 1, 3, len(terms)])))
+                 for _ in reps]
+        got = fuse(tsets, portfolio, ex("s"))
+        assert repr(got) == repr(_reference_fuse(tsets, portfolio, ex("s")))
 
 
 class TestFuse:
