@@ -7,10 +7,10 @@ import dataclasses
 import json
 import os
 import sys
-from typing import Optional, Union, get_args, get_type_hints
+from typing import Optional, Union, get_type_hints
 
 from . import evalharness, evolution, predict as predict_mod
-from .endpoint import Endpoint, EndpointConfig, EndpointUnreachable, LOCAL, REMOTE
+from .endpoint import Endpoint, EndpointConfig, EndpointUnreachable
 from .evolution import EvolutionConfig
 from .fitness import CoverageLedger, GroundTruthPair
 from .iojson import (GroundTruthError, dumps, learned_from_json, learned_to_json,
@@ -24,18 +24,9 @@ EXIT_USAGE = 1
 EXIT_BAD_INPUT = 2
 EXIT_ENDPOINT = 3
 
+# every field is an int or a float, so its declared type converts its text
 _EVO_TYPES = get_type_hints(EvolutionConfig)
 _EP_TYPES = get_type_hints(EndpointConfig)
-
-
-def _coerce(raw: str, declared):
-    """`raw` converted to a field's declared type; Optional[X] converts to X."""
-    declared = next((t for t in get_args(declared) if t is not type(None)), declared)
-    if declared is bool:
-        return raw.lower() in ("1", "true", "yes", "on")
-    if declared in (int, float):
-        return declared(raw)
-    return raw
 
 
 def load_config(path: Optional[str], overrides: list[str]
@@ -57,9 +48,9 @@ def load_config(path: Optional[str], overrides: list[str]
         items.append((key.strip(), value.strip()))
     for key, value in items:
         if key in _EVO_TYPES:
-            setattr(evo, key, _coerce(value, _EVO_TYPES[key]))
+            setattr(evo, key, _EVO_TYPES[key](value))
         elif key in _EP_TYPES:
-            setattr(ep, key, _coerce(value, _EP_TYPES[key]))
+            setattr(ep, key, _EP_TYPES[key](value))
         else:
             raise ValueError("unknown config key: %r" % key)
     # rebuilt so that the configs' own checks see the values set above
@@ -78,13 +69,10 @@ def _load_store(path: str):
 
 
 def _build_endpoint(args, ep_cfg: EndpointConfig) -> Endpoint:
-    url = getattr(args, "endpoint_url", None) or os.environ.get("BGPLEARN_ENDPOINT")
+    url = args.endpoint_url or os.environ.get("BGPLEARN_ENDPOINT")
     if url:
-        ep_cfg.backend = REMOTE
-        ep_cfg.url = url
-        return Endpoint(ep_cfg)
-    if getattr(args, "store", None):
-        ep_cfg.backend = LOCAL
+        return Endpoint(ep_cfg, url=url)
+    if args.store:
         return Endpoint(ep_cfg, store=_load_store(args.store))
     raise ValueError("either --store or --endpoint-url is required")
 
@@ -117,6 +105,15 @@ def _read_ledger(path: str) -> tuple[CoverageLedger, int]:
     if type(next_run) is not int or next_run < 1:
         raise ValueError("next_run must be an integer >= 1, not %r" % (next_run,))
     return ledger, next_run
+
+
+def _write(path: Optional[str], text: str) -> None:
+    """`text` into the file `path`, or to stdout without one."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_learn(args) -> int:
@@ -158,38 +155,35 @@ def cmd_learn(args) -> int:
     for rec in result.runs:
         doc = run_record_to_json(rec, echo_config=config_echo)
         run_docs.append(doc)
-        with open(os.path.join(args.out, "run_%03d.json" % rec.run_index), "w") as fh:
-            fh.write(dumps(doc))
+        _write(os.path.join(args.out, "run_%03d.json" % rec.run_index), dumps(doc))
     ledger_doc = ledger_to_json(result.ledger)
     ledger_doc["next_run"] = (result.runs[-1].run_index + 1) if result.runs else start_run
-    with open(ledger_path, "w") as fh:
-        fh.write(dumps(ledger_doc))
+    _write(ledger_path, dumps(ledger_doc))
     patterns_doc = {
         "ground_truth": [[p.source.value, p.target.value] for p in gt],
         "patterns": [learned_to_json(lp) for lp in result.patterns],
     }
-    with open(os.path.join(args.out, "patterns.json"), "w") as fh:
-        fh.write(dumps(patterns_doc))
+    _write(os.path.join(args.out, "patterns.json"), dumps(patterns_doc))
     page, json_doc = build_report(run_docs, patterns_doc["ground_truth"])
-    with open(os.path.join(args.out, "report.html"), "w") as fh:
-        fh.write(page)
-    with open(os.path.join(args.out, "report.json"), "w") as fh:
-        fh.write(dumps(json_doc))
+    _write(os.path.join(args.out, "report.html"), page)
+    _write(os.path.join(args.out, "report.json"), dumps(json_doc))
     print("learned %d patterns over %d runs; remains %.3f"
           % (len(result.patterns), len(result.runs), result.ledger.remains()))
     return EXIT_OK
 
 
 def _load_portfolio(path: str) -> predict_mod.PatternPortfolio:
+    """The portfolio in a `patterns.json`; ValueError if it is malformed."""
     with open(path) as fh:
         doc = json.load(fh)
-    entries = []
-    for obj in doc["patterns"]:
-        lp = learned_from_json(obj)
-        entries.append(predict_mod.PortfolioEntry(
-            pattern=lp.pattern, pv=lp.evaluation.pv, fitness=lp.fitness,
-            canonical_key=lp.canonical_key))
-    return predict_mod.PatternPortfolio(entries)
+    try:
+        learned = [learned_from_json(obj) for obj in doc["patterns"]]
+    except (KeyError, TypeError) as exc:
+        raise ValueError("patterns %s: malformed (%s: %s)"
+                         % (path, type(exc).__name__, exc)) from exc
+    return predict_mod.PatternPortfolio([predict_mod.PortfolioEntry(
+        pattern=lp.pattern, pv=lp.evaluation.pv, fitness=lp.fitness,
+        canonical_key=lp.canonical_key) for lp in learned])
 
 
 def cmd_predict(args) -> int:
@@ -224,12 +218,7 @@ def cmd_predict(args) -> int:
                "clustering": {"variant": reduced.clustering_variant,
                               "k": args.k,
                               "precision_loss": reduced.precision_loss}}
-    text = dumps(out)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, dumps(out))
     return EXIT_OK
 
 
@@ -282,12 +271,7 @@ def cmd_evaluate(args) -> int:
     doc = {"test_pairs": len(test), "train_pairs": len(split.train),
            "split_seed": args.split_seed,
            "metrics": {name: rep.as_dict() for name, rep in sorted(reports.items())}}
-    text = dumps(doc)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, dumps(doc))
     sys.stdout.write(format_metric_table(reports))
     return EXIT_OK
 
@@ -304,29 +288,47 @@ def format_metric_table(reports: dict[str, "evalharness.MetricReport"]) -> str:
 
 
 def cmd_report(args) -> int:
-    run_docs = []
     try:
+        run_docs = []
         for path in sorted(args.runlogs):
             with open(path) as fh:
                 run_docs.append(json.load(fh))
-    except (OSError, json.JSONDecodeError) as exc:
-        print("run log error: %s" % exc, file=sys.stderr)
+        n_pairs = max((len(pat["pv"]) for doc in run_docs
+                       for pat in doc.get("accepted", [])), default=0)
+        page, json_doc = build_report(run_docs, [["", ""]] * n_pairs)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        # unreadable, not JSON, or without a field that the report reads
+        print("run log error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return EXIT_BAD_INPUT
-    n_pairs = 0
-    for doc in run_docs:
-        for pat in doc.get("accepted", []):
-            n_pairs = max(n_pairs, len(pat["pv"]))
-    gt = [["", ""]] * n_pairs
-    page, json_doc = build_report(run_docs, gt)
-    with open(args.html, "w") as fh:
-        fh.write(page)
-    with open(args.json, "w") as fh:
-        fh.write(dumps(json_doc))
+    _write(args.html, page)
+    _write(args.json, dumps(json_doc))
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit EXIT_USAGE, not 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, "%s: error: %s\n" % (self.prog, message))
+
+
+def positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1, not %d" % value)
+    return value
+
+
+def ratio(raw: str) -> float:
+    value = float(raw)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError("must be in [0, 1], not %s" % raw)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bgplearn",
         description="Learn SPARQL basic graph patterns for source-target pairs "
                     "and predict targets with ranked fusion.")
@@ -352,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--patterns", required=True, help="patterns.json from learn")
     p.add_argument("--sources", required=True, help="file of source IRIs")
-    p.add_argument("--k", type=int, default=100, help="max prediction queries")
+    p.add_argument("--k", type=positive_int, default=100,
+                   help="max prediction queries")
     p.add_argument("--strategy", choices=predict_mod.FUSION_STRATEGIES)
     p.add_argument("--out")
     p.set_defaults(func=cmd_predict)
@@ -362,9 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patterns", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--split-seed", type=int, default=0)
-    p.add_argument("--ratio", type=float, default=0.1)
-    p.add_argument("--k", type=int, default=100)
-    p.add_argument("--top", type=int, default=100)
+    p.add_argument("--ratio", type=ratio, default=0.1)
+    p.add_argument("--k", type=positive_int, default=100)
+    p.add_argument("--top", type=positive_int, default=100)
     p.add_argument("--baselines", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)

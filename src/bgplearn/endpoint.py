@@ -20,9 +20,6 @@ from .engine import COMPLETE, HARD_TIMEOUT, SOFT_TIMEOUT, EvalResult
 from .patterns import GraphPattern, Variable, long_row_error, to_select_sparql
 from .rdf import Term, TripleStore, bnode, iri, is_token, literal
 
-LOCAL = "local"
-REMOTE = "remote"
-
 _STATUS_RANK = {COMPLETE: 0, SOFT_TIMEOUT: 1, HARD_TIMEOUT: 2}
 
 
@@ -35,19 +32,17 @@ _LOWER_BOUNDS = (("batch_size", 1), ("default_limit", 1), ("cache_capacity", 0),
 
 @dataclass
 class EndpointConfig:
-    backend: str = LOCAL
-    url: Optional[str] = None
     soft_timeout: float = engine.DEFAULT_SOFT_TIMEOUT
     hard_timeout: float = engine.DEFAULT_HARD_TIMEOUT
     cache_capacity: int = 100_000
-    cache_ttl: Optional[float] = None  # seconds; None = no expiry (Local default)
+    cache_ttl: float = 3600.0  # seconds a remote answer stays cached
     batch_size: int = 384
     retries: int = 3
     backoff: float = 0.5
     default_limit: int = engine.DEFAULT_LIMIT
 
     def __post_init__(self):
-        # None means no limit: an unmetered engine.select budget, or no TTL
+        # None means no limit: an unmetered engine.select budget
         for name, low in _LOWER_BOUNDS:
             value = getattr(self, name)
             if value is not None and value < low:
@@ -136,21 +131,19 @@ def _cache_key(gp: GraphPattern, projection, values, limit,
 
 
 class Endpoint:
-    """Facade sharing one cache across all callers."""
+    """Facade sharing one cache across all callers, over a store or a URL."""
 
     def __init__(self, config: EndpointConfig, store: Optional[TripleStore] = None,
-                 http_post: Optional[Callable] = None):
+                 url: Optional[str] = None, http_post: Optional[Callable] = None):
+        if (store is None) == (not url):
+            raise ValueError("an endpoint needs either a store or a url, not both")
         self.config = config
         self.store = store
-        if config.backend == LOCAL and store is None:
-            raise ValueError("local backend requires a store")
-        if config.backend == REMOTE and not config.url and http_post is None:
-            raise ValueError("remote backend requires a url")
+        self.url = url
         self._http_post = http_post
-        ttl = config.cache_ttl
-        if ttl is None and config.backend == REMOTE:
-            ttl = 3600.0
-        self._cache = _LRUCache(config.cache_capacity, ttl)
+        # a store cannot change, so only a remote answer expires
+        self._cache = _LRUCache(config.cache_capacity,
+                                None if store is not None else config.cache_ttl)
         self._tables = _TableNumbers(config.cache_capacity)
         self._plans = engine.PlanMemo(config.cache_capacity)
         self.backend_calls = 0
@@ -170,7 +163,7 @@ class Endpoint:
             result = self._backend_select(gp, projection, values, limit)
         # a remote HARD_TIMEOUT only comes from 5xx answers, which are
         # transient: caching it would keep a fitness penalty for the whole TTL
-        if not (self.config.backend == REMOTE and result.status == HARD_TIMEOUT):
+        if self.store is not None or result.status != HARD_TIMEOUT:
             self._cache.put(key, result)
         return result
 
@@ -203,7 +196,7 @@ class Endpoint:
 
     def _backend_select(self, gp, projection, values, limit) -> EvalResult:
         self.backend_calls += 1
-        if self.config.backend == LOCAL:
+        if self.store is not None:
             return engine.select(self.store, gp, projection, values, limit,
                                  self.config.soft_timeout,
                                  self.config.hard_timeout, plans=self._plans)
@@ -221,7 +214,7 @@ class Endpoint:
                 delay *= 2
             try:
                 status_code, payload = post(
-                    self.config.url, data={"query": query},
+                    self.url, data={"query": query},
                     headers={"Accept": "application/sparql-results+json"},
                     timeout=self.config.hard_timeout)
             except Exception as exc:  # network failure: retry with backoff
@@ -288,5 +281,4 @@ def _parse_sparql_json(payload: dict, projection: list[Variable]) -> list[tuple]
 
 
 def local_endpoint(store: TripleStore, **overrides) -> Endpoint:
-    cfg = EndpointConfig(backend=LOCAL, **overrides)
-    return Endpoint(cfg, store=store)
+    return Endpoint(EndpointConfig(**overrides), store=store)

@@ -27,7 +27,9 @@ class Split:
 
 def split_pairs(pairs: list[GroundTruthPair], ratio: float = 0.1,
                 seed: int = 0) -> Split:
-    """Random disjoint split; |test| = floor(ratio * |pairs|)."""
+    """Random disjoint split; |test| = floor(ratio * |pairs|), 0 <= ratio <= 1."""
+    if not 0.0 <= ratio <= 1.0:
+        raise ValueError("ratio must be in [0, 1], not %r" % (ratio,))
     rng = random.Random(seed)
     indices = list(range(len(pairs)))
     rng.shuffle(indices)

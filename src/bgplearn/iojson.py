@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from typing import Optional
@@ -61,10 +62,7 @@ def pattern_from_json(obj: list) -> GraphPattern:
 
 
 def fitness_to_json(ft: FitnessTuple) -> dict:
-    return {"remains": ft.remains, "score": ft.score, "gain": ft.gain, "f1": ft.f1,
-            "avg_result_len": ft.avg_result_len, "gt_matches": ft.gt_matches,
-            "pattern_length": ft.pattern_length, "pattern_vars": ft.pattern_vars,
-            "timeout_penalty": ft.timeout_penalty, "query_time_s": ft.query_time_s}
+    return dataclasses.asdict(ft)
 
 
 def fitness_from_json(obj: dict) -> FitnessTuple:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import html
 import json
+
+from .fitness import FitnessTuple
 
 
 def _grid(pv: list[float]) -> str:
@@ -36,8 +39,7 @@ td, th { border: 1px solid #ccc; padding: 2px 8px; font-size: 12px; }
 pre { background: #f5f5f5; padding: .5em; }
 """
 
-_FITNESS_COLS = ["remains", "score", "gain", "f1", "avg_result_len", "gt_matches",
-                 "pattern_length", "pattern_vars", "timeout_penalty", "query_time_s"]
+_FITNESS_COLS = [f.name for f in dataclasses.fields(FitnessTuple)]
 
 
 def build_report(run_docs: list[dict], gt_pairs: list[tuple[str, str]]

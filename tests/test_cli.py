@@ -93,26 +93,62 @@ class TestConfig:
         for f in dataclasses.fields(EvolutionConfig):
             load_config(None, ["%s=%s" % (f.name, getattr(EvolutionConfig(), f.name))])
         for f in dataclasses.fields(EndpointConfig):
-            value = getattr(EndpointConfig(), f.name)
-            if value is None:
-                continue
-            load_config(None, ["%s=%s" % (f.name, value)])
+            load_config(None, ["%s=%s" % (f.name, getattr(EndpointConfig(), f.name))])
+
+    def test_every_field_is_a_number(self):
+        """`--set` converts a value with its field's type, which needs one
+        that reads text: no bool, str or Optional fields."""
+        import typing
+        from bgplearn.endpoint import EndpointConfig
+        from bgplearn.evolution import EvolutionConfig
+        for cls in (EvolutionConfig, EndpointConfig):
+            assert set(typing.get_type_hints(cls).values()) <= {int, float}
 
     def test_values_follow_declared_type(self):
-        _evo, ep = load_config(None, ["url=3", "cache_ttl=2"])
-        assert ep.url == "3"
+        _evo, ep = load_config(None, ["cache_ttl=2"])
         assert ep.cache_ttl == 2.0 and isinstance(ep.cache_ttl, float)
 
     @pytest.mark.parametrize("setting", ["bogus=1", "batch_size=0", "cache_ttl=abc",
-                                         "cache_capacity=-5", "soft_timeout=-1"],
+                                         "cache_capacity=-5", "soft_timeout=-1",
+                                         "backend=local", "url=x"],
                              ids=["bogus", "batch_size", "cache_ttl",
-                                  "cache_capacity", "soft_timeout"])
+                                  "cache_capacity", "soft_timeout", "backend", "url"])
     @pytest.mark.parametrize("command", ["learn", "predict", "evaluate"])
     def test_bad_config_key_exits_1(self, workdir, capsys, command, setting):
         code = main([command, "--store", str(workdir / "store.ttl"),
                      *command_inputs(workdir, command), "--set", setting])
         assert code == EXIT_USAGE
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, options", [
+        ("learn", ["--seed", "x"]),
+        ("predict", ["--k", "abc"]), ("predict", ["--k", "0"]),
+        ("predict", ["--strategy", "bogus"]),
+        ("evaluate", ["--k", "0"]), ("evaluate", ["--top", "0"]),
+        ("evaluate", ["--top", "-3"]), ("evaluate", ["--ratio", "-0.5"]),
+        ("evaluate", ["--ratio", "1.5"]), ("evaluate", ["--ratio", "nan"])],
+        ids=["learn-seed", "predict-k_abc", "predict-k_0", "predict-strategy",
+             "evaluate-k_0", "evaluate-top_0", "evaluate-top_negative",
+             "evaluate-ratio_negative", "evaluate-ratio_above_1",
+             "evaluate-ratio_nan"])
+    def test_bad_option_exits_1(self, workdir, capsys, command, options):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--store", str(workdir / "store.ttl"),
+                  *command_inputs(workdir, command), *options])
+        assert exc.value.code == EXIT_USAGE
+        assert "error: argument %s" % options[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, missing", [
+        ("learn", "--gt"), ("learn", "--out"), ("predict", "--patterns"),
+        ("predict", "--sources"), ("evaluate", "--patterns"), ("evaluate", "--gt")])
+    def test_missing_option_exits_1(self, workdir, capsys, command, missing):
+        inputs = command_inputs(workdir, command)
+        at = inputs.index(missing)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--store", str(workdir / "store.ttl"),
+                  *inputs[:at], *inputs[at + 2:]])
+        assert exc.value.code == EXIT_USAGE
+        assert "required: %s" % missing in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["learn", "predict", "evaluate"])
     def test_no_backend_exits_1(self, workdir, capsys, monkeypatch, command):
@@ -274,6 +310,33 @@ class TestPredictCommand:
         assert list(doc["predictions"][0]["rankings"]) == ["scores"]
 
 
+FITNESS = {"remains": 3.0, "score": 2.5, "gain": 2.5, "f1": 1.0,
+           "avg_result_len": 1.0, "gt_matches": 3, "pattern_length": 1,
+           "pattern_vars": 2, "timeout_penalty": 0.0, "query_time_s": 0.0}
+ENTRY = {"pattern": [[{"type": "var", "name": "source"},
+                      {"type": "iri", "value": "http://example.org/capitalOf"},
+                      {"type": "var", "name": "target"}]],
+         "fitness": FITNESS, "pv": [1.0, 1.0, 1.0], "covered": [1.0, 1.0, 1.0],
+         "canonical_key": "k", "run_index": 1}
+
+
+@pytest.mark.parametrize("doc", [
+    {},
+    {"patterns": [{k: v for k, v in ENTRY.items() if k != "pattern"}]},
+    {"patterns": [dict(ENTRY, fitness=dict(FITNESS, bogus=1.0))]}],
+    ids=["no_patterns", "no_pattern", "unknown_fitness_key"])
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_malformed_patterns_exits_2(workdir, capsys, command, doc):
+    args = [command, "--store", str(workdir / "store.ttl"),
+            *command_inputs(workdir, command)]
+    (workdir / "patterns.json").write_text(json.dumps({"patterns": [ENTRY]}))
+    assert main(args) == EXIT_OK  # the well-formed document is accepted
+    capsys.readouterr()
+    (workdir / "patterns.json").write_text(json.dumps(doc))
+    assert main(args) == EXIT_BAD_INPUT
+    assert "input error: patterns" in capsys.readouterr().err
+
+
 class TestEvaluateCommand:
     def test_evaluate_with_baselines(self, workdir, capsys):
         run_learn(workdir)
@@ -344,6 +407,22 @@ class TestReportCommand:
         page, doc = build_report([], [])
         assert "No patterns were learned" in page
         assert doc["accumulated_pv"] == []
+
+    @pytest.mark.parametrize("field", ["run_index", "remains_before", "pv",
+                                       "sparql", "fitness"])
+    def test_runlog_missing_field_exits_2(self, tmp_path, capsys, field):
+        pat = {"sparql": "SELECT 1", "pv": [1.0], "fitness": FITNESS}
+        doc = {"run_index": 1, "remains_before": 1.0, "remains_after": 0.0,
+               "accepted": [pat]}
+        log = tmp_path / "run.json"
+        args = ["report", str(log), "--html", str(tmp_path / "r.html"),
+                "--json", str(tmp_path / "r.json")]
+        log.write_text(json.dumps(doc))
+        assert main(args) == EXIT_OK
+        (pat if field in pat else doc).pop(field)
+        log.write_text(json.dumps(doc))
+        assert main(args) == EXIT_BAD_INPUT
+        assert "run log error" in capsys.readouterr().err
 
     def test_bad_runlog_exits_2(self, tmp_path):
         bad = tmp_path / "run.json"

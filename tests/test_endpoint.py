@@ -1,10 +1,12 @@
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from bgplearn import endpoint
 from bgplearn.endpoint import (Endpoint, EndpointConfig, EndpointUnreachable,
-                               LOCAL, REMOTE, local_endpoint)
+                               local_endpoint)
 from bgplearn.engine import COMPLETE, HARD_TIMEOUT, select
 from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
                                TriplePattern, Variable, to_select_sparql)
@@ -169,9 +171,8 @@ class _FakePost:
 
 
 def _remote(post, **kw):
-    cfg = EndpointConfig(backend=REMOTE, url="http://fake/sparql",
-                         backoff=0.0, **kw)
-    return Endpoint(cfg, http_post=post)
+    cfg = EndpointConfig(backoff=0.0, **kw)
+    return Endpoint(cfg, url="http://fake/sparql", http_post=post)
 
 
 class TestRemote:
@@ -285,3 +286,53 @@ class TestConfig:
             EndpointConfig(**{name: lowest})
             with pytest.raises(ValueError, match=name):
                 EndpointConfig(**{name: below})
+
+
+class TestBackend:
+    def test_needs_one_of_store_and_url(self, capitals_store):
+        for given in ({}, {"url": ""},
+                      {"store": capitals_store, "url": "http://e/sparql"}):
+            with pytest.raises(ValueError, match="either a store or a url"):
+                Endpoint(EndpointConfig(), **given)
+
+    def test_url_is_posted_to(self):
+        urls = []
+
+        def post(url, data, headers, timeout):
+            urls.append(url)
+            return 200, _sparql_json([])
+
+        Endpoint(EndpointConfig(), url="http://e/sparql",
+                 http_post=post).run_select(CAPITAL_GP, [TARGET_VAR])
+        assert urls == ["http://e/sparql"]
+
+
+class TestCacheExpiry:
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        """A fake `time` for the endpoint module; advance it with clock[0]."""
+        now = [1000.0]
+        monkeypatch.setattr(endpoint, "time", SimpleNamespace(
+            time=lambda: now[0], sleep=lambda seconds: None))
+        return now
+
+    @pytest.mark.parametrize("overrides, ttl", [({}, 3600.0),
+                                                ({"cache_ttl": 10.0}, 10.0)],
+                             ids=["default", "ten"])
+    def test_remote_answer_expires_after_ttl(self, clock, overrides, ttl):
+        post = _FakePost([])
+        ep = _remote(post, **overrides)
+        first = ep.run_select(CAPITAL_GP, [TARGET_VAR])
+        clock[0] += ttl
+        assert ep.run_select(CAPITAL_GP, [TARGET_VAR]) is first
+        assert len(post.calls) == 1
+        clock[0] += 0.5
+        assert ep.run_select(CAPITAL_GP, [TARGET_VAR]) is not first
+        assert len(post.calls) == 2
+
+    def test_local_answer_never_expires(self, clock, capitals_store):
+        ep = local_endpoint(capitals_store, cache_ttl=0)
+        first = ep.run_select(CAPITAL_GP, [TARGET_VAR])
+        clock[0] += 1e9
+        assert ep.run_select(CAPITAL_GP, [TARGET_VAR]) is first
+        assert ep.backend_calls == 1

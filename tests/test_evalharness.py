@@ -40,6 +40,15 @@ class TestSplit:
         b = split_pairs(pairs, seed=9)
         assert a.train == b.train and a.test == b.test
 
+    def test_ratio_outside_unit_interval_refused(self):
+        pairs = [GroundTruthPair(ex("s%d" % i), ex("t%d" % i))
+                 for i in range(10)]
+        assert len(split_pairs(pairs, ratio=0.0).test) == 0
+        assert len(split_pairs(pairs, ratio=1.0).test) == 10
+        for ratio in (-0.5, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="ratio"):
+                split_pairs(pairs, ratio=ratio)
+
 
 class TestRankOfTruth:
     def test_found(self):
