@@ -15,8 +15,8 @@ from .evolution import EvolutionConfig
 from .fitness import CoverageLedger, GroundTruthPair
 from .iojson import (GroundTruthError, dumps, learned_from_json, learned_to_json,
                      ledger_from_json, ledger_to_json, parse_ground_truth,
-                     run_record_to_json)
-from .rdf import iri, load_file
+                     parse_sources, run_record_to_json)
+from .rdf import load_file
 from .report import build_report
 
 EXIT_OK = 0
@@ -57,38 +57,26 @@ def load_config(path: Optional[str], overrides: list[str]
     return dataclasses.replace(evo), dataclasses.replace(ep)
 
 
-class InputError(ValueError):
-    """Unreadable or malformed input data; exits EXIT_BAD_INPUT."""
-
-
-def _load_store(path: str):
-    try:
-        return load_file(path)
-    except (ValueError, OSError) as exc:
-        raise InputError("store %s: %s" % (path, exc)) from exc
-
-
-def _build_endpoint(args, ep_cfg: EndpointConfig) -> Endpoint:
-    url = args.endpoint_url or os.environ.get("BGPLEARN_ENDPOINT")
-    if url:
-        return Endpoint(ep_cfg, url=url)
-    if args.store:
-        return Endpoint(ep_cfg, store=_load_store(args.store))
-    raise ValueError("either --store or --endpoint-url is required")
-
-
 def _open_endpoint(args) -> Union[tuple[EvolutionConfig, Endpoint], int]:
     """The configs from --config/--set and the endpoint they configure, or
     the exit code after reporting why not."""
     try:
         evo_cfg, ep_cfg = load_config(args.config, args.set or [])
-        return evo_cfg, _build_endpoint(args, ep_cfg)
-    except InputError as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return EXIT_BAD_INPUT
     except (ValueError, OSError) as exc:
         print("configuration error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    url = args.endpoint_url or os.environ.get("BGPLEARN_ENDPOINT")
+    if url:
+        return evo_cfg, Endpoint(ep_cfg, url=url)
+    if not args.store:
+        print("configuration error: either --store or --endpoint-url is required",
+              file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        return evo_cfg, Endpoint(ep_cfg, store=load_file(args.store))
+    except (ValueError, OSError) as exc:
+        print("input error: store %s: %s" % (args.store, exc), file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 def _read_gt(path: str) -> list[GroundTruthPair]:
@@ -140,16 +128,8 @@ def cmd_learn(args) -> int:
             print("input error: ledger %s: %s" % (ledger_path, exc), file=sys.stderr)
             return EXIT_BAD_INPUT
 
-    try:
-        result = evolution.learn(endpoint, gt, evo_cfg, ledger=ledger,
-                                 start_run=start_run)
-    except ValueError as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except EndpointUnreachable as exc:
-        print("endpoint unreachable: %s" % exc, file=sys.stderr)
-        return EXIT_ENDPOINT
-
+    result = evolution.learn(endpoint, gt, evo_cfg, ledger=ledger,
+                             start_run=start_run)
     config_echo = dataclasses.asdict(evo_cfg)
     run_docs = []
     for rec in result.runs:
@@ -178,7 +158,7 @@ def _load_portfolio(path: str) -> predict_mod.PatternPortfolio:
         doc = json.load(fh)
     try:
         learned = [learned_from_json(obj) for obj in doc["patterns"]]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError("patterns %s: malformed (%s: %s)"
                          % (path, type(exc).__name__, exc)) from exc
     return predict_mod.PatternPortfolio([predict_mod.PortfolioEntry(
@@ -194,8 +174,7 @@ def cmd_predict(args) -> int:
     try:
         portfolio = _load_portfolio(args.patterns)
         with open(args.sources) as fh:
-            sources = [iri(line.strip().strip("<>"))
-                       for line in fh if line.strip() and not line.startswith("#")]
+            sources = parse_sources(fh.read())
     except (ValueError, OSError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -230,12 +209,16 @@ def cmd_evaluate(args) -> int:
     try:
         portfolio = _load_portfolio(args.patterns)
         gt = _read_gt(args.gt)
-    except (GroundTruthError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_BAD_INPUT
 
     split = evalharness.split_pairs(gt, ratio=args.ratio, seed=args.split_seed)
-    test = split.test if split.test else gt
+    test = split.test
+    if not test:  # never score the pairs the patterns were trained on
+        print("configuration error: --ratio %s leaves no test pair among %d "
+              "ground-truth pairs" % (args.ratio, len(gt)), file=sys.stderr)
+        return EXIT_USAGE
     reduced = (predict_mod.reduce_queries(portfolio, args.k)
                if portfolio.entries else None)
 
@@ -382,7 +365,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # e.g. a remote answer that SPARQL cannot hold
+        print("input error: %s" % exc, file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except EndpointUnreachable as exc:
+        print("endpoint unreachable: %s" % exc, file=sys.stderr)
+        return EXIT_ENDPOINT
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from . import engine
 from .canon import canonicalize
 from .engine import COMPLETE, HARD_TIMEOUT, SOFT_TIMEOUT, EvalResult
 from .patterns import GraphPattern, Variable, long_row_error, to_select_sparql
-from .rdf import Term, TripleStore, bnode, iri, is_token, literal
+from .rdf import Term, TripleStore, bnode, iri, literal
 
 _STATUS_RANK = {COMPLETE: 0, SOFT_TIMEOUT: 1, HARD_TIMEOUT: 2}
 
@@ -243,28 +243,16 @@ def _requests_post(url, data, headers, timeout):
     return resp.status_code, (resp.json() if resp.status_code < 400 else None)
 
 
-def _nt_field(value: str, token: str, form: str) -> str:
-    """`value` if the parser reads `form % value` as one `token`; ValueError
-    otherwise, as a term holding it would change the text of later queries."""
-    if not is_token(token, form % value):
-        raise ValueError("SPARQL JSON value %r is not an N-Triples %s"
-                         % (value, token))
-    return value
-
-
 def _json_term(obj: dict) -> Term:
+    """The term of a SPARQL JSON value; ValueError if N-Triples cannot write it."""
     typ = obj.get("type")
     if typ == "uri":
-        return iri(_nt_field(obj["value"], "iriref", "<%s>"))
+        return iri(obj["value"])
     if typ == "bnode":
-        return bnode(_nt_field(obj["value"], "blank", "_:%s"))
+        return bnode(obj["value"])
     if typ in ("literal", "typed-literal"):
-        datatype, lang = obj.get("datatype"), obj.get("xml:lang")
-        if datatype is not None:
-            _nt_field(datatype, "iriref", "<%s>")
-        if lang is not None:
-            _nt_field(lang, "langtag", "@%s")
-        return literal(obj["value"], datatype=datatype, lang=lang)
+        return literal(obj["value"], datatype=obj.get("datatype"),
+                       lang=obj.get("xml:lang"))
     raise ValueError("unknown SPARQL JSON term type: %r" % typ)
 
 

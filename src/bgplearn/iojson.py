@@ -11,7 +11,7 @@ from .evolution import LearnedPattern
 from .fitness import CoverageLedger, FitnessTuple, GroundTruthPair, PatternEvaluation
 from .patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR, TriplePattern, Variable,
                        is_var, to_select_sparql)
-from .rdf import _ABS_IRI_RE, BNODE, IRI, Term, bnode, iri, literal
+from .rdf import BNODE, IRI, Term, bnode, iri, literal
 
 
 class GroundTruthError(ValueError):
@@ -129,22 +129,19 @@ def ledger_from_json(obj) -> CoverageLedger:
 
 
 def _parse_gt_term(token: str, prefixes: dict[str, str], row: int) -> Term:
+    """The IRI of a `<IRI>`, a prefixed name whose prefix is declared, or a
+    bare absolute IRI; GroundTruthError naming `row` if it is none of them."""
     token = token.strip()
     if token.startswith("<") and token.endswith(">"):
-        value = token[1:-1]
-    elif ":" in token:
-        pfx, _, local = token.partition(":")
-        if pfx in prefixes:
-            value = prefixes[pfx] + local
-        elif _ABS_IRI_RE.match(token):
-            value = token  # bare absolute IRI (e.g. http://...)
-        else:
-            raise GroundTruthError("undeclared prefix %r" % pfx, [row])
+        token = token[1:-1]
     else:
-        raise GroundTruthError("not an IRI: %r" % token, [row])
-    if not _ABS_IRI_RE.match(value):
-        raise GroundTruthError("not an absolute IRI: %r" % value, [row])
-    return iri(value)
+        pfx, colon, local = token.partition(":")
+        if colon and pfx in prefixes:
+            token = prefixes[pfx] + local
+    try:
+        return iri(token)
+    except ValueError as exc:
+        raise GroundTruthError("row %d: %s" % (row, exc), [row]) from None
 
 
 _PREFIX_LINE = re.compile(
@@ -181,3 +178,10 @@ def parse_ground_truth(text: str) -> list[GroundTruthPair]:
     if not pairs:
         raise GroundTruthError("ground-truth file contains no pairs")
     return pairs
+
+
+def parse_sources(text: str) -> list[Term]:
+    """The IRIs of a sources file: one ground-truth cell per line, `#` comments."""
+    return [_parse_gt_term(line, {}, row)
+            for row, line in enumerate(text.splitlines(), start=1)
+            if line.strip() and not line.strip().startswith("#")]

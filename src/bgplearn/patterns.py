@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from typing import Iterable, Iterator, Optional, Union
 
@@ -12,13 +13,16 @@ TARGET_NAME = "target"
 
 _VAR_KIND_ORDER = 9  # variables sort after all term kinds
 
+# SPARQL's VARNAME, ASCII only: every name the learner makes has this form
+_VARNAME_RE = re.compile(r"[A-Za-z0-9_]+")
+
 
 class Variable(namedtuple("_Variable", "name")):
     __slots__ = ()
 
     def __new__(cls, name: str):
-        if not name:
-            raise ValueError("variable name must be non-empty")
+        if not _VARNAME_RE.fullmatch(name):
+            raise ValueError("not a variable name: %r" % (name,))
         return tuple.__new__(cls, (name,))
 
     def __repr__(self):

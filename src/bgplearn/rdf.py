@@ -17,7 +17,12 @@ IN = "in"
 OUT = "out"
 BIDI = "bidi"
 
-_ABS_IRI_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
+# The text each term field may hold, from the IRIREF, BLANK_NODE_LABEL and
+# LANGTAG rules of N-Triples; the tokenizer reads tokens with the same classes.
+_IRI_CHARS = r'[^<>"{}|^`\\\x00-\x20]*'
+_IRI_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.\-]*:" + _IRI_CHARS)
+_BLANK_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.\-]*")
+_LANG_RE = re.compile(r"[A-Za-z][A-Za-z0-9\-]*")
 
 _KIND_ORDER = {IRI: 0, BNODE: 1, LITERAL: 2}
 
@@ -41,12 +46,20 @@ class Term(namedtuple("_Term", "kind value datatype lang nt")):
                 lang: Optional[str] = None):
         if kind not in (IRI, BNODE, LITERAL):
             raise ValueError("unknown term kind: %r" % kind)
-        if kind == IRI and not _ABS_IRI_RE.match(value or ""):
-            raise ValueError("not an absolute IRI: %r" % value)
         if kind != LITERAL and (datatype is not None or lang is not None):
             raise ValueError("datatype/lang only valid on literals")
         if datatype is not None and lang is not None:
             raise ValueError("literal has at most one of datatype and language tag")
+        # a field N-Triples cannot write would change the text of every
+        # query or file that the term is written into
+        if kind == IRI and not _IRI_RE.fullmatch(value):
+            raise ValueError("not an absolute IRI: %r" % (value,))
+        if kind == BNODE and not _BLANK_RE.fullmatch(value):
+            raise ValueError("not a blank node label: %r" % (value,))
+        if datatype is not None and not _IRI_RE.fullmatch(datatype):
+            raise ValueError("not an absolute datatype IRI: %r" % (datatype,))
+        if lang is not None and not _LANG_RE.fullmatch(lang):
+            raise ValueError("not a language tag: %r" % (lang,))
         if kind == IRI:
             nt = "<%s>" % value
         elif kind == BNODE:
@@ -216,25 +229,18 @@ _RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 # a comment is never re-read from inside it. `bad` takes any other character.
 _TOKEN_RE = re.compile(r"""
     (?=(?P<skip>(?:\s+|\#[^\n]*)*))(?P=skip)
-    (?: (?P<iriref><[^<>"{}|^`\\\x00-\x20]*>)
+    (?: (?P<iriref><%s>)
       | (?P<literal>"(?:[^"\\\n]|\\.)*")
-      | (?P<blank>_:[A-Za-z0-9][A-Za-z0-9_.\-]*)
-      | (?P<langtag>@[A-Za-z][A-Za-z0-9\-]*)
+      | (?P<blank>_:%s)
+      | (?P<langtag>@%s)
       | (?P<dtsep>\^\^)
       | (?P<punct>[.;,])
-      | (?P<pname>(?:[A-Za-z_][\w\-.]*)?:[\w\-.:%]*)
+      | (?P<pname>(?:[A-Za-z_][\w\-.]*)?:[\w\-.:%%]*)
       | (?P<word>[A-Za-z_][\w\-]*)
       | (?P<end>\Z)
       | (?P<bad>.)
     )
-""", re.VERBOSE)
-
-
-def is_token(kind: str, text: str) -> bool:
-    """Whether the parser reads all of `text` as one token of `kind`, such as
-    "iriref", "blank" or "langtag"."""
-    m = _TOKEN_RE.match(text)
-    return m.lastgroup == kind and m.end() == len(text)
+""" % (_IRI_CHARS, _BLANK_RE.pattern, _LANG_RE.pattern), re.VERBOSE)
 
 
 _ESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
@@ -306,6 +312,14 @@ class _Parser:
     def _push(self, t) -> None:
         self.pushed = t
 
+    def _iri(self, token: str, offset: int) -> Term:
+        """The IRI of an `<...>` token; its characters are valid, so only a
+        relative IRI is refused."""
+        try:
+            return iri(token[1:-1])
+        except ValueError:
+            raise self._error("invalid IRI %s" % token, offset) from None
+
     def _expand_pname(self, value: str, offset: int) -> Term:
         pfx, _, local = value.partition(":")
         if pfx not in self.prefixes:
@@ -315,10 +329,7 @@ class _Parser:
     def _term(self, tok, *, as_predicate: bool = False, as_subject: bool = False) -> Term:
         kind, value, offset = tok
         if kind == "iriref":
-            value = value[1:-1]
-            if not _ABS_IRI_RE.match(value):
-                raise self._error("invalid IRI <%s>" % value, offset)
-            return iri(value)
+            return self._iri(value, offset)
         if kind == "pname":
             return self._expand_pname(value, offset)
         if kind == "blank":
@@ -345,9 +356,10 @@ class _Parser:
                     dt = self._expand_pname(dtok[1], dtok[2]).value
                 else:
                     raise self._error("expected datatype IRI", dtok[2])
-                if not _ABS_IRI_RE.match(dt):
-                    raise self._error("invalid datatype IRI <%s>" % dt, offset)
-                return literal(raw, datatype=dt)
+                try:
+                    return literal(raw, datatype=dt)
+                except ValueError:
+                    raise self._error("invalid datatype IRI <%s>" % dt, offset) from None
             if nxt is not None:
                 self._push(nxt)
             return literal(raw)
@@ -362,10 +374,7 @@ class _Parser:
         itok = self._next("prefix IRI")
         if itok[0] != "iriref":
             raise self._error("expected IRI in prefix declaration", itok[2])
-        ns = itok[1][1:-1]
-        if not _ABS_IRI_RE.match(ns):
-            raise self._error("invalid IRI <%s>" % ns, itok[2])
-        self.prefixes[ptok[1][:-1]] = ns
+        self.prefixes[ptok[1][:-1]] = self._iri(itok[1], itok[2]).value
         dot = self._next()
         if value.startswith("@"):
             if dot is None or dot[1] != ".":

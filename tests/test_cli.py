@@ -8,8 +8,8 @@ import sys
 import pytest
 
 from bgplearn import endpoint
-from bgplearn.cli import (EXIT_BAD_INPUT, EXIT_OK, EXIT_USAGE, load_config,
-                          main)
+from bgplearn.cli import (EXIT_BAD_INPUT, EXIT_ENDPOINT, EXIT_OK, EXIT_USAGE,
+                          load_config, main)
 from bgplearn.report import build_report
 
 from conftest import CAPITALS_TTL, ex, random_store
@@ -49,12 +49,34 @@ def command_inputs(workdir, command):
             "predict": ["--patterns", str(workdir / "patterns.json"),
                         "--sources", str(workdir / "sources.txt")],
             "evaluate": ["--patterns", str(workdir / "patterns.json"),
-                         "--gt", str(workdir / "gt.tsv")]}[command]
+                         "--gt", str(workdir / "gt.tsv"), "--ratio", "0.34"]}[command]
 
 
-def test_learn_refuses_unwritable_remote_term(workdir, capsys, monkeypatch):
+def _var(name):
+    return {"type": "var", "name": name}
+
+
+CAPITAL_OF = {"type": "iri", "value": "http://example.org/capitalOf"}
+FITNESS = {"remains": 3.0, "score": 2.5, "gain": 2.5, "f1": 1.0,
+           "avg_result_len": 1.0, "gt_matches": 3, "pattern_length": 1,
+           "pattern_vars": 2, "timeout_penalty": 0.0, "query_time_s": 0.0}
+ENTRY = {"pattern": [[_var("source"), CAPITAL_OF, _var("target")]],
+         "fitness": FITNESS, "pv": [1.0, 1.0, 1.0], "covered": [1.0, 1.0, 1.0],
+         "canonical_key": "k", "run_index": 1}
+
+
+def remote_inputs(workdir, command):
+    """`command_inputs` with a one-pattern portfolio, so that predict and
+    evaluate send a query."""
+    args = command_inputs(workdir, command)
+    (workdir / "patterns.json").write_text(json.dumps({"patterns": [ENTRY]}))
+    return ["--endpoint-url", "http://fake/sparql", *args, *FAST]
+
+
+@pytest.mark.parametrize("command", ["learn", "predict", "evaluate"])
+def test_refuses_unwritable_remote_term(workdir, capsys, monkeypatch, command):
     """An IRI in a remote answer that would change the text of later queries
-    is an input error, exit 2, not something to learn from."""
+    is an input error, exit 2, not something to learn or predict from."""
     bad = "http://e/a> . ?x ?y <http://e/z"
 
     def post(url, data, headers, timeout):
@@ -63,11 +85,51 @@ def test_learn_refuses_unwritable_remote_term(workdir, capsys, monkeypatch):
              "target": {"type": "uri", "value": bad}}]}}
 
     monkeypatch.setattr(endpoint, "_requests_post", post)
-    code = main(["learn", "--endpoint-url", "http://fake/sparql",
-                 *command_inputs(workdir, "learn"), "--seed", "11", *FAST])
+    code = main([command, *remote_inputs(workdir, command)])
     err = capsys.readouterr().err
     assert code == EXIT_BAD_INPUT
     assert "input error" in err and repr(bad) in err
+
+
+@pytest.mark.parametrize("command", ["learn", "predict", "evaluate"])
+def test_unreachable_endpoint_exits_3(workdir, capsys, monkeypatch, command):
+    def post(url, data, headers, timeout):
+        raise ConnectionError("connection refused")
+
+    monkeypatch.setattr(endpoint, "_requests_post", post)
+    code = main([command, *remote_inputs(workdir, command), "--set", "retries=0"])
+    assert code == EXIT_ENDPOINT
+    assert "endpoint unreachable" in capsys.readouterr().err
+
+
+# file to write, its text, command, the refused value; each would rewrite a query
+UNWRITABLE_INPUTS = {
+    "gt_cell": ("gt.tsv", "<http://e/a> } ; DROP ?x <http://e/z>\t<http://e/b>\n"
+                + GT_TSV, "learn", "http://e/a> } ; DROP ?x <http://e/z"),
+    "sources_line": ("sources.txt", "<http://e/a> . ?x ?y <http://e/z>\n", "predict",
+                     "http://e/a> . ?x ?y <http://e/z"),
+    "patterns_iri": ("patterns.json", json.dumps({"patterns": [dict(ENTRY, pattern=[[
+        _var("source"), {"type": "iri", "value": "http://e/p> ?target . } #"},
+        _var("target")]])]}), "predict", "http://e/p> ?target . } #"),
+    "patterns_variable": ("patterns.json", json.dumps({"patterns": [dict(ENTRY, pattern=[
+        [_var("source"), CAPITAL_OF, _var("target")],
+        [_var("x } LIMIT 1 #"), CAPITAL_OF, _var("target")]])]}), "predict",
+        "x } LIMIT 1 #"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNWRITABLE_INPUTS))
+def test_unwritable_input_exits_2(workdir, capsys, case):
+    """Text that N-Triples cannot write is refused in every input file."""
+    name, text, command, bad = UNWRITABLE_INPUTS[case]
+    args = [command, "--store", str(workdir / "store.ttl"),
+            *command_inputs(workdir, command), *FAST]
+    (workdir / "patterns.json").write_text(json.dumps({"patterns": [ENTRY]}))
+    (workdir / name).write_text(text)
+    assert main(args) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert "input error" in err or "ground truth error" in err
+    assert repr(bad) in err
 
 
 class TestConfig:
@@ -310,16 +372,6 @@ class TestPredictCommand:
         assert list(doc["predictions"][0]["rankings"]) == ["scores"]
 
 
-FITNESS = {"remains": 3.0, "score": 2.5, "gain": 2.5, "f1": 1.0,
-           "avg_result_len": 1.0, "gt_matches": 3, "pattern_length": 1,
-           "pattern_vars": 2, "timeout_penalty": 0.0, "query_time_s": 0.0}
-ENTRY = {"pattern": [[{"type": "var", "name": "source"},
-                      {"type": "iri", "value": "http://example.org/capitalOf"},
-                      {"type": "var", "name": "target"}]],
-         "fitness": FITNESS, "pv": [1.0, 1.0, 1.0], "covered": [1.0, 1.0, 1.0],
-         "canonical_key": "k", "run_index": 1}
-
-
 @pytest.mark.parametrize("doc", [
     {},
     {"patterns": [{k: v for k, v in ENTRY.items() if k != "pattern"}]},
@@ -368,6 +420,20 @@ class TestEvaluateCommand:
         doc = json.loads((workdir / "eval.json").read_text())
         fusion_map = doc["metrics"]["target_occs"]["map"]
         assert fusion_map == 1.0
+
+    @pytest.mark.parametrize("extra", [["--ratio", "0"], []], ids=["ratio_0", "default"])
+    def test_empty_test_split_exits_1(self, workdir, capsys, extra):
+        """No pair is held out, so none can be scored without scoring the
+        pairs the patterns were trained on."""
+        (workdir / "patterns.json").write_text(json.dumps({"patterns": [ENTRY]}))
+        code = main(["evaluate", "--store", str(workdir / "store.ttl"),
+                     "--patterns", str(workdir / "patterns.json"),
+                     "--gt", str(workdir / "gt.tsv"), *extra])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        ratio = extra[1] if extra else "0.1"
+        assert "configuration error: --ratio %s" % ratio in err
+        assert "among 3 ground-truth pairs" in err
 
 
 class TestReportCommand:

@@ -7,7 +7,7 @@ from bgplearn.fitness import CoverageLedger, FitnessTuple, GroundTruthPair
 from bgplearn.iojson import (GroundTruthError, dumps, fitness_from_json,
                              fitness_to_json, ledger_from_json, ledger_to_json,
                              node_from_json, node_to_json, parse_ground_truth,
-                             pattern_from_json, pattern_to_json)
+                             parse_sources, pattern_from_json, pattern_to_json)
 from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
                                TriplePattern, Variable)
 from bgplearn.rdf import bnode, iri, literal
@@ -107,3 +107,24 @@ class TestGroundTruth:
     def test_relative_iri_rejected(self):
         with pytest.raises(GroundTruthError):
             parse_ground_truth("foo\tbar\n")
+
+    def test_unwritable_iri_rejected_with_row(self):
+        text = ("<http://x/a>\t<http://x/b>\n"
+                "<http://e/a> } ; DROP ?x <http://e/z>\t<http://x/c>\n")
+        with pytest.raises(GroundTruthError) as exc:
+            parse_ground_truth(text)
+        assert exc.value.rows == [2]
+        assert "row 2" in str(exc.value)
+
+
+class TestSources:
+    def test_forms_and_comments(self):
+        text = "# sources\n<http://x/a>\n  http://x/b  \n\n  # indented comment\n"
+        assert parse_sources(text) == [iri("http://x/a"), iri("http://x/b")]
+
+    @pytest.mark.parametrize("line", ["<http://e/a> . ?x ?y <http://e/z>",
+                                      "http://x/a>", "relative"])
+    def test_unwritable_line_rejected_with_row(self, line):
+        with pytest.raises(GroundTruthError) as exc:
+            parse_sources("<http://x/a>\n%s\n" % line)
+        assert exc.value.rows == [2]

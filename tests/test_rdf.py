@@ -4,6 +4,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bgplearn.patterns import TriplePattern, Variable
 from bgplearn.rdf import (BIDI, IN, OUT, RDFSyntaxError, Term, Triple, TripleStore,
@@ -33,6 +35,42 @@ class TestTerm:
         t = iri("http://x/a")
         with pytest.raises(AttributeError):
             t.value = "other"
+
+
+# text near the edges of the term rules: delimiters, whitespace, a scheme
+_EDGY_TEXT = st.text(st.sampled_from('<>"{}|^`\\ \t\n\x00#.:_-?/@aZ09\xe9\u2028'))
+_ANY_TEXT = st.one_of(st.text(), _EDGY_TEXT, _EDGY_TEXT.map("http:".__add__),
+                      st.from_regex(r"[A-Za-z][A-Za-z0-9\-]*", fullmatch=True))
+
+_MAKERS = {
+    "iri": iri,
+    "bnode": bnode,
+    "lang": lambda x: literal("v", lang=x),
+    "datatype": lambda x: literal("v", datatype=x),
+    "literal": literal,
+}
+
+
+def _read_back(term):
+    """`term` parsed back from a triple that holds its N-Triples text."""
+    (t,) = parse_triples("<http://x/s> <http://x/p> %s ." % term.nt)
+    return t.o
+
+
+class TestTermText:
+    """A term either refuses its text or writes N-Triples that reads back
+    as the same term, so no term can change the text it is written into."""
+
+    @pytest.mark.parametrize("kind", list(_MAKERS))
+    @given(x=_ANY_TEXT)
+    @settings(max_examples=200, deadline=None)
+    def test_refused_or_round_trips(self, kind, x):
+        try:
+            term = _MAKERS[kind](x)
+        except ValueError:
+            assert kind != "literal"  # a literal's value may be any text
+            return
+        assert _read_back(term) == term
 
 
 _N3_TERMS = {
