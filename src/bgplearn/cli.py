@@ -206,6 +206,10 @@ def cmd_evaluate(args) -> int:
     if isinstance(opened, int):
         return opened
     endpoint = opened[1]
+    if args.baselines and endpoint.store is None:
+        print("configuration error: --baselines needs a local --store; the graph "
+              "scores cannot be computed over a remote endpoint", file=sys.stderr)
+        return EXIT_USAGE
     try:
         portfolio = _load_portfolio(args.patterns)
         gt = _read_gt(args.gt)
@@ -234,7 +238,7 @@ def cmd_evaluate(args) -> int:
         for s, ranks in ranks_by_strategy.items():
             reports[s] = evalharness.metrics(ranks)
 
-    if args.baselines and endpoint.store is not None:
+    if args.baselines:
         store = endpoint.store
         pr = evalharness.pagerank(store)
         auth, _hub = evalharness.hits(store)

@@ -245,13 +245,15 @@ def _requests_post(url, data, headers, timeout):
 
 def _json_term(obj: dict) -> Term:
     """The term of a SPARQL JSON value; ValueError if N-Triples cannot write it."""
-    typ = obj.get("type")
+    typ, value = obj.get("type"), obj.get("value")
+    if not isinstance(value, str):
+        raise ValueError("SPARQL JSON term without a string value: %r" % (obj,))
     if typ == "uri":
-        return iri(obj["value"])
+        return iri(value)
     if typ == "bnode":
-        return bnode(obj["value"])
+        return bnode(value)
     if typ in ("literal", "typed-literal"):
-        return literal(obj["value"], datatype=obj.get("datatype"),
+        return literal(value, datatype=obj.get("datatype"),
                        lang=obj.get("xml:lang"))
     raise ValueError("unknown SPARQL JSON term type: %r" % typ)
 

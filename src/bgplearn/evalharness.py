@@ -100,14 +100,20 @@ def pagerank(store: TripleStore, damping: float = 0.85, eps: float = 1e-10,
     rank = np.full(n, 1.0 / n)
     for _ in range(max_iter):
         contrib = np.where(dangling, 0.0, rank / np.maximum(out_deg, 1.0))
-        new = np.zeros(n)
-        np.add.at(new, dst, contrib[src])
+        new = np.bincount(dst, weights=contrib[src], minlength=n)
         new = damping * (new + rank[dangling].sum() / n) + (1.0 - damping) / n
         if np.abs(new - rank).sum() < eps:
             rank = new
             break
         rank = new
     return {store.term(tid): float(r) for tid, r in zip(nodes, rank)}
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    """`v` scaled to L2 norm 1, or `v` itself when zero. No BLAS call: a BLAS
+    norm's speed and last bits depend on its thread count."""
+    norm = np.sqrt(np.sum(v * v))
+    return v / norm if norm > 0 else v
 
 
 def hits(store: TripleStore, eps: float = 1e-10, max_iter: int = 200
@@ -122,16 +128,8 @@ def hits(store: TripleStore, eps: float = 1e-10, max_iter: int = 200
     auth = np.full(n, 1.0 / math.sqrt(n))
     hub = np.full(n, 1.0 / math.sqrt(n))
     for _ in range(max_iter):
-        new_auth = np.zeros(n)
-        np.add.at(new_auth, dst, hub[src])
-        norm = np.linalg.norm(new_auth)
-        if norm > 0:
-            new_auth /= norm
-        new_hub = np.zeros(n)
-        np.add.at(new_hub, src, new_auth[dst])
-        norm = np.linalg.norm(new_hub)
-        if norm > 0:
-            new_hub /= norm
+        new_auth = _unit(np.bincount(dst, weights=hub[src], minlength=n))
+        new_hub = _unit(np.bincount(src, weights=new_auth[dst], minlength=n))
         if (np.abs(new_auth - auth).sum() + np.abs(new_hub - hub).sum()) < eps:
             auth, hub = new_auth, new_hub
             break

@@ -21,7 +21,7 @@ BIDI = "bidi"
 # LANGTAG rules of N-Triples; the tokenizer reads tokens with the same classes.
 _IRI_CHARS = r'[^<>"{}|^`\\\x00-\x20]*'
 _IRI_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.\-]*:" + _IRI_CHARS)
-_BLANK_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.\-]*")
+_BLANK_RE = re.compile(r"[A-Za-z0-9](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?")
 _LANG_RE = re.compile(r"[A-Za-z][A-Za-z0-9\-]*")
 
 _KIND_ORDER = {IRI: 0, BNODE: 1, LITERAL: 2}

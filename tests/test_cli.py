@@ -91,6 +91,20 @@ def test_refuses_unwritable_remote_term(workdir, capsys, monkeypatch, command):
     assert "input error" in err and repr(bad) in err
 
 
+@pytest.mark.parametrize("term", [{"type": "uri"}, {"type": "literal", "value": 3}],
+                         ids=["missing", "not-string"])
+def test_remote_term_without_string_value_exits_2(workdir, capsys, monkeypatch,
+                                                   term):
+    def post(url, data, headers, timeout):
+        return 200, {"results": {"bindings": [
+            {"source": {"type": "uri", "value": "http://example.org/Berlin"},
+             "target": term}]}}
+
+    monkeypatch.setattr(endpoint, "_requests_post", post)
+    assert main(["learn", *remote_inputs(workdir, "learn")]) == EXIT_BAD_INPUT
+    assert "input error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["learn", "predict", "evaluate"])
 def test_unreachable_endpoint_exits_3(workdir, capsys, monkeypatch, command):
     def post(url, data, headers, timeout):
@@ -420,6 +434,20 @@ class TestEvaluateCommand:
         doc = json.loads((workdir / "eval.json").read_text())
         fusion_map = doc["metrics"]["target_occs"]["map"]
         assert fusion_map == 1.0
+
+    def test_baselines_on_remote_endpoint_exits_1(self, workdir, capsys,
+                                                  monkeypatch):
+        """The graph baselines read the whole store, which a remote endpoint
+        does not give; refused before any query is sent."""
+        posted = []
+        monkeypatch.setattr(endpoint, "_requests_post",
+                            lambda *args, **kwargs: posted.append(args))
+        code = main(["evaluate", *remote_inputs(workdir, "evaluate"),
+                     "--baselines", "--out", str(workdir / "eval.json")])
+        assert code == EXIT_USAGE
+        assert "configuration error: --baselines needs a local --store" in \
+            capsys.readouterr().err
+        assert posted == [] and not (workdir / "eval.json").exists()
 
     @pytest.mark.parametrize("extra", [["--ratio", "0"], []], ids=["ratio_0", "default"])
     def test_empty_test_split_exits_1(self, workdir, capsys, extra):

@@ -239,6 +239,16 @@ class TestRemote:
         assert repr(bad) in str(exc.value)
         assert len(ep._cache) == 0
 
+    @pytest.mark.parametrize("term", [
+        {"type": "uri"}, {"type": "literal", "value": 3}],
+        ids=["missing", "not-string"])
+    def test_json_term_without_string_value_refused(self, term):
+        ep = _remote(lambda url, data, headers, timeout: (200, {
+            "results": {"bindings": [{"target": term}]}}))
+        with pytest.raises(ValueError, match="without a string value"):
+            ep.run_select(CAPITAL_GP, [TARGET_VAR])
+        assert len(ep._cache) == 0
+
     def test_retry_then_success(self):
         post = _FakePost([("error",), ("error",), ("ok", ["http://x/G"])])
         ep = _remote(post, retries=3)

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,10 +10,11 @@ import pytest
 from bgplearn.evalharness import (HITS_AUTH, INDEG, PAGERANK, baseline_predict,
                                   hits, metrics, neighbourhood, pagerank,
                                   rank_of_truth, split_pairs)
+import bgplearn
 from bgplearn.fitness import GroundTruthPair
-from bgplearn.rdf import BIDI, IN, OUT, Triple, TripleStore
+from bgplearn.rdf import BIDI, IN, OUT, Triple, TripleStore, load_ntriples
 
-from conftest import ex, random_store
+from conftest import CAPITALS_TTL, ex, random_store
 
 
 def chain_store(edges):
@@ -158,6 +162,95 @@ class TestHits:
         auth, hub = hits(store)
         assert math.sqrt(sum(v * v for v in auth.values())) == pytest.approx(1.0)
         assert math.sqrt(sum(v * v for v in hub.values())) == pytest.approx(1.0)
+
+
+def _reference_scores(store):
+    """PageRank and HITS as computed with np.add.at and np.linalg.norm."""
+    nodes = sorted({n for e in store.edges() for n in e})
+    index = {t: i for i, t in enumerate(nodes)}
+    edges = sorted(store.edges())
+    src = np.array([index[s] for s, _ in edges], dtype=np.int64)
+    dst = np.array([index[o] for _, o in edges], dtype=np.int64)
+    n = len(nodes)
+    out_deg = np.bincount(src, minlength=n).astype(float)
+    dangling = out_deg == 0
+    rank = np.full(n, 1.0 / n)
+    for _ in range(200):
+        contrib = np.where(dangling, 0.0, rank / np.maximum(out_deg, 1.0))
+        new = np.zeros(n)
+        np.add.at(new, dst, contrib[src])
+        new = 0.85 * (new + rank[dangling].sum() / n) + (1.0 - 0.85) / n
+        done = np.abs(new - rank).sum() < 1e-10
+        rank = new
+        if done:
+            break
+    auth = np.full(n, 1.0 / math.sqrt(n))
+    hub = np.full(n, 1.0 / math.sqrt(n))
+    for _ in range(200):
+        new_auth = np.zeros(n)
+        np.add.at(new_auth, dst, hub[src])
+        norm = np.linalg.norm(new_auth)
+        if norm > 0:
+            new_auth /= norm
+        new_hub = np.zeros(n)
+        np.add.at(new_hub, src, new_auth[dst])
+        norm = np.linalg.norm(new_hub)
+        if norm > 0:
+            new_hub /= norm
+        done = np.abs(new_auth - auth).sum() + np.abs(new_hub - hub).sum() < 1e-10
+        auth, hub = new_auth, new_hub
+        if done:
+            break
+    terms = [store.term(t) for t in nodes]
+    return tuple(dict(zip(terms, map(float, v))) for v in (rank, auth, hub))
+
+
+_FIXTURE_STORES = {
+    "capitals": lambda: load_ntriples(CAPITALS_TTL),
+    "bipartite": lambda: chain_store([("h1", "a1"), ("h1", "a2"),
+                                      ("h2", "a1"), ("h2", "a2")]),
+    "random": lambda: random_store(random.Random(8), 60, 20, 4),
+    "random_dense": lambda: random_store(random.Random(30), 200, 40, 5),
+}
+
+# Scores of one seeded 12,000-node, 24,000-edge store in node order, written
+# as repr; OpenBLAS splits a norm of this length between its threads.
+_THREADS_SCRIPT = """
+import random
+from bgplearn.evalharness import hits, pagerank
+from bgplearn.rdf import Triple, TripleStore, iri
+rng = random.Random(5)
+nodes = [iri("http://example.org/n%d" % i) for i in range(12000)]
+p = iri("http://example.org/p")
+store = TripleStore(Triple(s, p, rng.choice(nodes)) for s in nodes * 2)
+auth, hub = hits(store)
+print(repr([list(scores.values()) for scores in (pagerank(store), auth, hub)]))
+"""
+
+
+class TestReferenceScores:
+    @pytest.mark.parametrize("name", sorted(_FIXTURE_STORES))
+    def test_match_add_at_and_linalg_norm(self, name):
+        store = _FIXTURE_STORES[name]()
+        ref_pr, ref_auth, ref_hub = _reference_scores(store)
+        assert pagerank(store) == ref_pr  # bincount adds in add.at's order
+        auth, hub = hits(store)
+        for got, ref in ((auth, ref_auth), (hub, ref_hub)):
+            assert got.keys() == ref.keys()
+            for term, value in ref.items():
+                assert abs(got[term] - value) <= 1e-12
+
+    def test_independent_of_blas_threads(self):
+        src = os.path.dirname(os.path.dirname(bgplearn.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", _THREADS_SCRIPT], env=env, check=True,
+                capture_output=True, text=True, timeout=300).stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestBaselines:

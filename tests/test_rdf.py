@@ -27,6 +27,12 @@ class TestTerm:
         with pytest.raises(ValueError):
             iri("")
 
+    @pytest.mark.parametrize("label", ["b1.", "b.", "a-b_c."])
+    def test_bnode_label_cannot_end_in_dot(self, label):
+        with pytest.raises(ValueError, match="not a blank node label"):
+            bnode(label)
+        assert bnode(label + "x").value == label + "x"
+
     def test_literal_datatype_lang_exclusive(self):
         with pytest.raises(ValueError):
             Term("literal", "x", datatype="http://x/t", lang="en")
@@ -235,6 +241,14 @@ class TestParser:
         store = load_ntriples("_:b1 <http://x/p> _:b2 .")
         t = list(store.triples())[0]
         assert t.s == bnode("b1") and t.o == bnode("b2")
+
+    def test_bnode_label_ends_before_dot(self):
+        """N-Triples' BLANK_NODE_LABEL cannot end in '.', so `_:b1.` is the
+        label b1 and the statement's dot."""
+        text = _S_P + "_:b1.\n" + _S_P + "_:b.2 ."
+        assert list(parse_triples(text)) == [
+            Triple(iri("http://x/s"), iri("http://x/p"), bnode("b1")),
+            Triple(iri("http://x/s"), iri("http://x/p"), bnode("b.2"))]
 
 
 _S_P = "<http://x/s> <http://x/p> "
