@@ -7,10 +7,10 @@ import dataclasses
 import json
 import os
 import sys
-from typing import Optional, Union, get_type_hints
+from typing import Optional, get_type_hints
 
 from . import evalharness, evolution, predict as predict_mod
-from .endpoint import Endpoint, EndpointConfig, EndpointUnreachable
+from .endpoint import Endpoint, EndpointConfig, EndpointError, EndpointUnreachable
 from .evolution import EvolutionConfig
 from .fitness import CoverageLedger, GroundTruthPair
 from .iojson import (GroundTruthError, dumps, learned_from_json, learned_to_json,
@@ -23,6 +23,15 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BAD_INPUT = 2
 EXIT_ENDPOINT = 3
+
+
+class UsageError(Exception):
+    """A bad option or config, no backend, or an output that cannot be written."""
+
+
+class RunLogError(Exception):
+    """A run log that `report` cannot read."""
+
 
 # every field is an int or a float, so its declared type converts its text
 _EVO_TYPES = get_type_hints(EvolutionConfig)
@@ -57,76 +66,72 @@ def load_config(path: Optional[str], overrides: list[str]
     return dataclasses.replace(evo), dataclasses.replace(ep)
 
 
-def _open_endpoint(args) -> Union[tuple[EvolutionConfig, Endpoint], int]:
-    """The configs from --config/--set and the endpoint they configure, or
-    the exit code after reporting why not."""
+def _open_endpoint(args) -> tuple[EvolutionConfig, Endpoint]:
+    """The configs from --config/--set and the endpoint they configure."""
     try:
         evo_cfg, ep_cfg = load_config(args.config, args.set or [])
     except (ValueError, OSError) as exc:
-        print("configuration error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(exc) from exc
     url = args.endpoint_url or os.environ.get("BGPLEARN_ENDPOINT")
     if url:
         return evo_cfg, Endpoint(ep_cfg, url=url)
     if not args.store:
-        print("configuration error: either --store or --endpoint-url is required",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("either --store or --endpoint-url is required")
     try:
         return evo_cfg, Endpoint(ep_cfg, store=load_file(args.store))
     except (ValueError, OSError) as exc:
-        print("input error: store %s: %s" % (args.store, exc), file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError("store %s: %s" % (args.store, exc)) from exc
 
 
 def _read_gt(path: str) -> list[GroundTruthPair]:
-    with open(path) as fh:
-        return parse_ground_truth(fh.read())
+    try:
+        with open(path) as fh:
+            return parse_ground_truth(fh.read())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GroundTruthError(str(exc)) from exc
 
 
 def _read_ledger(path: str) -> tuple[CoverageLedger, int]:
     """The coverage ledger and the next run index a session saved in `path`."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    ledger = ledger_from_json(doc)
-    next_run = doc.get("next_run", 1)
-    if type(next_run) is not int or next_run < 1:
-        raise ValueError("next_run must be an integer >= 1, not %r" % (next_run,))
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        ledger = ledger_from_json(doc)
+        next_run = doc.get("next_run", 1)
+        if type(next_run) is not int or next_run < 1:
+            raise ValueError("next_run must be an integer >= 1, not %r" % (next_run,))
+    except (ValueError, OSError) as exc:
+        raise ValueError("ledger %s: %s" % (path, exc)) from exc
     return ledger, next_run
 
 
 def _write(path: Optional[str], text: str) -> None:
     """`text` into the file `path`, or to stdout without one."""
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError("cannot write: %s" % exc) from exc
     else:
         sys.stdout.write(text)
 
 
 def cmd_learn(args) -> int:
-    try:
-        gt = _read_gt(args.gt)
-    except (GroundTruthError, OSError) as exc:
-        print("ground truth error: %s" % exc, file=sys.stderr)
-        return EXIT_BAD_INPUT
-    opened = _open_endpoint(args)
-    if isinstance(opened, int):
-        return opened
-    evo_cfg, endpoint = opened
+    gt = _read_gt(args.gt)
+    evo_cfg, endpoint = _open_endpoint(args)
     if args.seed is not None:
         evo_cfg.seed = args.seed
 
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise UsageError("cannot write: %s" % exc) from exc
     ledger = None
     start_run = 1
     ledger_path = os.path.join(args.out, "ledger.json")
     if args.resume and os.path.exists(ledger_path):
-        try:
-            ledger, start_run = _read_ledger(ledger_path)
-        except (ValueError, OSError) as exc:
-            print("input error: ledger %s: %s" % (ledger_path, exc), file=sys.stderr)
-            return EXIT_BAD_INPUT
+        ledger, start_run = _read_ledger(ledger_path)
 
     result = evolution.learn(endpoint, gt, evo_cfg, ledger=ledger,
                              start_run=start_run)
@@ -154,10 +159,9 @@ def cmd_learn(args) -> int:
 
 def _load_portfolio(path: str) -> predict_mod.PatternPortfolio:
     """The portfolio in a `patterns.json`; ValueError if it is malformed."""
-    with open(path) as fh:
-        doc = json.load(fh)
     try:
-        learned = [learned_from_json(obj) for obj in doc["patterns"]]
+        with open(path) as fh:
+            learned = [learned_from_json(obj) for obj in json.load(fh)["patterns"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError("patterns %s: malformed (%s: %s)"
                          % (path, type(exc).__name__, exc)) from exc
@@ -167,17 +171,13 @@ def _load_portfolio(path: str) -> predict_mod.PatternPortfolio:
 
 
 def cmd_predict(args) -> int:
-    opened = _open_endpoint(args)
-    if isinstance(opened, int):
-        return opened
-    endpoint = opened[1]
-    try:
-        portfolio = _load_portfolio(args.patterns)
-        with open(args.sources) as fh:
+    endpoint = _open_endpoint(args)[1]
+    portfolio = _load_portfolio(args.patterns)
+    with open(args.sources) as fh:
+        try:
             sources = parse_sources(fh.read())
-    except (ValueError, OSError) as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return EXIT_BAD_INPUT
+        except GroundTruthError as exc:  # a cell of the sources, not of a GT file
+            raise ValueError("sources %s: %s" % (args.sources, exc)) from exc
     if not portfolio.entries:
         out = {"predictions": []}
     else:
@@ -202,27 +202,18 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    opened = _open_endpoint(args)
-    if isinstance(opened, int):
-        return opened
-    endpoint = opened[1]
+    endpoint = _open_endpoint(args)[1]
     if args.baselines and endpoint.store is None:
-        print("configuration error: --baselines needs a local --store; the graph "
-              "scores cannot be computed over a remote endpoint", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        portfolio = _load_portfolio(args.patterns)
-        gt = _read_gt(args.gt)
-    except (ValueError, OSError) as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise UsageError("--baselines needs a local --store; the graph scores "
+                         "cannot be computed over a remote endpoint")
+    portfolio = _load_portfolio(args.patterns)
+    gt = _read_gt(args.gt)
 
     split = evalharness.split_pairs(gt, ratio=args.ratio, seed=args.split_seed)
     test = split.test
     if not test:  # never score the pairs the patterns were trained on
-        print("configuration error: --ratio %s leaves no test pair among %d "
-              "ground-truth pairs" % (args.ratio, len(gt)), file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("--ratio %s leaves no test pair among %d ground-truth "
+                         "pairs" % (args.ratio, len(gt)))
     reduced = (predict_mod.reduce_queries(portfolio, args.k)
                if portfolio.entries else None)
 
@@ -285,8 +276,7 @@ def cmd_report(args) -> int:
         page, json_doc = build_report(run_docs, [["", ""]] * n_pairs)
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         # unreadable, not JSON, or without a field that the report reads
-        print("run log error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise RunLogError("%s: %s" % (type(exc).__name__, exc)) from exc
     _write(args.html, page)
     _write(args.json, dumps(json_doc))
     return EXIT_OK
@@ -368,15 +358,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    # label and exit code of each failure a command raises; an exception takes
+    # the row of the first class on its MRO, so the most specific class wins
+    failures = {
+        UsageError: ("configuration error", EXIT_USAGE),
+        GroundTruthError: ("ground truth error", EXIT_BAD_INPUT),
+        RunLogError: ("run log error", EXIT_BAD_INPUT),
+        ValueError: ("input error", EXIT_BAD_INPUT),
+        OSError: ("input error", EXIT_BAD_INPUT),
+        EndpointUnreachable: ("endpoint unreachable", EXIT_ENDPOINT),
+        EndpointError: ("endpoint error", EXIT_ENDPOINT),
+    }
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # e.g. a remote answer that SPARQL cannot hold
-        print("input error: %s" % exc, file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except EndpointUnreachable as exc:
-        print("endpoint unreachable: %s" % exc, file=sys.stderr)
-        return EXIT_ENDPOINT
+    except tuple(failures) as exc:
+        label, code = next(failures[cls] for cls in type(exc).__mro__
+                           if cls in failures)
+        print("%s: %s" % (label, exc), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

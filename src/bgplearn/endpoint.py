@@ -49,7 +49,11 @@ class EndpointConfig:
                 raise ValueError("%s must be >= %s" % (name, low))
 
 
-class EndpointUnreachable(RuntimeError):
+class EndpointError(RuntimeError):
+    """A remote endpoint refused a query (HTTP 4xx) or could not be reached."""
+
+
+class EndpointUnreachable(EndpointError):
     """Raised after exhausting retries against a remote endpoint."""
 
 
@@ -224,8 +228,8 @@ class Endpoint:
                 last_error = None
                 continue
             if status_code >= 400:
-                raise RuntimeError("SPARQL endpoint rejected query: HTTP %d"
-                                   % status_code)
+                raise EndpointError("SPARQL endpoint rejected query: HTTP %d"
+                                    % status_code)
             rows = _parse_sparql_json(payload, projection)
             return EvalResult(tuple(projection), rows, time.time() - started,
                               COMPLETE)
@@ -253,8 +257,11 @@ def _json_term(obj: dict) -> Term:
     if typ == "bnode":
         return bnode(value)
     if typ in ("literal", "typed-literal"):
-        return literal(value, datatype=obj.get("datatype"),
-                       lang=obj.get("xml:lang"))
+        datatype, lang = obj.get("datatype"), obj.get("xml:lang")
+        if any(x is not None and not isinstance(x, str) for x in (datatype, lang)):
+            raise ValueError("SPARQL JSON literal with a non-string datatype or "
+                             "language: %r" % (obj,))
+        return literal(value, datatype=datatype, lang=lang)
     raise ValueError("unknown SPARQL JSON term type: %r" % typ)
 
 

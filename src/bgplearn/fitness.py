@@ -24,7 +24,7 @@ class CoverageLedger:
     def __init__(self, values: Iterable[float]):
         self.values = tuple([float(v) for v in values])
         if not all(0.0 <= v <= 1.0 for v in self.values):  # NaN fails too
-            raise ValueError("ledger entries must lie in [0, 1]")
+            raise ValueError("precision values must lie in [0, 1]")
         # a ledger never changes, and fitness and fix-var read these on
         # every query: each pair's fix-var weight, 1 - value, and their sum
         self.weights = tuple([1.0 - v for v in self.values])

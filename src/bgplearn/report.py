@@ -6,7 +6,7 @@ import dataclasses
 import html
 import json
 
-from .fitness import FitnessTuple
+from .fitness import CoverageLedger, FitnessTuple
 
 
 def _grid(pv: list[float]) -> str:
@@ -18,15 +18,6 @@ def _grid(pv: list[float]) -> str:
             'style="background:rgb(%d,%d,255)"></span>'
             % (i, json.dumps(p), shade, shade))
     return '<div class="grid">%s</div>' % "".join(cells)
-
-
-def _accumulated(pvs: list[list[float]], n_pairs: int) -> list[float]:
-    acc = [0.0] * n_pairs
-    for pv in pvs:
-        for i, p in enumerate(pv):
-            if p > acc[i]:
-                acc[i] = p
-    return acc
 
 
 _STYLE = """
@@ -44,9 +35,10 @@ _FITNESS_COLS = [f.name for f in dataclasses.fields(FitnessTuple)]
 
 def build_report(run_docs: list[dict], gt_pairs: list[tuple[str, str]]
                  ) -> tuple[str, dict]:
-    """Returns (html_text, json_doc); grid data attributes mirror the JSON values."""
+    """Returns (html_text, json_doc); grid data attributes mirror the JSON values.
+    ValueError for a precision outside [0, 1] or a vector not len(gt_pairs) long."""
     n_pairs = len(gt_pairs)
-    all_pvs: list[list[float]] = []
+    all_pvs: list[tuple[float, ...]] = []
     sections = []
     for doc in run_docs:
         rows = []
@@ -54,7 +46,7 @@ def build_report(run_docs: list[dict], gt_pairs: list[tuple[str, str]]
             ft = pat["fitness"]
             cells = "".join("<td>%s</td>" % html.escape(json.dumps(ft[c]))
                             for c in _FITNESS_COLS)
-            all_pvs.append(pat["pv"])
+            all_pvs.append(CoverageLedger(pat["pv"]).values)
             rows.append(
                 "<tr><td><pre>%s</pre></td>%s</tr><tr><td colspan=%d>%s</td></tr>"
                 % (html.escape(pat["sparql"]), cells, len(_FITNESS_COLS) + 1,
@@ -65,7 +57,7 @@ def build_report(run_docs: list[dict], gt_pairs: list[tuple[str, str]]
         sections.append("<h2>Run %d</h2><p>remains %s &rarr; %s</p>%s"
                         % (doc["run_index"], json.dumps(doc["remains_before"]),
                            json.dumps(doc["remains_after"]), body))
-    acc = _accumulated(all_pvs, n_pairs)
+    acc = list(CoverageLedger.zeros(n_pairs).updated(all_pvs).values)
     acc_html = ("<h2>Accumulated coverage</h2>%s" % _grid(acc)) if n_pairs else ""
     empty_note = "" if all_pvs else "<p><strong>No patterns were learned.</strong></p>"
     page = ("<!DOCTYPE html><html><head><meta charset='utf-8'>"

@@ -91,8 +91,11 @@ def test_refuses_unwritable_remote_term(workdir, capsys, monkeypatch, command):
     assert "input error" in err and repr(bad) in err
 
 
-@pytest.mark.parametrize("term", [{"type": "uri"}, {"type": "literal", "value": 3}],
-                         ids=["missing", "not-string"])
+@pytest.mark.parametrize("term", [
+    {"type": "uri"}, {"type": "literal", "value": 3},
+    {"type": "literal", "value": "v", "datatype": 3},
+    {"type": "literal", "value": "v", "xml:lang": 3}],
+    ids=["missing", "not-string", "datatype", "lang"])
 def test_remote_term_without_string_value_exits_2(workdir, capsys, monkeypatch,
                                                    term):
     def post(url, data, headers, timeout):
@@ -105,44 +108,100 @@ def test_remote_term_without_string_value_exits_2(workdir, capsys, monkeypatch,
     assert "input error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["learn", "predict", "evaluate"])
-def test_unreachable_endpoint_exits_3(workdir, capsys, monkeypatch, command):
+@pytest.mark.parametrize("command,status", [
+    pytest.param(command, status, id=command if status is None else
+                 "%s-http%d" % (command, status))
+    for status in (None, 400) for command in ("learn", "predict", "evaluate")])
+def test_unreachable_endpoint_exits_3(workdir, capsys, monkeypatch, command, status):
+    """An endpoint that cannot be reached, or that refuses a query with an
+    HTTP 4xx answer, ends every command with exit 3."""
     def post(url, data, headers, timeout):
-        raise ConnectionError("connection refused")
+        if status is None:
+            raise ConnectionError("connection refused")
+        return status, None
 
     monkeypatch.setattr(endpoint, "_requests_post", post)
     code = main([command, *remote_inputs(workdir, command), "--set", "retries=0"])
     assert code == EXIT_ENDPOINT
-    assert "endpoint unreachable" in capsys.readouterr().err
+    assert ("endpoint unreachable" if status is None else
+            "endpoint error: SPARQL endpoint rejected query: HTTP %d" % status) \
+        in capsys.readouterr().err
 
 
-# file to write, its text, command, the refused value; each would rewrite a query
+RUN_LOG = {"run_index": 1, "remains_before": 1.0, "remains_after": 0.0,
+           "accepted": []}
+
+
+@pytest.mark.parametrize("command", ["learn", "predict", "evaluate", "report"])
+def test_unwritable_output_exits_1(workdir, capsys, command):
+    """An output path that cannot be written is a usage error, exit 1: an
+    existing file as learn's --out directory, a directory as predict's --out
+    file, a file in a missing directory for evaluate and report."""
+    (workdir / "afile").write_text("")
+    (workdir / "run.json").write_text(json.dumps(RUN_LOG))
+    args = {"learn": ["--gt", str(workdir / "gt.tsv"), "--out", str(workdir / "afile"),
+                      *FAST],
+            "predict": [*command_inputs(workdir, "predict"), "--out", str(workdir)],
+            "evaluate": [*command_inputs(workdir, "evaluate"),
+                         "--out", str(workdir / "missing" / "eval.json")],
+            "report": [str(workdir / "run.json"), "--json", str(workdir / "r.json"),
+                       "--html", str(workdir / "missing" / "r.html")]}[command]
+    if command != "report":
+        args = ["--store", str(workdir / "store.ttl"), *args]
+    assert main([command, *args]) == EXIT_USAGE
+    assert "configuration error: cannot write" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,case", [
+    ("evaluate", "missing"), ("evaluate", "duplicate"), ("evaluate", "not_utf8"),
+    ("learn", "not_utf8")])
+def test_ground_truth_error_exits_2(workdir, capsys, command, case):
+    """A ground-truth file that cannot be read or parsed is labelled alike in
+    every command that reads one (learn's other cases are tested below)."""
+    args = [command, "--store", str(workdir / "store.ttl"),
+            *command_inputs(workdir, command)]
+    gt = workdir / "gt.tsv"
+    if case == "missing":
+        gt.unlink()
+    elif case == "duplicate":
+        gt.write_text("<http://x/a>\t<http://x/b>\n<http://x/a>\t<http://x/b>\n")
+    else:
+        gt.write_bytes(b"<http://x/\xff>\t<http://x/b>\n")
+    assert main(args) == EXIT_BAD_INPUT
+    assert "ground truth error" in capsys.readouterr().err
+
+
+# file to write, its text, command, the refused value, the start of the error;
+# each value would rewrite a query
 UNWRITABLE_INPUTS = {
     "gt_cell": ("gt.tsv", "<http://e/a> } ; DROP ?x <http://e/z>\t<http://e/b>\n"
-                + GT_TSV, "learn", "http://e/a> } ; DROP ?x <http://e/z"),
+                + GT_TSV, "learn", "http://e/a> } ; DROP ?x <http://e/z",
+                "ground truth error: row 1"),
     "sources_line": ("sources.txt", "<http://e/a> . ?x ?y <http://e/z>\n", "predict",
-                     "http://e/a> . ?x ?y <http://e/z"),
+                     "http://e/a> . ?x ?y <http://e/z", "input error: sources"),
     "patterns_iri": ("patterns.json", json.dumps({"patterns": [dict(ENTRY, pattern=[[
         _var("source"), {"type": "iri", "value": "http://e/p> ?target . } #"},
-        _var("target")]])]}), "predict", "http://e/p> ?target . } #"),
+        _var("target")]])]}), "predict", "http://e/p> ?target . } #",
+        "input error: patterns"),
     "patterns_variable": ("patterns.json", json.dumps({"patterns": [dict(ENTRY, pattern=[
         [_var("source"), CAPITAL_OF, _var("target")],
         [_var("x } LIMIT 1 #"), CAPITAL_OF, _var("target")]])]}), "predict",
-        "x } LIMIT 1 #"),
+        "x } LIMIT 1 #", "input error: patterns"),
 }
 
 
 @pytest.mark.parametrize("case", list(UNWRITABLE_INPUTS))
 def test_unwritable_input_exits_2(workdir, capsys, case):
-    """Text that N-Triples cannot write is refused in every input file."""
-    name, text, command, bad = UNWRITABLE_INPUTS[case]
+    """Text that N-Triples cannot write is refused in every input file, and
+    the error names the kind of file."""
+    name, text, command, bad, start = UNWRITABLE_INPUTS[case]
     args = [command, "--store", str(workdir / "store.ttl"),
             *command_inputs(workdir, command), *FAST]
     (workdir / "patterns.json").write_text(json.dumps({"patterns": [ENTRY]}))
     (workdir / name).write_text(text)
     assert main(args) == EXIT_BAD_INPUT
     err = capsys.readouterr().err
-    assert "input error" in err or "ground truth error" in err
+    assert err.startswith(start)
     assert repr(bad) in err
 
 
@@ -517,6 +576,20 @@ class TestReportCommand:
         log.write_text(json.dumps(doc))
         assert main(args) == EXIT_BAD_INPUT
         assert "run log error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pvs", [[[5.0]], [[-2.0]], [[1.0], [1.0, 0.0]]],
+                             ids=["above_1", "below_0", "unequal_lengths"])
+    def test_runlog_bad_pv_exits_2(self, tmp_path, capsys, pvs):
+        """Precision values outside [0, 1], or vectors of different lengths,
+        cannot be drawn as a coverage grid."""
+        log = tmp_path / "run.json"
+        log.write_text(json.dumps(dict(RUN_LOG, accepted=[
+            {"sparql": "SELECT 1", "pv": pv, "fitness": FITNESS} for pv in pvs])))
+        code = main(["report", str(log), "--html", str(tmp_path / "r.html"),
+                     "--json", str(tmp_path / "r.json")])
+        assert code == EXIT_BAD_INPUT
+        assert "run log error: ValueError" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_bad_runlog_exits_2(self, tmp_path):
         bad = tmp_path / "run.json"

@@ -5,8 +5,8 @@ from types import SimpleNamespace
 import pytest
 
 from bgplearn import endpoint
-from bgplearn.endpoint import (Endpoint, EndpointConfig, EndpointUnreachable,
-                               local_endpoint)
+from bgplearn.endpoint import (Endpoint, EndpointConfig, EndpointError,
+                               EndpointUnreachable, local_endpoint)
 from bgplearn.engine import COMPLETE, HARD_TIMEOUT, select
 from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
                                TriplePattern, Variable, to_select_sparql)
@@ -239,13 +239,16 @@ class TestRemote:
         assert repr(bad) in str(exc.value)
         assert len(ep._cache) == 0
 
-    @pytest.mark.parametrize("term", [
-        {"type": "uri"}, {"type": "literal", "value": 3}],
-        ids=["missing", "not-string"])
-    def test_json_term_without_string_value_refused(self, term):
+    @pytest.mark.parametrize("term,message", [
+        ({"type": "uri"}, "without a string value"),
+        ({"type": "literal", "value": 3}, "without a string value"),
+        ({"type": "literal", "value": "v", "datatype": 3}, "non-string datatype"),
+        ({"type": "literal", "value": "v", "xml:lang": 3}, "or language")],
+        ids=["missing", "not-string", "datatype", "lang"])
+    def test_json_term_without_string_value_refused(self, term, message):
         ep = _remote(lambda url, data, headers, timeout: (200, {
             "results": {"bindings": [{"target": term}]}}))
-        with pytest.raises(ValueError, match="without a string value"):
+        with pytest.raises(ValueError, match=message):
             ep.run_select(CAPITAL_GP, [TARGET_VAR])
         assert len(ep._cache) == 0
 
@@ -261,6 +264,15 @@ class TestRemote:
         ep = _remote(post, retries=2)
         with pytest.raises(EndpointUnreachable):
             ep.run_select(CAPITAL_GP, [TARGET_VAR])
+
+    def test_http_4xx_is_endpoint_error(self):
+        """A refused query is not retried and is not an unreachable endpoint."""
+        post = _FakePost([("http", 400)] * 10)
+        ep = _remote(post, retries=2)
+        with pytest.raises(EndpointError, match="HTTP 400") as exc:
+            ep.run_select(CAPITAL_GP, [TARGET_VAR])
+        assert not isinstance(exc.value, EndpointUnreachable)
+        assert len(post.calls) == 1 and len(ep._cache) == 0
 
     def test_http_5xx_is_hard_timeout(self):
         post = _FakePost([("http", 503)] * 10)
