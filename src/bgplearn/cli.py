@@ -91,11 +91,15 @@ def _read_gt(path: str) -> list[GroundTruthPair]:
         raise GroundTruthError(str(exc)) from exc
 
 
+def _read_json(path: str):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def _read_ledger(path: str) -> tuple[CoverageLedger, int]:
     """The coverage ledger and the next run index a session saved in `path`."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = _read_json(path)
         ledger = ledger_from_json(doc)
         next_run = doc.get("next_run", 1)
         if type(next_run) is not int or next_run < 1:
@@ -105,12 +109,27 @@ def _read_ledger(path: str) -> tuple[CoverageLedger, int]:
     return ledger, next_run
 
 
+def _read_learned(path: str) -> tuple[list, list[evolution.LearnedPattern]]:
+    """The ground truth and patterns of a `patterns.json`; ValueError if malformed."""
+    try:
+        doc = _read_json(path)
+        return doc.get("ground_truth"), [learned_from_json(obj) for obj in doc["patterns"]]
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise ValueError("patterns %s: malformed (%s: %s)"
+                         % (path, type(exc).__name__, exc)) from exc
+
+
 def _write(path: Optional[str], text: str) -> None:
-    """`text` into the file `path`, or to stdout without one."""
+    """`text` to stdout, or into `path`: replaced whole if it is new or a regular file."""
     if path:
+        tmp = path + ".tmp"
+        if os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path):
+            tmp = path
         try:
-            with open(path, "w") as fh:
+            with open(tmp, "w") as fh:
                 fh.write(text)
+            if tmp != path:
+                os.replace(tmp, path)
         except OSError as exc:
             raise UsageError("cannot write: %s" % exc) from exc
     else:
@@ -127,47 +146,46 @@ def cmd_learn(args) -> int:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
         raise UsageError("cannot write: %s" % exc) from exc
-    ledger = None
-    start_run = 1
+    gt_doc = [[p.source.value, p.target.value] for p in gt]
+    ledger, next_run, learned = CoverageLedger.zeros(len(gt)), 1, []
     ledger_path = os.path.join(args.out, "ledger.json")
+    patterns_path = os.path.join(args.out, "patterns.json")
     if args.resume and os.path.exists(ledger_path):
-        ledger, start_run = _read_ledger(ledger_path)
+        ledger, next_run = _read_ledger(ledger_path)
+        saved_gt, learned = _read_learned(patterns_path)
+        if saved_gt != gt_doc:
+            raise ValueError("patterns %s: learned on other GT pairs" % patterns_path)
+        learned = [lp for lp in learned if lp.run_index < next_run]  # drop uncommitted runs
 
-    result = evolution.learn(endpoint, gt, evo_cfg, ledger=ledger,
-                             start_run=start_run)
-    config_echo = dataclasses.asdict(evo_cfg)
-    run_docs = []
-    for rec in result.runs:
-        doc = run_record_to_json(rec, echo_config=config_echo)
-        run_docs.append(doc)
-        _write(os.path.join(args.out, "run_%03d.json" % rec.run_index), dumps(doc))
-    ledger_doc = ledger_to_json(result.ledger)
-    ledger_doc["next_run"] = (result.runs[-1].run_index + 1) if result.runs else start_run
-    _write(ledger_path, dumps(ledger_doc))
-    patterns_doc = {
-        "ground_truth": [[p.source.value, p.target.value] for p in gt],
-        "patterns": [learned_to_json(lp) for lp in result.patterns],
-    }
-    _write(os.path.join(args.out, "patterns.json"), dumps(patterns_doc))
-    page, json_doc = build_report(run_docs, patterns_doc["ground_truth"])
+    def save() -> None:
+        """patterns.json, then ledger.json: the ledger commits the session."""
+        _write(patterns_path, dumps({"ground_truth": gt_doc,
+                                     "patterns": [learned_to_json(lp) for lp in learned]}))
+        _write(ledger_path, dumps(dict(ledger_to_json(ledger), next_run=next_run)))
+
+    save()  # a session that runs nothing still leaves its files
+    for rec in evolution.learn_runs(endpoint, gt, evo_cfg, ledger, next_run,
+                                    [lp.canonical_key for lp in learned]):
+        _write(os.path.join(args.out, "run_%03d.json" % rec.run_index),
+               dumps(run_record_to_json(rec, echo_config=dataclasses.asdict(evo_cfg))))
+        learned += evolution.best_first(rec.accepted)
+        ledger, next_run = rec.ledger, rec.run_index + 1
+        save()
+    run_docs = [_read_json(os.path.join(args.out, "run_%03d.json" % run_index))
+                for run_index in range(1, next_run)]
+    page, json_doc = build_report(run_docs, gt_doc)
     _write(os.path.join(args.out, "report.html"), page)
     _write(os.path.join(args.out, "report.json"), dumps(json_doc))
     print("learned %d patterns over %d runs; remains %.3f"
-          % (len(result.patterns), len(result.runs), result.ledger.remains()))
+          % (len(learned), len(run_docs), ledger.remains()))
     return EXIT_OK
 
 
 def _load_portfolio(path: str) -> predict_mod.PatternPortfolio:
     """The portfolio in a `patterns.json`; ValueError if it is malformed."""
-    try:
-        with open(path) as fh:
-            learned = [learned_from_json(obj) for obj in json.load(fh)["patterns"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError("patterns %s: malformed (%s: %s)"
-                         % (path, type(exc).__name__, exc)) from exc
     return predict_mod.PatternPortfolio([predict_mod.PortfolioEntry(
         pattern=lp.pattern, pv=lp.evaluation.pv, fitness=lp.fitness,
-        canonical_key=lp.canonical_key) for lp in learned])
+        canonical_key=lp.canonical_key) for lp in _read_learned(path)[1]])
 
 
 def cmd_predict(args) -> int:
@@ -267,10 +285,7 @@ def format_metric_table(reports: dict[str, "evalharness.MetricReport"]) -> str:
 
 def cmd_report(args) -> int:
     try:
-        run_docs = []
-        for path in sorted(args.runlogs):
-            with open(path) as fh:
-                run_docs.append(json.load(fh))
+        run_docs = [_read_json(path) for path in sorted(args.runlogs)]
         n_pairs = max((len(pat["pv"]) for doc in run_docs
                        for pat in doc.get("accepted", [])), default=0)
         page, json_doc = build_report(run_docs, [["", ""]] * n_pairs)

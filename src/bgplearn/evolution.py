@@ -7,7 +7,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .canon import pattern_key
 from .engine import HARD_TIMEOUT
@@ -484,6 +484,7 @@ class RunRecord:
     remains_after: float
     accepted: list[LearnedPattern]
     generations: int
+    ledger: CoverageLedger  # after this run
 
 
 @dataclass
@@ -524,10 +525,16 @@ def run_single(endpoint, gt: list[GroundTruthPair], ledger: CoverageLedger,
     return hof
 
 
-def learn(endpoint, gt: list[GroundTruthPair], cfg: EvolutionConfig,
-          ledger: Optional[CoverageLedger] = None,
-          start_run: int = 1) -> LearnResult:
-    """Multi-run driver: accepted patterns accumulate, the ledger refocuses runs."""
+def best_first(patterns) -> list[LearnedPattern]:
+    """Earlier runs first; within a run, the higher fitness first."""
+    return sorted(patterns, key=lambda lp: (
+        lp.run_index, [-v for v in lp.fitness.key()], lp.canonical_key))
+
+
+def learn_runs(endpoint, gt: list[GroundTruthPair], cfg: EvolutionConfig,
+               ledger: Optional[CoverageLedger] = None, start_run: int = 1,
+               known_keys=()) -> Iterator[RunRecord]:
+    """Multi-run driver: yields each finished run; a known or earlier key is skipped."""
     if not gt:
         raise ValueError("ground truth must be non-empty")
     if ledger is None:
@@ -536,32 +543,35 @@ def learn(endpoint, gt: list[GroundTruthPair], cfg: EvolutionConfig,
         raise ValueError("ledger has %d entries but the ground truth has %d pairs"
                          % (len(ledger), len(gt)))
     rng = random.Random(cfg.seed)
-    results: dict[str, LearnedPattern] = {}
-    runs: list[RunRecord] = []
-
+    seen = set(known_keys)
     for run_index in range(start_run, cfg.max_runs + 1):
         remains_before = ledger.remains()
         if remains_before < cfg.min_remains:
-            break
+            return
         hof = run_single(endpoint, gt, ledger, cfg, rng)
         accepted: list[LearnedPattern] = []
         for ind in hof.best():
             if ind.fitness.score <= cfg.score_threshold:
                 continue
             key = ind.canonical_key
-            if key in results:
+            if key in seen:
                 continue  # patterns from earlier runs are considered better
-            lp = LearnedPattern(pattern=ind.pattern, fitness=ind.fitness,
-                                evaluation=ind.evaluation, canonical_key=key,
-                                run_index=run_index)
-            results[key] = lp
-            accepted.append(lp)
+            seen.add(key)
+            accepted.append(LearnedPattern(
+                pattern=ind.pattern, fitness=ind.fitness, evaluation=ind.evaluation,
+                canonical_key=key, run_index=run_index))
         ledger = update_ledger(ledger, [lp.evaluation for lp in accepted])
-        runs.append(RunRecord(run_index=run_index, remains_before=remains_before,
-                              remains_after=ledger.remains(), accepted=accepted,
-                              generations=cfg.max_generations))
-    ordered = sorted(results.values(),
-                     key=lambda lp: (lp.run_index,
-                                     [-v for v in lp.fitness.key()],
-                                     lp.canonical_key))
-    return LearnResult(patterns=ordered, ledger=ledger, runs=runs)
+        yield RunRecord(run_index=run_index, remains_before=remains_before,
+                        remains_after=ledger.remains(), accepted=accepted,
+                        generations=cfg.max_generations, ledger=ledger)
+
+
+def learn(endpoint, gt: list[GroundTruthPair], cfg: EvolutionConfig,
+          ledger: Optional[CoverageLedger] = None,
+          start_run: int = 1) -> LearnResult:
+    """Every run of `learn_runs`, their patterns best first, and the last ledger."""
+    if ledger is None:
+        ledger = CoverageLedger.zeros(len(gt))
+    runs = list(learn_runs(endpoint, gt, cfg, ledger, start_run))
+    return LearnResult(patterns=best_first(lp for rec in runs for lp in rec.accepted),
+                       ledger=runs[-1].ledger if runs else ledger, runs=runs)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from bgplearn import endpoint
+from bgplearn import endpoint, evolution
 from bgplearn.cli import (EXIT_BAD_INPUT, EXIT_ENDPOINT, EXIT_OK, EXIT_USAGE,
                           load_config, main)
 from bgplearn.report import build_report
@@ -150,6 +150,25 @@ def test_unwritable_output_exits_1(workdir, capsys, command):
         args = ["--store", str(workdir / "store.ttl"), *args]
     assert main([command, *args]) == EXIT_USAGE
     assert "configuration error: cannot write" in capsys.readouterr().err
+
+
+def test_output_replaced_whole_and_link_written_through(workdir):
+    """An output file is replaced by a new one, so a reader that holds the old
+    file never sees it half written; an output that is a link (say
+    /dev/stdout) is written through the link, which stays."""
+    (workdir / "run.json").write_text(json.dumps(RUN_LOG))
+    (workdir / "r.json").write_text("old")
+    (workdir / "target.html").write_text("old")
+    os.symlink(workdir / "target.html", workdir / "link.html")
+    with open(workdir / "r.json") as held:
+        assert main(["report", str(workdir / "run.json"),
+                     "--json", str(workdir / "r.json"),
+                     "--html", str(workdir / "link.html")]) == EXIT_OK
+        assert held.read() == "old"
+    assert json.loads((workdir / "r.json").read_text())["runs"]
+    assert (workdir / "link.html").is_symlink()
+    assert "<html" in (workdir / "target.html").read_text()
+    assert not list(workdir.glob("*.tmp"))
 
 
 @pytest.mark.parametrize("command,case", [
@@ -349,11 +368,76 @@ class TestLearnCommand:
         ledger = json.loads((workdir / "out" / "ledger.json").read_text())
         next_run = ledger["next_run"]
         assert next_run >= 2
+        patterns = (workdir / "out" / "patterns.json").read_bytes()
         code = run_learn(workdir, extra=["--resume"])
         assert code == EXIT_OK
         # fully covered ground truth: resuming adds no runs below min_remains
         ledger2 = json.loads((workdir / "out" / "ledger.json").read_text())
         assert ledger2["next_run"] >= next_run
+        assert (workdir / "out" / "patterns.json").read_bytes() == patterns
+
+    def test_interrupted_session_resumes(self, workdir, capsys, monkeypatch):
+        """A crash in run 2 leaves run 1 saved, and --resume goes on from it
+        without losing or repeating a pattern."""
+        real_run_single = evolution.run_single
+        calls = []
+
+        def crash_in_run_2(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("interrupted")
+            return real_run_single(*args)
+
+        monkeypatch.setattr(evolution, "run_single", crash_in_run_2)
+        every_run = ["--set", "min_remains=0"]
+        with pytest.raises(RuntimeError):
+            run_learn(workdir, extra=every_run)
+        out = workdir / "out"
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["ledger.json", "patterns.json", "run_001.json"]
+        assert json.loads((out / "ledger.json").read_text())["next_run"] == 2
+        run_1 = [p["canonical_key"] for p in
+                 json.loads((out / "run_001.json").read_text())["accepted"]]
+        saved = [p["canonical_key"] for p in
+                 json.loads((out / "patterns.json").read_text())["patterns"]]
+        assert saved and sorted(saved) == sorted(run_1)
+
+        monkeypatch.setattr(evolution, "run_single", real_run_single)
+        assert run_learn(workdir, extra=[*every_run, "--resume"]) == EXIT_OK
+        keys = [p["canonical_key"] for p in
+                json.loads((out / "patterns.json").read_text())["patterns"]]
+        assert keys[:len(saved)] == saved and len(keys) == len(set(keys))
+        assert json.loads((out / "ledger.json").read_text())["next_run"] == 3
+        assert len(json.loads((out / "report.json").read_text())["runs"]) == 2
+        assert "learned %d patterns over 2 runs" % len(keys) in capsys.readouterr().out
+
+    def test_resume_drops_patterns_of_uncommitted_run(self, workdir):
+        run_learn(workdir)
+        path = workdir / "out" / "patterns.json"
+        committed = path.read_bytes()
+        next_run = json.loads((workdir / "out" / "ledger.json").read_text())["next_run"]
+        doc = json.loads(committed)
+        doc["patterns"].append(dict(ENTRY, canonical_key="uncommitted",
+                                    run_index=next_run))
+        path.write_text(json.dumps(doc))
+        assert run_learn(workdir, extra=["--resume"]) == EXIT_OK
+        assert path.read_bytes() == committed
+
+    @pytest.mark.parametrize("case", ["other_pairs", "no_patterns"])
+    def test_resume_of_other_session_exits_2(self, workdir, capsys, case):
+        """--resume refuses, before any run, a ground truth with as many pairs
+        as the saved one but other pairs, and a ledger without its patterns."""
+        run_learn(workdir)
+        out = workdir / "out"
+        if case == "other_pairs":
+            (workdir / "gt.tsv").write_text(GT_TSV.replace(":Germany", ":Spain"))
+        else:
+            (out / "patterns.json").unlink()
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert run_learn(workdir, extra=["--resume"]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and "patterns.json" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     @pytest.mark.parametrize("n_ledger, n_gt", [(3, 2), (2, 3)],
                              ids=["longer_ledger", "shorter_ledger"])
@@ -364,8 +448,12 @@ class TestLearnCommand:
         (workdir / "out").mkdir()
         (workdir / "out" / "ledger.json").write_text(
             json.dumps({"values": [0.0] * n_ledger, "next_run": 1}))
+        pairs = [["http://example.org/" + name for name in pair] for pair in
+                 [("Berlin", "Germany"), ("Paris", "France"), ("Oslo", "Norway")]]
+        (workdir / "out" / "patterns.json").write_text(
+            json.dumps({"ground_truth": pairs[:n_gt], "patterns": []}))
         assert run_learn(workdir, extra=["--resume"]) == EXIT_BAD_INPUT
-        assert "input error" in capsys.readouterr().err
+        assert "input error: ledger has %d entries" % n_ledger in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", [
         '{"next_run": 1}', "not json", '{"values": ["abc", 0, 0]}',

@@ -7,6 +7,7 @@ from bgplearn.canon import pattern_key
 from bgplearn.endpoint import local_endpoint
 from bgplearn.evolution import (EvolutionConfig, HallOfFame, Individual,
                                 fit_to_live, fix_var, init_population, learn,
+                                learn_runs,
                                 mate, mut_add_edge, mut_del_triple,
                                 mut_expand_node, mut_increase_dist,
                                 mut_introduce_var, mut_merge_var,
@@ -453,3 +454,23 @@ class TestLearn:
     def test_empty_gt_rejected(self, capitals_store):
         with pytest.raises(ValueError):
             learn(local_endpoint(capitals_store), [], small_cfg())
+
+    def test_learn_collects_learn_runs(self, capitals_store, capitals_gt):
+        cfg = small_cfg(max_runs=3, min_remains=0.0)
+        runs = list(learn_runs(local_endpoint(capitals_store), capitals_gt, cfg))
+        result = learn(local_endpoint(capitals_store), capitals_gt, cfg)
+        assert runs == result.runs and len(runs) == 3
+        assert result.ledger == runs[-1].ledger
+        assert sorted(lp.canonical_key for lp in result.patterns) == \
+            sorted(lp.canonical_key for rec in runs for lp in rec.accepted)
+
+    def test_known_keys_never_accepted(self, capitals_store, capitals_gt):
+        cfg = small_cfg(max_runs=3, min_remains=0.0)
+        first = learn(local_endpoint(capitals_store), capitals_gt, cfg)
+        known = {lp.canonical_key for lp in first.patterns}
+        assert pattern_key(CAPITAL_GP) in known
+        runs = list(learn_runs(local_endpoint(capitals_store), capitals_gt, cfg,
+                               known_keys=known))
+        keys = [lp.canonical_key for rec in runs for lp in rec.accepted]
+        assert len(runs) == 3 and not known & set(keys)
+        assert len(keys) == len(set(keys))
