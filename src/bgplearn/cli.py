@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 from typing import Optional, get_type_hints
 
@@ -142,10 +143,6 @@ def cmd_learn(args) -> int:
     if args.seed is not None:
         evo_cfg.seed = args.seed
 
-    try:
-        os.makedirs(args.out, exist_ok=True)
-    except OSError as exc:
-        raise UsageError("cannot write: %s" % exc) from exc
     gt_doc = [[p.source.value, p.target.value] for p in gt]
     ledger, next_run, learned = CoverageLedger.zeros(len(gt)), 1, []
     ledger_path = os.path.join(args.out, "ledger.json")
@@ -156,6 +153,15 @@ def cmd_learn(args) -> int:
         if saved_gt != gt_doc:
             raise ValueError("patterns %s: learned on other GT pairs" % patterns_path)
         learned = [lp for lp in learned if lp.run_index < next_run]  # drop uncommitted runs
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        # logs of runs this session does not keep: an earlier session's or uncommitted
+        for name in os.listdir(args.out):
+            run = re.fullmatch(r"run_(\d+)\.json", name)
+            if run and int(run.group(1)) >= next_run:
+                os.remove(os.path.join(args.out, name))
+    except OSError as exc:
+        raise UsageError("cannot write: %s" % exc) from exc
 
     def save() -> None:
         """patterns.json, then ledger.json: the ledger commits the session."""

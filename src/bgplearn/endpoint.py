@@ -8,7 +8,6 @@ its VALUES table.
 from __future__ import annotations
 
 import itertools
-import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -62,26 +61,23 @@ class _LRUCache:
         self.capacity = capacity
         self.ttl = ttl
         self._data: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
 
     def get(self, key):
-        with self._lock:
-            entry = self._data.get(key)
-            if entry is None:
-                return None
-            value, inserted_at = entry
-            if self.ttl is not None and time.time() - inserted_at > self.ttl:
-                del self._data[key]
-                return None
-            self._data.move_to_end(key)
-            return value
+        entry = self._data.get(key)
+        if entry is None:
+            return None
+        value, inserted_at = entry
+        if self.ttl is not None and time.time() - inserted_at > self.ttl:
+            del self._data[key]
+            return None
+        self._data.move_to_end(key)
+        return value
 
     def put(self, key, value) -> None:
-        with self._lock:
-            self._data[key] = (value, time.time())
-            self._data.move_to_end(key)
-            while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
+        self._data[key] = (value, time.time())
+        self._data.move_to_end(key)
+        while len(self._data) > self.capacity:
+            self._data.popitem(last=False)
 
     def __len__(self):
         return len(self._data)
@@ -90,9 +86,7 @@ class _LRUCache:
 class _TableNumbers:
     """A number for each VALUES table, so that a cache key names a table in a
     few bytes. Numbers are never reused, so clearing the registry when it
-    holds more than `capacity` tables can cause misses but never a stale hit.
-    Two threads that miss on one table at once give it two numbers, which
-    also costs only a miss, so the registry needs no lock."""
+    holds more than `capacity` tables can cause misses but never a stale hit."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity

@@ -207,9 +207,7 @@ class PlanMemo:
     """Plans over one store, by (pattern, VALUES variables, projection), so
     that a query shape is planned once however many VALUES tables, limits
     and budgets it runs with. Cleared when it holds more than `capacity`
-    plans. Two threads that miss on one shape at once both plan it, and two
-    that compile one set of bound slots both compile it; the plans and steps
-    they make are equal, so the memo needs no lock."""
+    plans."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity

@@ -6,8 +6,6 @@ import math
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .fitness import GroundTruthPair
 from .rdf import BIDI, IN, OUT, Term, TripleStore
 
@@ -89,6 +87,7 @@ def _node_graph(store: TripleStore):
 def pagerank(store: TripleStore, damping: float = 0.85, eps: float = 1e-10,
              max_iter: int = 200) -> dict[Term, float]:
     """Power iteration with dangling-mass redistribution; scores sum to 1."""
+    import numpy as np
     nodes, index, edges = _node_graph(store)
     n = len(nodes)
     if n == 0:
@@ -109,9 +108,10 @@ def pagerank(store: TripleStore, damping: float = 0.85, eps: float = 1e-10,
     return {store.term(tid): float(r) for tid, r in zip(nodes, rank)}
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    """`v` scaled to L2 norm 1, or `v` itself when zero. No BLAS call: a BLAS
-    norm's speed and last bits depend on its thread count."""
+def _unit(v):
+    """Numpy vector `v` scaled to L2 norm 1, or `v` itself when zero. No BLAS
+    call: a BLAS norm's speed and last bits depend on its thread count."""
+    import numpy as np
     norm = np.sqrt(np.sum(v * v))
     return v / norm if norm > 0 else v
 
@@ -119,6 +119,7 @@ def _unit(v: np.ndarray) -> np.ndarray:
 def hits(store: TripleStore, eps: float = 1e-10, max_iter: int = 200
          ) -> tuple[dict[Term, float], dict[Term, float]]:
     """HITS with L2 normalization each step; returns (authority, hub) scores."""
+    import numpy as np
     nodes, index, edges = _node_graph(store)
     n = len(nodes)
     if n == 0:

@@ -7,9 +7,6 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Optional
 
-import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage
-
 from .fitness import FitnessTuple
 from .patterns import GraphPattern, SOURCE_VAR, TARGET_VAR
 from .rdf import Term
@@ -71,17 +68,76 @@ def precision_loss(entries: list[PortfolioEntry], selected: list[int]) -> float:
 
 
 def _representatives_for(entries: list[PortfolioEntry],
-                         labels: np.ndarray) -> list[int]:
-    reps: dict[int, int] = {}
-    for i, label in enumerate(labels):
-        cur = reps.get(label)
-        if cur is None:
-            reps[label] = i
-            continue
-        a, b = entries[i], entries[cur]
-        if (a.score, a.fitness.key(), -i) > (b.score, b.fitness.key(), -cur):
-            reps[label] = i
-    return sorted(reps.values())
+                         groups: list[tuple[int, ...]]) -> list[int]:
+    """The best entry of each group by (score, fitness key), lowest index
+    on a tie."""
+    def rank(i):
+        entry = entries[i]
+        return (entry.score, entry.fitness.key(), -i)
+    return sorted(max(group, key=rank) for group in groups)
+
+
+def _ward_clusters(data, k: int) -> list[tuple[int, ...]]:
+    """The partition of the rows of `data` (1 <= k < rows) that scipy's
+    fcluster(linkage(data, "ward"), k, "maxclust") gives, as sorted tuples of
+    row indices. Same nearest-neighbour chain (Muellner, arXiv:1109.2378), tie
+    rules, float operations and cut as scipy, so its merge heights are
+    bit-identical and a tie at the cut leaves fewer than k groups, as there."""
+    import numpy as np
+    m = len(data)
+    # Euclidean distances, each sum in column order as scipy's, 64 rows at a
+    # time; inf marks a row's own and merged-away clusters
+    cols = data.T.copy()
+    dist = np.empty((m, m))
+    for i in range(0, m, 64):
+        acc = np.zeros((min(64, m - i), m - i))
+        for col in cols:
+            diff = col[i:i + 64, None] - col[i:]
+            diff *= diff
+            acc += diff
+        dist[i:i + 64, i:] = np.sqrt(acc)
+        dist[i:, i:i + 64] = dist[i:i + 64, i:].T
+    np.fill_diagonal(dist, np.inf)
+    size = np.ones(m)
+    chain, merges = [], []
+    for _ in range(m - 1):
+        if not chain:
+            chain.append(int(size.nonzero()[0][0]))
+        # grow the chain to two mutual nearest neighbours: the previous link
+        # wins a tie, then the lowest index
+        while True:
+            x, row = chain[-1], dist[chain[-1]]
+            y = int(row.argmin())
+            if len(chain) > 1 and row[chain[-2]] <= row[y]:
+                y = chain[-2]
+                break
+            chain.append(y)
+        del chain[-2:]
+        height = row[y]
+        x, y = min(x, y), max(x, y)  # the merged cluster keeps index y
+        nx, ny = size[x], size[y]
+        merges.append((height, x, y))
+        size[x], size[y] = 0.0, nx + ny
+        live = size > 0
+        live[y] = False
+        # Lance-Williams update for Ward, in scipy's order of operations; a
+        # square that rounds below 0 (NaN in scipy) is never a nearest neighbour
+        ni, dxi, dyi = size[live], dist[x, live], dist[y, live]
+        t = 1.0 / (nx + ny + ni)
+        sq = ((ni + nx) * t * dxi * dxi + (ni + ny) * t * dyi * dyi
+              - ni * t * height * height)
+        dist[y, live] = dist[live, y] = np.sqrt(np.where(sq < 0, np.inf, sq))
+        dist[x] = dist[:, x] = np.inf
+    # cut at the (m - k)-th lowest height, merging every pair at or below it
+    cut = sorted(h for h, _, _ in merges)[m - k - 1]
+    label = np.arange(m)
+    for height, x, y in merges:
+        if height <= cut:
+            label[label == label[x]] = label[y]
+    groups: dict[int, list[int]] = {}
+    for i, group in enumerate(label.tolist()):
+        groups.setdefault(group, []).append(i)
+    return sorted(map(tuple, groups.values()))
 
 
 def reduce_queries(portfolio: PatternPortfolio, k: int) -> PatternPortfolio:
@@ -94,8 +150,9 @@ def reduce_queries(portfolio: PatternPortfolio, k: int) -> PatternPortfolio:
     if k >= len(entries):
         return PatternPortfolio(entries, list(range(len(entries))), "all", 0.0)
 
+    import numpy as np
     matrix = np.array([e.pv for e in entries], dtype=float)
-    variants: dict[str, np.ndarray] = {"ward_raw": matrix}
+    variants = {"ward_raw": matrix}
     col_max = matrix.max(axis=0)
     keep = col_max > 0
     if keep.any():
@@ -103,10 +160,7 @@ def reduce_queries(portfolio: PatternPortfolio, k: int) -> PatternPortfolio:
 
     best: Optional[tuple[float, str, list[int]]] = None
     for name in sorted(variants):
-        data = variants[name]
-        tree = linkage(data, method="ward")
-        labels = fcluster(tree, t=k, criterion="maxclust")
-        reps = _representatives_for(entries, labels)
+        reps = _representatives_for(entries, _ward_clusters(variants[name], k))
         loss = precision_loss(entries, reps)
         if best is None or loss < best[0]:
             best = (loss, name, reps)

@@ -376,6 +376,14 @@ class TestLearnCommand:
         assert ledger2["next_run"] >= next_run
         assert (workdir / "out" / "patterns.json").read_bytes() == patterns
 
+    def test_fresh_session_removes_earlier_run_logs(self, workdir):
+        out = workdir / "out"
+        run_learn(workdir, extra=["--set", "max_runs=3", "--set", "min_remains=0"])
+        assert (out / "run_003.json").exists()
+        run_learn(workdir, extra=["--set", "max_runs=1", "--seed", "5"])
+        assert sorted(p.name for p in out.glob("run_*.json")) == ["run_001.json"]
+        assert json.loads((out / "run_001.json").read_text())["config"]["seed"] == 5
+
     def test_interrupted_session_resumes(self, workdir, capsys, monkeypatch):
         """A crash in run 2 leaves run 1 saved, and --resume goes on from it
         without losing or repeating a pattern."""

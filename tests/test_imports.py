@@ -1,7 +1,11 @@
-"""Every top-level import of a library module is used in that module."""
+"""Every top-level import of a library module is used in that module, and
+the command-line module loads no numerical library."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -40,3 +44,12 @@ def test_no_unused_top_level_imports(path):
     unused = sorted("%s (line %d)" % (name, line)
                     for name, line in _imported(tree).items() if name not in used)
     assert not unused, "%s imports but never uses: %s" % (path.name, ", ".join(unused))
+
+
+def test_cli_import_loads_neither_numpy_nor_scipy():
+    code = ("import sys, bgplearn.cli; "
+            "print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -1,6 +1,9 @@
 import itertools
+import json
+import pathlib
 import random
 
+import numpy as np
 import pytest
 
 from bgplearn.endpoint import local_endpoint
@@ -8,8 +11,8 @@ from bgplearn.fitness import FitnessTuple
 from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
                                TriplePattern, Variable)
 from bgplearn.predict import (FUSION_STRATEGIES, PatternPortfolio,
-                              PortfolioEntry, RankedPrediction, fuse,
-                              precision_loss, predict, predict_targets,
+                              PortfolioEntry, RankedPrediction, _ward_clusters,
+                              fuse, precision_loss, predict, predict_targets,
                               reduce_queries)
 from bgplearn.rdf import Term, bnode, literal
 
@@ -17,6 +20,7 @@ from conftest import ex
 
 V = Variable
 EX_INT = "http://www.w3.org/2001/XMLSchema#integer"
+WARD = json.loads((pathlib.Path(__file__).parent / "ward_partitions.json").read_text())
 
 
 def _fit(score=1.0, f1=0.5, avg=2.0):
@@ -87,6 +91,19 @@ class TestReduceQueries:
             reduce_queries(PatternPortfolio([]), 2)
         with pytest.raises(ValueError):
             reduce_queries(PatternPortfolio([_entry([1.0])]), 0)
+
+
+@pytest.mark.parametrize("portfolio", WARD["portfolios"])
+def test_ward_clusters_match_recorded_scipy_partitions(portfolio):
+    """Raw and column-scaled rows, as reduce_queries clusters them; the
+    recording includes ties at the cut that leave fewer than k groups."""
+    matrix = np.array(portfolio["rows"])
+    col_max = matrix.max(axis=0)
+    keep = col_max > 0
+    variants = {"raw": matrix, "scaled": matrix[:, keep] / col_max[keep]}
+    for name, data in variants.items():
+        for k, groups in portfolio.get(name, {}).items():
+            assert _ward_clusters(data, int(k)) == list(map(tuple, groups)), (name, k)
 
 
 class TestPredictTargets:
