@@ -6,7 +6,7 @@ from .engine import EvalResult, join_plan, select
 from .evolution import (EvolutionConfig, HallOfFame, Individual, LearnResult,
                         LearnedPattern, fit_to_live, learn)
 from .fitness import (CoverageLedger, FitnessTuple, GroundTruthPair,
-                      PatternEvaluation, evaluate, score, update_ledger)
+                      PatternEvaluation, evaluate, score)
 from .patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR, TriplePattern,
                        Variable, to_select_sparql)
 from .iojson import GroundTruthError, parse_ground_truth

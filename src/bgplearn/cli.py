@@ -137,6 +137,14 @@ def _write(path: Optional[str], text: str) -> None:
         sys.stdout.write(text)
 
 
+def _write_report(run_docs: list[dict], gt_doc: list, html_path: str,
+                  json_path: str) -> None:
+    """The report of a session's run logs; ValueError if they do not fit `gt_doc`."""
+    page, json_doc = build_report(run_docs, gt_doc)
+    _write(html_path, page)
+    _write(json_path, dumps(json_doc))
+
+
 def cmd_learn(args) -> int:
     gt = _read_gt(args.gt)
     evo_cfg, endpoint = _open_endpoint(args)
@@ -179,9 +187,8 @@ def cmd_learn(args) -> int:
         save()
     run_docs = [_read_json(os.path.join(args.out, "run_%03d.json" % run_index))
                 for run_index in range(1, next_run)]
-    page, json_doc = build_report(run_docs, gt_doc)
-    _write(os.path.join(args.out, "report.html"), page)
-    _write(os.path.join(args.out, "report.json"), dumps(json_doc))
+    _write_report(run_docs, gt_doc, os.path.join(args.out, "report.html"),
+                  os.path.join(args.out, "report.json"))
     print("learned %d patterns over %d runs; remains %.3f"
           % (len(learned), len(run_docs), ledger.remains()))
     return EXIT_OK
@@ -194,6 +201,17 @@ def _load_portfolio(path: str) -> predict_mod.PatternPortfolio:
         canonical_key=lp.canonical_key) for lp in _read_learned(path)[1]])
 
 
+def _predict_each(endpoint, portfolio: predict_mod.PatternPortfolio, k: int,
+                  sources) -> tuple[Optional[predict_mod.PatternPortfolio], dict]:
+    """The portfolio reduced to at most `k` queries, and the ranked prediction
+    of each distinct source by it; (None, {}) for an empty portfolio."""
+    if not portfolio.entries:
+        return None, {}
+    reduced = predict_mod.reduce_queries(portfolio, k)
+    return reduced, {source: predict_mod.predict(endpoint, reduced, source)
+                     for source in dict.fromkeys(sources)}
+
+
 def cmd_predict(args) -> int:
     endpoint = _open_endpoint(args)[1]
     portfolio = _load_portfolio(args.patterns)
@@ -202,21 +220,18 @@ def cmd_predict(args) -> int:
             sources = parse_sources(fh.read())
         except GroundTruthError as exc:  # a cell of the sources, not of a GT file
             raise ValueError("sources %s: %s" % (args.sources, exc)) from exc
-    if not portfolio.entries:
+    reduced, ranked = _predict_each(endpoint, portfolio, args.k, sources)
+    if reduced is None:
         out = {"predictions": []}
     else:
-        reduced = predict_mod.reduce_queries(portfolio, args.k)
-        predictions = []
-        for source in sources:
-            ranked = predict_mod.predict(endpoint, reduced, source)
-            strategies = ([args.strategy] if args.strategy
-                          else list(predict_mod.FUSION_STRATEGIES))
-            predictions.append({
-                "source": source.value,
-                "rankings": {s: [[t.value if t.kind == "iri" else t.n3(), v]
-                                 for t, v in ranked.rankings[s]]
-                             for s in strategies},
-            })
+        strategies = ([args.strategy] if args.strategy
+                      else list(predict_mod.FUSION_STRATEGIES))
+        predictions = [{
+            "source": source.value,
+            "rankings": {s: [[t.value if t.kind == "iri" else t.n3(), v]
+                             for t, v in ranked[source].rankings[s]]
+                         for s in strategies},
+        } for source in sources]
         out = {"predictions": predictions,
                "clustering": {"variant": reduced.clustering_variant,
                               "k": args.k,
@@ -238,20 +253,15 @@ def cmd_evaluate(args) -> int:
     if not test:  # never score the pairs the patterns were trained on
         raise UsageError("--ratio %s leaves no test pair among %d ground-truth "
                          "pairs" % (args.ratio, len(gt)))
-    reduced = (predict_mod.reduce_queries(portfolio, args.k)
-               if portfolio.entries else None)
+    reduced, ranked = _predict_each(endpoint, portfolio, args.k,
+                                    [pair.source for pair in test])
 
     reports: dict[str, evalharness.MetricReport] = {}
-    ranks_by_strategy: dict[str, list[float]] = {
-        s: [] for s in predict_mod.FUSION_STRATEGIES}
     if reduced is not None:
-        for pair in test:
-            ranked = predict_mod.predict(endpoint, reduced, pair.source)
-            for s in predict_mod.FUSION_STRATEGIES:
-                ranks_by_strategy[s].append(
-                    evalharness.rank_of_truth(ranked.rankings[s], pair.target))
-        for s, ranks in ranks_by_strategy.items():
-            reports[s] = evalharness.metrics(ranks)
+        for s in predict_mod.FUSION_STRATEGIES:
+            reports[s] = evalharness.metrics([
+                evalharness.rank_of_truth(ranked[pair.source].rankings[s], pair.target)
+                for pair in test])
 
     if args.baselines:
         store = endpoint.store
@@ -291,15 +301,17 @@ def format_metric_table(reports: dict[str, "evalharness.MetricReport"]) -> str:
 
 def cmd_report(args) -> int:
     try:
+        dirs = sorted({os.path.dirname(os.path.abspath(path)) for path in args.runlogs})
+        if len(dirs) > 1:
+            raise ValueError("run logs from more than one directory: %s"
+                             % ", ".join(dirs))
+        gt_doc = _read_json(os.path.join(dirs[0], "patterns.json"))["ground_truth"]
         run_docs = [_read_json(path) for path in sorted(args.runlogs)]
-        n_pairs = max((len(pat["pv"]) for doc in run_docs
-                       for pat in doc.get("accepted", [])), default=0)
-        page, json_doc = build_report(run_docs, [["", ""]] * n_pairs)
+        _write_report(run_docs, gt_doc, args.html, args.json)
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-        # unreadable, not JSON, or without a field that the report reads
+        # unreadable, not JSON, without a field that the report reads, not
+        # beside the session's patterns.json, or not fitting its ground truth
         raise RunLogError("%s: %s" % (type(exc).__name__, exc)) from exc
-    _write(args.html, page)
-    _write(args.json, dumps(json_doc))
     return EXIT_OK
 
 

@@ -25,8 +25,8 @@ _STATUS_RANK = {COMPLETE: 0, SOFT_TIMEOUT: 1, HARD_TIMEOUT: 2}
 # lowest accepted value of each numeric setting; 0 is valid where it means
 # "nothing": no caching, no retry, no wait, a budget that is spent at once
 _LOWER_BOUNDS = (("batch_size", 1), ("default_limit", 1), ("cache_capacity", 0),
-                 ("cache_ttl", 0), ("retries", 0), ("backoff", 0),
-                 ("soft_timeout", 0), ("hard_timeout", 0))
+                 ("retries", 0), ("backoff", 0), ("soft_timeout", 0),
+                 ("hard_timeout", 0))
 
 
 @dataclass
@@ -34,7 +34,6 @@ class EndpointConfig:
     soft_timeout: float = engine.DEFAULT_SOFT_TIMEOUT
     hard_timeout: float = engine.DEFAULT_HARD_TIMEOUT
     cache_capacity: int = 100_000
-    cache_ttl: float = 3600.0  # seconds a remote answer stays cached
     batch_size: int = 384
     retries: int = 3
     backoff: float = 0.5
@@ -57,24 +56,20 @@ class EndpointUnreachable(EndpointError):
 
 
 class _LRUCache:
-    def __init__(self, capacity: int, ttl: Optional[float] = None):
+    """Least recently used entries beyond `capacity` go; none expires."""
+
+    def __init__(self, capacity: int):
         self.capacity = capacity
-        self.ttl = ttl
         self._data: OrderedDict = OrderedDict()
 
     def get(self, key):
-        entry = self._data.get(key)
-        if entry is None:
-            return None
-        value, inserted_at = entry
-        if self.ttl is not None and time.time() - inserted_at > self.ttl:
-            del self._data[key]
-            return None
-        self._data.move_to_end(key)
+        value = self._data.get(key)
+        if value is not None:
+            self._data.move_to_end(key)
         return value
 
     def put(self, key, value) -> None:
-        self._data[key] = (value, time.time())
+        self._data[key] = value
         self._data.move_to_end(key)
         while len(self._data) > self.capacity:
             self._data.popitem(last=False)
@@ -139,9 +134,7 @@ class Endpoint:
         self.store = store
         self.url = url
         self._http_post = http_post
-        # a store cannot change, so only a remote answer expires
-        self._cache = _LRUCache(config.cache_capacity,
-                                None if store is not None else config.cache_ttl)
+        self._cache = _LRUCache(config.cache_capacity)
         self._tables = _TableNumbers(config.cache_capacity)
         self._plans = engine.PlanMemo(config.cache_capacity)
         self.backend_calls = 0
@@ -160,7 +153,7 @@ class Endpoint:
         else:
             result = self._backend_select(gp, projection, values, limit)
         # a remote HARD_TIMEOUT only comes from 5xx answers, which are
-        # transient: caching it would keep a fitness penalty for the whole TTL
+        # transient: caching it would keep a fitness penalty for the session
         if self.store is not None or result.status != HARD_TIMEOUT:
             self._cache.put(key, result)
         return result

@@ -44,10 +44,6 @@ class EvalResult:
     status: str = COMPLETE
 
     @property
-    def complete(self) -> bool:
-        return self.status == COMPLETE
-
-    @property
     def timed_out(self) -> bool:
         return self.status != COMPLETE
 

@@ -78,22 +78,25 @@ def metrics(ranks: list[float], ks: range = range(1, 11)) -> MetricReport:
 
 
 def _node_graph(store: TripleStore):
+    """The sorted node ids of the store's edges, and each edge's source and
+    destination as indices into them, in numpy arrays."""
+    import numpy as np
     edges = sorted(store.edges())
     nodes = sorted({n for e in edges for n in e})
     index = {n: i for i, n in enumerate(nodes)}
-    return nodes, index, edges
+    src = np.array([index[s] for s, _ in edges], dtype=np.int64)
+    dst = np.array([index[o] for _, o in edges], dtype=np.int64)
+    return nodes, src, dst
 
 
 def pagerank(store: TripleStore, damping: float = 0.85, eps: float = 1e-10,
              max_iter: int = 200) -> dict[Term, float]:
     """Power iteration with dangling-mass redistribution; scores sum to 1."""
     import numpy as np
-    nodes, index, edges = _node_graph(store)
+    nodes, src, dst = _node_graph(store)
     n = len(nodes)
     if n == 0:
         return {}
-    src = np.array([index[s] for s, _ in edges], dtype=np.int64)
-    dst = np.array([index[o] for _, o in edges], dtype=np.int64)
     out_deg = np.bincount(src, minlength=n).astype(float)
     dangling = out_deg == 0
     rank = np.full(n, 1.0 / n)
@@ -120,12 +123,10 @@ def hits(store: TripleStore, eps: float = 1e-10, max_iter: int = 200
          ) -> tuple[dict[Term, float], dict[Term, float]]:
     """HITS with L2 normalization each step; returns (authority, hub) scores."""
     import numpy as np
-    nodes, index, edges = _node_graph(store)
+    nodes, src, dst = _node_graph(store)
     n = len(nodes)
     if n == 0:
         return {}, {}
-    src = np.array([index[s] for s, _ in edges], dtype=np.int64)
-    dst = np.array([index[o] for _, o in edges], dtype=np.int64)
     auth = np.full(n, 1.0 / math.sqrt(n))
     hub = np.full(n, 1.0 / math.sqrt(n))
     for _ in range(max_iter):

@@ -12,7 +12,7 @@ from typing import Iterator, Optional, Sequence
 from .canon import pattern_key
 from .engine import HARD_TIMEOUT
 from .fitness import (CoverageLedger, FitnessTuple, GroundTruthPair,
-                      PatternEvaluation, ScoreConfig, evaluate, update_ledger)
+                      PatternEvaluation, ScoreConfig, evaluate)
 from .patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR, TriplePattern,
                        Variable)
 from .rdf import LITERAL, Term
@@ -159,6 +159,20 @@ def init_population(cfg: EvolutionConfig, rng: random.Random, endpoint=None,
 # Mating
 
 
+def _names(gp: GraphPattern) -> set[str]:
+    return {v.name for v in gp.variables()}
+
+
+def _fresh_var(taken: set[str], prefix: str = "v") -> Variable:
+    """The variable `prefix<n>` of the lowest n whose name is not in `taken`;
+    its name is added to `taken`."""
+    i = 0
+    while "%s%d" % (prefix, i) in taken:
+        i += 1
+    taken.add("%s%d" % (prefix, i))
+    return Variable("%s%d" % (prefix, i))
+
+
 def _mate_one(dominant: GraphPattern, recessive: GraphPattern,
               rng: random.Random, cfg: EvolutionConfig) -> GraphPattern:
     shared = dominant.triples & recessive.triples
@@ -172,15 +186,10 @@ def _mate_one(dominant: GraphPattern, recessive: GraphPattern,
         taken = {v.name for tp in child for v in tp.variables()} | \
                 {v.name for tp in rec_rest for v in tp.variables()}
         rename: dict[Variable, Variable] = {}
-        counter = 0
         for tp in rec_rest:
             for v in tp.variables():
-                if v.is_reserved or v in rename:
-                    continue
-                while "r%d" % counter in taken:
-                    counter += 1
-                rename[v] = Variable("r%d" % counter)
-                counter += 1
+                if not v.is_reserved and v not in rename:
+                    rename[v] = _fresh_var(taken, "r")
         rec_rest = [tp.substitute(rename) for tp in rec_rest]
     for tp in rec_rest:
         if rng.random() < cfg.p_recessive:
@@ -200,29 +209,13 @@ def mate(parent_a: Individual, parent_b: Individual, rng: random.Random,
 # Mutation strategies (each returns a new pattern or None if inapplicable)
 
 
-def _fresh_var(gp: GraphPattern, used: set[str], prefix: str = "v") -> Variable:
-    taken = {v.name for v in gp.variables()} | used
-    i = 0
-    while "%s%d" % (prefix, i) in taken:
-        i += 1
-    used.add("%s%d" % (prefix, i))
-    return Variable("%s%d" % (prefix, i))
-
-
 def mut_introduce_var(gp: GraphPattern, rng: random.Random) -> Optional[GraphPattern]:
     fixed = sorted({n for tp in gp.triples for n in tp if isinstance(n, Term)},
                    key=Term.sort_key)
     if not fixed:
         return None
     chosen = fixed[rng.randrange(len(fixed))]
-    fresh = _fresh_var(gp, set())
-    triples = []
-    for tp in gp.triples:
-        s = fresh if tp.s == chosen else tp.s
-        p = fresh if tp.p == chosen else tp.p
-        o = fresh if tp.o == chosen else tp.o
-        triples.append(TriplePattern(s, p, o))
-    return GraphPattern(triples)
+    return gp.substitute({chosen: _fresh_var(_names(gp))})
 
 
 def _occurrence_slots(gp: GraphPattern, var: Variable) -> list[tuple[TriplePattern, int]]:
@@ -241,8 +234,8 @@ def mut_split_var(gp: GraphPattern, rng: random.Random) -> Optional[GraphPattern
         return None
     var = candidates[rng.randrange(len(candidates))]
     slots = _occurrence_slots(gp, var)
-    used: set[str] = set()
-    a, b = _fresh_var(gp, used), _fresh_var(gp, used)
+    taken = _names(gp)
+    a, b = _fresh_var(taken), _fresh_var(taken)
     for _ in range(8):  # reject assignments leaving one side empty
         assign = [rng.random() < 0.5 for _ in slots]
         if any(assign) and not all(assign):
@@ -265,10 +258,7 @@ def mut_merge_var(gp: GraphPattern, rng: random.Random) -> Optional[GraphPattern
     if len(candidates) < 2:
         return None
     a, b = rng.sample(candidates, 2)
-    try:
-        return gp.substitute({b: a})
-    except ValueError:
-        return None
+    return gp.substitute({b: a})
 
 
 def mut_del_triple(gp: GraphPattern, rng: random.Random) -> Optional[GraphPattern]:
@@ -284,8 +274,8 @@ def mut_expand_node(gp: GraphPattern, rng: random.Random) -> Optional[GraphPatte
     if not nodes:
         return None
     node = nodes[rng.randrange(len(nodes))]
-    used: set[str] = set()
-    pred, other = _fresh_var(gp, used, "p"), _fresh_var(gp, used)
+    taken = _names(gp)
+    pred, other = _fresh_var(taken, "p"), _fresh_var(taken)
     outgoing = rng.random() < 0.5
     if isinstance(node, Term) and node.kind == LITERAL:
         outgoing = False  # literals cannot be subjects
@@ -306,7 +296,7 @@ def mut_add_edge(gp: GraphPattern, rng: random.Random) -> Optional[GraphPattern]
             return None
     if any(tp.s == a and tp.o == b for tp in gp.triples):
         return None  # an identical pattern edge already exists
-    pred = _fresh_var(gp, set(), "p")
+    pred = _fresh_var(_names(gp), "p")
     return gp.with_triple(TriplePattern(a, pred, b))
 
 
@@ -315,8 +305,8 @@ def mut_increase_dist(gp: GraphPattern, rng: random.Random) -> Optional[GraphPat
     if not present:
         return None
     reserved = present[rng.randrange(len(present))]
-    used: set[str] = set()
-    hop, pred = _fresh_var(gp, used, "n"), _fresh_var(gp, used, "p")
+    taken = _names(gp)
+    hop, pred = _fresh_var(taken, "n"), _fresh_var(taken, "p")
     moved = gp.substitute({reserved: hop})
     if rng.random() < 0.5:
         tp = TriplePattern(reserved, pred, hop)
@@ -560,7 +550,7 @@ def learn_runs(endpoint, gt: list[GroundTruthPair], cfg: EvolutionConfig,
             accepted.append(LearnedPattern(
                 pattern=ind.pattern, fitness=ind.fitness, evaluation=ind.evaluation,
                 canonical_key=key, run_index=run_index))
-        ledger = update_ledger(ledger, [lp.evaluation for lp in accepted])
+        ledger = ledger.updated([lp.evaluation.pv for lp in accepted])
         yield RunRecord(run_index=run_index, remains_before=remains_before,
                         remains_after=ledger.remains(), accepted=accepted,
                         generations=cfg.max_generations, ledger=ledger)

@@ -100,10 +100,6 @@ class PatternEvaluation:
     pv: list[float]
     covered: list[bool]
 
-    @property
-    def gt_matches(self) -> int:
-        return sum(self.covered)
-
 
 @dataclass
 class ScoreConfig:
@@ -185,9 +181,3 @@ def evaluate(endpoint, gp: GraphPattern, gt: list[GroundTruthPair],
                       gt_matches=gt_matches, timeout_penalty=penalty,
                       query_time_s=res.elapsed, **base)
     return ev, ft
-
-
-def update_ledger(ledger: CoverageLedger,
-                  evaluations: Iterable[PatternEvaluation]) -> CoverageLedger:
-    """Elementwise max of the ledger with the accepted patterns' precision vectors."""
-    return ledger.updated(ev.pv for ev in evaluations)

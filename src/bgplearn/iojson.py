@@ -61,21 +61,13 @@ def pattern_from_json(obj: list) -> GraphPattern:
                         for s, p, o in obj)
 
 
-def fitness_to_json(ft: FitnessTuple) -> dict:
-    return dataclasses.asdict(ft)
-
-
-def fitness_from_json(obj: dict) -> FitnessTuple:
-    return FitnessTuple(**obj)
-
-
 def learned_to_json(lp) -> dict:
     return {
         "pattern": pattern_to_json(lp.pattern),
         "sparql": to_select_sparql(lp.pattern, [SOURCE_VAR, TARGET_VAR]),
         "pattern_text": lp.pattern.text(),
         "canonical_key": lp.canonical_key,
-        "fitness": fitness_to_json(lp.fitness),
+        "fitness": dataclasses.asdict(lp.fitness),
         "pv": lp.evaluation.pv,
         "covered": lp.evaluation.covered,
         "run_index": lp.run_index,
@@ -85,7 +77,7 @@ def learned_to_json(lp) -> dict:
 def learned_from_json(obj: dict):
     return LearnedPattern(
         pattern=pattern_from_json(obj["pattern"]),
-        fitness=fitness_from_json(obj["fitness"]),
+        fitness=FitnessTuple(**obj["fitness"]),
         evaluation=PatternEvaluation(pv=list(obj["pv"]),
                                      covered=list(obj["covered"])),
         canonical_key=obj["canonical_key"],
@@ -93,17 +85,15 @@ def learned_from_json(obj: dict):
     )
 
 
-def run_record_to_json(rec, echo_config: Optional[dict] = None) -> dict:
-    doc = {
+def run_record_to_json(rec, echo_config: dict) -> dict:
+    return {
         "run_index": rec.run_index,
         "remains_before": rec.remains_before,
         "remains_after": rec.remains_after,
         "generations": rec.generations,
         "accepted": [learned_to_json(lp) for lp in rec.accepted],
+        "config": echo_config,
     }
-    if echo_config is not None:
-        doc["config"] = echo_config
-    return doc
 
 
 def dumps(doc) -> str:

@@ -44,8 +44,6 @@ TARGET_VAR = Variable(TARGET_NAME)
 
 Node = Union[Term, Variable]
 
-Binding = dict  # Variable -> Term
-
 
 def is_var(node: Node) -> bool:
     return isinstance(node, Variable)
@@ -75,10 +73,10 @@ class TriplePattern(namedtuple("_TriplePattern", "s p o")):
             if isinstance(node, Variable):
                 yield node
 
-    def substitute(self, binding: Binding) -> "TriplePattern":
-        def sub(node: Node) -> Node:
-            return binding.get(node, node) if isinstance(node, Variable) else node
-        return TriplePattern(sub(self.s), sub(self.p), sub(self.o))
+    def substitute(self, binding: dict) -> "TriplePattern":
+        """Each node that is a key of `binding`, a variable or a term, replaced."""
+        get = binding.get
+        return TriplePattern(get(self.s, self.s), get(self.p, self.p), get(self.o, self.o))
 
 
 class GraphPattern:
@@ -174,7 +172,7 @@ class GraphPattern:
     def without_triple(self, tp: TriplePattern) -> "GraphPattern":
         return GraphPattern(self.triples - {tp})
 
-    def substitute(self, binding: Binding) -> "GraphPattern":
+    def substitute(self, binding: dict) -> "GraphPattern":
         return GraphPattern(t.substitute(binding) for t in self.triples)
 
     def text(self) -> str:

@@ -2,12 +2,13 @@ import json
 import os
 import random
 import re
+import socket
 import subprocess
 import sys
 
 import pytest
 
-from bgplearn import endpoint, evolution
+from bgplearn import endpoint, evalharness, evolution, predict
 from bgplearn.cli import (EXIT_BAD_INPUT, EXIT_ENDPOINT, EXIT_OK, EXIT_USAGE,
                           load_config, main)
 from bgplearn.report import build_report
@@ -128,8 +129,35 @@ def test_unreachable_endpoint_exits_3(workdir, capsys, monkeypatch, command, sta
         in capsys.readouterr().err
 
 
+def test_real_http_client_unreachable_exits_3(workdir, capsys, monkeypatch):
+    """The HTTP client itself, not a stand-in: a closed loopback port refuses
+    the connection, and learn ends with exit 3."""
+    for name in ("HTTP_PROXY", "http_proxy", "ALL_PROXY", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)  # a proxy would take the request
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    code = main(["learn", "--endpoint-url", "http://127.0.0.1:%d/sparql" % port,
+                 *command_inputs(workdir, "learn"), *FAST,
+                 "--set", "retries=0", "--set", "backoff=0"])
+    assert code == EXIT_ENDPOINT
+    assert "endpoint unreachable" in capsys.readouterr().err
+
+
 RUN_LOG = {"run_index": 1, "remains_before": 1.0, "remains_after": 0.0,
            "accepted": []}
+
+
+def write_run_log(directory, run_log, n_pairs=1):
+    """`run_log` as `run.json` in `directory`, beside the `patterns.json` of a
+    session on `n_pairs` ground-truth pairs, from which `report` reads them."""
+    (directory / "patterns.json").write_text(json.dumps({
+        "ground_truth": [["http://e/s%d" % i, "http://e/t%d" % i]
+                         for i in range(n_pairs)],
+        "patterns": []}))
+    log = directory / "run.json"
+    log.write_text(json.dumps(run_log))
+    return log
 
 
 @pytest.mark.parametrize("command", ["learn", "predict", "evaluate", "report"])
@@ -138,7 +166,6 @@ def test_unwritable_output_exits_1(workdir, capsys, command):
     existing file as learn's --out directory, a directory as predict's --out
     file, a file in a missing directory for evaluate and report."""
     (workdir / "afile").write_text("")
-    (workdir / "run.json").write_text(json.dumps(RUN_LOG))
     args = {"learn": ["--gt", str(workdir / "gt.tsv"), "--out", str(workdir / "afile"),
                       *FAST],
             "predict": [*command_inputs(workdir, "predict"), "--out", str(workdir)],
@@ -146,6 +173,7 @@ def test_unwritable_output_exits_1(workdir, capsys, command):
                          "--out", str(workdir / "missing" / "eval.json")],
             "report": [str(workdir / "run.json"), "--json", str(workdir / "r.json"),
                        "--html", str(workdir / "missing" / "r.html")]}[command]
+    write_run_log(workdir, RUN_LOG)
     if command != "report":
         args = ["--store", str(workdir / "store.ttl"), *args]
     assert main([command, *args]) == EXIT_USAGE
@@ -156,7 +184,7 @@ def test_output_replaced_whole_and_link_written_through(workdir):
     """An output file is replaced by a new one, so a reader that holds the old
     file never sees it half written; an output that is a link (say
     /dev/stdout) is written through the link, which stays."""
-    (workdir / "run.json").write_text(json.dumps(RUN_LOG))
+    write_run_log(workdir, RUN_LOG)
     (workdir / "r.json").write_text("old")
     (workdir / "target.html").write_text("old")
     os.symlink(workdir / "target.html", workdir / "link.html")
@@ -259,13 +287,13 @@ class TestConfig:
             assert set(typing.get_type_hints(cls).values()) <= {int, float}
 
     def test_values_follow_declared_type(self):
-        _evo, ep = load_config(None, ["cache_ttl=2"])
-        assert ep.cache_ttl == 2.0 and isinstance(ep.cache_ttl, float)
+        _evo, ep = load_config(None, ["backoff=2"])
+        assert ep.backoff == 2.0 and isinstance(ep.backoff, float)
 
-    @pytest.mark.parametrize("setting", ["bogus=1", "batch_size=0", "cache_ttl=abc",
+    @pytest.mark.parametrize("setting", ["bogus=1", "batch_size=0", "backoff=abc",
                                          "cache_capacity=-5", "soft_timeout=-1",
                                          "backend=local", "url=x"],
-                             ids=["bogus", "batch_size", "cache_ttl",
+                             ids=["bogus", "batch_size", "backoff",
                                   "cache_capacity", "soft_timeout", "backend", "url"])
     @pytest.mark.parametrize("command", ["learn", "predict", "evaluate"])
     def test_bad_config_key_exits_1(self, workdir, capsys, command, setting):
@@ -604,6 +632,36 @@ class TestEvaluateCommand:
             capsys.readouterr().err
         assert posted == [] and not (workdir / "eval.json").exists()
 
+    def test_shared_source_predicted_once(self, workdir, monkeypatch):
+        """Test pairs that share a source take one prediction of it, and each
+        pair is still ranked: Berlin's two targets come 1st and 2nd, Oslo's 1st."""
+        (workdir / "gt.tsv").write_text(
+            "@prefix : <http://example.org/> .\n"
+            ":Berlin\t:Germany\n:Berlin\t:Paris\n:Oslo\t:Norway\n")
+        population = dict(ENTRY, canonical_key="k2", pv=[0.0, 1.0, 0.0],
+                          covered=[False, True, False], fitness=dict(FITNESS, score=1.0),
+                          pattern=[[_var("source"), {"type": "iri", "value":
+                                    "http://example.org/population"}, _var("target")]])
+        (workdir / "patterns.json").write_text(json.dumps({"patterns": [
+            dict(ENTRY, pv=[1.0, 0.0, 1.0], covered=[True, False, True]), population]}))
+        sources = []
+        real_predict = predict.predict
+
+        def counting_predict(ep, portfolio, source):
+            sources.append(source)
+            return real_predict(ep, portfolio, source)
+
+        monkeypatch.setattr(predict, "predict", counting_predict)
+        assert main(["evaluate", "--store", str(workdir / "store.ttl"),
+                     "--patterns", str(workdir / "patterns.json"),
+                     "--gt", str(workdir / "gt.tsv"), "--ratio", "1",
+                     "--out", str(workdir / "eval.json")]) == EXIT_OK
+        assert sources == [ex("Berlin"), ex("Oslo")]
+        doc = json.loads((workdir / "eval.json").read_text())
+        assert doc["test_pairs"] == 3
+        assert doc["metrics"] == {s: evalharness.metrics([1, 2, 1]).as_dict()
+                                  for s in predict.FUSION_STRATEGIES}
+
     @pytest.mark.parametrize("extra", [["--ratio", "0"], []], ids=["ratio_0", "default"])
     def test_empty_test_split_exits_1(self, workdir, capsys, extra):
         """No pair is held out, so none can be scored without scoring the
@@ -631,6 +689,47 @@ class TestReportCommand:
         page = (workdir / "r.html").read_text()
         doc = json.loads((workdir / "r.json").read_text())
         assert "<html" in page and doc["runs"]
+
+    @pytest.mark.parametrize("threshold", ["2.0", "0"],
+                             ids=["none_accepted", "accepted"])
+    def test_report_reproduces_learn_report(self, workdir, threshold):
+        """`report` over a session's run logs writes the report that `learn`
+        wrote, byte for byte, ground truth included."""
+        (workdir / "gt.tsv").write_text("<http://example.org/Berlin>\t"
+                                        "<http://example.org/Germany>\n")
+        assert run_learn(workdir, extra=["--set", "max_runs=1",
+                                         "--set", "score_threshold=" + threshold]) \
+            == EXIT_OK
+        out = workdir / "out"
+        accepted = json.loads((out / "patterns.json").read_text())["patterns"]
+        assert bool(accepted) == (threshold == "0")
+        logs = sorted(str(p) for p in out.glob("run_*.json"))
+        assert len(logs) == 1
+        assert main(["report", *logs, "--html", str(workdir / "r.html"),
+                     "--json", str(workdir / "r.json")]) == EXIT_OK
+        assert (workdir / "r.json").read_bytes() == (out / "report.json").read_bytes()
+        assert (workdir / "r.html").read_bytes() == (out / "report.html").read_bytes()
+
+    @pytest.mark.parametrize("case", ["two_directories", "no_patterns_json",
+                                      "ground_truth_length"])
+    def test_runlog_outside_its_session_exits_2(self, tmp_path, capsys, case):
+        """`report` needs the ground truth of the session its logs come from:
+        logs of one directory, beside its `patterns.json`, on as many pairs."""
+        log = write_run_log(tmp_path, dict(RUN_LOG, accepted=[
+            {"sparql": "SELECT 1", "pv": [1.0], "fitness": FITNESS}]))
+        logs = [str(log)]
+        if case == "two_directories":
+            (tmp_path / "other").mkdir()
+            logs.append(str(write_run_log(tmp_path / "other", RUN_LOG)))
+        elif case == "no_patterns_json":
+            (tmp_path / "patterns.json").unlink()
+        else:
+            write_run_log(tmp_path, json.loads(log.read_text()), n_pairs=2)
+        code = main(["report", *logs, "--html", str(tmp_path / "r.html"),
+                     "--json", str(tmp_path / "r.json")])
+        assert code == EXIT_BAD_INPUT
+        assert "run log error" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_grid_values_match_json(self, capitals_gt):
         pvs = [[1.0, 0.5, 0.0], [0.25, 0.0, 1.0]]
@@ -663,10 +762,9 @@ class TestReportCommand:
         pat = {"sparql": "SELECT 1", "pv": [1.0], "fitness": FITNESS}
         doc = {"run_index": 1, "remains_before": 1.0, "remains_after": 0.0,
                "accepted": [pat]}
-        log = tmp_path / "run.json"
+        log = write_run_log(tmp_path, doc)
         args = ["report", str(log), "--html", str(tmp_path / "r.html"),
                 "--json", str(tmp_path / "r.json")]
-        log.write_text(json.dumps(doc))
         assert main(args) == EXIT_OK
         (pat if field in pat else doc).pop(field)
         log.write_text(json.dumps(doc))
@@ -678,9 +776,8 @@ class TestReportCommand:
     def test_runlog_bad_pv_exits_2(self, tmp_path, capsys, pvs):
         """Precision values outside [0, 1], or vectors of different lengths,
         cannot be drawn as a coverage grid."""
-        log = tmp_path / "run.json"
-        log.write_text(json.dumps(dict(RUN_LOG, accepted=[
-            {"sparql": "SELECT 1", "pv": pv, "fitness": FITNESS} for pv in pvs])))
+        log = write_run_log(tmp_path, dict(RUN_LOG, accepted=[
+            {"sparql": "SELECT 1", "pv": pv, "fitness": FITNESS} for pv in pvs]))
         code = main(["report", str(log), "--html", str(tmp_path / "r.html"),
                      "--json", str(tmp_path / "r.json")])
         assert code == EXIT_BAD_INPUT
@@ -688,7 +785,7 @@ class TestReportCommand:
         assert not (tmp_path / "r.json").exists()
 
     def test_bad_runlog_exits_2(self, tmp_path):
-        bad = tmp_path / "run.json"
+        bad = write_run_log(tmp_path, RUN_LOG)
         bad.write_text("{not json")
         code = main(["report", str(bad),
                      "--html", str(tmp_path / "r.html"),

@@ -303,7 +303,7 @@ class TestConfig:
         # each numeric setting at its lowest accepted value, then just below it
         for name, lowest, below in [
                 ("batch_size", 1, 0), ("default_limit", 1, 0),
-                ("cache_capacity", 0, -5), ("cache_ttl", 0.0, -1.0),
+                ("cache_capacity", 0, -5),
                 ("retries", 0, -1), ("backoff", 0.0, -0.5),
                 ("soft_timeout", 0.0, -1.0), ("hard_timeout", 0.0, -0.01)]:
             EndpointConfig(**{name: lowest})
@@ -339,22 +339,18 @@ class TestCacheExpiry:
             time=lambda: now[0], sleep=lambda seconds: None))
         return now
 
-    @pytest.mark.parametrize("overrides, ttl", [({}, 3600.0),
-                                                ({"cache_ttl": 10.0}, 10.0)],
-                             ids=["default", "ten"])
-    def test_remote_answer_expires_after_ttl(self, clock, overrides, ttl):
+    def test_remote_answer_never_expires(self, clock):
+        """A remote answer stays cached however long a session runs, so a
+        pattern's fitness cannot change within it."""
         post = _FakePost([])
-        ep = _remote(post, **overrides)
+        ep = _remote(post)
         first = ep.run_select(CAPITAL_GP, [TARGET_VAR])
-        clock[0] += ttl
+        clock[0] += 1e9
         assert ep.run_select(CAPITAL_GP, [TARGET_VAR]) is first
         assert len(post.calls) == 1
-        clock[0] += 0.5
-        assert ep.run_select(CAPITAL_GP, [TARGET_VAR]) is not first
-        assert len(post.calls) == 2
 
     def test_local_answer_never_expires(self, clock, capitals_store):
-        ep = local_endpoint(capitals_store, cache_ttl=0)
+        ep = local_endpoint(capitals_store)
         first = ep.run_select(CAPITAL_GP, [TARGET_VAR])
         clock[0] += 1e9
         assert ep.run_select(CAPITAL_GP, [TARGET_VAR]) is first

@@ -24,6 +24,16 @@ V = Variable
 CAPITAL_GP = GraphPattern([TriplePattern(SOURCE_VAR, ex("capitalOf"), TARGET_VAR)])
 
 
+class _LowestDraws:
+    """A stand-in rng whose every draw is its lowest: 0.0 and index 0."""
+
+    def random(self):
+        return 0.0
+
+    def randrange(self, n):
+        return 0
+
+
 def small_cfg(**kw):
     base = dict(population_size=20, max_generations=3, max_runs=2,
                 hall_of_fame_size=10, reintro_fresh=2, reintro_hof=2, seed=7)
@@ -117,7 +127,48 @@ class TestMating:
                 assert tp.p in allowed_preds
 
 
+    def test_recessive_variables_renamed_to_free_names(self):
+        """The recessive side's free variables become the lowest `r<n>` names
+        that neither side holds, in order of first appearance."""
+        cfg = EvolutionConfig(p_dominant=1.0, p_recessive=1.0)
+        dom = GraphPattern([TriplePattern(SOURCE_VAR, ex("p"), V("r0")),
+                            TriplePattern(V("r0"), ex("q"), TARGET_VAR)])
+        rec = GraphPattern([TriplePattern(SOURCE_VAR, ex("r"), V("a")),
+                            TriplePattern(V("a"), ex("s"), V("r2")),
+                            TriplePattern(V("r2"), ex("t"), TARGET_VAR)])
+        c1, c2 = mate(Individual(dom), Individual(rec), _LowestDraws(), cfg)
+        assert c1.pattern == GraphPattern(dom.triples | {
+            TriplePattern(SOURCE_VAR, ex("r"), V("r1")),
+            TriplePattern(V("r1"), ex("s"), V("r3")),
+            TriplePattern(V("r3"), ex("t"), TARGET_VAR)})
+        assert c2.pattern == GraphPattern(rec.triples | {
+            TriplePattern(SOURCE_VAR, ex("p"), V("r1")),
+            TriplePattern(V("r1"), ex("q"), TARGET_VAR)})
+
+
+class TestSubstitute:
+    def test_term_and_variable_keys(self):
+        tp = TriplePattern(ex("a"), ex("p"), V("x"))
+        assert tp.substitute({ex("a"): V("y"), V("x"): ex("b")}) == \
+            TriplePattern(V("y"), ex("p"), ex("b"))
+        assert tp.substitute({ex("p"): V("q")}) == TriplePattern(ex("a"), V("q"), V("x"))
+        gp = GraphPattern([tp, TriplePattern(V("x"), ex("p"), ex("a"))])
+        assert gp.substitute({ex("a"): V("y")}) == GraphPattern([
+            TriplePattern(V("y"), ex("p"), V("x")), TriplePattern(V("x"), ex("p"), V("y"))])
+
+
 class TestMutations:
+    def test_introduce_var_replaces_term_in_every_position(self):
+        """The chosen term goes as subject, predicate and object alike, for
+        the lowest `v<n>` name that the pattern does not hold."""
+        gp = GraphPattern([TriplePattern(ex("a"), ex("a"), SOURCE_VAR),
+                           TriplePattern(TARGET_VAR, ex("a"), ex("a")),
+                           TriplePattern(SOURCE_VAR, ex("b"), V("v0"))])
+        assert mut_introduce_var(gp, _LowestDraws()) == GraphPattern([
+            TriplePattern(V("v1"), V("v1"), SOURCE_VAR),
+            TriplePattern(TARGET_VAR, V("v1"), V("v1")),
+            TriplePattern(SOURCE_VAR, ex("b"), V("v0"))])
+
     def test_introduce_var_replaces_all_occurrences(self):
         gp = GraphPattern([TriplePattern(SOURCE_VAR, ex("p"), ex("A")),
                            TriplePattern(ex("A"), ex("p"), TARGET_VAR)])

@@ -10,7 +10,7 @@ from bgplearn.endpoint import local_endpoint
 from bgplearn.engine import select
 from bgplearn.fitness import (_STATUS_PENALTY, CoverageLedger, FitnessTuple,
                               GroundTruthPair, PatternEvaluation, ScoreConfig,
-                              evaluate, score, update_ledger)
+                              evaluate, score)
 from bgplearn.iojson import dumps, ledger_to_json
 from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
                                TriplePattern, Variable)
@@ -206,7 +206,7 @@ class TestEvaluate:
         ep = local_endpoint(capitals_store)
         led = CoverageLedger.zeros(len(capitals_gt))
         ev, _ = evaluate(ep, CAPITAL_GP, capitals_gt, led)
-        new = update_ledger(led, [ev])
+        new = led.updated([ev.pv])
         assert list(new.values) == [1.0, 1.0, 1.0]
         assert new.remains() == 0.0
 

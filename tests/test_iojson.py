@@ -3,9 +3,11 @@ import random
 
 import pytest
 
-from bgplearn.fitness import CoverageLedger, FitnessTuple, GroundTruthPair
-from bgplearn.iojson import (GroundTruthError, dumps, fitness_from_json,
-                             fitness_to_json, ledger_from_json, ledger_to_json,
+from bgplearn.evolution import LearnedPattern
+from bgplearn.fitness import (CoverageLedger, FitnessTuple, GroundTruthPair,
+                              PatternEvaluation)
+from bgplearn.iojson import (GroundTruthError, dumps, learned_from_json,
+                             learned_to_json, ledger_from_json, ledger_to_json,
                              node_from_json, node_to_json, parse_ground_truth,
                              parse_sources, pattern_from_json, pattern_to_json)
 from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
@@ -44,10 +46,16 @@ class TestPatternRoundTrip:
 
 class TestFitnessAndLedger:
     def test_fitness_round_trip(self):
+        """A learned pattern, its fitness among its fields, survives the text
+        of a `patterns.json`."""
         ft = FitnessTuple(remains=1.5, score=2.0, gain=2.0, f1=0.75,
                           avg_result_len=1.25, gt_matches=3, pattern_length=2,
                           pattern_vars=3, timeout_penalty=0.5, query_time_s=0.125)
-        assert fitness_from_json(fitness_to_json(ft)) == ft
+        lp = LearnedPattern(
+            pattern=GraphPattern([TriplePattern(SOURCE_VAR, ex("p"), TARGET_VAR)]),
+            fitness=ft, evaluation=PatternEvaluation(pv=[1.0, 0.5], covered=[True, True]),
+            canonical_key="k", run_index=2)
+        assert learned_from_json(json.loads(dumps(learned_to_json(lp)))) == lp
 
     def test_ledger_round_trip(self):
         led = CoverageLedger([0.0, 0.25, 1.0])
