@@ -1,15 +1,16 @@
 """Uniform query interface over a local store or a remote SPARQL endpoint.
 
-Adds VALUES batching, retry with backoff, and an LRU cache keyed by the
+Adds VALUES batching, retry with backoff, and a result cache keyed by the
 pattern's canonical form, so renamed-variable twins hit, and by a number for
-its VALUES table.
+its VALUES table. The results, the table numbers and a local store's plans
+are three plain dicts; once any of them holds `_MEMO_BOUND` entries, all
+three are cleared together, so a table number is never read against results
+stored under an older table.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -21,19 +22,19 @@ from .rdf import Term, TripleStore, bnode, iri, literal
 
 _STATUS_RANK = {COMPLETE: 0, SOFT_TIMEOUT: 1, HARD_TIMEOUT: 2}
 
+# entries any one memo of an Endpoint may hold before all three are cleared
+_MEMO_BOUND = 100_000
 
 # lowest accepted value of each numeric setting; 0 is valid where it means
-# "nothing": no caching, no retry, no wait, a budget that is spent at once
-_LOWER_BOUNDS = (("batch_size", 1), ("default_limit", 1), ("cache_capacity", 0),
-                 ("retries", 0), ("backoff", 0), ("soft_timeout", 0),
-                 ("hard_timeout", 0))
+# "nothing": no retry, no wait, a budget that is spent at once
+_LOWER_BOUNDS = (("batch_size", 1), ("default_limit", 1), ("retries", 0),
+                 ("backoff", 0), ("soft_timeout", 0), ("hard_timeout", 0))
 
 
 @dataclass
 class EndpointConfig:
     soft_timeout: float = engine.DEFAULT_SOFT_TIMEOUT
     hard_timeout: float = engine.DEFAULT_HARD_TIMEOUT
-    cache_capacity: int = 100_000
     batch_size: int = 384
     retries: int = 3
     backoff: float = 0.5
@@ -55,59 +56,19 @@ class EndpointUnreachable(EndpointError):
     """Raised after exhausting retries against a remote endpoint."""
 
 
-class _LRUCache:
-    """Least recently used entries beyond `capacity` go; none expires."""
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._data: OrderedDict = OrderedDict()
-
-    def get(self, key):
-        value = self._data.get(key)
-        if value is not None:
-            self._data.move_to_end(key)
-        return value
-
-    def put(self, key, value) -> None:
-        self._data[key] = value
-        self._data.move_to_end(key)
-        while len(self._data) > self.capacity:
-            self._data.popitem(last=False)
-
-    def __len__(self):
-        return len(self._data)
-
-
-class _TableNumbers:
-    """A number for each VALUES table, so that a cache key names a table in a
-    few bytes. Numbers are never reused, so clearing the registry when it
-    holds more than `capacity` tables can cause misses but never a stale hit."""
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._numbers: dict = {}
-        self._next = itertools.count()
-
-    def number(self, width: int, rows) -> int:
-        """The number of `rows` padded with None (SPARQL's UNDEF) to `width`
-        entries; ValueError for a longer row, as engine.select raises."""
-        if set(map(len, rows)) <= {width}:
-            table = tuple(rows)
-        else:
-            for row in rows:
-                if len(row) > width:
-                    raise long_row_error(row, width)
-            table = tuple([row + (None,) * (width - len(row)) for row in rows])
-        n = self._numbers.get(table)
-        if n is None:
-            if len(self._numbers) > self.capacity:
-                self._numbers.clear()
-            n = self._numbers[table] = next(self._next)
-        return n
+def _values_table(width: int, rows) -> tuple:
+    """`rows` padded with None (SPARQL's UNDEF) to `width` entries;
+    ValueError for a longer row, as engine.select raises."""
+    if set(map(len, rows)) <= {width}:
+        return tuple(rows)
+    for row in rows:
+        if len(row) > width:
+            raise long_row_error(row, width)
+    return tuple([row + (None,) * (width - len(row)) for row in rows])
 
 
 def _cache_key(gp: GraphPattern, projection, values, limit,
-               tables: _TableNumbers) -> str:
+               tables: dict) -> str:
     form = canonicalize(gp)
     mapping = form.variable_mapping
 
@@ -118,7 +79,8 @@ def _cache_key(gp: GraphPattern, projection, values, limit,
     if values is not None:
         vvars, rows = values
         parts.append("V:" + ",".join([canon_var(v) for v in vvars]))
-        parts.append("T:%d" % tables.number(len(vvars), rows))
+        table = _values_table(len(vvars), rows)
+        parts.append("T:%d" % tables.setdefault(table, len(tables)))
     parts.append("L:%s" % (limit,))
     return "\x1e".join(parts)
 
@@ -134,9 +96,9 @@ class Endpoint:
         self.store = store
         self.url = url
         self._http_post = http_post
-        self._cache = _LRUCache(config.cache_capacity)
-        self._tables = _TableNumbers(config.cache_capacity)
-        self._plans = engine.PlanMemo(config.cache_capacity)
+        self._cache: dict = {}
+        self._tables: dict = {}
+        self._plans: dict = {}
         self.backend_calls = 0
 
     # -- public API ---------------------------------------------------------
@@ -144,6 +106,10 @@ class Endpoint:
     def run_select(self, gp: GraphPattern, projection: list[Variable],
                    values: Optional[tuple[list[Variable], list[tuple]]] = None,
                    limit: Optional[int] = None) -> EvalResult:
+        memos = (self._cache, self._tables, self._plans)
+        if max(map(len, memos)) >= _MEMO_BOUND:
+            for memo in memos:
+                memo.clear()
         key = _cache_key(gp, projection, values, limit, self._tables)
         hit = self._cache.get(key)
         if hit is not None:
@@ -155,7 +121,7 @@ class Endpoint:
         # a remote HARD_TIMEOUT only comes from 5xx answers, which are
         # transient: caching it would keep a fitness penalty for the session
         if self.store is not None or result.status != HARD_TIMEOUT:
-            self._cache.put(key, result)
+            self._cache[key] = result
         return result
 
     # -- batching -----------------------------------------------------------
@@ -224,7 +190,7 @@ class Endpoint:
             # the last attempt got a 5xx answer: fitness punishment, not a crash
             return EvalResult(tuple(projection), [],
                               time.time() - started, HARD_TIMEOUT)
-        raise EndpointUnreachable("endpoint unreachable after %d retries: %s"
+        raise EndpointUnreachable("no answer after %d retries: %s"
                                   % (self.config.retries, last_error))
 
 

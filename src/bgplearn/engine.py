@@ -6,9 +6,9 @@ reported query times and timeout behaviour are reproducible across runs.
 
 A plan (join order, slot layout and compiled steps) depends only on the
 store, the pattern, the VALUES variables and the projection. `select` plans
-each call afresh unless it is given a `PlanMemo`, which keeps the plan of
-each such shape so that it runs with any VALUES table, limit and budget.
-Planning costs no ticks, so a memo changes no result.
+each call afresh unless it is given a `plans` dict, in which it keeps the
+plan of each such shape so that it runs with any VALUES table, limit and
+budget. Planning costs no ticks, so a memo changes no result.
 """
 
 from __future__ import annotations
@@ -199,39 +199,17 @@ class _Plan:
         return steps
 
 
-class PlanMemo:
-    """Plans over one store, by (pattern, VALUES variables, projection), so
-    that a query shape is planned once however many VALUES tables, limits
-    and budgets it runs with. Cleared when it holds more than `capacity`
-    plans."""
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._plans: dict = {}
-
-    def plan(self, store: TripleStore, gp: GraphPattern,
-             projection: list[Variable], values_vars: list[Variable]) -> _Plan:
-        key = (gp, tuple(values_vars), tuple(projection))
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = _Plan(store, gp, projection, values_vars)
-            if len(self._plans) > self.capacity:
-                self._plans.clear()
-            self._plans[key] = plan
-        return plan
-
-
 def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
            values: Optional[tuple[list[Variable], list[tuple]]] = None,
            limit: Optional[int] = None,
            soft_timeout: Optional[float] = DEFAULT_SOFT_TIMEOUT,
            hard_timeout: Optional[float] = DEFAULT_HARD_TIMEOUT,
-           plans: Optional[PlanMemo] = None) -> EvalResult:
+           plans: Optional[dict] = None) -> EvalResult:
     """DISTINCT solution mappings of the natural join of gp, VALUES-restricted.
 
-    The plan is compiled into one step per triple, or taken from `plans`,
-    which must hold plans over `store` only; every VALUES row then runs
-    through the steps depth first.
+    The plan is compiled into one step per triple, or taken from `plans`, a
+    dict of plans over `store` only that keeps each plan compiled here; every
+    VALUES row then runs through the steps depth first.
     """
     if not gp.triples and values is None:
         raise DegenerateQueryError("pattern with zero triples and no VALUES")
@@ -239,7 +217,10 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
     if plans is None:
         plan = _Plan(store, gp, projection, values_vars)
     else:
-        plan = plans.plan(store, gp, projection, values_vars)
+        key = (gp, tuple(values_vars), tuple(projection))
+        plan = plans.get(key)
+        if plan is None:
+            plan = plans[key] = _Plan(store, gp, projection, values_vars)
 
     soft_budget = None if soft_timeout is None else int(soft_timeout * TICKS_PER_SECOND)
     hard_budget = None if hard_timeout is None else int(hard_timeout * TICKS_PER_SECOND)

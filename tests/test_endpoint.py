@@ -65,8 +65,9 @@ class TestValuesTableKey:
         res = ep.run_select(self.GP, projection, values=([SOURCE_VAR], two))
         assert res.rows == [(iri("http://e/a"), iri("http://e/x"))]
 
-    def test_bounded_registry_never_stale(self, capitals_store):
-        ep = local_endpoint(capitals_store, cache_capacity=2)
+    def test_bounded_registry_never_stale(self, capitals_store, monkeypatch):
+        monkeypatch.setattr(endpoint, "_MEMO_BOUND", 2)
+        ep = local_endpoint(capitals_store)
         rng = random.Random(5)
         sources = [ex(name) for name in ("Berlin", "Paris", "Oslo", "Rome")]
         projection = [SOURCE_VAR, TARGET_VAR]
@@ -76,7 +77,7 @@ class TestValuesTableKey:
             expected = select(capitals_store, CAPITAL_GP, projection,
                               values=([SOURCE_VAR], rows))
             assert res.rows == expected.rows
-            assert len(ep._tables._numbers) <= 3
+            assert max(map(len, (ep._cache, ep._tables, ep._plans))) <= 2
 
     def test_long_row_refused_before_sending(self, capitals_store):
         post = _FakePost([("ok", [])])
@@ -303,7 +304,6 @@ class TestConfig:
         # each numeric setting at its lowest accepted value, then just below it
         for name, lowest, below in [
                 ("batch_size", 1, 0), ("default_limit", 1, 0),
-                ("cache_capacity", 0, -5),
                 ("retries", 0, -1), ("backoff", 0.0, -0.5),
                 ("soft_timeout", 0.0, -1.0), ("hard_timeout", 0.0, -0.01)]:
             EndpointConfig(**{name: lowest})

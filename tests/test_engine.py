@@ -4,10 +4,11 @@ from typing import Optional
 
 import pytest
 
+from bgplearn import endpoint
 from bgplearn.endpoint import local_endpoint
 from bgplearn.engine import (COMPLETE, DEFAULT_HARD_TIMEOUT, DEFAULT_SOFT_TIMEOUT,
                              HARD_TIMEOUT, SOFT_TIMEOUT, TICKS_PER_SECOND,
-                             DegenerateQueryError, EvalResult, PlanMemo, _compile,
+                             DegenerateQueryError, EvalResult, _compile,
                              _project_vars, _Step, _Stop, _tuple_getter, join_plan,
                              select)
 from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
@@ -480,7 +481,7 @@ class TestPlanMemo:
         for _ in range(40):
             store = random_store(rng, n_triples=rng.randint(15, 60),
                                  n_nodes=rng.randint(3, 8), n_preds=3)
-            memo = PlanMemo(1000)
+            memo = {}
             shapes = [_random_query(rng, store) for _ in range(6)]
             for _ in range(30):
                 pattern, projection, values_vars = rng.choice(shapes)
@@ -498,8 +499,9 @@ class TestPlanMemo:
                 _same(select(*args), ref)
                 _same(select(*args, plans=memo), ref)
 
-    def test_bounded_memo_equals_engine(self, capitals_store):
-        ep = local_endpoint(capitals_store, cache_capacity=2)
+    def test_bounded_memo_equals_engine(self, capitals_store, monkeypatch):
+        monkeypatch.setattr(endpoint, "_MEMO_BOUND", 2)
+        ep = local_endpoint(capitals_store)
         rng = random.Random(6)
         sources = [ex(name) for name in ("Berlin", "Paris", "Oslo", "Rome")]
         for _ in range(60):
@@ -512,16 +514,16 @@ class TestPlanMemo:
             expected = select(capitals_store, pattern, projection, values=values)
             assert (res.rows, res.status, res.elapsed) == (
                 expected.rows, expected.status, expected.elapsed)
-            assert len(ep._plans._plans) <= 3
+            assert max(map(len, (ep._cache, ep._tables, ep._plans))) <= 2
 
     def test_projection_error_never_memoised(self, capitals_store):
-        memo = PlanMemo(10)
+        memo = {}
         for _ in range(3):
             with pytest.raises(ValueError, match="projection variables"):
                 select(capitals_store, CAPITAL_GP, [V("nowhere")], plans=memo)
-            assert memo._plans == {}
+            assert memo == {}
         ep = local_endpoint(capitals_store)
         for _ in range(2):
             with pytest.raises(ValueError, match="projection variables"):
                 ep.run_select(CAPITAL_GP, [V("nowhere")])
-        assert ep._plans._plans == {}
+        assert ep._plans == {}

@@ -1,7 +1,9 @@
-"""Every top-level import of a library module is used in that module, and
-the command-line module loads no numerical library."""
+"""Every top-level import of a library module is used in that module, the
+command-line module loads no numerical library, and every library name the
+benchmark's tracer patches exists."""
 
 import ast
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -9,7 +11,8 @@ import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "bgplearn"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "bgplearn"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -53,3 +56,22 @@ def test_cli_import_loads_neither_numpy_nor_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_benchmark_tracer_installs():
+    """perfbench/tracer.py patches library names (`endpoint._cache_key`,
+    `engine.join_plan`, `endpoint.canonicalize`, ...) by hand; a renamed one
+    fails here, and uninstall puts every original back."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        patched = list(tracer._patched)
+    finally:
+        tracer.uninstall()
+    assert patched
+    for owner, attr, original in patched:
+        assert getattr(owner, attr) is original, "%s.%s" % (owner.__name__, attr)
