@@ -73,15 +73,18 @@ def _open_endpoint(args) -> tuple[EvolutionConfig, Endpoint]:
         evo_cfg, ep_cfg = load_config(args.config, args.set or [])
     except (ValueError, OSError) as exc:
         raise UsageError(exc) from exc
+    if args.store:
+        # an explicit store is never overridden, by a URL or the environment
+        if args.endpoint_url:
+            raise UsageError("give either --store or --endpoint-url, not both")
+        try:
+            return evo_cfg, Endpoint(ep_cfg, store=load_file(args.store))
+        except (ValueError, OSError) as exc:
+            raise ValueError("store %s: %s" % (args.store, exc)) from exc
     url = args.endpoint_url or os.environ.get("BGPLEARN_ENDPOINT")
-    if url:
-        return evo_cfg, Endpoint(ep_cfg, url=url)
-    if not args.store:
+    if not url:
         raise UsageError("either --store or --endpoint-url is required")
-    try:
-        return evo_cfg, Endpoint(ep_cfg, store=load_file(args.store))
-    except (ValueError, OSError) as exc:
-        raise ValueError("store %s: %s" % (args.store, exc)) from exc
+    return evo_cfg, Endpoint(ep_cfg, url=url)
 
 
 def _read_gt(path: str) -> list[GroundTruthPair]:

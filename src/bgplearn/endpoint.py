@@ -17,7 +17,8 @@ from typing import Callable, Optional
 from . import engine
 from .canon import canonicalize
 from .engine import COMPLETE, HARD_TIMEOUT, SOFT_TIMEOUT, EvalResult
-from .patterns import GraphPattern, Variable, long_row_error, to_select_sparql
+from .patterns import (GraphPattern, Variable, check_projection, to_select_sparql,
+                       values_table)
 from .rdf import Term, TripleStore, bnode, iri, literal
 
 _STATUS_RANK = {COMPLETE: 0, SOFT_TIMEOUT: 1, HARD_TIMEOUT: 2}
@@ -56,17 +57,6 @@ class EndpointUnreachable(EndpointError):
     """Raised after exhausting retries against a remote endpoint."""
 
 
-def _values_table(width: int, rows) -> tuple:
-    """`rows` padded with None (SPARQL's UNDEF) to `width` entries;
-    ValueError for a longer row, as engine.select raises."""
-    if set(map(len, rows)) <= {width}:
-        return tuple(rows)
-    for row in rows:
-        if len(row) > width:
-            raise long_row_error(row, width)
-    return tuple([row + (None,) * (width - len(row)) for row in rows])
-
-
 def _cache_key(gp: GraphPattern, projection, values, limit,
                tables: dict) -> str:
     form = canonicalize(gp)
@@ -79,7 +69,7 @@ def _cache_key(gp: GraphPattern, projection, values, limit,
     if values is not None:
         vvars, rows = values
         parts.append("V:" + ",".join([canon_var(v) for v in vvars]))
-        table = _values_table(len(vvars), rows)
+        table = values_table(len(vvars), rows)
         parts.append("T:%d" % tables.setdefault(table, len(tables)))
     parts.append("L:%s" % (limit,))
     return "\x1e".join(parts)
@@ -160,6 +150,7 @@ class Endpoint:
         return self._remote_select(gp, projection, values, limit)
 
     def _remote_select(self, gp, projection, values, limit) -> EvalResult:
+        check_projection(gp, projection, values[0] if values else ())
         query = to_select_sparql(gp, projection, values, limit)
         post = self._http_post or _requests_post
         started = time.time()

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
 
-from .patterns import GraphPattern, TriplePattern, Variable, is_var, long_row_error
+from .patterns import (GraphPattern, TriplePattern, Variable, check_projection,
+                       is_var, values_table)
 from .rdf import Term, TripleStore
 
 COMPLETE = "complete"
@@ -99,14 +100,6 @@ def join_plan(store: TripleStore, gp: GraphPattern,
     return order
 
 
-def _project_vars(gp: GraphPattern, projection, values_vars) -> None:
-    known = gp.variables() | set(values_vars)
-    missing = [v for v in projection if v not in known]
-    if missing:
-        raise ValueError("projection variables not in pattern or VALUES: %s"
-                         % ", ".join(v.n3() for v in missing))
-
-
 def _tuple_getter(slots: list[int]):
     """`itemgetter` that returns a tuple for any number of slots."""
     if len(slots) == 1:
@@ -151,16 +144,15 @@ def _compile(triple_slots: list[tuple[int, int, int]],
 class _Plan:
     """What select works out from the store, the pattern, the VALUES
     variables and the projection alone: the join order, the slot layout, the
-    projection getter and the steps compiled for each set of bound VALUES
-    slots. `triple_slots` is None when a constant is missing from the store,
-    so that the query matches nothing."""
+    projection getter and the steps compiled for a row that binds every
+    VALUES slot. `triple_slots` is None when a constant is missing from the
+    store, so that the query matches nothing."""
 
-    __slots__ = ("triple_slots", "template", "value_slots", "all_bound",
-                 "project", "_steps")
+    __slots__ = ("triple_slots", "template", "value_slots", "project", "steps")
 
     def __init__(self, store: TripleStore, gp: GraphPattern,
                  projection: list[Variable], values_vars: list[Variable]):
-        _project_vars(gp, projection, values_vars)
+        check_projection(gp, projection, values_vars)
         plan = join_plan(store, gp, set(values_vars))
         # a binding is a list of term ids: one slot per variable (plan order,
         # then VALUES and projection order), then the plan's constants,
@@ -187,16 +179,8 @@ class _Plan:
         self.triple_slots = triple_slots
         self.template = [None] * len(slot_of) + constants[::-1]
         self.value_slots = [slot_of[v] for v in values_vars]
-        self.all_bound = frozenset(self.value_slots)
         self.project = _tuple_getter([slot_of[v] for v in projection])
-        self._steps = {self.all_bound: _compile(triple_slots, self.all_bound)}
-
-    def steps(self, bound: frozenset[int]) -> list[_Step]:
-        """The steps for a row that leaves just the VALUES slots `bound` bound."""
-        steps = self._steps.get(bound)
-        if steps is None:
-            steps = self._steps[bound] = _compile(self.triple_slots, bound)
-        return steps
+        self.steps = _compile(triple_slots, frozenset(self.value_slots))
 
 
 def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
@@ -209,7 +193,11 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
 
     The plan is compiled into one step per triple, or taken from `plans`, a
     dict of plans over `store` only that keeps each plan compiled here; every
-    VALUES row then runs through the steps depth first.
+    VALUES row then runs through the steps depth first. The projection and
+    the VALUES rows are read by `patterns.check_projection` and
+    `patterns.values_table`, the rules a remote endpoint's queries follow too;
+    the rows are read only once the budget and the pattern's constants leave
+    something to run.
     """
     if not gp.triples and values is None:
         raise DegenerateQueryError("pattern with zero triples and no VALUES")
@@ -230,34 +218,29 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
         return EvalResult(tuple(projection), [], 0.0, COMPLETE)
 
     # VALUES terms missing from the store get negative ids, which match
-    # nothing; a None entry, or the end of a short row, leaves its variable
-    # unbound, and a longer row is an error (a bare Term is a 5-tuple)
+    # nothing; a None entry leaves its variable unbound, and a row holding
+    # one runs through steps compiled for the slots it does bind
     value_slots = plan.value_slots
-    width = len(value_slots)
-    all_steps = plan.steps(plan.all_bound)
     template = plan.template
     term_id = store.term_id
     unknown: dict[Term, int] = {}
     work = []  # (initial binding, its steps) per VALUES row
-    for row in (values[1] if values else [()]):
-        if len(row) > width:
-            raise long_row_error(row, width)
+    for row in (values_table(len(value_slots), values[1]) if values else [()]):
         binding = template.copy()
-        unbound = len(row) < width
+        steps = plan.steps
         for slot, term in zip(value_slots, row):
             if term is None:
-                unbound = True
+                steps = None
                 tid = None
             else:
                 tid = term_id(term)
                 if tid is None:
                     tid = unknown.setdefault(term, ~len(unknown))
             binding[slot] = tid
-        if unbound:
-            work.append((binding, plan.steps(frozenset(
-                s for s in value_slots if binding[s] is not None))))
-        else:
-            work.append((binding, all_steps))
+        if steps is None:
+            steps = _compile(plan.triple_slots, frozenset(
+                s for s in value_slots if binding[s] is not None))
+        work.append((binding, steps))
 
     budget = min((b for b in (soft_budget, hard_budget) if b is not None),
                  default=math.inf)

@@ -39,9 +39,9 @@ def split_pairs(pairs: list[GroundTruthPair], ratio: float = 0.1,
 
 
 def rank_of_truth(ranked, truth: Term) -> float:
-    """1-based rank of the true target, or infinity when absent."""
-    for i, item in enumerate(ranked):
-        target = item if isinstance(item, Term) else item[0]
+    """1-based rank of the true target in (term, score) pairs, or infinity
+    when absent."""
+    for i, (target, _score) in enumerate(ranked):
         if target == truth:
             return i + 1
     return math.inf

@@ -95,10 +95,14 @@ class FitnessTuple:
 
 @dataclass
 class PatternEvaluation:
-    """Per-pair precision vector and coverage flags."""
+    """Per-pair precision vector; a pair is covered exactly when its
+    precision is not 0, as 1 / len(targets) > 0 iff its target is one."""
 
     pv: list[float]
-    covered: list[bool]
+
+    @property
+    def covered(self) -> list[bool]:
+        return [p > 0 for p in self.pv]
 
 
 @dataclass
@@ -114,7 +118,7 @@ def score(gain: float, evaluation: PatternEvaluation, gt: list[GroundTruthPair],
     if gain < 0:
         raise ValueError("gain must be non-negative")
     cfg = config or ScoreConfig()
-    matched = list(compress(gt, evaluation.covered))
+    matched = list(compress(gt, evaluation.pv))
     sources = {p.source for p in matched}
     targets = {p.target for p in matched}
     penalty = 1.0
@@ -136,7 +140,7 @@ def evaluate(endpoint, gp: GraphPattern, gt: list[GroundTruthPair],
     base = dict(remains=remains, pattern_length=gp.length, pattern_vars=gp.variable_count)
 
     if not gp.triples or not gp.is_complete:
-        ev = PatternEvaluation(pv=[0.0] * n, covered=[False] * n)
+        ev = PatternEvaluation(pv=[0.0] * n)
         ft = FitnessTuple(score=0.0, gain=0.0, f1=0.0, avg_result_len=0.0,
                           gt_matches=0, timeout_penalty=0.0, query_time_s=0.0, **base)
         return ev, ft
@@ -155,14 +159,12 @@ def evaluate(endpoint, gp: GraphPattern, gt: list[GroundTruthPair],
     # pairs with a set take a step in Python
     tsets = list(map(targets_by_source.get, map(itemgetter(0), gt)))
     pv = [0.0] * n
-    covered = [False] * n
     for i in compress(range(n), tsets):
         if gt[i].target in tsets[i]:
-            covered[i] = True
             pv[i] = 1.0 / len(tsets[i])
     total_len = sum(map(len, filter(None, tsets)))
 
-    gt_matches = sum(covered)
+    gt_matches = n - pv.count(0.0)
     recall = gt_matches / n if n else 0.0
     avg_result_len = total_len / n if n else 0.0
     precision = 1.0 / avg_result_len if avg_result_len > 0 else 0.0
@@ -175,7 +177,7 @@ def evaluate(endpoint, gp: GraphPattern, gt: list[GroundTruthPair],
         # max(0.0, p - v) per pair, summed in pair order
         gain = sum(map(max, repeat(0.0), map(sub, pv, ledger.values)))
 
-    ev = PatternEvaluation(pv=pv, covered=covered)
+    ev = PatternEvaluation(pv=pv)
     sc = score(gain, ev, gt, score_config)
     ft = FitnessTuple(score=sc, gain=gain, f1=f1, avg_result_len=avg_result_len,
                       gt_matches=gt_matches, timeout_penalty=penalty,

@@ -78,8 +78,7 @@ def learned_from_json(obj: dict):
     return LearnedPattern(
         pattern=pattern_from_json(obj["pattern"]),
         fitness=FitnessTuple(**obj["fitness"]),
-        evaluation=PatternEvaluation(pv=list(obj["pv"]),
-                                     covered=list(obj["covered"])),
+        evaluation=PatternEvaluation(pv=list(obj["pv"])),
         canonical_key=obj["canonical_key"],
         run_index=obj["run_index"],
     )

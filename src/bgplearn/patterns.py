@@ -180,24 +180,36 @@ class GraphPattern:
 
 
 # ---------------------------------------------------------------------------
-# SPARQL 1.1 serialization
+# SPARQL 1.1 query shape, checked alike by every backend, and serialization
 
 
-def long_row_error(row: tuple, width: int) -> ValueError:
-    """The error for a VALUES row with more entries than its variables."""
-    return ValueError("VALUES row %r is longer than its %d variables" % (row, width))
+def values_table(width: int, rows) -> tuple:
+    """`rows` as a tuple of rows of `width` entries each: a short row's
+    missing entries are None (SPARQL's UNDEF), and a longer row is a
+    ValueError (a bare Term is a 5-tuple)."""
+    if set(map(len, rows)) <= {width}:
+        return tuple(rows)
+    for row in rows:
+        if len(row) > width:
+            raise ValueError("VALUES row %r is longer than its %d variables"
+                             % (row, width))
+    return tuple([row + (None,) * (width - len(row)) for row in rows])
+
+
+def check_projection(gp: GraphPattern, projection, values_vars) -> None:
+    """ValueError unless each projected variable occurs in `gp` or among
+    the VALUES variables."""
+    known = gp.variables() | set(values_vars)
+    missing = [v for v in projection if v not in known]
+    if missing:
+        raise ValueError("projection variables not in pattern or VALUES: %s"
+                         % ", ".join(v.n3() for v in missing))
 
 
 def values_clause(variables: list[Variable], rows: list[tuple]) -> str:
     head = " ".join(v.n3() for v in variables)
-    width = len(variables)
-    for row in rows:
-        if len(row) > width:
-            raise long_row_error(row, width)
-    # a short row leaves its last variables unbound, as in engine.select
-    body = " ".join("(%s)" % " ".join("UNDEF" if t is None else t.nt
-                                      for t in row + (None,) * (width - len(row)))
-                    for row in rows)
+    body = " ".join("(%s)" % " ".join("UNDEF" if t is None else t.nt for t in row)
+                    for row in values_table(len(variables), rows))
     return "VALUES (%s) { %s }" % (head, body)
 
 

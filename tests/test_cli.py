@@ -339,6 +339,33 @@ class TestConfig:
         assert code == EXIT_USAGE
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["learn", "predict", "evaluate"])
+    def test_store_and_url_exit_1(self, workdir, capsys, monkeypatch, command):
+        posts = []
+        monkeypatch.setattr(endpoint, "_requests_post",
+                            lambda *args, **kw: posts.append(args))
+        code = main([command, "--store", str(workdir / "store.ttl"),
+                     *remote_inputs(workdir, command)])
+        assert code == EXIT_USAGE and posts == []
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "not both" in err
+
+    @pytest.mark.parametrize("command", ["learn", "predict", "evaluate"])
+    def test_environment_never_overrides_store(self, workdir, monkeypatch,
+                                               command):
+        """BGPLEARN_ENDPOINT names the endpoint only when --store is not
+        given; the store answers every query."""
+        def post(url, data, headers, timeout):
+            raise ConnectionError("the store was given")
+
+        monkeypatch.setattr(endpoint, "_requests_post", post)
+        monkeypatch.setenv("BGPLEARN_ENDPOINT", "http://fake/sparql")
+        args = remote_inputs(workdir, command)
+        assert args[0] == "--endpoint-url"
+        code = main([command, "--store", str(workdir / "store.ttl"), *args[2:],
+                     "--set", "retries=0", "--out", str(workdir / "result")])
+        assert code == EXIT_OK
+
 
 class TestLearnCommand:
     def test_learn_outputs(self, workdir, capsys):

@@ -79,18 +79,6 @@ class TestValuesTableKey:
             assert res.rows == expected.rows
             assert max(map(len, (ep._cache, ep._tables, ep._plans))) <= 2
 
-    def test_long_row_refused_before_sending(self, capitals_store):
-        post = _FakePost([("ok", [])])
-        ep = _remote(post)
-        values = ([SOURCE_VAR], [(ex("Berlin"),), (ex("Berlin"), ex("Paris"))])
-        with pytest.raises(ValueError) as remote_exc:
-            ep.run_select(CAPITAL_GP, [SOURCE_VAR], values=values)
-        assert post.calls == [] and len(ep._cache) == 0
-        with pytest.raises(ValueError) as local_exc:
-            select(capitals_store, CAPITAL_GP, [SOURCE_VAR], values=values)
-        assert str(remote_exc.value) == str(local_exc.value)
-        assert "is longer than its 1 variables" in str(remote_exc.value)
-
 
 class TestUnboundValues:
     VALUES = ([SOURCE_VAR], [(ex("Berlin"),), (None,)])
@@ -112,14 +100,6 @@ class TestUnboundValues:
         assert ("VALUES (?source ?target) { (<http://example.org/Berlin> UNDEF) }"
                 in query)
 
-    def test_sparql_refuses_long_row(self, capitals_store):
-        values = ([SOURCE_VAR], [(ex("Berlin"),), (ex("Berlin"), ex("Paris"))])
-        with pytest.raises(ValueError) as sparql_exc:
-            to_select_sparql(CAPITAL_GP, [SOURCE_VAR], values)
-        with pytest.raises(ValueError) as local_exc:
-            select(capitals_store, CAPITAL_GP, [SOURCE_VAR], values=values)
-        assert str(sparql_exc.value) == str(local_exc.value)
-
     def test_short_row_shares_cache_entry(self, capitals_store):
         ep = local_endpoint(capitals_store)
         projection = [SOURCE_VAR, TARGET_VAR]
@@ -129,6 +109,79 @@ class TestUnboundValues:
                                values=(projection, [(ex("Berlin"), None)]))
         assert ep.backend_calls == 1
         assert padded is short
+
+
+_LONG_ROW = (ex("Berlin"), ex("Paris"))
+_ROWS = {name: (ex(name), ex(country)) for name, country in (
+    ("Berlin", "Germany"), ("Paris", "France"), ("Oslo", "Norway"))}
+
+# Each query is accepted with the same rows on every path, or refused with
+# the same message before anything runs or is sent. `sent` is the VALUES
+# clause a remote endpoint must be sent for the query.
+_SHAPES = {
+    "short_row": dict(
+        projection=[SOURCE_VAR, TARGET_VAR],
+        values=([SOURCE_VAR, TARGET_VAR], [(ex("Berlin"),)]),
+        sent="VALUES (?source ?target) { (<http://example.org/Berlin> UNDEF) }",
+        rows=[_ROWS["Berlin"]]),
+    "undef_entry": dict(
+        projection=[SOURCE_VAR, TARGET_VAR],
+        values=([SOURCE_VAR], [(ex("Berlin"),), (None,)]),
+        sent="VALUES (?source) { (<http://example.org/Berlin>) (UNDEF) }",
+        rows=[_ROWS["Berlin"], _ROWS["Paris"], _ROWS["Oslo"]]),
+    "long_row": dict(
+        projection=[SOURCE_VAR],
+        values=([SOURCE_VAR], [(ex("Berlin"),), _LONG_ROW]),
+        error="VALUES row %r is longer than its 1 variables" % (_LONG_ROW,)),
+    "projection_outside": dict(
+        projection=[V("nowhere")], values=None,
+        error="projection variables not in pattern or VALUES: ?nowhere"),
+}
+
+
+class _AnsweringPost:
+    """A remote endpoint that answers a query carrying `sent` with `rows`."""
+
+    def __init__(self, sent, rows):
+        self.sent, self.rows = sent, rows
+        self.calls = []
+
+    def __call__(self, url, data, headers, timeout):
+        self.calls.append(data["query"])
+        rows = self.rows if self.sent in data["query"] else []
+        return 200, {"results": {"bindings": [
+            {"source": {"type": "uri", "value": s.value},
+             "target": {"type": "uri", "value": t.value}} for s, t in rows]}}
+
+
+@pytest.mark.parametrize("path", ["engine", "local", "remote"])
+@pytest.mark.parametrize("case", list(_SHAPES))
+def test_one_query_shape_rule_on_every_path(capitals_store, case, path):
+    c = _SHAPES[case]
+    post = _AnsweringPost(c.get("sent"), c.get("rows"))
+    ep = {"engine": None, "local": local_endpoint(capitals_store),
+          "remote": _remote(post, retries=0)}[path]
+
+    def run():
+        if ep is None:
+            return select(capitals_store, CAPITAL_GP, c["projection"], c["values"])
+        return ep.run_select(CAPITAL_GP, c["projection"], c["values"])
+
+    if "error" not in c:
+        assert run().rows == c["rows"]
+        assert len(post.calls) == (path == "remote")
+        return
+    with pytest.raises(ValueError) as exc:
+        run()
+    assert str(exc.value) == c["error"]
+    assert post.calls == []
+    if ep is not None:
+        assert len(ep._cache) == 0
+    if path == "remote" and c["values"] is not None:
+        # the query writer refuses the rows on its own too
+        with pytest.raises(ValueError) as writer:
+            to_select_sparql(CAPITAL_GP, c["projection"], c["values"])
+        assert str(writer.value) == c["error"]
 
 
 class TestBatching:

@@ -9,10 +9,9 @@ from bgplearn.endpoint import local_endpoint
 from bgplearn.engine import (COMPLETE, DEFAULT_HARD_TIMEOUT, DEFAULT_SOFT_TIMEOUT,
                              HARD_TIMEOUT, SOFT_TIMEOUT, TICKS_PER_SECOND,
                              DegenerateQueryError, EvalResult, _compile,
-                             _project_vars, _Step, _Stop, _tuple_getter, join_plan,
-                             select)
+                             _Step, _Stop, _tuple_getter, join_plan, select)
 from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
-                               TriplePattern, Variable, is_var, long_row_error)
+                               TriplePattern, Variable, check_projection, is_var)
 from bgplearn.rdf import Term, TripleStore, load_ntriples
 
 from conftest import ex, naive_select, random_pattern, random_store
@@ -200,11 +199,6 @@ def test_select_pinned(capitals_store, case):
 
 
 class TestValuesRows:
-    def test_row_longer_than_variables_rejected(self, capitals_store):
-        with pytest.raises(ValueError):
-            select(capitals_store, CAPITAL_GP, [TARGET_VAR],
-                   values=([SOURCE_VAR], [(ex("Berlin"), ex("junk"))]))
-
     def test_bare_term_row_rejected(self, capitals_store):
         with pytest.raises(ValueError):
             select(capitals_store, CAPITAL_GP, [TARGET_VAR],
@@ -293,7 +287,7 @@ def _reference_select(store: TripleStore, gp: GraphPattern,
     if not gp.triples and values is None:
         raise DegenerateQueryError("pattern with zero triples and no VALUES")
     values_vars = values[0] if values else []
-    _project_vars(gp, projection, values_vars)
+    check_projection(gp, projection, values_vars)
 
     soft_budget = None if soft_timeout is None else int(soft_timeout * TICKS_PER_SECOND)
     hard_budget = None if hard_timeout is None else int(hard_timeout * TICKS_PER_SECOND)
@@ -337,7 +331,8 @@ def _reference_select(store: TripleStore, gp: GraphPattern,
     work = []  # (initial binding, its steps) per VALUES row
     for row in (values[1] if values else [()]):
         if len(row) > width:
-            raise long_row_error(row, width)
+            raise ValueError("VALUES row %r is longer than its %d variables"
+                             % (row, width))
         binding = template.copy()
         unbound = len(row) < width
         for slot, term in zip(value_slots, row):

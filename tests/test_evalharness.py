@@ -63,9 +63,6 @@ class TestRankOfTruth:
     def test_missing_is_infinite(self):
         assert rank_of_truth([(ex("a"), 1.0)], ex("zz")) == math.inf
 
-    def test_accepts_bare_terms(self):
-        assert rank_of_truth([ex("a"), ex("b")], ex("b")) == 2
-
 
 class TestMetrics:
     def test_closed_forms(self):

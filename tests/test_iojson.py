@@ -53,7 +53,7 @@ class TestFitnessAndLedger:
                           pattern_vars=3, timeout_penalty=0.5, query_time_s=0.125)
         lp = LearnedPattern(
             pattern=GraphPattern([TriplePattern(SOURCE_VAR, ex("p"), TARGET_VAR)]),
-            fitness=ft, evaluation=PatternEvaluation(pv=[1.0, 0.5], covered=[True, True]),
+            fitness=ft, evaluation=PatternEvaluation(pv=[1.0, 0.5]),
             canonical_key="k", run_index=2)
         assert learned_from_json(json.loads(dumps(learned_to_json(lp)))) == lp
 
