@@ -79,6 +79,18 @@ class TestValuesTableKey:
             assert res.rows == expected.rows
             assert max(map(len, (ep._cache, ep._tables, ep._plans))) <= 2
 
+    def test_long_row_refused_before_sending(self, capitals_store):
+        post = _FakePost([("ok", [])])
+        ep = _remote(post)
+        values = ([SOURCE_VAR], [(ex("Berlin"),), (ex("Berlin"), ex("Paris"))])
+        with pytest.raises(ValueError) as remote_exc:
+            ep.run_select(CAPITAL_GP, [SOURCE_VAR], values=values)
+        assert post.calls == [] and len(ep._cache) == 0
+        with pytest.raises(ValueError) as local_exc:
+            select(capitals_store, CAPITAL_GP, [SOURCE_VAR], values=values)
+        assert str(remote_exc.value) == str(local_exc.value)
+        assert "is longer than its 1 variables" in str(remote_exc.value)
+
 
 class TestUnboundValues:
     VALUES = ([SOURCE_VAR], [(ex("Berlin"),), (None,)])
@@ -99,6 +111,14 @@ class TestUnboundValues:
         query = to_select_sparql(CAPITAL_GP, [SOURCE_VAR], values)
         assert ("VALUES (?source ?target) { (<http://example.org/Berlin> UNDEF) }"
                 in query)
+
+    def test_sparql_refuses_long_row(self, capitals_store):
+        values = ([SOURCE_VAR], [(ex("Berlin"),), (ex("Berlin"), ex("Paris"))])
+        with pytest.raises(ValueError) as sparql_exc:
+            to_select_sparql(CAPITAL_GP, [SOURCE_VAR], values)
+        with pytest.raises(ValueError) as local_exc:
+            select(capitals_store, CAPITAL_GP, [SOURCE_VAR], values=values)
+        assert str(sparql_exc.value) == str(local_exc.value)
 
     def test_short_row_shares_cache_entry(self, capitals_store):
         ep = local_endpoint(capitals_store)
