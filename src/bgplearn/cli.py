@@ -15,8 +15,7 @@ from .endpoint import Endpoint, EndpointConfig, EndpointError, EndpointUnreachab
 from .evolution import EvolutionConfig
 from .fitness import CoverageLedger, GroundTruthPair
 from .iojson import (GroundTruthError, dumps, learned_from_json, learned_to_json,
-                     ledger_from_json, ledger_to_json, parse_ground_truth,
-                     parse_sources, run_record_to_json)
+                     parse_ground_truth, parse_sources, run_record_to_json)
 from .rdf import load_file
 from .report import build_report
 
@@ -100,24 +99,17 @@ def _read_json(path: str):
         return json.load(fh)
 
 
-def _read_ledger(path: str) -> tuple[CoverageLedger, int]:
-    """The coverage ledger and the next run index a session saved in `path`."""
+def _read_learned(path: str) -> tuple[list, list[evolution.LearnedPattern],
+                                       Optional[int]]:
+    """The ground truth, patterns and next run index of a `patterns.json`
+    (None for a file without `next_run`); ValueError if malformed."""
     try:
         doc = _read_json(path)
-        ledger = ledger_from_json(doc)
-        next_run = doc.get("next_run", 1)
-        if type(next_run) is not int or next_run < 1:
+        next_run = doc.get("next_run")
+        if next_run is not None and (type(next_run) is not int or next_run < 1):
             raise ValueError("next_run must be an integer >= 1, not %r" % (next_run,))
-    except (ValueError, OSError) as exc:
-        raise ValueError("ledger %s: %s" % (path, exc)) from exc
-    return ledger, next_run
-
-
-def _read_learned(path: str) -> tuple[list, list[evolution.LearnedPattern]]:
-    """The ground truth and patterns of a `patterns.json`; ValueError if malformed."""
-    try:
-        doc = _read_json(path)
-        return doc.get("ground_truth"), [learned_from_json(obj) for obj in doc["patterns"]]
+        return (doc.get("ground_truth"),
+                [learned_from_json(obj) for obj in doc["patterns"]], next_run)
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError("patterns %s: malformed (%s: %s)"
                          % (path, type(exc).__name__, exc)) from exc
@@ -156,14 +148,18 @@ def cmd_learn(args) -> int:
 
     gt_doc = [[p.source.value, p.target.value] for p in gt]
     ledger, next_run, learned = CoverageLedger.zeros(len(gt)), 1, []
-    ledger_path = os.path.join(args.out, "ledger.json")
     patterns_path = os.path.join(args.out, "patterns.json")
-    if args.resume and os.path.exists(ledger_path):
-        ledger, next_run = _read_ledger(ledger_path)
-        saved_gt, learned = _read_learned(patterns_path)
-        if saved_gt != gt_doc:
-            raise ValueError("patterns %s: learned on other GT pairs" % patterns_path)
-        learned = [lp for lp in learned if lp.run_index < next_run]  # drop uncommitted runs
+    if args.resume and os.path.exists(patterns_path):
+        saved_gt, learned, next_run = _read_learned(patterns_path)
+        try:
+            if saved_gt != gt_doc:
+                raise ValueError("learned on other GT pairs")
+            if next_run is None:
+                raise ValueError("no next_run to resume from")
+            # max is exact: the ledger the session had after its last run
+            ledger = ledger.updated(lp.evaluation.pv for lp in learned)
+        except (TypeError, ValueError) as exc:
+            raise ValueError("patterns %s: %s" % (patterns_path, exc)) from exc
     try:
         os.makedirs(args.out, exist_ok=True)
         # logs of runs this session does not keep: an earlier session's or uncommitted
@@ -175,10 +171,9 @@ def cmd_learn(args) -> int:
         raise UsageError("cannot write: %s" % exc) from exc
 
     def save() -> None:
-        """patterns.json, then ledger.json: the ledger commits the session."""
-        _write(patterns_path, dumps({"ground_truth": gt_doc,
+        """patterns.json, replaced whole: the one file that commits the session."""
+        _write(patterns_path, dumps({"ground_truth": gt_doc, "next_run": next_run,
                                      "patterns": [learned_to_json(lp) for lp in learned]}))
-        _write(ledger_path, dumps(dict(ledger_to_json(ledger), next_run=next_run)))
 
     save()  # a session that runs nothing still leaves its files
     for rec in evolution.learn_runs(endpoint, gt, evo_cfg, ledger, next_run,
@@ -360,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--resume", action="store_true",
-                   help="continue from an existing ledger in --out")
+                   help="continue the session saved in --out/patterns.json")
     p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("predict", help="predict targets for new sources")

@@ -17,8 +17,8 @@ from typing import Callable, Optional
 from . import engine
 from .canon import canonicalize
 from .engine import COMPLETE, HARD_TIMEOUT, SOFT_TIMEOUT, EvalResult
-from .patterns import (GraphPattern, Variable, check_projection, to_select_sparql,
-                       values_table)
+from .patterns import (GraphPattern, Variable, check_pattern, check_projection,
+                       to_select_sparql, values_table)
 from .rdf import Term, TripleStore, bnode, iri, literal
 
 _STATUS_RANK = {COMPLETE: 0, SOFT_TIMEOUT: 1, HARD_TIMEOUT: 2}
@@ -96,6 +96,7 @@ class Endpoint:
     def run_select(self, gp: GraphPattern, projection: list[Variable],
                    values: Optional[tuple[list[Variable], list[tuple]]] = None,
                    limit: Optional[int] = None) -> EvalResult:
+        check_pattern(gp)  # before the cache key, which canonicalizes gp
         memos = (self._cache, self._tables, self._plans)
         if max(map(len, memos)) >= _MEMO_BOUND:
             for memo in memos:

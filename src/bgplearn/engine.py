@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
 
-from .patterns import (GraphPattern, TriplePattern, Variable, check_projection,
-                       is_var, values_table)
+from .patterns import (GraphPattern, TriplePattern, Variable, check_pattern,
+                       check_projection, is_var, values_table)
 from .rdf import Term, TripleStore
 
 COMPLETE = "complete"
@@ -31,10 +31,6 @@ TICKS_PER_SECOND = 500_000
 DEFAULT_SOFT_TIMEOUT = 2.0
 DEFAULT_HARD_TIMEOUT = 10.0
 DEFAULT_LIMIT = 1024
-
-
-class DegenerateQueryError(ValueError):
-    """Raised for a query with no triple patterns and no VALUES table."""
 
 
 @dataclass
@@ -152,6 +148,7 @@ class _Plan:
 
     def __init__(self, store: TripleStore, gp: GraphPattern,
                  projection: list[Variable], values_vars: list[Variable]):
+        check_pattern(gp)
         check_projection(gp, projection, values_vars)
         plan = join_plan(store, gp, set(values_vars))
         # a binding is a list of term ids: one slot per variable (plan order,
@@ -193,14 +190,12 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
 
     The plan is compiled into one step per triple, or taken from `plans`, a
     dict of plans over `store` only that keeps each plan compiled here; every
-    VALUES row then runs through the steps depth first. The projection and
-    the VALUES rows are read by `patterns.check_projection` and
-    `patterns.values_table`, the rules a remote endpoint's queries follow too;
-    the rows are read only once the budget and the pattern's constants leave
-    something to run.
+    VALUES row then runs through the steps depth first. The pattern, the
+    projection and the VALUES rows are read by `patterns.check_pattern`,
+    `check_projection` and `values_table`, the rules a remote endpoint's
+    queries follow too; the rows are read only once the budget and the
+    pattern's constants leave something to run.
     """
-    if not gp.triples and values is None:
-        raise DegenerateQueryError("pattern with zero triples and no VALUES")
     values_vars = values[0] if values else []
     if plans is None:
         plan = _Plan(store, gp, projection, values_vars)
@@ -292,10 +287,7 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
             ticks += 1
             if ticks > budget:
                 raise _Stop
-            if steps:
-                extend(binding, steps, 0)
-            else:
-                emit(binding)
+            extend(binding, steps, 0)
     except _Stop:
         if ticks > budget:
             if hard_budget is not None and ticks > hard_budget:

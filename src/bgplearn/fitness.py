@@ -44,7 +44,8 @@ class CoverageLedger:
         new = list(self.values)
         for pv in pv_vectors:
             if len(pv) != len(new):
-                raise ValueError("precision vector length mismatch")
+                raise ValueError("a precision vector has %d entries but the ledger %d"
+                                 % (len(pv), len(new)))
             for i, p in enumerate(pv):
                 if p > new[i]:
                     new[i] = p

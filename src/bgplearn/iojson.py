@@ -78,7 +78,8 @@ def learned_from_json(obj: dict):
     return LearnedPattern(
         pattern=pattern_from_json(obj["pattern"]),
         fitness=FitnessTuple(**obj["fitness"]),
-        evaluation=PatternEvaluation(pv=list(obj["pv"])),
+        # the ledger's rule: each entry a number in [0, 1], NaN refused
+        evaluation=PatternEvaluation(pv=list(CoverageLedger(obj["pv"]).values)),
         canonical_key=obj["canonical_key"],
         run_index=obj["run_index"],
     )
@@ -97,20 +98,6 @@ def run_record_to_json(rec, echo_config: dict) -> dict:
 
 def dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def ledger_to_json(ledger: CoverageLedger) -> dict:
-    return {"values": list(ledger.values), "remains": ledger.remains()}
-
-
-def ledger_from_json(obj) -> CoverageLedger:
-    """The ledger of a `ledger.json` document; ValueError if it is malformed."""
-    if not isinstance(obj, dict) or not isinstance(obj.get("values"), list):
-        raise ValueError('a ledger is an object with a "values" list')
-    try:
-        return CoverageLedger(obj["values"])
-    except TypeError as exc:
-        raise ValueError("ledger values must be numbers: %s" % exc) from exc
 
 
 # ---------------------------------------------------------------------------

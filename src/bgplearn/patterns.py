@@ -196,6 +196,12 @@ def values_table(width: int, rows) -> tuple:
     return tuple([row + (None,) * (width - len(row)) for row in rows])
 
 
+def check_pattern(gp: GraphPattern) -> None:
+    """ValueError unless `gp` has a triple pattern: a query needs at least one."""
+    if not gp.triples:
+        raise ValueError("a query needs at least one triple pattern")
+
+
 def check_projection(gp: GraphPattern, projection, values_vars) -> None:
     """ValueError unless each projected variable occurs in `gp` or among
     the VALUES variables."""

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from bgplearn import endpoint, evalharness, evolution, predict
+from bgplearn import cli, endpoint, evalharness, evolution, predict
 from bgplearn.cli import (EXIT_BAD_INPUT, EXIT_ENDPOINT, EXIT_OK, EXIT_USAGE,
                           load_config, main)
 from bgplearn.report import build_report
@@ -64,6 +64,16 @@ FITNESS = {"remains": 3.0, "score": 2.5, "gain": 2.5, "f1": 1.0,
 ENTRY = {"pattern": [[_var("source"), CAPITAL_OF, _var("target")]],
          "fitness": FITNESS, "pv": [1.0, 1.0, 1.0], "covered": [1.0, 1.0, 1.0],
          "canonical_key": "k", "run_index": 1}
+
+
+GT_PAIRS = [["http://example.org/" + name for name in pair] for pair in
+            [("Berlin", "Germany"), ("Paris", "France"), ("Oslo", "Norway")]]
+
+
+def _session(pv=(1.0, 1.0, 1.0), next_run=2) -> str:
+    """The text of a patterns.json of a session on GT_TSV with one pattern."""
+    return json.dumps({"ground_truth": GT_PAIRS, "next_run": next_run,
+                       "patterns": [dict(ENTRY, pv=list(pv))]})
 
 
 def remote_inputs(workdir, command):
@@ -371,13 +381,14 @@ class TestLearnCommand:
     def test_learn_outputs(self, workdir, capsys):
         assert run_learn(workdir) == EXIT_OK
         out = workdir / "out"
-        assert (out / "ledger.json").exists()
+        assert not (out / "ledger.json").exists()
         assert (out / "patterns.json").exists()
         assert (out / "report.html").exists()
         assert (out / "report.json").exists()
         runs = sorted(p.name for p in out.glob("run_*.json"))
         assert runs and runs[0] == "run_001.json"
         doc = json.loads((out / "patterns.json").read_text())
+        assert doc["next_run"] == len(runs) + 1
         assert doc["patterns"]
         assert all("sparql" in p and "pv" in p for p in doc["patterns"])
         assert "learned" in capsys.readouterr().out
@@ -385,7 +396,7 @@ class TestLearnCommand:
     def test_learn_deterministic(self, workdir):
         run_learn(workdir, out="a")
         run_learn(workdir, out="b")
-        for name in ("patterns.json", "ledger.json", "report.json"):
+        for name in ("patterns.json", "run_001.json", "report.json"):
             assert (workdir / "a" / name).read_bytes() == \
                    (workdir / "b" / name).read_bytes()
 
@@ -420,16 +431,14 @@ class TestLearnCommand:
 
     def test_resume_advances_run_counter(self, workdir):
         run_learn(workdir)
-        ledger = json.loads((workdir / "out" / "ledger.json").read_text())
-        next_run = ledger["next_run"]
-        assert next_run >= 2
-        patterns = (workdir / "out" / "patterns.json").read_bytes()
+        path = workdir / "out" / "patterns.json"
+        patterns = path.read_bytes()
+        assert json.loads(patterns)["next_run"] >= 2
         code = run_learn(workdir, extra=["--resume"])
         assert code == EXIT_OK
-        # fully covered ground truth: resuming adds no runs below min_remains
-        ledger2 = json.loads((workdir / "out" / "ledger.json").read_text())
-        assert ledger2["next_run"] >= next_run
-        assert (workdir / "out" / "patterns.json").read_bytes() == patterns
+        # fully covered ground truth: resuming adds no runs below min_remains,
+        # so next_run and every pattern stay as they were
+        assert path.read_bytes() == patterns
 
     def test_fresh_session_removes_earlier_run_logs(self, workdir):
         out = workdir / "out"
@@ -457,12 +466,12 @@ class TestLearnCommand:
             run_learn(workdir, extra=every_run)
         out = workdir / "out"
         assert sorted(p.name for p in out.iterdir()) == \
-            ["ledger.json", "patterns.json", "run_001.json"]
-        assert json.loads((out / "ledger.json").read_text())["next_run"] == 2
+            ["patterns.json", "run_001.json"]
+        doc = json.loads((out / "patterns.json").read_text())
+        assert doc["next_run"] == 2
         run_1 = [p["canonical_key"] for p in
                  json.loads((out / "run_001.json").read_text())["accepted"]]
-        saved = [p["canonical_key"] for p in
-                 json.loads((out / "patterns.json").read_text())["patterns"]]
+        saved = [p["canonical_key"] for p in doc["patterns"]]
         assert saved and sorted(saved) == sorted(run_1)
 
         monkeypatch.setattr(evolution, "run_single", real_run_single)
@@ -470,32 +479,55 @@ class TestLearnCommand:
         keys = [p["canonical_key"] for p in
                 json.loads((out / "patterns.json").read_text())["patterns"]]
         assert keys[:len(saved)] == saved and len(keys) == len(set(keys))
-        assert json.loads((out / "ledger.json").read_text())["next_run"] == 3
+        assert json.loads((out / "patterns.json").read_text())["next_run"] == 3
         assert len(json.loads((out / "report.json").read_text())["runs"]) == 2
         assert "learned %d patterns over 2 runs" % len(keys) in capsys.readouterr().out
 
-    def test_resume_drops_patterns_of_uncommitted_run(self, workdir):
-        run_learn(workdir)
-        path = workdir / "out" / "patterns.json"
-        committed = path.read_bytes()
-        next_run = json.loads((workdir / "out" / "ledger.json").read_text())["next_run"]
-        doc = json.loads(committed)
-        doc["patterns"].append(dict(ENTRY, canonical_key="uncommitted",
-                                    run_index=next_run))
-        path.write_text(json.dumps(doc))
-        assert run_learn(workdir, extra=["--resume"]) == EXIT_OK
-        assert path.read_bytes() == committed
+    def test_crash_before_commit_reruns_the_run(self, workdir, monkeypatch):
+        """A crash after run 2's log is written and before patterns.json is
+        replaced leaves run 2 uncommitted: --resume deletes its log, runs it
+        again and accepts no pattern twice."""
+        out = workdir / "out"
+        real_write = cli._write
 
-    @pytest.mark.parametrize("case", ["other_pairs", "no_patterns"])
+        def crash_at_commit_of_run_2(path, text):
+            if path == str(out / "patterns.json") and (out / "run_002.json").exists():
+                raise RuntimeError("interrupted")
+            real_write(path, text)
+
+        monkeypatch.setattr(cli, "_write", crash_at_commit_of_run_2)
+        every_run = ["--set", "min_remains=0"]
+        with pytest.raises(RuntimeError):
+            run_learn(workdir, extra=every_run)
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["patterns.json", "run_001.json", "run_002.json"]
+        committed = json.loads((out / "patterns.json").read_text())
+        assert committed["next_run"] == 2
+        saved = [p["canonical_key"] for p in committed["patterns"]]
+        (out / "run_002.json").write_text("orphan")
+
+        monkeypatch.setattr(cli, "_write", real_write)
+        assert run_learn(workdir, extra=[*every_run, "--resume"]) == EXIT_OK
+        doc = json.loads((out / "patterns.json").read_text())
+        keys = [p["canonical_key"] for p in doc["patterns"]]
+        assert doc["next_run"] == 3
+        assert keys[:len(saved)] == saved and len(keys) == len(set(keys))
+        run_2 = json.loads((out / "run_002.json").read_text())["accepted"]
+        assert [p["canonical_key"] for p in run_2] == keys[len(saved):]
+
+    @pytest.mark.parametrize("case", ["other_pairs", "older_session"])
     def test_resume_of_other_session_exits_2(self, workdir, capsys, case):
         """--resume refuses, before any run, a ground truth with as many pairs
-        as the saved one but other pairs, and a ledger without its patterns."""
+        as the saved one but other pairs, and a patterns.json without
+        next_run, as sessions saved before it carried one are."""
         run_learn(workdir)
         out = workdir / "out"
         if case == "other_pairs":
             (workdir / "gt.tsv").write_text(GT_TSV.replace(":Germany", ":Spain"))
         else:
-            (out / "patterns.json").unlink()
+            doc = json.loads((out / "patterns.json").read_text())
+            del doc["next_run"]
+            (out / "patterns.json").write_text(json.dumps(doc))
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         assert run_learn(workdir, extra=["--resume"]) == EXIT_BAD_INPUT
         err = capsys.readouterr().err
@@ -506,30 +538,34 @@ class TestLearnCommand:
                              ids=["longer_ledger", "shorter_ledger"])
     def test_resume_with_ledger_of_other_length_exits_2(self, workdir, capsys,
                                                          n_ledger, n_gt):
+        """The ledger a session resumes from is rebuilt from the `pv` vectors
+        in its patterns.json; one of another length than the GT is refused."""
         lines = GT_TSV.splitlines(keepends=True)
         (workdir / "gt.tsv").write_text("".join(lines[:1 + n_gt]))
         (workdir / "out").mkdir()
-        (workdir / "out" / "ledger.json").write_text(
-            json.dumps({"values": [0.0] * n_ledger, "next_run": 1}))
-        pairs = [["http://example.org/" + name for name in pair] for pair in
-                 [("Berlin", "Germany"), ("Paris", "France"), ("Oslo", "Norway")]]
-        (workdir / "out" / "patterns.json").write_text(
-            json.dumps({"ground_truth": pairs[:n_gt], "patterns": []}))
+        (workdir / "out" / "patterns.json").write_text(json.dumps(
+            {"ground_truth": GT_PAIRS[:n_gt], "next_run": 2,
+             "patterns": [dict(ENTRY, pv=[1.0] * n_ledger)]}))
         assert run_learn(workdir, extra=["--resume"]) == EXIT_BAD_INPUT
-        assert "input error: ledger has %d entries" % n_ledger in capsys.readouterr().err
+        assert ("input error: patterns %s: a precision vector has %d entries "
+                "but the ledger %d" % (workdir / "out" / "patterns.json",
+                                       n_ledger, n_gt)) in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", [
-        '{"next_run": 1}', "not json", '{"values": ["abc", 0, 0]}',
-        '{"values": [2.0, 0, 0]}', '{"values": [NaN, 0, 0]}',
-        '{"values": [0, 0, 0], "next_run": "x"}',
-        '{"values": [0, 0, 0], "next_run": 0}', "[0, 0, 0]"],
+        json.dumps({"ground_truth": GT_PAIRS, "next_run": 2}), "not json",
+        _session(pv=["abc", 0, 0]), _session(pv=[2.0, 0, 0]),
+        _session(pv=[float("nan"), 0, 0]), _session(next_run="x"),
+        _session(next_run=0), "[0, 0, 0]"],
         ids=["no_values", "not_json", "string_value", "value_above_1", "nan_value",
              "string_next_run", "zero_next_run", "bare_list"])
     def test_resume_with_malformed_ledger_exits_2(self, workdir, capsys, text):
+        """The ledger a session resumes from is its patterns.json: no patterns
+        list, a `pv` entry that is not a number in [0, 1], or a next_run that
+        is not an integer >= 1 is refused."""
         (workdir / "out").mkdir()
-        (workdir / "out" / "ledger.json").write_text(text)
+        (workdir / "out" / "patterns.json").write_text(text)
         assert run_learn(workdir, extra=["--resume"]) == EXIT_BAD_INPUT
-        assert "input error" in capsys.readouterr().err
+        assert "input error: patterns" in capsys.readouterr().err
 
     def test_missing_gt_exits_2(self, workdir):
         code = main(["learn", "--store", str(workdir / "store.ttl"),
@@ -599,8 +635,10 @@ class TestPredictCommand:
 @pytest.mark.parametrize("doc", [
     {},
     {"patterns": [{k: v for k, v in ENTRY.items() if k != "pattern"}]},
-    {"patterns": [dict(ENTRY, fitness=dict(FITNESS, bogus=1.0))]}],
-    ids=["no_patterns", "no_pattern", "unknown_fitness_key"])
+    {"patterns": [dict(ENTRY, fitness=dict(FITNESS, bogus=1.0))]},
+    {"patterns": [dict(ENTRY, pv=[float("nan"), 1.0, 1.0])]},
+    {"next_run": 0, "patterns": [ENTRY]}],
+    ids=["no_patterns", "no_pattern", "unknown_fitness_key", "nan_pv", "zero_next_run"])
 @pytest.mark.parametrize("command", ["predict", "evaluate"])
 def test_malformed_patterns_exits_2(workdir, capsys, command, doc):
     args = [command, "--store", str(workdir / "store.ttl"),

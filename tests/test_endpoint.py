@@ -136,8 +136,9 @@ _ROWS = {name: (ex(name), ex(country)) for name, country in (
     ("Berlin", "Germany"), ("Paris", "France"), ("Oslo", "Norway"))}
 
 # Each query is accepted with the same rows on every path, or refused with
-# the same message before anything runs or is sent. `sent` is the VALUES
-# clause a remote endpoint must be sent for the query.
+# the same message before anything runs, is sent or is cached. `sent` is the
+# VALUES clause a remote endpoint must be sent for the query; the pattern is
+# CAPITAL_GP unless the case names one.
 _SHAPES = {
     "short_row": dict(
         projection=[SOURCE_VAR, TARGET_VAR],
@@ -156,6 +157,10 @@ _SHAPES = {
     "projection_outside": dict(
         projection=[V("nowhere")], values=None,
         error="projection variables not in pattern or VALUES: ?nowhere"),
+    "empty_pattern": dict(
+        pattern=GraphPattern(), projection=[SOURCE_VAR],
+        values=([SOURCE_VAR], [(ex("Berlin"),)]),
+        error="a query needs at least one triple pattern"),
 }
 
 
@@ -182,10 +187,12 @@ def test_one_query_shape_rule_on_every_path(capitals_store, case, path):
     ep = {"engine": None, "local": local_endpoint(capitals_store),
           "remote": _remote(post, retries=0)}[path]
 
+    pattern = c.get("pattern", CAPITAL_GP)
+
     def run():
         if ep is None:
-            return select(capitals_store, CAPITAL_GP, c["projection"], c["values"])
-        return ep.run_select(CAPITAL_GP, c["projection"], c["values"])
+            return select(capitals_store, pattern, c["projection"], c["values"])
+        return ep.run_select(pattern, c["projection"], c["values"])
 
     if "error" not in c:
         assert run().rows == c["rows"]
@@ -197,10 +204,10 @@ def test_one_query_shape_rule_on_every_path(capitals_store, case, path):
     assert post.calls == []
     if ep is not None:
         assert len(ep._cache) == 0
-    if path == "remote" and c["values"] is not None:
+    if path == "remote" and case == "long_row":
         # the query writer refuses the rows on its own too
         with pytest.raises(ValueError) as writer:
-            to_select_sparql(CAPITAL_GP, c["projection"], c["values"])
+            to_select_sparql(pattern, c["projection"], c["values"])
         assert str(writer.value) == c["error"]
 
 

@@ -8,10 +8,11 @@ from bgplearn import endpoint
 from bgplearn.endpoint import local_endpoint
 from bgplearn.engine import (COMPLETE, DEFAULT_HARD_TIMEOUT, DEFAULT_SOFT_TIMEOUT,
                              HARD_TIMEOUT, SOFT_TIMEOUT, TICKS_PER_SECOND,
-                             DegenerateQueryError, EvalResult, _compile,
+                             EvalResult, _compile,
                              _Step, _Stop, _tuple_getter, join_plan, select)
 from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
-                               TriplePattern, Variable, check_projection, is_var)
+                               TriplePattern, Variable, check_pattern,
+                               check_projection, is_var)
 from bgplearn.rdf import Term, TripleStore, load_ntriples
 
 from conftest import ex, naive_select, random_pattern, random_store
@@ -43,8 +44,11 @@ class TestSelect:
         assert res.status == HARD_TIMEOUT and res.rows == []
 
     def test_degenerate_query(self, capitals_store):
-        with pytest.raises(DegenerateQueryError):
-            select(capitals_store, gp(), [SOURCE_VAR])
+        """A query needs a triple pattern, with or without VALUES."""
+        for values in (None, ([SOURCE_VAR], [(ex("Berlin"),)])):
+            with pytest.raises(ValueError,
+                               match="^a query needs at least one triple pattern$"):
+                select(capitals_store, gp(), [SOURCE_VAR], values)
 
     def test_distinct(self, capitals_store):
         # two patterns binding ?target the same way must not duplicate rows
@@ -173,12 +177,6 @@ _PINNED = {
                    TriplePattern(V("o"), V("q"), V("z"))),
         projection=[V("s"), V("z")], hard_timeout=20 / TICKS_PER_SECOND,
         rows=[], status=HARD_TIMEOUT, ticks=21),
-    "values_only": dict(
-        pattern=gp(), projection=[V("x")],
-        values=([V("x")], [(ex("Berlin"),), (ex("Atlantis"),), (ex("Berlin"),),
-                           (None,)]),
-        rows=[(ex("Berlin"),), (ex("Atlantis"),), (None,)],
-        status=COMPLETE, ticks=7),
     "limit_at_last_depth": dict(
         pattern=TWO_HOP_GP, projection=[SOURCE_VAR, TARGET_VAR], limit=2,
         rows=[(ex("Berlin"), ex("Germany")), (ex("Paris"), ex("France"))],
@@ -270,8 +268,9 @@ class TestOracleEquivalence:
             checked += 1
 
 
-# engine.select before plans were memoised, kept verbatim as the reference
-# that every plan, memoised or not, must reproduce bit for bit
+# engine.select before plans were memoised, with today's query-shape checks,
+# kept as the reference that every plan, memoised or not, must reproduce bit
+# for bit
 
 def _reference_select(store: TripleStore, gp: GraphPattern,
                       projection: list[Variable],
@@ -284,9 +283,8 @@ def _reference_select(store: TripleStore, gp: GraphPattern,
     The plan is compiled once into one step per triple; every VALUES row then
     runs through the steps depth first.
     """
-    if not gp.triples and values is None:
-        raise DegenerateQueryError("pattern with zero triples and no VALUES")
     values_vars = values[0] if values else []
+    check_pattern(gp)
     check_projection(gp, projection, values_vars)
 
     soft_budget = None if soft_timeout is None else int(soft_timeout * TICKS_PER_SECOND)
@@ -401,10 +399,7 @@ def _reference_select(store: TripleStore, gp: GraphPattern,
             ticks += 1
             if ticks > budget:
                 raise _Stop
-            if steps:
-                extend(binding, steps, 0)
-            else:
-                emit(binding)
+            extend(binding, steps, 0)
     except _Stop:
         if ticks > budget:
             if hard_budget is not None and ticks > hard_budget:
@@ -483,7 +478,7 @@ class TestPlanMemo:
                 if rng.random() < 0.3:  # one pattern and projection, another shape
                     values_vars = values_vars[::-1]
                 values = None
-                if values_vars or not pattern.triples or rng.random() < 0.3:
+                if values_vars or rng.random() < 0.3:
                     values = (values_vars, _random_table(rng, store, values_vars))
                 limit = rng.choice([None, 1, 2, 3, 5, 8])
                 full = _reference_select(store, pattern, projection, values, limit,

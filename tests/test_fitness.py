@@ -11,7 +11,6 @@ from bgplearn.engine import select
 from bgplearn.fitness import (_STATUS_PENALTY, CoverageLedger, FitnessTuple,
                               GroundTruthPair, PatternEvaluation, ScoreConfig,
                               evaluate, score)
-from bgplearn.iojson import dumps, ledger_to_json
 from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
                                TriplePattern, Variable)
 
@@ -57,8 +56,6 @@ class TestLedger:
             values = self._random_values(rng)
             led = CoverageLedger(values)
             assert led.to_json() == json.dumps(values)
-            doc = {"values": values, "remains": sum(1.0 - v for v in values)}
-            assert dumps(ledger_to_json(led)) == dumps(doc)
 
 
 def _ft(**kw):

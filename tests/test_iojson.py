@@ -4,12 +4,11 @@ import random
 import pytest
 
 from bgplearn.evolution import LearnedPattern
-from bgplearn.fitness import (CoverageLedger, FitnessTuple, GroundTruthPair,
-                              PatternEvaluation)
+from bgplearn.fitness import FitnessTuple, GroundTruthPair, PatternEvaluation
 from bgplearn.iojson import (GroundTruthError, dumps, learned_from_json,
-                             learned_to_json, ledger_from_json, ledger_to_json,
-                             node_from_json, node_to_json, parse_ground_truth,
-                             parse_sources, pattern_from_json, pattern_to_json)
+                             learned_to_json, node_from_json, node_to_json,
+                             parse_ground_truth, parse_sources, pattern_from_json,
+                             pattern_to_json)
 from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
                                TriplePattern, Variable)
 from bgplearn.rdf import bnode, iri, literal
@@ -57,9 +56,19 @@ class TestFitnessAndLedger:
             canonical_key="k", run_index=2)
         assert learned_from_json(json.loads(dumps(learned_to_json(lp)))) == lp
 
-    def test_ledger_round_trip(self):
-        led = CoverageLedger([0.0, 0.25, 1.0])
-        assert ledger_from_json(ledger_to_json(led)) == led
+    @pytest.mark.parametrize("pv", [[float("nan"), 0.0], [2.0, -1.0], ["abc", 0],
+                                    [None, 0], 5],
+                             ids=["nan", "out_of_range", "string", "null", "number"])
+    def test_pv_checked_by_ledger_rule(self, pv):
+        """A `pv` entry is what a ledger may hold: a number in [0, 1]."""
+        lp = LearnedPattern(
+            pattern=GraphPattern([TriplePattern(SOURCE_VAR, ex("p"), TARGET_VAR)]),
+            fitness=FitnessTuple(1.0, 1.0, 1.0, 1.0, 1.0, 1, 1, 2, 0.0, 0.0),
+            evaluation=PatternEvaluation(pv=[1.0, 0.5]), canonical_key="k",
+            run_index=1)
+        doc = dict(learned_to_json(lp), pv=pv)
+        with pytest.raises((ValueError, TypeError)):
+            learned_from_json(doc)
 
     def test_dumps_stable(self):
         a = dumps({"b": 1, "a": [2, 3]})
