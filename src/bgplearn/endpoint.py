@@ -194,9 +194,10 @@ def _requests_post(url, data, headers, timeout):
 
 def _json_term(obj: dict) -> Term:
     """The term of a SPARQL JSON value; ValueError if N-Triples cannot write it."""
-    typ, value = obj.get("type"), obj.get("value")
+    value = obj.get("value") if isinstance(obj, dict) else None
     if not isinstance(value, str):
         raise ValueError("SPARQL JSON term without a string value: %r" % (obj,))
+    typ = obj.get("type")
     if typ == "uri":
         return iri(value)
     if typ == "bnode":
@@ -211,11 +212,20 @@ def _json_term(obj: dict) -> Term:
 
 
 def _parse_sparql_json(payload: dict, projection: list[Variable]) -> list[tuple]:
+    """The distinct rows of a SPARQL JSON answer; ValueError unless it has the
+    results format's shape and each binding binds every projected variable."""
+    results = payload.get("results") if isinstance(payload, dict) else None
+    bindings = results.get("bindings") if isinstance(results, dict) else None
+    if not isinstance(bindings, list):
+        raise ValueError("SPARQL JSON answer without a results.bindings list")
     rows = []
     seen = set()
-    for binding in payload.get("results", {}).get("bindings", []):
-        row = tuple(_json_term(binding[v.name]) if v.name in binding else None
-                    for v in projection)
+    for binding in bindings:
+        if not (isinstance(binding, dict)
+                and all(v.name in binding for v in projection)):
+            raise ValueError("SPARQL JSON binding that does not bind each of %s: %r"
+                             % (" ".join(v.n3() for v in projection), binding))
+        row = tuple([_json_term(binding[v.name]) for v in projection])
         if row not in seen:
             seen.add(row)
             rows.append(row)

@@ -141,10 +141,10 @@ class _Plan:
     """What select works out from the store, the pattern, the VALUES
     variables and the projection alone: the join order, the slot layout, the
     projection getter and the steps compiled for a row that binds every
-    VALUES slot. `triple_slots` is None when a constant is missing from the
-    store, so that the query matches nothing."""
+    VALUES slot. `steps` is None when a constant is missing from the store,
+    so that the query matches nothing."""
 
-    __slots__ = ("triple_slots", "template", "value_slots", "project", "steps")
+    __slots__ = ("template", "value_slots", "project", "steps")
 
     def __init__(self, store: TripleStore, gp: GraphPattern,
                  projection: list[Variable], values_vars: list[Variable]):
@@ -166,14 +166,13 @@ class _Plan:
                     continue
                 tid = store.term_id(node)
                 if tid is None:  # a constant missing from the store matches nothing
-                    self.triple_slots = None
+                    self.steps = None
                     return
                 constants.append(tid)
                 slots.append(-len(constants))
             triple_slots.append(tuple(slots))
         for v in (*values_vars, *projection):
             slot_of.setdefault(v, len(slot_of))
-        self.triple_slots = triple_slots
         self.template = [None] * len(slot_of) + constants[::-1]
         self.value_slots = [slot_of[v] for v in values_vars]
         self.project = _tuple_getter([slot_of[v] for v in projection])
@@ -209,40 +208,31 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
     hard_budget = None if hard_timeout is None else int(hard_timeout * TICKS_PER_SECOND)
     if hard_budget is not None and hard_budget <= 0:
         return EvalResult(tuple(projection), [], 0.0, HARD_TIMEOUT)
-    if plan.triple_slots is None:
+    steps = plan.steps
+    if steps is None:
         return EvalResult(tuple(projection), [], 0.0, COMPLETE)
 
-    # VALUES terms missing from the store get negative ids, which match
-    # nothing; a None entry leaves its variable unbound, and a row holding
-    # one runs through steps compiled for the slots it does bind
+    # VALUES terms missing from the store get negative ids, which match nothing
     value_slots = plan.value_slots
     template = plan.template
     term_id = store.term_id
     unknown: dict[Term, int] = {}
-    work = []  # (initial binding, its steps) per VALUES row
+    work = []  # the initial binding of each VALUES row
     for row in (values_table(len(value_slots), values[1]) if values else [()]):
         binding = template.copy()
-        steps = plan.steps
         for slot, term in zip(value_slots, row):
-            if term is None:
-                steps = None
-                tid = None
-            else:
-                tid = term_id(term)
-                if tid is None:
-                    tid = unknown.setdefault(term, ~len(unknown))
+            tid = term_id(term)
+            if tid is None:
+                tid = unknown.setdefault(term, ~len(unknown))
             binding[slot] = tid
-        if steps is None:
-            steps = _compile(plan.triple_slots, frozenset(
-                s for s in value_slots if binding[s] is not None))
-        work.append((binding, steps))
+        work.append(binding)
 
     budget = min((b for b in (soft_budget, hard_budget) if b is not None),
                  default=math.inf)
     max_rows = math.inf if limit is None else limit
     project = plan.project
     match_ids = store.match_ids
-    last = len(plan.triple_slots) - 1
+    last = len(steps) - 1
     found: dict[tuple, None] = {}  # distinct projected id rows, in order
     ticks = 0
 
@@ -257,7 +247,7 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
             if len(found) >= max_rows:
                 raise _Stop
 
-    def extend(binding: list, steps: list[_Step], depth: int) -> None:
+    def extend(binding: list, depth: int) -> None:
         nonlocal ticks
         key, writes, pairs, reads_values = steps[depth]
         lookup = key(binding)
@@ -275,7 +265,7 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
             for pos, slot in writes:
                 binding[slot] = trip[pos]
             if depth < last:
-                extend(binding, steps, depth + 1)
+                extend(binding, depth + 1)
             else:
                 emit(binding)
         for _pos, slot in writes:
@@ -283,11 +273,11 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
 
     status = COMPLETE
     try:
-        for binding, steps in work:
+        for binding in work:
             ticks += 1
             if ticks > budget:
                 raise _Stop
-            extend(binding, steps, 0)
+            extend(binding, 0)
     except _Stop:
         if ticks > budget:
             if hard_budget is not None and ticks > hard_budget:
@@ -298,9 +288,7 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
     missing = list(unknown)
     term = store.term
 
-    def decode(tid: Optional[int]) -> Optional[Term]:
-        if tid is None:
-            return None
+    def decode(tid: int) -> Term:
         return term(tid) if tid >= 0 else missing[~tid]
 
     rows = [tuple(map(decode, row)) for row in found]

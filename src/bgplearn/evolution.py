@@ -368,9 +368,7 @@ def fix_var(gp: GraphPattern, endpoint, gt: list[GroundTruthPair],
         return []
     counts: dict[Term, int] = {}
     for row in res.rows:
-        term = row[2]
-        if term is not None:
-            counts[term] = counts.get(term, 0) + 1
+        counts[row[2]] = counts.get(row[2], 0) + 1
     terms = sorted(counts, key=lambda t: (-counts[t], t.sort_key()))
     children: list[GraphPattern] = []
     for k in _weighted_draws([float(counts[t]) for t in terms],

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import compress, repeat
+from numbers import Real
 from operator import itemgetter, sub
 from typing import Iterable, NamedTuple, Optional
 
@@ -22,9 +23,12 @@ class CoverageLedger:
     """Per ground-truth-pair best precision achieved by any accepted pattern so far."""
 
     def __init__(self, values: Iterable[float]):
+        values = tuple(values)
+        # a bool or a string is not a precision; NaN fails the bounds too
+        if not all(isinstance(v, Real) and not isinstance(v, bool) and 0 <= v <= 1
+                   for v in values):
+            raise ValueError("precision values must be real numbers in [0, 1]")
         self.values = tuple([float(v) for v in values])
-        if not all(0.0 <= v <= 1.0 for v in self.values):  # NaN fails too
-            raise ValueError("precision values must lie in [0, 1]")
         # a ledger never changes, and fitness and fix-var read these on
         # every query: each pair's fix-var weight, 1 - value, and their sum
         self.weights = tuple([1.0 - v for v in self.values])

@@ -184,16 +184,13 @@ class GraphPattern:
 
 
 def values_table(width: int, rows) -> tuple:
-    """`rows` as a tuple of rows of `width` entries each: a short row's
-    missing entries are None (SPARQL's UNDEF), and a longer row is a
-    ValueError (a bare Term is a 5-tuple)."""
+    """`rows` as a tuple, each row holding one Term per VALUES variable; a
+    shorter or longer row is a ValueError (a bare Term is a 5-tuple)."""
     if set(map(len, rows)) <= {width}:
         return tuple(rows)
-    for row in rows:
-        if len(row) > width:
-            raise ValueError("VALUES row %r is longer than its %d variables"
-                             % (row, width))
-    return tuple([row + (None,) * (width - len(row)) for row in rows])
+    row = next(row for row in rows if len(row) != width)
+    raise ValueError("VALUES row %r is %s than its %d variables"
+                     % (row, "longer" if len(row) > width else "shorter", width))
 
 
 def check_pattern(gp: GraphPattern) -> None:
@@ -214,7 +211,7 @@ def check_projection(gp: GraphPattern, projection, values_vars) -> None:
 
 def values_clause(variables: list[Variable], rows: list[tuple]) -> str:
     head = " ".join(v.n3() for v in variables)
-    body = " ".join("(%s)" % " ".join("UNDEF" if t is None else t.nt for t in row)
+    body = " ".join("(%s)" % " ".join(t.nt for t in row)
                     for row in values_table(len(variables), rows))
     return "VALUES (%s) { %s }" % (head, body)
 

@@ -176,10 +176,7 @@ def predict_targets(endpoint, portfolio: PatternPortfolio,
         res = endpoint.run_select(entry.pattern, [TARGET_VAR],
                                   values=([SOURCE_VAR], [(source,)]),
                                   limit=endpoint.config.default_limit)
-        if res.timed_out:
-            sets.append(set())
-        else:
-            sets.append({row[0] for row in res.rows if row[0] is not None})
+        sets.append(set() if res.timed_out else {row[0] for row in res.rows})
     return sets
 
 

@@ -70,16 +70,14 @@ def random_pattern(rng, n_triples=3, n_vars=4, store=None, with_reserved=True):
 def _values_bindings(values):
     if values is None:
         return [{}]
-    return [{v: t for v, t in zip(values[0], row) if t is not None}
-            for row in values[1]]
+    return [dict(zip(values[0], row)) for row in values[1]]
 
 
 def naive_select(store, gp, projection, values=None):
     """Independent oracle: per-pattern naive membership filtering, then a full
     cartesian product with a join consistency check. No indexes, no planning.
     VALUES bindings are substituted per row before filtering, which keeps the
-    product tractable without changing the semantics; a None entry leaves its
-    variable unbound."""
+    product tractable without changing the semantics."""
     all_triples = list(store.triples())
 
     def candidates(tp, base):
@@ -119,7 +117,7 @@ def naive_select(store, gp, projection, values=None):
                 if not ok:
                     break
             if ok:
-                rows.add(tuple(binding.get(v) for v in projection))
+                rows.add(tuple(binding[v] for v in projection))
     return rows
 
 

@@ -73,7 +73,7 @@ GT_PAIRS = [["http://example.org/" + name for name in pair] for pair in
 def _session(pv=(1.0, 1.0, 1.0), next_run=2) -> str:
     """The text of a patterns.json of a session on GT_TSV with one pattern."""
     return json.dumps({"ground_truth": GT_PAIRS, "next_run": next_run,
-                       "patterns": [dict(ENTRY, pv=list(pv))]})
+                       "patterns": [dict(ENTRY, pv=pv)]})
 
 
 def remote_inputs(workdir, command):
@@ -105,8 +105,8 @@ def test_refuses_unwritable_remote_term(workdir, capsys, monkeypatch, command):
 @pytest.mark.parametrize("term", [
     {"type": "uri"}, {"type": "literal", "value": 3},
     {"type": "literal", "value": "v", "datatype": 3},
-    {"type": "literal", "value": "v", "xml:lang": 3}],
-    ids=["missing", "not-string", "datatype", "lang"])
+    {"type": "literal", "value": "v", "xml:lang": 3}, "x"],
+    ids=["missing", "not-string", "datatype", "lang", "not-object"])
 def test_remote_term_without_string_value_exits_2(workdir, capsys, monkeypatch,
                                                    term):
     def post(url, data, headers, timeout):
@@ -555,9 +555,12 @@ class TestLearnCommand:
         json.dumps({"ground_truth": GT_PAIRS, "next_run": 2}), "not json",
         _session(pv=["abc", 0, 0]), _session(pv=[2.0, 0, 0]),
         _session(pv=[float("nan"), 0, 0]), _session(next_run="x"),
-        _session(next_run=0), "[0, 0, 0]"],
+        _session(next_run=0), "[0, 0, 0]",
+        # as long as the ground truth, so that only the entries' type is wrong
+        _session(pv="111"), _session(pv=["0.5", 0, 0]), _session(pv=[True, 0, 0])],
         ids=["no_values", "not_json", "string_value", "value_above_1", "nan_value",
-             "string_next_run", "zero_next_run", "bare_list"])
+             "string_next_run", "zero_next_run", "bare_list", "string_pv",
+             "numeric_string_value", "bool_value"])
     def test_resume_with_malformed_ledger_exits_2(self, workdir, capsys, text):
         """The ledger a session resumes from is its patterns.json: no patterns
         list, a `pv` entry that is not a number in [0, 1], or a next_run that
@@ -637,8 +640,10 @@ class TestPredictCommand:
     {"patterns": [{k: v for k, v in ENTRY.items() if k != "pattern"}]},
     {"patterns": [dict(ENTRY, fitness=dict(FITNESS, bogus=1.0))]},
     {"patterns": [dict(ENTRY, pv=[float("nan"), 1.0, 1.0])]},
+    {"patterns": [dict(ENTRY, pv="1")]},
     {"next_run": 0, "patterns": [ENTRY]}],
-    ids=["no_patterns", "no_pattern", "unknown_fitness_key", "nan_pv", "zero_next_run"])
+    ids=["no_patterns", "no_pattern", "unknown_fitness_key", "nan_pv", "string_pv",
+         "zero_next_run"])
 @pytest.mark.parametrize("command", ["predict", "evaluate"])
 def test_malformed_patterns_exits_2(workdir, capsys, command, doc):
     args = [command, "--store", str(workdir / "store.ttl"),

@@ -93,25 +93,6 @@ class TestValuesTableKey:
 
 
 class TestUnboundValues:
-    VALUES = ([SOURCE_VAR], [(ex("Berlin"),), (None,)])
-
-    def test_endpoint_rows_equal_engine_rows(self, capitals_store):
-        projection = [SOURCE_VAR, TARGET_VAR]
-        res = local_endpoint(capitals_store).run_select(CAPITAL_GP, projection,
-                                                        values=self.VALUES)
-        expected = select(capitals_store, CAPITAL_GP, projection, values=self.VALUES)
-        assert res.rows == expected.rows and len(res.rows) == 3
-
-    def test_sparql_writes_undef(self):
-        query = to_select_sparql(CAPITAL_GP, [TARGET_VAR], self.VALUES)
-        assert "VALUES (?source) { (<http://example.org/Berlin>) (UNDEF) }" in query
-
-    def test_sparql_pads_short_row(self):
-        values = ([SOURCE_VAR, TARGET_VAR], [(ex("Berlin"),)])
-        query = to_select_sparql(CAPITAL_GP, [SOURCE_VAR], values)
-        assert ("VALUES (?source ?target) { (<http://example.org/Berlin> UNDEF) }"
-                in query)
-
     def test_sparql_refuses_long_row(self, capitals_store):
         values = ([SOURCE_VAR], [(ex("Berlin"),), (ex("Berlin"), ex("Paris"))])
         with pytest.raises(ValueError) as sparql_exc:
@@ -120,36 +101,25 @@ class TestUnboundValues:
             select(capitals_store, CAPITAL_GP, [SOURCE_VAR], values=values)
         assert str(sparql_exc.value) == str(local_exc.value)
 
-    def test_short_row_shares_cache_entry(self, capitals_store):
-        ep = local_endpoint(capitals_store)
-        projection = [SOURCE_VAR, TARGET_VAR]
-        short = ep.run_select(CAPITAL_GP, projection,
-                              values=(projection, [(ex("Berlin"),)]))
-        padded = ep.run_select(CAPITAL_GP, projection,
-                               values=(projection, [(ex("Berlin"), None)]))
-        assert ep.backend_calls == 1
-        assert padded is short
-
 
 _LONG_ROW = (ex("Berlin"), ex("Paris"))
-_ROWS = {name: (ex(name), ex(country)) for name, country in (
-    ("Berlin", "Germany"), ("Paris", "France"), ("Oslo", "Norway"))}
 
 # Each query is accepted with the same rows on every path, or refused with
 # the same message before anything runs, is sent or is cached. `sent` is the
 # VALUES clause a remote endpoint must be sent for the query; the pattern is
-# CAPITAL_GP unless the case names one.
+# CAPITAL_GP unless the case names one. A VALUES row holds one term per
+# VALUES variable, no fewer and no more.
 _SHAPES = {
+    "full_rows": dict(
+        projection=[SOURCE_VAR, TARGET_VAR],
+        values=([SOURCE_VAR], [(ex("Berlin"),), (ex("Oslo"),)]),
+        sent="VALUES (?source) { (<http://example.org/Berlin>)"
+             " (<http://example.org/Oslo>) }",
+        rows=[(ex("Berlin"), ex("Germany")), (ex("Oslo"), ex("Norway"))]),
     "short_row": dict(
         projection=[SOURCE_VAR, TARGET_VAR],
         values=([SOURCE_VAR, TARGET_VAR], [(ex("Berlin"),)]),
-        sent="VALUES (?source ?target) { (<http://example.org/Berlin> UNDEF) }",
-        rows=[_ROWS["Berlin"]]),
-    "undef_entry": dict(
-        projection=[SOURCE_VAR, TARGET_VAR],
-        values=([SOURCE_VAR], [(ex("Berlin"),), (None,)]),
-        sent="VALUES (?source) { (<http://example.org/Berlin>) (UNDEF) }",
-        rows=[_ROWS["Berlin"], _ROWS["Paris"], _ROWS["Oslo"]]),
+        error="VALUES row %r is shorter than its 2 variables" % ((ex("Berlin"),),)),
     "long_row": dict(
         projection=[SOURCE_VAR],
         values=([SOURCE_VAR], [(ex("Berlin"),), _LONG_ROW]),
@@ -204,7 +174,7 @@ def test_one_query_shape_rule_on_every_path(capitals_store, case, path):
     assert post.calls == []
     if ep is not None:
         assert len(ep._cache) == 0
-    if path == "remote" and case == "long_row":
+    if path == "remote" and case in ("short_row", "long_row"):
         # the query writer refuses the rows on its own too
         with pytest.raises(ValueError) as writer:
             to_select_sparql(pattern, c["projection"], c["values"])
@@ -250,6 +220,9 @@ class _FakePost:
         if action[0] == "http":
             return action[1], None
         return 200, _sparql_json(action[1])
+
+
+_BERLIN = {"type": "uri", "value": "http://example.org/Berlin"}
 
 
 def _remote(post, **kw):
@@ -331,6 +304,21 @@ class TestRemote:
             "results": {"bindings": [{"target": term}]}}))
         with pytest.raises(ValueError, match=message):
             ep.run_select(CAPITAL_GP, [TARGET_VAR])
+        assert len(ep._cache) == 0
+
+    @pytest.mark.parametrize("payload", [
+        [], None, {}, {"results": []}, {"results": {"bindings": {}}},
+        {"results": {"bindings": [["x"]]}},
+        {"results": {"bindings": [{"source": "x", "target": _BERLIN}]}},
+        {"results": {"bindings": [{"source": _BERLIN}]}}],
+        ids=["list", "null", "no-results", "results-list", "bindings-object",
+             "binding-list", "term-string", "unbound-target"])
+    def test_malformed_answer_refused(self, payload):
+        """An answer outside the SPARQL JSON results format, or one leaving a
+        projected variable unbound, is refused and nothing is cached."""
+        ep = _remote(lambda url, data, headers, timeout: (200, payload))
+        with pytest.raises(ValueError, match="^SPARQL JSON "):
+            ep.run_select(CAPITAL_GP, [SOURCE_VAR, TARGET_VAR])
         assert len(ep._cache) == 0
 
     def test_retry_then_success(self):

@@ -154,16 +154,6 @@ _PINNED = {
         rows=[(ex("Berlin"), ex("Country")), (ex("Berlin"), ex("France")),
               (ex("Paris"), ex("Country"))],
         status=SOFT_TIMEOUT, ticks=21),
-    # one query, three sets of VALUES slots left unbound, one absent term
-    "values_mixed_none": dict(
-        pattern=TWO_HOP_GP, projection=[SOURCE_VAR, TARGET_VAR],
-        values=([SOURCE_VAR, TARGET_VAR],
-                [(ex("Paris"), None), (None, ex("Norway")),
-                 (ex("Berlin"), ex("Germany")), (None, None),
-                 (ex("Atlantis"), None)]),
-        rows=[(ex("Paris"), ex("France")), (ex("Oslo"), ex("Norway")),
-              (ex("Berlin"), ex("Germany"))],
-        status=COMPLETE, ticks=20),
     "repeated_variable_matches": dict(
         store=LOOPS_TTL,
         pattern=gp(TriplePattern(V("x"), V("p"), V("x"))),
@@ -240,8 +230,8 @@ class TestOracleEquivalence:
             checked += 1
 
     def test_random_values_tables_match_bruteforce(self):
-        """VALUES rows mixing store terms, None entries and absent terms, over
-        pattern variables and one variable the pattern does not use."""
+        """VALUES rows mixing store terms and absent terms, over pattern
+        variables and one variable the pattern does not use."""
         rng = random.Random(43)
         checked = 0
         while checked < 60:
@@ -256,7 +246,7 @@ class TestOracleEquivalence:
                                      rng.randint(1, min(2, len(pattern_vars))))
             if rng.random() < 0.5:
                 values_vars.append(V("extra"))
-            choices = store.terms + [None, ex("absent1"), ex("absent2")]
+            choices = store.terms + [ex("absent1"), ex("absent2")]
             rows = [tuple(rng.choice(choices) for _ in values_vars)
                     for _ in range(rng.randint(1, 5))]
             projection = sorted(set(pattern_vars) | set(values_vars),
@@ -317,37 +307,25 @@ def _reference_select(store: TripleStore, gp: GraphPattern,
     template = [None] * len(slot_of) + constants[::-1]
 
     # VALUES terms missing from the store get negative ids, which match
-    # nothing; a None entry, or the end of a short row, leaves its variable
-    # unbound, and a longer row is an error (a bare Term is a 5-tuple). Steps
-    # are compiled once per set of VALUES slots a row leaves bound.
+    # nothing; a row holds one term per VALUES variable, and a shorter or
+    # longer row is an error (a bare Term is a 5-tuple)
     value_slots = [slot_of[v] for v in values_vars]
     width = len(value_slots)
-    all_bound = frozenset(value_slots)
-    compiled = {all_bound: _compile(triple_slots, all_bound)}
+    steps = _compile(triple_slots, frozenset(value_slots))
     term_id = store.term_id
     unknown: dict[Term, int] = {}
-    work = []  # (initial binding, its steps) per VALUES row
+    work = []  # the initial binding of each VALUES row
     for row in (values[1] if values else [()]):
-        if len(row) > width:
-            raise ValueError("VALUES row %r is longer than its %d variables"
-                             % (row, width))
+        if len(row) != width:
+            raise ValueError("VALUES row %r is %s than its %d variables" % (
+                row, "longer" if len(row) > width else "shorter", width))
         binding = template.copy()
-        unbound = len(row) < width
         for slot, term in zip(value_slots, row):
-            if term is None:
-                unbound = True
-                tid = None
-            else:
-                tid = term_id(term)
-                if tid is None:
-                    tid = unknown.setdefault(term, ~len(unknown))
+            tid = term_id(term)
+            if tid is None:
+                tid = unknown.setdefault(term, ~len(unknown))
             binding[slot] = tid
-        bound = all_bound
-        if unbound:
-            bound = frozenset(s for s in value_slots if binding[s] is not None)
-            if bound not in compiled:
-                compiled[bound] = _compile(triple_slots, bound)
-        work.append((binding, compiled[bound]))
+        work.append(binding)
 
     budget = min((b for b in (soft_budget, hard_budget) if b is not None),
                  default=math.inf)
@@ -395,7 +373,7 @@ def _reference_select(store: TripleStore, gp: GraphPattern,
 
     status = COMPLETE
     try:
-        for binding, steps in work:
+        for binding in work:
             ticks += 1
             if ticks > budget:
                 raise _Stop
@@ -410,9 +388,7 @@ def _reference_select(store: TripleStore, gp: GraphPattern,
     missing = list(unknown)
     term = store.term
 
-    def decode(tid: Optional[int]) -> Optional[Term]:
-        if tid is None:
-            return None
+    def decode(tid: int) -> Term:
         return term(tid) if tid >= 0 else missing[~tid]
 
     rows = [tuple(map(decode, row)) for row in found]
@@ -449,13 +425,10 @@ def _random_query(rng, store):
 
 
 def _random_table(rng, store, values_vars):
-    """Rows of store terms, None entries, absent terms and short rows."""
-    choices = store.terms + [None, ex("absent1"), ex("absent2")]
-    rows = []
-    for _ in range(rng.randint(0, 6)):
-        row = tuple(rng.choice(choices) for _ in values_vars)
-        rows.append(row[:rng.randint(0, len(row))] if rng.random() < 0.2 else row)
-    return rows
+    """Full rows of store terms and absent terms."""
+    choices = store.terms + [ex("absent1"), ex("absent2")]
+    return [tuple(rng.choice(choices) for _ in values_vars)
+            for _ in range(rng.randint(0, 6))]
 
 
 def _same(res, ref):
@@ -486,7 +459,9 @@ class TestPlanMemo:
                 soft, hard = _random_budget(rng, round(full.elapsed * TICKS_PER_SECOND))
                 args = (store, pattern, projection, values, limit, soft, hard)
                 ref = _reference_select(*args)
-                _same(select(*args), ref)
+                res = select(*args)
+                assert all(None not in row for row in res.rows)
+                _same(res, ref)
                 _same(select(*args, plans=memo), ref)
 
     def test_bounded_memo_equals_engine(self, capitals_store, monkeypatch):

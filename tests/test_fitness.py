@@ -33,6 +33,13 @@ class TestLedger:
         assert list(new.values) == [0.5, 0.9, 1.0]
         assert list(led.values) == [0.2, 0.9, 0.0]
 
+    @pytest.mark.parametrize("values", ["1", ["0.5"], [True], [0.5, False], {"1": 0}],
+                             ids=["string", "numeric_string", "true", "false",
+                                  "dict_key"])
+    def test_refuses_what_is_not_a_precision(self, values):
+        with pytest.raises(ValueError, match="real numbers in \\[0, 1\\]"):
+            CoverageLedger(values)
+
     def test_remains_after_update(self):
         led = CoverageLedger.zeros(3).updated([[1.0, 0.0, 0.5]])
         assert led.remains() == pytest.approx(3 - 1.5)
