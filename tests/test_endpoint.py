@@ -93,6 +93,17 @@ class TestValuesTableKey:
 
 
 class TestUnboundValues:
+    def test_sparql_pads_short_row(self, capitals_store):
+        """A short row is not padded with UNDEF: the SPARQL writer refuses
+        it with the engine's message, as it refuses a long one."""
+        values = ([SOURCE_VAR, TARGET_VAR], [(ex("Berlin"),)])
+        with pytest.raises(ValueError) as sparql_exc:
+            to_select_sparql(CAPITAL_GP, [SOURCE_VAR], values)
+        with pytest.raises(ValueError) as local_exc:
+            select(capitals_store, CAPITAL_GP, [SOURCE_VAR], values=values)
+        assert str(sparql_exc.value) == str(local_exc.value)
+        assert "is shorter than its 2 variables" in str(sparql_exc.value)
+
     def test_sparql_refuses_long_row(self, capitals_store):
         values = ([SOURCE_VAR], [(ex("Berlin"),), (ex("Berlin"), ex("Paris"))])
         with pytest.raises(ValueError) as sparql_exc:
