@@ -5,7 +5,7 @@ from __future__ import annotations
 import gzip
 import re
 from collections import namedtuple
-from itertools import groupby
+from itertools import groupby, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
@@ -139,10 +139,14 @@ class TripleStore:
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
-        self._terms: list[Term] = []
-        self._ids: dict[Term, int] = {}
-        intern = self._intern
-        spo = sorted({(intern(t.s), intern(t.p), intern(t.o)) for t in triples})
+        # ids in first-occurrence order, s then p then o of each triple; that
+        # order decides the order of every lookup's results
+        ids: dict[Term, int] = {}
+        intern = ids.setdefault
+        spo = sorted({(intern(t.s, len(ids)), intern(t.p, len(ids)),
+                       intern(t.o, len(ids))) for t in triples})
+        self._ids = ids
+        self._terms: list[Term] = list(ids)
         index = {(None, None, None): tuple(spo)}
         index.update((key, (key,)) for key in spo)
         index.update(((s, p, None), m) for (s, p), m in _groups(spo, (0, 1)))
@@ -152,14 +156,6 @@ class TripleStore:
         index.update(((None, p, None), m) for p, m in _groups(spo, (1,)))
         index.update(((None, None, o), m) for o, m in _groups(spo, (2,)))
         self._index: dict[tuple, tuple[tuple[int, int, int], ...]] = index
-
-    def _intern(self, term: Term) -> int:
-        tid = self._ids.get(term)
-        if tid is None:
-            tid = len(self._terms)
-            self._ids[term] = tid
-            self._terms.append(term)
-        return tid
 
     def __len__(self) -> int:
         return len(self._index[None, None, None])
@@ -222,7 +218,7 @@ class TripleStore:
 # Parsing: N-Triples plus a pragmatic Turtle subset
 # (@prefix / PREFIX, `a`, `;` and `,` lists).
 
-_RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
+_RDF_TYPE_TOKEN = "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>"
 
 # Whitespace and comments before a token are skipped atomically (a lookahead
 # captures them, the backreference consumes them), so a token that fails after
@@ -246,12 +242,15 @@ _TOKEN_RE = re.compile(r"""
 _ESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
 
 _UNESCAPES = {
-    "t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
-    '"': '"', "'": "'", "\\": "\\",
+    "\\t": "\t", "\\b": "\b", "\\n": "\n", "\\r": "\r", "\\f": "\f",
+    '\\"': '"', "\\'": "'", "\\\\": "\\",
 }
 
 
 def _unescape_one(m: re.Match) -> str:
+    c = _UNESCAPES.get(m.group())
+    if c is not None:
+        return c
     digits = m.group(1) or m.group(2)
     if digits:
         code = int(digits, 16)
@@ -261,9 +260,7 @@ def _unescape_one(m: re.Match) -> str:
     e = m.group(3)
     if e in ("u", "U"):
         raise ValueError("malformed \\%s escape in literal" % e)
-    if e not in _UNESCAPES:
-        raise ValueError("unknown escape \\%s in literal" % e)
-    return _UNESCAPES[e]
+    raise ValueError("unknown escape \\%s in literal" % e)
 
 
 def _unescape(raw: str) -> str:
@@ -276,12 +273,22 @@ def _unescape(raw: str) -> str:
 
 class _Parser:
     """Tokens are `(kind, text, offset)`; line and column are worked out from
-    the offset only when an error is raised."""
+    the offset only when an error is raised.
+
+    Each IRI and blank node is checked and built once per parse: `terms`
+    holds the built ones, keyed by their `<...>` or `_:` text (a prefixed
+    name by the text of the IRI it expands to under the prefixes then
+    declared). A token that fails the check is never entered, so it raises
+    wherever it occurs first.
+    """
 
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
+        # every match starts where the last one ended: `bad` takes any
+        # character no other token starts with, `end` the end of the text
+        self.tokens = _TOKEN_RE.finditer(text)
         self.prefixes: dict[str, str] = {}
+        self.terms: dict[str, Term] = {}
         self.pushed: Optional[tuple] = None
 
     def _error(self, message: str, offset: int) -> RDFSyntaxError:
@@ -294,10 +301,11 @@ class _Parser:
         if t is not None:
             self.pushed = None
             return t
-        m = _TOKEN_RE.match(self.text, self.pos)
+        m = next(self.tokens)
         kind = m.lastgroup
         offset = m.start(kind)
         if kind == "end":
+            self.tokens = repeat(m)  # the end is read again by each later call
             if required:
                 raise self._error("unexpected end of input, expected %s" % required,
                                   offset)
@@ -306,7 +314,6 @@ class _Parser:
             char = self.text[offset]
             raise self._error("unterminated literal" if char == '"'
                               else "unexpected character %r" % char, offset)
-        self.pos = m.end()
         return kind, m.group(kind), offset
 
     def _push(self, t) -> None:
@@ -315,16 +322,22 @@ class _Parser:
     def _iri(self, token: str, offset: int) -> Term:
         """The IRI of an `<...>` token; its characters are valid, so only a
         relative IRI is refused."""
-        try:
-            return iri(token[1:-1])
-        except ValueError:
-            raise self._error("invalid IRI %s" % token, offset) from None
+        term = self.terms.get(token)
+        if term is None:
+            try:
+                term = iri(token[1:-1])
+            except ValueError:
+                raise self._error("invalid IRI %s" % token, offset) from None
+            self.terms[token] = term
+        return term
 
     def _expand_pname(self, value: str, offset: int) -> Term:
         pfx, _, local = value.partition(":")
         if pfx not in self.prefixes:
             raise self._error("undeclared prefix %r" % pfx, offset)
-        return iri(self.prefixes[pfx] + local)
+        # a declared prefix is an absolute IRI and a local name holds only
+        # IRI characters, so the expansion is always valid
+        return self._iri("<%s%s>" % (self.prefixes[pfx], local), offset)
 
     def _term(self, tok, *, as_predicate: bool = False, as_subject: bool = False) -> Term:
         kind, value, offset = tok
@@ -335,9 +348,12 @@ class _Parser:
         if kind == "blank":
             if as_predicate:
                 raise self._error("blank node not allowed as predicate", offset)
-            return bnode(value[2:])
+            term = self.terms.get(value)
+            if term is None:
+                term = self.terms[value] = bnode(value[2:])
+            return term
         if kind == "word" and value == "a" and as_predicate:
-            return iri(_RDF_TYPE)
+            return self._iri(_RDF_TYPE_TOKEN, offset)
         if kind == "literal":
             if as_predicate or as_subject:
                 raise self._error("literal not allowed in this position", offset)

@@ -211,6 +211,22 @@ class TestJoinPlan:
         assert plan[0] == fixed
 
 
+def _pattern_from_store(rng, store):
+    """One to three store triples, each after the first sharing a node with
+    an earlier one, with most distinct terms made variables: the pattern has
+    at least the chosen triples as a solution."""
+    triples = list(store.triples())
+    chosen = [rng.choice(triples)]
+    for _ in range(rng.randint(0, 2)):
+        nodes = {n for t in chosen for n in (t.s, t.o)}
+        chosen.append(rng.choice([t for t in triples if t.s in nodes or t.o in nodes]))
+    names = iter([SOURCE_VAR, TARGET_VAR] + [V("v%d" % i) for i in range(7)])
+    as_var = {term: next(names)
+              for term in dict.fromkeys(n for t in chosen for n in t)
+              if rng.random() < 0.7}
+    return GraphPattern(TriplePattern(*(as_var.get(n, n) for n in t)) for t in chosen)
+
+
 class TestOracleEquivalence:
     def test_random_patterns_match_bruteforce(self):
         rng = random.Random(42)
@@ -230,25 +246,35 @@ class TestOracleEquivalence:
             checked += 1
 
     def test_random_values_tables_match_bruteforce(self):
-        """VALUES rows mixing store terms and absent terms, over pattern
-        variables and one variable the pattern does not use."""
+        """VALUES rows over pattern variables and one variable the pattern
+        does not use: most rows take the pattern variables' terms from one of
+        the pattern's solutions, the rest mix store terms and absent terms."""
         rng = random.Random(43)
-        checked = 0
+        checked = nonempty = 0
         while checked < 60:
             store = random_store(rng, n_triples=rng.randint(10, 40),
                                  n_nodes=rng.randint(5, 10), n_preds=3)
-            pattern = random_pattern(rng, n_triples=rng.randint(1, 3),
-                                     n_vars=2, store=store)
+            pattern = (_pattern_from_store(rng, store) if rng.random() < 0.75 else
+                       random_pattern(rng, n_triples=rng.randint(1, 3), n_vars=2,
+                                      store=store))
             pattern_vars = sorted(pattern.variables(), key=lambda v: v.name)
             if not pattern_vars:
                 continue
+            solutions = sorted(naive_select(store, pattern, pattern_vars),
+                               key=lambda row: [t.sort_key() for t in row])
             values_vars = rng.sample(pattern_vars,
                                      rng.randint(1, min(2, len(pattern_vars))))
             if rng.random() < 0.5:
                 values_vars.append(V("extra"))
             choices = store.terms + [ex("absent1"), ex("absent2")]
-            rows = [tuple(rng.choice(choices) for _ in values_vars)
-                    for _ in range(rng.randint(1, 5))]
+            rows = []
+            for _ in range(rng.randint(1, 5)):
+                if solutions and rng.random() < 0.75:
+                    solution = dict(zip(pattern_vars, rng.choice(solutions)))
+                    rows.append(tuple(solution[v] if v in solution
+                                      else rng.choice(choices) for v in values_vars))
+                else:
+                    rows.append(tuple(rng.choice(choices) for _ in values_vars))
             projection = sorted(set(pattern_vars) | set(values_vars),
                                 key=lambda v: v.name)
             res = select(store, pattern, projection, values=(values_vars, rows),
@@ -256,6 +282,8 @@ class TestOracleEquivalence:
             expected = naive_select(store, pattern, projection, (values_vars, rows))
             assert res.row_set() == expected
             checked += 1
+            nonempty += bool(expected)
+        assert nonempty >= checked // 2
 
 
 # engine.select before plans were memoised, with today's query-shape checks,

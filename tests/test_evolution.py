@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from bgplearn import evolution
 from bgplearn.canon import pattern_key
 from bgplearn.endpoint import local_endpoint
 from bgplearn.evolution import (EvolutionConfig, HallOfFame, Individual,
@@ -468,6 +469,36 @@ class TestSelection:
         # hof reintroduction: the two best patterns are present
         keys = {ind.canonical_key for ind in out}
         assert pool[5].canonical_key in keys
+
+
+class TestRunSingle:
+    def test_unfit_child_gives_way_to_its_parent(self, capitals_store, capitals_gt,
+                                                 monkeypatch):
+        """Every child below is unfit (it has no ?target), so the offspring
+        handed to the next generation is the population itself."""
+        unfit = GraphPattern([TriplePattern(SOURCE_VAR, ex("capitalOf"), V("x"))])
+        assert not fit_to_live(Individual(unfit), small_cfg())
+        seen = {}
+
+        def init_spy(*args, **kwargs):
+            population = init_population(*args, **kwargs)
+            seen.setdefault("population", population)  # the first generation
+            return population
+
+        def next_generation_spy(offspring, *args):
+            seen["offspring"] = list(offspring)
+            return next_generation(offspring, *args)
+
+        monkeypatch.setattr(evolution, "init_population", init_spy)
+        monkeypatch.setattr(evolution, "mutate", lambda *args: [Individual(unfit)])
+        monkeypatch.setattr(evolution, "next_generation", next_generation_spy)
+        cfg = small_cfg(max_generations=1, mating_prob=0.0)
+        ledger = CoverageLedger.zeros(len(capitals_gt))
+        run_single(local_endpoint(capitals_store), capitals_gt, ledger, cfg,
+                   random.Random(cfg.seed))
+        assert len(seen["population"]) == cfg.population_size
+        assert [id(ind) for ind in seen["offspring"]] == [
+            id(ind) for ind in seen["population"]]
 
 
 class TestLearn:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bgplearn.endpoint import local_endpoint
-from bgplearn.engine import select
+from bgplearn.engine import SOFT_TIMEOUT, EvalResult, select
 from bgplearn.fitness import (_STATUS_PENALTY, CoverageLedger, FitnessTuple,
                               GroundTruthPair, PatternEvaluation, ScoreConfig,
                               evaluate, score)
@@ -204,6 +204,23 @@ class TestEvaluate:
             ev, _ = evaluate(ep, gp, capitals_gt, led)
             for v in ev.pv:
                 assert v == 0.0 or abs(1.0 / v - round(1.0 / v)) < 1e-12
+
+    def test_soft_timeout_scores_partial_rows_without_gain(self, capitals_gt):
+        """A soft-timed-out answer still gives each pair its precision from
+        the rows it holds, but no gain, however many new pairs they cover."""
+        class SoftTimeoutEndpoint:
+            def run_select(self, gp, projection, values=None, limit=None):
+                rows = [(ex("Berlin"), ex("Germany")), (ex("Paris"), ex("France")),
+                        (ex("Paris"), ex("Spain"))]
+                return EvalResult(tuple(projection), rows, elapsed=0.25,
+                                  status=SOFT_TIMEOUT)
+
+        led = CoverageLedger.zeros(len(capitals_gt))
+        ev, fit = evaluate(SoftTimeoutEndpoint(), CAPITAL_GP, capitals_gt, led)
+        assert ev.pv == [1.0, 0.5, 0.0]
+        assert fit.gt_matches == 2 and fit.avg_result_len == 1.0
+        assert fit.gain == 0.0 and fit.score == 0.0
+        assert fit.timeout_penalty == 0.5 and fit.query_time_s == 0.25
 
     def test_update_ledger(self, capitals_store, capitals_gt):
         ep = local_endpoint(capitals_store)

@@ -250,6 +250,40 @@ class TestParser:
             Triple(iri("http://x/s"), iri("http://x/p"), bnode("b1")),
             Triple(iri("http://x/s"), iri("http://x/p"), bnode("b.2"))]
 
+    def test_prefix_redeclared_mid_document(self):
+        text = ("@prefix ex: <http://a/> .\nex:s ex:p ex:o .\n"
+                "@prefix ex: <http://b/> .\nex:s ex:p ex:o .\n")
+        assert list(parse_triples(text)) == [
+            Triple(iri("http://a/s"), iri("http://a/p"), iri("http://a/o")),
+            Triple(iri("http://b/s"), iri("http://b/p"), iri("http://b/o"))]
+
+    def test_terms_in_first_occurrence_order(self):
+        text = """@prefix ex: <http://x/> .
+        ex:s a ex:T ; ex:p "lit"@en , _:b .
+        _:b <http://x/p> ex:s , "2"^^ex:int .
+        <http://x/o> ex:q ex:T .
+        """
+        assert load_ntriples(text).terms == [
+            iri("http://x/s"), iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type"),
+            iri("http://x/T"), iri("http://x/p"), literal("lit", lang="en"), bnode("b"),
+            literal("2", datatype="http://x/int"), iri("http://x/o"), iri("http://x/q")]
+
+    def test_one_object_per_iri_and_blank_node(self):
+        text = """@prefix ex: <http://x/> .
+        ex:s a ex:T ; ex:p _:b .
+        <http://x/s> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> _:b .
+        _:b ex:p <http://x/T> .
+        """
+        (s1, a1, t1), (s1_, p1, b1), (s2, a2, b2), (b3, p2, t2) = parse_triples(text)
+        assert s1 is s1_ is s2 and a1 is a2 and t1 is t2 and p1 is p2
+        assert b1 is b2 is b3 and b1 == bnode("b")
+
+    def test_end_after_literal(self):
+        with pytest.raises(RDFSyntaxError) as exc:
+            list(parse_triples(_S_P + '"o"'))
+        assert str(exc.value) == ("unexpected end of input, expected '.' "
+                                  "(line 1, column 30)")
+
 
 _S_P = "<http://x/s> <http://x/p> "
 
