@@ -5,7 +5,7 @@ from __future__ import annotations
 import gzip
 import re
 from collections import namedtuple
-from itertools import groupby, repeat
+from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
@@ -143,12 +143,26 @@ class TripleStore:
         # order decides the order of every lookup's results
         ids: dict[Term, int] = {}
         intern = ids.setdefault
-        spo = sorted({(intern(t.s, len(ids)), intern(t.p, len(ids)),
-                       intern(t.o, len(ids))) for t in triples})
+        spo = {(intern(t.s, len(ids)), intern(t.p, len(ids)), intern(t.o, len(ids)))
+               for t in triples}
+        self._build(list(ids), ids, spo)
+
+    @classmethod
+    def _from_ids(cls, terms: list[Term], ids: dict[Term, int],
+                  spo: set[tuple[int, int, int]]) -> TripleStore:
+        store = cls.__new__(cls)
+        store._build(terms, ids, spo)
+        return store
+
+    def _build(self, terms: list[Term], ids: dict[Term, int],
+               spo: set[tuple[int, int, int]]) -> None:
+        """The lookup table of the id triples `spo`; `terms[i]` is the term of
+        id i and `ids` maps each term back to its id."""
         self._ids = ids
-        self._terms: list[Term] = list(ids)
+        self._terms = terms
+        spo = sorted(spo)
         index = {(None, None, None): tuple(spo)}
-        index.update((key, (key,)) for key in spo)
+        index.update(zip(spo, zip(spo)))
         index.update(((s, p, None), m) for (s, p), m in _groups(spo, (0, 1)))
         index.update(((s, None, o), m) for (s, o), m in _groups(spo, (0, 2)))
         index.update(((None, p, o), m) for (p, o), m in _groups(spo, (1, 2)))
@@ -220,13 +234,17 @@ class TripleStore:
 
 _RDF_TYPE_TOKEN = "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>"
 
+# A literal's text, its escapes unrolled: no quote, backslash or line break
+# except in an escape.
+_LITERAL = r'"[^"\\\n]*(?:\\.[^"\\\n]*)*"'
+
 # Whitespace and comments before a token are skipped atomically (a lookahead
 # captures them, the backreference consumes them), so a token that fails after
 # a comment is never re-read from inside it. `bad` takes any other character.
 _TOKEN_RE = re.compile(r"""
     (?=(?P<skip>(?:\s+|\#[^\n]*)*))(?P=skip)
     (?: (?P<iriref><%s>)
-      | (?P<literal>"(?:[^"\\\n]|\\.)*")
+      | (?P<literal>%s)
       | (?P<blank>_:%s)
       | (?P<langtag>@%s)
       | (?P<dtsep>\^\^)
@@ -236,7 +254,23 @@ _TOKEN_RE = re.compile(r"""
       | (?P<end>\Z)
       | (?P<bad>.)
     )
-""" % (_IRI_CHARS, _BLANK_RE.pattern, _LANG_RE.pattern), re.VERBOSE)
+""" % (_IRI_CHARS, _LITERAL, _BLANK_RE.pattern, _LANG_RE.pattern), re.VERBOSE)
+
+# One N-Triples statement, `subject predicate object .`, after any run of
+# spaces, tabs and line ends, with spaces or tabs between its tokens. Its
+# groups are the subject, predicate and object tokens, or for a literal object
+# its quoted text and its language tag or `<datatype>`. Each token is the one
+# `_TOKEN_RE` reads there: a blank node object is its longest label, so
+# `_:b.c<...>` is not read as the label `b` and the statement's dot.
+_STATEMENT_RE = re.compile(r"""
+    [ \t\r\n]*
+    (<%(iri)s>|_:%(blank)s) [ \t]+
+    (<%(iri)s>) [ \t]+
+    (?: (<%(iri)s>|_:%(blank)s(?!\.*[A-Za-z0-9_\-]))
+      | (%(literal)s)(?:@(%(lang)s)|\^\^(<%(iri)s>))? )
+    [ \t]*\.
+""" % dict(iri=_IRI_CHARS, blank=_BLANK_RE.pattern, literal=_LITERAL,
+           lang=_LANG_RE.pattern), re.VERBOSE)
 
 
 _ESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
@@ -272,40 +306,73 @@ def _unescape(raw: str) -> str:
 
 
 class _Parser:
-    """Tokens are `(kind, text, offset)`; line and column are worked out from
-    the offset only when an error is raised.
+    """Parses to id triples, handing out ids in first-occurrence s, p, o
+    order, the order in which `TripleStore(triples)` interns.
 
-    Each IRI and blank node is checked and built once per parse: `terms`
-    holds the built ones, keyed by their `<...>` or `_:` text (a prefixed
-    name by the text of the IRI it expands to under the prefixes then
-    declared). A token that fails the check is never entered, so it raises
-    wherever it occurs first.
+    A statement in N-Triples form is read by one `_STATEMENT_RE` match. Any
+    other statement or directive, and one whose terms fail a check, is read
+    token by token; tokens are `(kind, text, offset)`. So every error comes
+    from the token path, and line and column are worked out from the offset
+    only when one is raised.
+
+    Each IRI and blank node is checked and built once per parse: `ids` maps
+    its `<...>` or `_:` text (a prefixed name by the text of the IRI it
+    expands to under the prefixes then declared) to its id. A token that
+    fails the check is never entered, so it raises wherever it occurs first.
+    Literals and every newly built term are keyed by `Term` in `term_ids`,
+    so a term has one id however it is written.
     """
 
     def __init__(self, text: str):
         self.text = text
-        # every match starts where the last one ended: `bad` takes any
-        # character no other token starts with, `end` the end of the text
-        self.tokens = _TOKEN_RE.finditer(text)
+        self.pos = 0
         self.prefixes: dict[str, str] = {}
-        self.terms: dict[str, Term] = {}
-        self.pushed: Optional[tuple] = None
+        self.ids: dict[str, int] = {}
+        self.terms: list[Term] = []
+        self.term_ids: dict[Term, int] = {}
 
     def _error(self, message: str, offset: int) -> RDFSyntaxError:
         line_start = self.text.rfind("\n", 0, offset) + 1
         return RDFSyntaxError(message, self.text.count("\n", 0, offset) + 1,
                               offset - line_start + 1)
 
+    def _intern(self, term: Term) -> int:
+        tid = self.term_ids.setdefault(term, len(self.terms))
+        if tid == len(self.terms):
+            self.terms.append(term)
+        return tid
+
+    def _node(self, token: str) -> int:
+        """The id of an `<...>` or `_:` token; ValueError for a relative IRI."""
+        tid = self.ids.get(token)
+        if tid is None:
+            term = iri(token[1:-1]) if token[0] == "<" else bnode(token[2:])
+            tid = self.ids[token] = self._intern(term)
+        return tid
+
+    def _statement(self, s: str, p: str, o: Optional[str], lit: Optional[str],
+                   lang: Optional[str], dt: Optional[str]
+                   ) -> Optional[tuple[int, int, int]]:
+        """The id triple of a `_STATEMENT_RE` match's groups, or None if a
+        term fails its check."""
+        try:
+            sid, pid = self._node(s), self._node(p)
+            if o is not None:
+                return sid, pid, self._node(o)
+            return sid, pid, self._intern(
+                literal(_unescape(lit[1:-1]), dt and dt[1:-1], lang))
+        except ValueError:
+            return None
+
     def _next(self, required: Optional[str] = None):
-        t = self.pushed
-        if t is not None:
-            self.pushed = None
-            return t
-        m = next(self.tokens)
+        # every match starts where the last one ended: `bad` takes any
+        # character no other token starts with, `end` the end of the text,
+        # which each later call reads again
+        m = _TOKEN_RE.match(self.text, self.pos)
+        self.pos = m.end()
         kind = m.lastgroup
         offset = m.start(kind)
         if kind == "end":
-            self.tokens = repeat(m)  # the end is read again by each later call
             if required:
                 raise self._error("unexpected end of input, expected %s" % required,
                                   offset)
@@ -316,42 +383,37 @@ class _Parser:
                               else "unexpected character %r" % char, offset)
         return kind, m.group(kind), offset
 
-    def _push(self, t) -> None:
-        self.pushed = t
+    def _push(self, tok) -> None:
+        """Read `tok` again next, from its first character."""
+        self.pos = tok[2]
 
-    def _iri(self, token: str, offset: int) -> Term:
-        """The IRI of an `<...>` token; its characters are valid, so only a
+    def _iri(self, token: str, offset: int) -> int:
+        """The id of an `<...>` token; its characters are valid, so only a
         relative IRI is refused."""
-        term = self.terms.get(token)
-        if term is None:
-            try:
-                term = iri(token[1:-1])
-            except ValueError:
-                raise self._error("invalid IRI %s" % token, offset) from None
-            self.terms[token] = term
-        return term
+        try:
+            return self._node(token)
+        except ValueError:
+            raise self._error("invalid IRI %s" % token, offset) from None
 
-    def _expand_pname(self, value: str, offset: int) -> Term:
+    def _expand_pname(self, value: str, offset: int) -> str:
+        """The `<...>` text of a prefixed name."""
         pfx, _, local = value.partition(":")
         if pfx not in self.prefixes:
             raise self._error("undeclared prefix %r" % pfx, offset)
         # a declared prefix is an absolute IRI and a local name holds only
         # IRI characters, so the expansion is always valid
-        return self._iri("<%s%s>" % (self.prefixes[pfx], local), offset)
+        return "<%s%s>" % (self.prefixes[pfx], local)
 
-    def _term(self, tok, *, as_predicate: bool = False, as_subject: bool = False) -> Term:
+    def _term(self, tok, *, as_predicate: bool = False, as_subject: bool = False) -> int:
         kind, value, offset = tok
         if kind == "iriref":
             return self._iri(value, offset)
         if kind == "pname":
-            return self._expand_pname(value, offset)
+            return self._iri(self._expand_pname(value, offset), offset)
         if kind == "blank":
             if as_predicate:
                 raise self._error("blank node not allowed as predicate", offset)
-            term = self.terms.get(value)
-            if term is None:
-                term = self.terms[value] = bnode(value[2:])
-            return term
+            return self._node(value)
         if kind == "word" and value == "a" and as_predicate:
             return self._iri(_RDF_TYPE_TOKEN, offset)
         if kind == "literal":
@@ -363,22 +425,22 @@ class _Parser:
                 raise self._error(str(exc), offset) from None
             nxt = self._next()
             if nxt is not None and nxt[0] == "langtag":
-                return literal(raw, lang=nxt[1][1:])
+                return self._intern(literal(raw, lang=nxt[1][1:]))
             if nxt is not None and nxt[0] == "dtsep":
                 dtok = self._next("datatype IRI")
                 if dtok[0] == "iriref":
                     dt = dtok[1][1:-1]
                 elif dtok[0] == "pname":
-                    dt = self._expand_pname(dtok[1], dtok[2]).value
+                    dt = self._expand_pname(dtok[1], dtok[2])[1:-1]
                 else:
                     raise self._error("expected datatype IRI", dtok[2])
                 try:
-                    return literal(raw, datatype=dt)
+                    return self._intern(literal(raw, datatype=dt))
                 except ValueError:
                     raise self._error("invalid datatype IRI <%s>" % dt, offset) from None
             if nxt is not None:
                 self._push(nxt)
-            return literal(raw)
+            return self._intern(literal(raw))
         raise self._error("unexpected token %r" % value, offset)
 
     def _prefix(self, tok) -> None:
@@ -390,7 +452,9 @@ class _Parser:
         itok = self._next("prefix IRI")
         if itok[0] != "iriref":
             raise self._error("expected IRI in prefix declaration", itok[2])
-        self.prefixes[ptok[1][:-1]] = self._iri(itok[1], itok[2]).value
+        if not _IRI_RE.fullmatch(itok[1][1:-1]):
+            raise self._error("invalid IRI %s" % itok[1], itok[2])
+        self.prefixes[ptok[1][:-1]] = itok[1][1:-1]
         dot = self._next()
         if value.startswith("@"):
             if dot is None or dot[1] != ".":
@@ -398,52 +462,90 @@ class _Parser:
         elif dot is not None and dot[1] != ".":
             self._push(dot)
 
-    def parse(self) -> Iterator[Triple]:
-        while True:
-            tok = self._next()
-            if tok is None:
-                return
-            if tok[0] in ("langtag", "word") and tok[1].lstrip("@").lower() == "prefix":
-                self._prefix(tok)
-                continue
-            subject = self._term(tok, as_subject=True)
-            while True:  # predicate-object list
-                ptok = self._next("predicate")
-                predicate = self._term(ptok, as_predicate=True)
-                while True:  # object list
-                    otok = self._next("object")
-                    obj = self._term(otok)
-                    yield Triple(subject, predicate, obj)
-                    sep = self._next("'.'")
-                    if sep[1] == ",":
-                        continue
-                    break
-                if sep[1] == ";":
-                    nxt = self._next("'.' or predicate")
-                    if nxt[1] == ".":
-                        sep = nxt
-                        break
-                    self._push(nxt)
+    def _tokens(self) -> Iterator[tuple[int, int, int]]:
+        """The id triples of the one statement or directive at `pos`, read
+        token by token; returns False at the end of the input."""
+        tok = self._next()
+        if tok is None:
+            return False
+        if tok[0] in ("langtag", "word") and tok[1].lstrip("@").lower() == "prefix":
+            self._prefix(tok)
+            return True
+        subject = self._term(tok, as_subject=True)
+        while True:  # predicate-object list
+            ptok = self._next("predicate")
+            predicate = self._term(ptok, as_predicate=True)
+            while True:  # object list
+                otok = self._next("object")
+                yield subject, predicate, self._term(otok)
+                sep = self._next("'.'")
+                if sep[1] == ",":
                     continue
                 break
-            if sep[1] != ".":
-                raise self._error("expected '.' at end of statement", sep[2])
+            if sep[1] == ";":
+                nxt = self._next("'.' or predicate")
+                if nxt[1] == ".":
+                    sep = nxt
+                    break
+                self._push(nxt)
+                continue
+            break
+        if sep[1] != ".":
+            raise self._error("expected '.' at end of statement", sep[2])
+        return True
+
+    def parse(self) -> Iterator[tuple[int, int, int]]:
+        text = self.text
+        match = _STATEMENT_RE.match
+        get = self.ids.get
+        while True:
+            m = match(text, self.pos)
+            if m is not None:
+                s, p, o, lit, lang, dt = m.groups()
+                spo = get(s), get(p), get(o)
+                if None in spo:
+                    spo = self._statement(s, p, o, lit, lang, dt)
+                if spo is not None:
+                    yield spo
+                    self.pos = m.end()
+                    continue
+            if not (yield from self._tokens()):
+                return
+
+
+def _decode(data) -> str:
+    """The text of a str, bytes (gzipped or not) or binary stream; bytes
+    that are not UTF-8 raise RDFSyntaxError at the first bad byte."""
+    if hasattr(data, "read"):
+        data = data.read()
+    if isinstance(data, str):
+        return data
+    if data[:2] == b"\x1f\x8b":
+        data = gzip.decompress(data)
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        # the bytes before the bad one are valid, so the column counts characters
+        raise RDFSyntaxError("invalid UTF-8 byte 0x%02x" % data[exc.start],
+                             data.count(b"\n", 0, exc.start) + 1,
+                             len(data[line_start:exc.start].decode("utf-8")) + 1) from None
 
 
 def parse_triples(data) -> Iterator[Triple]:
     """Parse N-Triples / Turtle-subset text, bytes, or a binary stream."""
-    if hasattr(data, "read"):
-        data = data.read()
-    if isinstance(data, bytes):
-        if data[:2] == b"\x1f\x8b":
-            data = gzip.decompress(data)
-        data = data.decode("utf-8")
-    return _Parser(data).parse()
+    parser = _Parser(_decode(data))
+    terms = parser.terms
+    return (Triple(terms[s], terms[p], terms[o]) for s, p, o in parser.parse())
 
 
 def load_ntriples(data) -> TripleStore:
     """Build a store from N-Triples / Turtle-subset input; duplicates collapse."""
-    return TripleStore(parse_triples(data))
+    parser = _Parser(_decode(data))
+    spo = set(parser.parse())
+    terms, ids = parser.terms, parser.term_ids
+    del parser  # the token memo and the text go before the table is built
+    return TripleStore._from_ids(terms, ids, spo)
 
 
 def load_file(path: str) -> TripleStore:

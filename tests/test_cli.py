@@ -604,6 +604,16 @@ class TestLearnCommand:
         assert code == EXIT_BAD_INPUT
         assert "input error" in capsys.readouterr().err
 
+    def test_non_utf8_store_exits_2_at_its_position(self, workdir, capsys):
+        store = workdir / "latin1.nt"
+        store.write_bytes(b'<http://x/s> <http://x/p> <http://x/o> .\n'
+                          b'<http://x/s> <http://x/p> "caf\xff" .\n')
+        code = main(["learn", "--store", str(store),
+                     "--gt", str(workdir / "gt.tsv"),
+                     "--out", str(workdir / "out")])
+        assert code == EXIT_BAD_INPUT
+        assert "invalid UTF-8 byte 0xff (line 2, column 31)" in capsys.readouterr().err
+
 
 class TestPredictCommand:
     def test_predict_round_trip(self, workdir, capsys):

@@ -2,11 +2,13 @@ import copy
 import gzip
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bgplearn import rdf
 from bgplearn.patterns import TriplePattern, Variable
 from bgplearn.rdf import (BIDI, IN, OUT, RDFSyntaxError, Term, Triple, TripleStore,
                           bnode, iri, literal, load_ntriples, parse_triples)
@@ -348,6 +350,167 @@ _:b1 <http://x/p> ex:o . # trailing
             Triple(s, iri(x + "sym"), literal("\U0001F600\n\r\b\f'", datatype=x + "dt")),
             Triple(bnode("b1"), iri(x + "p"), iri(x + "o")),
         ]
+
+
+# Terms of the corpus below, as N-Triples and, where Turtle can alias them,
+# as prefixed names under `ex:`.
+_NT_NODES = ["<http://x/n%d>" % i for i in range(4)] + ["_:b1", "_:b.2", "_:b-3"]
+_NT_PREDS = ["<http://x/p%d>" % i for i in range(3)]
+_BODIES = ["ab", "a\\u0062", "a\\U00000062", "tab\\there", '\\"q\\"', "it\\'s",
+           "back\\\\slash", "line\\nbreak\\r", "\\b\\f", "caf\\u00E9", "café",
+           "\\U0001F600", "raw\ttab", ""]
+_SUFFIXES = ["", "", "@en", "@fr-CA", "^^<http://x/int>"]
+
+
+def _pname(token):
+    return "ex:" + token[len("<http://x/"):-1] if token.startswith("<http://x/") else token
+
+
+def _corpus_doc(rng):
+    """A document of N-Triples lines, repeated and aliased terms, mixed with
+    the Turtle subset, comments, CRLF, tabs and maybe no final newline."""
+    def term(pool, turtle):
+        token = rng.choice(pool)
+        return _pname(token) if turtle and rng.random() < 0.5 else token
+
+    def obj(turtle):
+        if rng.random() < 0.6:
+            return term(_NT_NODES, turtle)
+        suffix = rng.choice(_SUFFIXES)
+        if turtle and suffix.startswith("^^") and rng.random() < 0.5:
+            suffix = "^^ex:int"
+        return '"%s"%s' % (rng.choice(_BODIES), suffix)
+
+    def pred(turtle):
+        return "a" if turtle and rng.random() < 0.2 else term(_NT_PREDS, turtle)
+
+    def gap():
+        return rng.choice([" ", " ", "\t", "  ", " \t"])
+
+    def end():
+        return rng.choice(["\n", "\n", "\r\n", " # note\n", "\n# a comment line\n", "\n\n"])
+
+    parts = [rng.choice(["@prefix ex: <http://x/> .", "PREFIX ex: <http://x/>"]), end()]
+    for _ in range(rng.randrange(5, 40)):
+        roll = rng.random()
+        if roll < 0.6:
+            parts.append(rng.choice(["", "", "  ", "\t"]) + gap().join(
+                [term(_NT_NODES, False), term(_NT_PREDS, False), obj(False)])
+                + rng.choice(["", " ", "\t"]) + ".")
+        elif roll < 0.9:
+            preds = []
+            for _ in range(rng.randrange(1, 3)):
+                objs = ("," + gap()).join(obj(True) for _ in range(rng.randrange(1, 3)))
+                preds.append(pred(True) + gap() + objs)
+            parts.append(term(_NT_NODES, True) + gap() + (" ;" + end()).join(preds)
+                         + rng.choice([" .", " ;\n.", "\t."]))
+        else:
+            parts.append(rng.choice(["@prefix ex: <http://x/> .", "PREFIX ex: <http://x/>",
+                                     "# only a comment"]))
+        parts.append(end())
+    if rng.random() < 0.3:
+        parts.pop()
+    return "".join(parts)
+
+
+_CORPUS = [_corpus_doc(random.Random(seed)) for seed in range(60)]
+
+
+def _table(store):
+    return list(store._index.items())
+
+
+# N-Triples lines whose terms fail a check after a statement that is read in
+# one match: input, message, line, column
+_NT_LINE_ERRORS = {
+    "bad_escape": (_S_P + "<http://x/o> .\n" + _S_P + '"a\\qb" .',
+                   "unknown escape \\q in literal", 2, 27),
+    "relative_subject": (_S_P + "<http://x/o> .\n<s> <http://x/p> <http://x/o> .",
+                         "invalid IRI <s>", 2, 1),
+    "relative_predicate": (_S_P + "<http://x/o> .\n<http://x/s> <p> <http://x/o> .",
+                           "invalid IRI <p>", 2, 14),
+    "relative_object": (_S_P + "<http://x/o> .\n" + _S_P + "<o> .", "invalid IRI <o>", 2, 27),
+    "bad_datatype": (_S_P + "<http://x/o> .\n" + _S_P + '"1"^^<int> .',
+                     "invalid datatype IRI <int>", 2, 27),
+    "literal_subject_line": (_S_P + "<http://x/o> .\n" + '"s" <http://x/p> <http://x/o> .',
+                             "literal not allowed in this position", 2, 1),
+    "blank_before_iri": (_S_P + "_:b.c<http://x/o> .",
+                         "expected '.' at end of statement", 1, 32),
+}
+
+
+class TestStatementPath:
+    """A statement in N-Triples form is read in one match; it must give what
+    the token path gives for it, and every error comes from the token path."""
+
+    @staticmethod
+    def _both(text, monkeypatch, read):
+        """`read(text)` as it stands, then with every statement read token by
+        token, as the parser reads any statement not in N-Triples form."""
+        first = read(text)
+        with monkeypatch.context() as m:
+            m.setattr(rdf, "_STATEMENT_RE", re.compile(r"(?!)"))
+            return first, read(text)
+
+    def test_corpus_exercises_both_paths(self):
+        lines = [line for doc in _CORPUS for line in doc.split("\n")]
+        assert sum(bool(rdf._STATEMENT_RE.fullmatch(line)) for line in lines) > 400
+        assert sum(" ;" in line for line in lines) > 200
+
+    @pytest.mark.parametrize("seed", range(len(_CORPUS)))
+    def test_same_triples_terms_and_table(self, seed, monkeypatch):
+        text = _CORPUS[seed]
+        fast, slow = self._both(text, monkeypatch, lambda t: list(parse_triples(t)))
+        assert fast == slow
+        fast, slow = self._both(text, monkeypatch, load_ntriples)
+        assert fast.terms == slow.terms
+        assert _table(fast) == _table(slow)
+
+    @pytest.mark.parametrize("case", list(_SYNTAX_ERRORS) + list(_NT_LINE_ERRORS))
+    def test_same_error(self, case, monkeypatch):
+        text, message, line, column = {**_SYNTAX_ERRORS, **_NT_LINE_ERRORS}[case]
+
+        def error(t):
+            with pytest.raises(RDFSyntaxError) as exc:
+                load_ntriples(t)
+            return str(exc.value), exc.value.line, exc.value.column
+
+        fast, slow = self._both(text, monkeypatch, error)
+        assert fast == slow == ("%s (line %d, column %d)" % (message, line, column),
+                                line, column)
+
+    def test_aliases_share_one_id(self):
+        store = load_ntriples('@prefix ex: <http://x/> .\n'
+                              + _S_P + '"a\\u0062" .\n' + _S_P + '"ab" .\n'
+                              'ex:s ex:p <http://x/s> .\n<http://x/s> ex:p ex:s .\n')
+        assert store.terms == [iri("http://x/s"), iri("http://x/p"), literal("ab")]
+        assert len(store) == 2
+
+    @pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+    def test_load_equals_store_of_parsed_triples(self, crlf):
+        for text in _CORPUS:
+            if crlf:
+                text = text.replace("\n", "\r\n")
+            loaded, built = load_ntriples(text), TripleStore(parse_triples(text))
+            assert loaded.terms == built.terms
+            assert _table(loaded) == _table(built)
+
+
+class TestEncoding:
+    _BAD = b'<http://x/s> <http://x/p> <http://x/o> .\n<http://x/s> <http://x/p> "caf\xff" .\n'
+
+    @pytest.mark.parametrize("gz", [False, True], ids=["plain", "gzip"])
+    def test_invalid_utf8_is_positioned(self, gz):
+        data = gzip.compress(self._BAD) if gz else self._BAD
+        with pytest.raises(RDFSyntaxError) as exc:
+            load_ntriples(data)
+        assert str(exc.value) == "invalid UTF-8 byte 0xff (line 2, column 31)"
+
+    def test_column_counts_characters(self):
+        data = '<http://x/s> <http://x/p> "é'.encode("utf-8") + b'\xc3" .'
+        with pytest.raises(RDFSyntaxError) as exc:
+            list(parse_triples(data))
+        assert (exc.value.line, exc.value.column) == (1, 29)
 
 
 class TestRoundTrip:
