@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .patterns import GraphPattern, Variable, is_var
-from .rdf import BNODE, Term
 
 MAX_VERTICES = 200
 
@@ -35,12 +34,7 @@ def _sig(*parts: str) -> str:
 
 
 def _vertex(node):
-    if is_var(node):
-        return ("var", node.name)
-    if isinstance(node, Term) and node.kind == BNODE:
-        # pattern blank nodes behave like variables (SPARQL BGP semantics)
-        return ("var", "_bnode_" + node.value)
-    return ("term", node)
+    return ("var", node.name) if is_var(node) else ("term", node)
 
 
 def _initial_color(vertex) -> str:
@@ -112,15 +106,12 @@ def _compute(gp: GraphPattern) -> CanonicalForm:
                 if node.name in ("source", "target"):
                     return node
                 return Variable(rename[node.name])
-            if isinstance(node, Term) and node.kind == BNODE:
-                return Variable(rename["_bnode_" + node.value])
             return node
 
         lines = sorted("%s %s %s ." % (canon_node(tp.s).n3(), canon_node(tp.p).n3(),
                                        canon_node(tp.o).n3())
                        for tp in triples)
-        mapping = {Variable(name): Variable(new) for name, new in rename.items()
-                   if not name.startswith("_bnode_")}
+        mapping = {Variable(name): Variable(new) for name, new in rename.items()}
         mapping[Variable("source")] = Variable("source")
         mapping[Variable("target")] = Variable("target")
         return "\n".join(lines), mapping

@@ -10,6 +10,8 @@ stored under an older table.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -26,10 +28,26 @@ _STATUS_RANK = {COMPLETE: 0, SOFT_TIMEOUT: 1, HARD_TIMEOUT: 2}
 # entries any one memo of an Endpoint may hold before all three are cleared
 _MEMO_BOUND = 100_000
 
-# lowest accepted value of each numeric setting; 0 is valid where it means
-# "nothing": no retry, no wait, a budget that is spent at once
-_LOWER_BOUNDS = (("batch_size", 1), ("default_limit", 1), ("retries", 0),
-                 ("backoff", 0), ("soft_timeout", 0), ("hard_timeout", 0))
+# [low, high] of each setting; 0 is valid where it means "nothing": no
+# retry, no wait, a budget that is spent at once
+_BOUNDS = {"batch_size": (1, math.inf), "default_limit": (1, math.inf),
+           "retries": (0, math.inf), "backoff": (0, math.inf),
+           "soft_timeout": (0, math.inf), "hard_timeout": (0, math.inf)}
+
+
+def check_settings(config, bounds: dict, unlimited=()) -> None:
+    """ValueError unless every field of the dataclass `config` is a finite
+    number, in [low, high] where `bounds` maps its name to them; a field
+    named in `unlimited` may also be None, for "no limit"."""
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if value is None and field.name in unlimited:
+            continue
+        low, high = bounds.get(field.name, (-math.inf, math.inf))
+        if not (isinstance(value, (int, float)) and math.isfinite(value)
+                and low <= value <= high):
+            raise ValueError("%s must be a finite number in [%s, %s], not %r"
+                             % (field.name, low, high, value))
 
 
 @dataclass
@@ -42,11 +60,8 @@ class EndpointConfig:
     default_limit: int = engine.DEFAULT_LIMIT
 
     def __post_init__(self):
-        # None means no limit: an unmetered engine.select budget
-        for name, low in _LOWER_BOUNDS:
-            value = getattr(self, name)
-            if value is not None and value < low:
-                raise ValueError("%s must be >= %s" % (name, low))
+        # a None timeout is an unmetered engine.select budget
+        check_settings(self, _BOUNDS, unlimited=("soft_timeout", "hard_timeout"))
 
 
 class EndpointError(RuntimeError):
@@ -135,10 +150,10 @@ class Endpoint:
                     seen.add(row)
                     merged.append(row)
         if worst == HARD_TIMEOUT:
-            return EvalResult(tuple(projection), [], elapsed, HARD_TIMEOUT)
+            return EvalResult([], elapsed, HARD_TIMEOUT)
         if limit is not None:
             merged = merged[:limit]
-        return EvalResult(tuple(projection), merged, elapsed, worst)
+        return EvalResult(merged, elapsed, worst)
 
     # -- backends -----------------------------------------------------------
 
@@ -176,12 +191,10 @@ class Endpoint:
                 raise EndpointError("SPARQL endpoint rejected query: HTTP %d"
                                     % status_code)
             rows = _parse_sparql_json(payload, projection)
-            return EvalResult(tuple(projection), rows, time.time() - started,
-                              COMPLETE)
+            return EvalResult(rows, time.time() - started, COMPLETE)
         if last_error is None:
             # the last attempt got a 5xx answer: fitness punishment, not a crash
-            return EvalResult(tuple(projection), [],
-                              time.time() - started, HARD_TIMEOUT)
+            return EvalResult([], time.time() - started, HARD_TIMEOUT)
         raise EndpointUnreachable("no answer after %d retries: %s"
                                   % (self.config.retries, last_error))
 

@@ -35,7 +35,6 @@ DEFAULT_LIMIT = 1024
 
 @dataclass
 class EvalResult:
-    variables: tuple[Variable, ...]
     rows: list[tuple[Term, ...]]
     elapsed: float
     status: str = COMPLETE
@@ -207,10 +206,10 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
     soft_budget = None if soft_timeout is None else int(soft_timeout * TICKS_PER_SECOND)
     hard_budget = None if hard_timeout is None else int(hard_timeout * TICKS_PER_SECOND)
     if hard_budget is not None and hard_budget <= 0:
-        return EvalResult(tuple(projection), [], 0.0, HARD_TIMEOUT)
+        return EvalResult([], 0.0, HARD_TIMEOUT)
     steps = plan.steps
     if steps is None:
-        return EvalResult(tuple(projection), [], 0.0, COMPLETE)
+        return EvalResult([], 0.0, COMPLETE)
 
     # VALUES terms missing from the store get negative ids, which match nothing
     value_slots = plan.value_slots
@@ -281,8 +280,7 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
     except _Stop:
         if ticks > budget:
             if hard_budget is not None and ticks > hard_budget:
-                return EvalResult(tuple(projection), [], ticks / TICKS_PER_SECOND,
-                                  HARD_TIMEOUT)
+                return EvalResult([], ticks / TICKS_PER_SECOND, HARD_TIMEOUT)
             status = SOFT_TIMEOUT
 
     missing = list(unknown)
@@ -292,4 +290,4 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
         return term(tid) if tid >= 0 else missing[~tid]
 
     rows = [tuple(map(decode, row)) for row in found]
-    return EvalResult(tuple(projection), rows, ticks / TICKS_PER_SECOND, status)
+    return EvalResult(rows, ticks / TICKS_PER_SECOND, status)

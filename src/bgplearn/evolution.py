@@ -3,6 +3,7 @@ hall of fame, and the multi-run driver with the cross-run coverage ledger."""
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -10,6 +11,7 @@ from itertools import accumulate
 from typing import Iterator, Optional, Sequence
 
 from .canon import pattern_key
+from .endpoint import check_settings
 from .engine import HARD_TIMEOUT
 from .fitness import (CoverageLedger, FitnessTuple, GroundTruthPair,
                       PatternEvaluation, ScoreConfig, evaluate)
@@ -17,6 +19,24 @@ from .patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR, TriplePattern,
                        Variable)
 from .rdf import LITERAL, Term
 from .simplify import simplify
+
+
+# [low, high] of each setting but the seed and score_threshold, which need
+# only be finite: a count, a probability or a fraction
+_BOUNDS = {
+    **dict.fromkeys(("population_size", "tournament_size", "max_path_length"),
+                    (1, math.inf)),
+    **dict.fromkeys(("max_generations", "max_runs", "fix_var_sample_size",
+                     "fix_var_children", "max_pattern_length", "max_vars",
+                     "hall_of_fame_size", "reintro_fresh", "reintro_hof",
+                     "min_remains", "overfit_min_sources", "overfit_min_targets"),
+                    (0, math.inf)),
+    **dict.fromkeys(("mating_prob", "p_dominant", "p_recessive", "fragment_fraction",
+                     "init_fix_var_prob", "p_introduce_var", "p_split_var",
+                     "p_merge_var", "p_del_triple", "p_expand_node", "p_add_edge",
+                     "p_increase_dist", "p_simplify", "p_fix_var", "overfit_factor"),
+                    (0, 1)),
+}
 
 
 @dataclass
@@ -54,6 +74,9 @@ class EvolutionConfig:
     overfit_factor: float = 0.1
     overfit_min_sources: int = 2
     overfit_min_targets: int = 2
+
+    def __post_init__(self):
+        check_settings(self, _BOUNDS)
 
     def score_config(self) -> ScoreConfig:
         return ScoreConfig(self.overfit_factor, self.overfit_min_sources,
@@ -93,7 +116,7 @@ class HallOfFame:
                 continue
             key = ind.canonical_key
             held = self._by_key.get(key)
-            if held is None or ind.fitness > held.fitness:
+            if held is None or ind.fitness.key() > held.fitness.key():
                 self._by_key[key] = ind
         if len(self._by_key) > self.size:
             self._by_key = {ind.canonical_key: ind for ind in self.best(self.size)}
@@ -376,7 +399,7 @@ def fix_var(gp: GraphPattern, endpoint, gt: list[GroundTruthPair],
         try:
             children.append(gp.substitute({var: terms[k]}))
         except ValueError:
-            pass  # term invalid in this slot (e.g. literal subject)
+            pass  # a literal subject, or a blank node, which no pattern names
     return children
 
 

@@ -67,7 +67,7 @@ class CoverageLedger:
 
 @dataclass(frozen=True)
 class FitnessTuple:
-    """Lexicographically compared; min-direction fields compare inverted."""
+    """Ordered by `key()`: lexicographically, min-direction fields inverted."""
 
     remains: float
     score: float
@@ -84,18 +84,6 @@ class FitnessTuple:
         return (self.remains, self.score, self.gain, self.f1, -self.avg_result_len,
                 self.gt_matches, -self.pattern_length, -self.pattern_vars,
                 -self.timeout_penalty, -self.query_time_s)
-
-    def __lt__(self, other):
-        return self.key() < other.key()
-
-    def __le__(self, other):
-        return self.key() <= other.key()
-
-    def __gt__(self, other):
-        return self.key() > other.key()
-
-    def __ge__(self, other):
-        return self.key() >= other.key()
 
 
 @dataclass

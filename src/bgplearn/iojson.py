@@ -11,7 +11,7 @@ from .evolution import LearnedPattern
 from .fitness import CoverageLedger, FitnessTuple, GroundTruthPair, PatternEvaluation
 from .patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR, TriplePattern, Variable,
                        is_var, to_select_sparql)
-from .rdf import BNODE, IRI, Term, bnode, iri, literal
+from .rdf import IRI, Term, iri, literal
 
 
 class GroundTruthError(ValueError):
@@ -27,8 +27,6 @@ def node_to_json(node) -> dict:
         return {"type": "var", "name": node.name}
     if node.kind == IRI:
         return {"type": "iri", "value": node.value}
-    if node.kind == BNODE:
-        return {"type": "bnode", "value": node.value}
     out = {"type": "literal", "value": node.value}
     if node.datatype is not None:
         out["datatype"] = node.datatype
@@ -43,8 +41,6 @@ def node_from_json(obj: dict):
         return Variable(obj["name"])
     if typ == "iri":
         return iri(obj["value"])
-    if typ == "bnode":
-        return bnode(obj["value"])
     if typ == "literal":
         return literal(obj["value"], obj.get("datatype"), obj.get("lang"))
     raise ValueError("unknown node type: %r" % typ)

@@ -6,7 +6,7 @@ import re
 from collections import namedtuple
 from typing import Iterable, Iterator, Optional, Union
 
-from .rdf import IRI, LITERAL, Term
+from .rdf import BNODE, IRI, LITERAL, Term
 
 SOURCE_NAME = "source"
 TARGET_NAME = "target"
@@ -49,14 +49,22 @@ def is_var(node: Node) -> bool:
     return isinstance(node, Variable)
 
 
+_NO_BLANK_NODE = "a triple pattern names no blank node"
+
+
 class TriplePattern(namedtuple("_TriplePattern", "s p o")):
     __slots__ = ()
 
     def __new__(cls, s: Node, p: Node, o: Node):
-        if isinstance(s, Term) and s.kind == LITERAL:
-            raise ValueError("triple pattern subject must not be a literal")
+        # SPARQL reads a blank node in a query as a variable, the store as a
+        # constant: a pattern names none, so both read it alike
+        if isinstance(s, Term) and s.kind != IRI:
+            raise ValueError("triple pattern subject must not be a literal"
+                             if s.kind == LITERAL else _NO_BLANK_NODE)
         if isinstance(p, Term) and p.kind != IRI:
             raise ValueError("triple pattern predicate must be an IRI or variable")
+        if isinstance(o, Term) and o.kind == BNODE:
+            raise ValueError(_NO_BLANK_NODE)
         return tuple.__new__(cls, (s, p, o))
 
     def __repr__(self):

@@ -241,6 +241,8 @@ _LITERAL = r'"[^"\\\n]*(?:\\.[^"\\\n]*)*"'
 # Whitespace and comments before a token are skipped atomically (a lookahead
 # captures them, the backreference consumes them), so a token that fails after
 # a comment is never re-read from inside it. `bad` takes any other character.
+# A prefix or local name does not end in `.` (Turtle's PN_PREFIX, PN_LOCAL),
+# so `ex:o.` is `ex:o` and the statement's dot.
 _TOKEN_RE = re.compile(r"""
     (?=(?P<skip>(?:\s+|\#[^\n]*)*))(?P=skip)
     (?: (?P<iriref><%s>)
@@ -249,7 +251,7 @@ _TOKEN_RE = re.compile(r"""
       | (?P<langtag>@%s)
       | (?P<dtsep>\^\^)
       | (?P<punct>[.;,])
-      | (?P<pname>(?:[A-Za-z_][\w\-.]*)?:[\w\-.:%%]*)
+      | (?P<pname>(?:[A-Za-z_](?:[\w\-.]*[\w\-])?)?:(?:[\w\-.:%%]*[\w\-:%%])?)
       | (?P<word>[A-Za-z_][\w\-]*)
       | (?P<end>\Z)
       | (?P<bad>.)

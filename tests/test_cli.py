@@ -302,9 +302,19 @@ class TestConfig:
 
     @pytest.mark.parametrize("setting", ["bogus=1", "batch_size=0", "backoff=abc",
                                          "cache_capacity=100", "soft_timeout=-1",
-                                         "backend=local", "url=x"],
+                                         "backend=local", "url=x",
+                                         "max_path_length=0", "tournament_size=0",
+                                         "population_size=0", "max_runs=-1",
+                                         "hard_timeout=inf", "soft_timeout=nan",
+                                         "backoff=nan", "score_threshold=nan",
+                                         "p_fix_var=1.5", "overfit_factor=-0.1"],
                              ids=["bogus", "batch_size", "backoff",
-                                  "cache_capacity", "soft_timeout", "backend", "url"])
+                                  "cache_capacity", "soft_timeout", "backend", "url",
+                                  "max_path_length_0", "tournament_size_0",
+                                  "population_size_0", "max_runs_negative",
+                                  "hard_timeout_inf", "soft_timeout_nan",
+                                  "backoff_nan", "score_threshold_nan",
+                                  "probability_above_1", "overfit_factor_negative"])
     @pytest.mark.parametrize("command", ["learn", "predict", "evaluate"])
     def test_bad_config_key_exits_1(self, workdir, capsys, command, setting):
         code = main([command, "--store", str(workdir / "store.ttl"),
@@ -651,9 +661,11 @@ class TestPredictCommand:
     {"patterns": [dict(ENTRY, fitness=dict(FITNESS, bogus=1.0))]},
     {"patterns": [dict(ENTRY, pv=[float("nan"), 1.0, 1.0])]},
     {"patterns": [dict(ENTRY, pv="1")]},
-    {"next_run": 0, "patterns": [ENTRY]}],
+    {"next_run": 0, "patterns": [ENTRY]},
+    {"patterns": [dict(ENTRY, pattern=[[_var("source"), CAPITAL_OF,
+                                        {"type": "bnode", "value": "b1"}]])]}],
     ids=["no_patterns", "no_pattern", "unknown_fitness_key", "nan_pv", "string_pv",
-         "zero_next_run"])
+         "zero_next_run", "bnode_node"])
 @pytest.mark.parametrize("command", ["predict", "evaluate"])
 def test_malformed_patterns_exits_2(workdir, capsys, command, doc):
     args = [command, "--store", str(workdir / "store.ttl"),

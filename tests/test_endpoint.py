@@ -258,8 +258,7 @@ class TestRemote:
             TriplePattern(SOURCE_VAR, ex("capitalOf"), TARGET_VAR),
             TriplePattern(SOURCE_VAR, ex("label"),
                           literal('say "hi" \\ now\nok', lang="en")),
-            TriplePattern(TARGET_VAR, ex("code"), literal("42", datatype=xsd_int)),
-            TriplePattern(bnode("b0"), ex("near"), SOURCE_VAR)])
+            TriplePattern(TARGET_VAR, ex("code"), literal("42", datatype=xsd_int))])
         rows = [(ex("Berlin"), ex("Germany")), (bnode("b1"), ex("France"))]
         post = _FakePost([("ok", [])])
         _remote(post).run_select(gp, [SOURCE_VAR, TARGET_VAR],
@@ -269,7 +268,6 @@ class TestRemote:
             " VALUES (?source ?target) {"
             " (<http://example.org/Berlin> <http://example.org/Germany>)"
             " (_:b1 <http://example.org/France>) }"
-            " _:b0 <http://example.org/near> ?source ."
             " ?source <http://example.org/capitalOf> ?target ."
             r' ?source <http://example.org/label> "say \"hi\" \\ now\nok"@en .'
             ' ?target <http://example.org/code> "42"^^<%s> .'

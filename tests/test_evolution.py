@@ -18,6 +18,7 @@ from bgplearn.evolution import (EvolutionConfig, HallOfFame, Individual,
 from bgplearn.fitness import CoverageLedger, FitnessTuple, GroundTruthPair
 from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
                                TriplePattern, Variable)
+from bgplearn.rdf import iri, load_ntriples
 
 from conftest import ex
 
@@ -318,6 +319,19 @@ class TestFixVar:
                                    CoverageLedger([1.0, 0.0, 1.0]), 0)
         # covered pairs weigh 0: only the uncovered pair is sampled
         assert sent == [[(ex("Paris"), ex("France"))]]
+
+    def test_no_child_names_a_blank_node(self):
+        """A blank node the variable binds is dropped, after the draws."""
+        store = load_ntriples("<http://x/a> <http://x/p> _:b1 .\n"
+                              "_:b1 <http://x/q> <http://x/t> .\n"
+                              "<http://x/a> <http://x/p> <http://x/c> .\n"
+                              "<http://x/c> <http://x/q> <http://x/t> .\n")
+        gp = GraphPattern([TriplePattern(SOURCE_VAR, iri("http://x/p"), V("v")),
+                           TriplePattern(V("v"), iri("http://x/q"), TARGET_VAR)])
+        gt = [GroundTruthPair(iri("http://x/a"), iri("http://x/t"))]
+        children = fix_var(gp, local_endpoint(store), gt, None, random.Random(0),
+                           EvolutionConfig())
+        assert children == [gp.substitute({V("v"): iri("http://x/c")})]
 
     def test_child_count_bounded(self, capitals_store, capitals_gt):
         ep = local_endpoint(capitals_store)

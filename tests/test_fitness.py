@@ -65,32 +65,32 @@ class TestLedger:
             assert led.to_json() == json.dumps(values)
 
 
-def _ft(**kw):
+def _key(**kw):
     base = dict(remains=0.0, score=0.0, gain=0.0, f1=0.0, avg_result_len=0.0,
                 gt_matches=0, pattern_length=1, pattern_vars=2,
                 timeout_penalty=0.0, query_time_s=0.0)
     base.update(kw)
-    return FitnessTuple(**base)
+    return FitnessTuple(**base).key()
 
 
 class TestTupleOrdering:
     def test_remains_dominates(self):
-        assert _ft(remains=2.0, score=0.0) > _ft(remains=1.0, score=99.0)
+        assert _key(remains=2.0, score=0.0) > _key(remains=1.0, score=99.0)
 
     def test_score_breaks_ties(self):
-        assert _ft(score=2.0) > _ft(score=1.0)
+        assert _key(score=2.0) > _key(score=1.0)
 
     def test_minimized_fields_flip(self):
-        assert _ft(avg_result_len=1.0) > _ft(avg_result_len=5.0)
-        assert _ft(pattern_length=2) > _ft(pattern_length=4)
-        assert _ft(pattern_vars=2) > _ft(pattern_vars=5)
-        assert _ft(timeout_penalty=0.0) > _ft(timeout_penalty=0.5)
-        assert _ft(query_time_s=0.1) > _ft(query_time_s=0.9)
+        assert _key(avg_result_len=1.0) > _key(avg_result_len=5.0)
+        assert _key(pattern_length=2) > _key(pattern_length=4)
+        assert _key(pattern_vars=2) > _key(pattern_vars=5)
+        assert _key(timeout_penalty=0.0) > _key(timeout_penalty=0.5)
+        assert _key(query_time_s=0.1) > _key(query_time_s=0.9)
 
     def test_maximized_fields_keep_direction(self):
-        assert _ft(gain=3.0) > _ft(gain=1.0)
-        assert _ft(f1=0.9) > _ft(f1=0.2)
-        assert _ft(gt_matches=4) > _ft(gt_matches=3)
+        assert _key(gain=3.0) > _key(gain=1.0)
+        assert _key(f1=0.9) > _key(f1=0.2)
+        assert _key(gt_matches=4) > _key(gt_matches=3)
 
     @given(st.lists(st.floats(0, 10, allow_nan=False), min_size=10, max_size=10),
            st.lists(st.floats(0, 10, allow_nan=False), min_size=10, max_size=10))
@@ -99,9 +99,9 @@ class TestTupleOrdering:
         fields = ("remains", "score", "gain", "f1", "avg_result_len",
                   "gt_matches", "pattern_length", "pattern_vars",
                   "timeout_penalty", "query_time_s")
-        fa = FitnessTuple(**dict(zip(fields, a)))
-        fb = FitnessTuple(**dict(zip(fields, b)))
-        assert (fa < fb) + (fb < fa) + (fa.key() == fb.key()) == 1
+        ka = FitnessTuple(**dict(zip(fields, a))).key()
+        kb = FitnessTuple(**dict(zip(fields, b))).key()
+        assert (ka < kb) + (kb < ka) + (ka == kb) == 1
 
 
 class TestScore:
@@ -212,8 +212,7 @@ class TestEvaluate:
             def run_select(self, gp, projection, values=None, limit=None):
                 rows = [(ex("Berlin"), ex("Germany")), (ex("Paris"), ex("France")),
                         (ex("Paris"), ex("Spain"))]
-                return EvalResult(tuple(projection), rows, elapsed=0.25,
-                                  status=SOFT_TIMEOUT)
+                return EvalResult(rows, elapsed=0.25, status=SOFT_TIMEOUT)
 
         led = CoverageLedger.zeros(len(capitals_gt))
         ev, fit = evaluate(SoftTimeoutEndpoint(), CAPITAL_GP, capitals_gt, led)

@@ -11,14 +11,14 @@ from bgplearn.iojson import (GroundTruthError, dumps, learned_from_json,
                              pattern_to_json)
 from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
                                TriplePattern, Variable)
-from bgplearn.rdf import bnode, iri, literal
+from bgplearn.rdf import iri, literal
 
 from conftest import ex, random_pattern, random_store
 
 
 class TestNodeRoundTrip:
     def test_all_kinds(self):
-        nodes = [iri("http://x/a"), bnode("b1"), literal("hi"),
+        nodes = [iri("http://x/a"), literal("hi"),
                  literal("hi", lang="en"),
                  literal("3", datatype="http://www.w3.org/2001/XMLSchema#integer"),
                  Variable("v"), SOURCE_VAR]

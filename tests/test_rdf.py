@@ -122,7 +122,7 @@ _VALUE_TYPES = {
     "term": lambda: literal("a\"b", lang="en"),
     "triple": lambda: Triple(ex("s"), ex("p"), literal("1", datatype="http://x/int")),
     "variable": lambda: Variable("x"),
-    "triple_pattern": lambda: TriplePattern(Variable("x"), ex("p"), bnode("b")),
+    "triple_pattern": lambda: TriplePattern(Variable("x"), ex("p"), literal("b")),
 }
 
 
@@ -158,6 +158,22 @@ class TestTriple:
     def test_predicate_must_be_iri(self):
         with pytest.raises(ValueError):
             Triple(iri("http://x/s"), bnode("b"), iri("http://x/o"))
+
+
+class TestTriplePattern:
+    @pytest.mark.parametrize("s, o", [(bnode("b1"), Variable("x")),
+                                      (Variable("x"), bnode("b1"))],
+                             ids=["subject", "object"])
+    def test_blank_node_refused(self, s, o):
+        """SPARQL reads a blank node in a query as a variable, the store as a
+        constant: a pattern names none."""
+        with pytest.raises(ValueError, match="names no blank node"):
+            TriplePattern(s, ex("p"), o)
+
+    def test_literal_subject_refused(self):
+        with pytest.raises(ValueError) as exc:
+            TriplePattern(literal("s"), ex("p"), Variable("x"))
+        assert str(exc.value) == "triple pattern subject must not be a literal"
 
 
 class TestParser:
@@ -251,6 +267,19 @@ class TestParser:
         assert list(parse_triples(text)) == [
             Triple(iri("http://x/s"), iri("http://x/p"), bnode("b1")),
             Triple(iri("http://x/s"), iri("http://x/p"), bnode("b.2"))]
+
+    def test_prefixed_name_ends_before_dot(self):
+        """Turtle's prefix and local name cannot end in '.', so `ex:o.` is
+        the name `ex:o` and the statement's dot."""
+        prefix = "@prefix ex: <http://x/> .\n"
+        assert list(parse_triples(prefix + "ex:s ex:p ex:o.\n")) == [
+            Triple(iri("http://x/s"), iri("http://x/p"), iri("http://x/o"))]
+        with pytest.raises(RDFSyntaxError) as exc:
+            list(parse_triples(prefix + "ex:s ex:p ex:o. .\n"))
+        assert str(exc.value) == "unexpected token '.' (line 2, column 17)"
+        with pytest.raises(RDFSyntaxError) as exc:
+            list(parse_triples("@prefix ex.: <http://x/> .\n"))
+        assert str(exc.value) == "expected prefix declaration (line 1, column 9)"
 
     def test_prefix_redeclared_mid_document(self):
         text = ("@prefix ex: <http://a/> .\nex:s ex:p ex:o .\n"
