@@ -16,11 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Optional
+from typing import Callable, Optional
 
 from .patterns import (GraphPattern, TriplePattern, Variable, check_pattern,
                        check_projection, is_var, values_table)
-from .rdf import Term, TripleStore
+from .rdf import Term, TripleStore, key_getter
 
 COMPLETE = "complete"
 SOFT_TIMEOUT = "soft_timeout"
@@ -105,15 +105,15 @@ def _tuple_getter(slots: list[int]):
     return itemgetter(*slots)
 
 
-# One plan triple compiled for one set of bound slots: the getter of its
-# lookup key, the (position, slot) pairs it binds, the position pairs that
-# must hold one id (an unbound variable repeated in the triple), and whether
-# its key reads a bound VALUES slot, the only kind that can hold a negative id.
+# One plan triple compiled for one set of bound slots: the `get` of the
+# store's table for its bound positions and that table's key getter, the
+# (position, slot) pairs it binds, the position pairs that must hold one id
+# (a repeated unbound variable), and its VALUES slots, the only negative ids.
 _Pairs = tuple[tuple[int, int], ...]
-_Step = tuple[itemgetter, _Pairs, _Pairs, bool]
+_Step = tuple[Callable, Callable, _Pairs, _Pairs, tuple[int, ...]]
 
 
-def _compile(triple_slots: list[tuple[int, int, int]],
+def _compile(store: TripleStore, triple_slots: list[tuple[int, int, int]],
              values_bound: frozenset[int]) -> list[_Step]:
     """Steps of the plan when only `values_bound` is bound before the first;
     negative slots hold constants and are always bound."""
@@ -122,16 +122,19 @@ def _compile(triple_slots: list[tuple[int, int, int]],
     for slots in triple_slots:
         first: dict[int, int] = {}
         pairs = []
+        keyed = []
+        mask = 0
         for pos, slot in enumerate(slots):
             if slot < 0 or slot in bound:
-                continue
-            if slot in first:
+                keyed.append(slot)
+                mask |= 4 >> pos
+            elif slot in first:
                 pairs.append((first[slot], pos))
             else:
                 first[slot] = pos
         writes = tuple((pos, slot) for slot, pos in first.items())
-        steps.append((itemgetter(*slots), writes, tuple(pairs),
-                      not values_bound.isdisjoint(slots)))
+        steps.append((store.tables[mask].get, key_getter(keyed), writes, tuple(pairs),
+                      tuple(values_bound.intersection(slots))))
         bound.update(first)
     return steps
 
@@ -175,7 +178,7 @@ class _Plan:
         self.template = [None] * len(slot_of) + constants[::-1]
         self.value_slots = [slot_of[v] for v in values_vars]
         self.project = _tuple_getter([slot_of[v] for v in projection])
-        self.steps = _compile(triple_slots, frozenset(self.value_slots))
+        self.steps = _compile(store, triple_slots, frozenset(self.value_slots))
 
 
 def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
@@ -230,7 +233,6 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
                  default=math.inf)
     max_rows = math.inf if limit is None else limit
     project = plan.project
-    match_ids = store.match_ids
     last = len(steps) - 1
     found: dict[tuple, None] = {}  # distinct projected id rows, in order
     ticks = 0
@@ -248,12 +250,10 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
 
     def extend(binding: list, depth: int) -> None:
         nonlocal ticks
-        key, writes, pairs, reads_values = steps[depth]
-        lookup = key(binding)
-        if reads_values and unknown and any(tid is not None and tid < 0
-                                            for tid in lookup):
+        get, key, writes, pairs, value_slots = steps[depth]
+        if value_slots and unknown and any(binding[slot] < 0 for slot in value_slots):
             return
-        matches = match_ids(*lookup)
+        matches = get(key(binding), ())
         ticks += len(matches) or 1
         if ticks > budget:
             raise _Stop

@@ -545,7 +545,9 @@ def best_first(patterns) -> list[LearnedPattern]:
 def learn_runs(endpoint, gt: list[GroundTruthPair], cfg: EvolutionConfig,
                ledger: Optional[CoverageLedger] = None, start_run: int = 1,
                known_keys=()) -> Iterator[RunRecord]:
-    """Multi-run driver: yields each finished run; a known or earlier key is skipped."""
+    """Multi-run driver: yields each finished run; a known or earlier key is
+    skipped. A score is at most the remains, so no run starts once they are
+    at most `score_threshold`, nor below `min_remains`."""
     if not gt:
         raise ValueError("ground truth must be non-empty")
     if ledger is None:
@@ -557,7 +559,7 @@ def learn_runs(endpoint, gt: list[GroundTruthPair], cfg: EvolutionConfig,
     seen = set(known_keys)
     for run_index in range(start_run, cfg.max_runs + 1):
         remains_before = ledger.remains()
-        if remains_before < cfg.min_remains:
+        if remains_before < cfg.min_remains or remains_before <= cfg.score_threshold:
             return
         hof = run_single(endpoint, gt, ledger, cfg, rng)
         accepted: list[LearnedPattern] = []

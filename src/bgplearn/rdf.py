@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gzip
 import re
+import sys
 from collections import namedtuple
 from itertools import groupby
 from operator import itemgetter
@@ -121,21 +122,25 @@ class Triple(namedtuple("_Triple", "s p o")):
         return "%s %s %s ." % (self.s.n3(), self.p.n3(), self.o.n3())
 
 
-def _groups(rows: list, slots: tuple[int, ...]) -> Iterator[tuple]:
-    """(bound values, matching rows) for each distinct value of `slots`; the
-    sort is stable, so each group keeps the order of `rows`."""
-    bound = itemgetter(*slots)
-    return ((k, tuple(g)) for k, g in groupby(sorted(rows, key=bound), bound))
+def key_getter(slots: list[int]):
+    """The getter of a lookup table's key from the ids at `slots` of a
+    sequence: the id for one slot, their tuple for none or several."""
+    return itemgetter(*slots) if slots else (lambda ids: ())
+
+
+# each lookup table's key from (s, p, o), by mask (see `TripleStore`)
+_KEYS = [key_getter([i for i in range(3) if mask & (4 >> i)]) for mask in range(8)]
 
 
 class TripleStore:
-    """Immutable-after-load set of triples behind one pre-sorted lookup table.
+    """Immutable-after-load set of triples behind one lookup table per
+    bound/unbound slot combination.
 
-    Terms are interned to integer ids. At load, every bound/unbound slot
-    combination of every triple, from `(s, p, o)` to `(None, None, None)`,
-    is mapped to the tuple of its matching id-triples in (s, p, o) order, so
-    every lookup and every count is one dict read and results are
-    deterministic for a given load.
+    Terms are interned to integer ids. `tables[mask]` (s = 4, p = 2, o = 1)
+    maps the ids of the bound slots alone, an int for one slot and a tuple
+    otherwise, to their id-triples in (s, p, o) order; a group of one triple
+    is that triple's 1-tuple in `tables[7]`. So every lookup and every count
+    is one dict read, and results are deterministic for a given load.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
@@ -156,27 +161,27 @@ class TripleStore:
 
     def _build(self, terms: list[Term], ids: dict[Term, int],
                spo: set[tuple[int, int, int]]) -> None:
-        """The lookup table of the id triples `spo`; `terms[i]` is the term of
-        id i and `ids` maps each term back to its id."""
+        """The lookup tables of the id triples `spo`; `terms[i]` is the term
+        of id i and `ids` maps each term back to its id."""
         self._ids = ids
         self._terms = terms
         spo = sorted(spo)
-        index = {(None, None, None): tuple(spo)}
-        index.update(zip(spo, zip(spo)))
-        index.update(((s, p, None), m) for (s, p), m in _groups(spo, (0, 1)))
-        index.update(((s, None, o), m) for (s, o), m in _groups(spo, (0, 2)))
-        index.update(((None, p, o), m) for (p, o), m in _groups(spo, (1, 2)))
-        index.update(((s, None, None), m) for s, m in _groups(spo, (0,)))
-        index.update(((None, p, None), m) for p, m in _groups(spo, (1,)))
-        index.update(((None, None, o), m) for o, m in _groups(spo, (2,)))
-        self._index: dict[tuple, tuple[tuple[int, int, int], ...]] = index
+        one = dict(zip(spo, zip(spo)))
+        self.tables: list[dict] = [{(): tuple(spo)}]
+        for key in _KEYS[1:7]:
+            table = {}
+            # the sort is stable, so each group keeps the (s, p, o) order
+            for k, group in groupby(sorted(spo, key=key), key):
+                group = tuple(group)
+                table[k] = group if len(group) > 1 else one[group[0]]
+            self.tables.append(table)
+        self.tables.append(one)
 
     def __len__(self) -> int:
-        return len(self._index[None, None, None])
+        return len(self.tables[0][()])
 
     def __contains__(self, t: Triple) -> bool:
-        key = (self._ids.get(t.s), self._ids.get(t.p), self._ids.get(t.o))
-        return None not in key and key in self._index
+        return (self._ids.get(t.s), self._ids.get(t.p), self._ids.get(t.o)) in self.tables[7]
 
     def term_id(self, term: Term) -> Optional[int]:
         return self._ids.get(term)
@@ -190,24 +195,26 @@ class TripleStore:
 
     def match_ids(self, s: Optional[int], p: Optional[int], o: Optional[int]
                   ) -> tuple[tuple[int, int, int], ...]:
-        """All id-triples matching the bound slots, sorted by (s, p, o) ids.
+        """All id-triples matching the bound slots, sorted by (s, p, o) ids;
+        an unbound slot is None.
 
-        An absent, negative or past-the-end id matches nothing.
+        A negative or past-the-end id matches nothing.
         """
-        return self._index.get((s, p, o), ())
+        mask = (s is not None) << 2 | (p is not None) << 1 | (o is not None)
+        return self.tables[mask].get(_KEYS[mask]((s, p, o)), ())
 
     def count(self, s: Optional[int] = None, p: Optional[int] = None,
               o: Optional[int] = None) -> int:
         """Exact cardinality of a bound/unbound slot combination (for join planning)."""
-        return len(self._index.get((s, p, o), ()))
+        return len(self.match_ids(s, p, o))
 
     def degree(self, node: Term, direction: str = BIDI) -> int:
         nid = self._ids.get(node)
         if nid is None:
             out_deg = in_deg = 0
         else:
-            out_deg = len(self._index.get((nid, None, None), ()))
-            in_deg = len(self._index.get((None, None, nid), ()))
+            out_deg = len(self.tables[4].get(nid, ()))
+            in_deg = len(self.tables[1].get(nid, ()))
         if direction == OUT:
             return out_deg
         if direction == IN:
@@ -217,7 +224,7 @@ class TripleStore:
         raise ValueError("unknown direction: %r" % direction)
 
     def triples(self) -> Iterator[Triple]:
-        for s, p, o in self._index[None, None, None]:
+        for s, p, o in self.tables[0][()]:
             yield Triple(self._terms[s], self._terms[p], self._terms[o])
 
     def serialize(self) -> str:
@@ -225,7 +232,7 @@ class TripleStore:
 
     def edges(self) -> set[tuple[int, int]]:
         """Distinct (subject-id, object-id) pairs, predicates collapsed."""
-        return {(s, o) for s, _, o in self._index[None, None, None]}
+        return {(s, o) for s, _, o in self.tables[0][()]}
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +329,8 @@ class _Parser:
     expands to under the prefixes then declared) to its id. A token that
     fails the check is never entered, so it raises wherever it occurs first.
     Literals and every newly built term are keyed by `Term` in `term_ids`,
-    so a term has one id however it is written.
+    so a term has one id however it is written; each language tag and
+    datatype IRI is one interned string.
     """
 
     def __init__(self, text: str):
@@ -361,8 +369,8 @@ class _Parser:
             sid, pid = self._node(s), self._node(p)
             if o is not None:
                 return sid, pid, self._node(o)
-            return sid, pid, self._intern(
-                literal(_unescape(lit[1:-1]), dt and dt[1:-1], lang))
+            return sid, pid, self._intern(literal(
+                _unescape(lit[1:-1]), dt and sys.intern(dt[1:-1]), lang and sys.intern(lang)))
         except ValueError:
             return None
 
@@ -427,7 +435,7 @@ class _Parser:
                 raise self._error(str(exc), offset) from None
             nxt = self._next()
             if nxt is not None and nxt[0] == "langtag":
-                return self._intern(literal(raw, lang=nxt[1][1:]))
+                return self._intern(literal(raw, lang=sys.intern(nxt[1][1:])))
             if nxt is not None and nxt[0] == "dtsep":
                 dtok = self._next("datatype IRI")
                 if dtok[0] == "iriref":
@@ -437,7 +445,7 @@ class _Parser:
                 else:
                     raise self._error("expected datatype IRI", dtok[2])
                 try:
-                    return self._intern(literal(raw, datatype=dt))
+                    return self._intern(literal(raw, datatype=sys.intern(dt)))
                 except ValueError:
                     raise self._error("invalid datatype IRI <%s>" % dt, offset) from None
             if nxt is not None:

@@ -452,7 +452,8 @@ class TestLearnCommand:
 
     def test_fresh_session_removes_earlier_run_logs(self, workdir):
         out = workdir / "out"
-        run_learn(workdir, extra=["--set", "max_runs=3", "--set", "min_remains=0"])
+        run_learn(workdir, extra=["--set", "max_runs=3", "--set", "min_remains=0",
+                                  "--set", "score_threshold=-1"])
         assert (out / "run_003.json").exists()
         run_learn(workdir, extra=["--set", "max_runs=1", "--seed", "5"])
         assert sorted(p.name for p in out.glob("run_*.json")) == ["run_001.json"]
@@ -471,7 +472,7 @@ class TestLearnCommand:
             return real_run_single(*args)
 
         monkeypatch.setattr(evolution, "run_single", crash_in_run_2)
-        every_run = ["--set", "min_remains=0"]
+        every_run = ["--set", "min_remains=0", "--set", "score_threshold=-1"]
         with pytest.raises(RuntimeError):
             run_learn(workdir, extra=every_run)
         out = workdir / "out"
@@ -506,7 +507,7 @@ class TestLearnCommand:
             real_write(path, text)
 
         monkeypatch.setattr(cli, "_write", crash_at_commit_of_run_2)
-        every_run = ["--set", "min_remains=0"]
+        every_run = ["--set", "min_remains=0", "--set", "score_threshold=-1"]
         with pytest.raises(RuntimeError):
             run_learn(workdir, extra=every_run)
         assert sorted(p.name for p in out.iterdir()) == \
@@ -782,19 +783,20 @@ class TestReportCommand:
         doc = json.loads((workdir / "r.json").read_text())
         assert "<html" in page and doc["runs"]
 
-    @pytest.mark.parametrize("threshold", ["2.0", "0"],
+    @pytest.mark.parametrize("target", ["Atlantis", "Germany"],
                              ids=["none_accepted", "accepted"])
-    def test_report_reproduces_learn_report(self, workdir, threshold):
+    def test_report_reproduces_learn_report(self, workdir, target):
         """`report` over a session's run logs writes the report that `learn`
-        wrote, byte for byte, ground truth included."""
+        wrote, byte for byte, ground truth included. No pattern reaches a
+        target missing from the store, so none is accepted."""
         (workdir / "gt.tsv").write_text("<http://example.org/Berlin>\t"
-                                        "<http://example.org/Germany>\n")
+                                        "<http://example.org/%s>\n" % target)
         assert run_learn(workdir, extra=["--set", "max_runs=1",
-                                         "--set", "score_threshold=" + threshold]) \
+                                         "--set", "score_threshold=0"]) \
             == EXIT_OK
         out = workdir / "out"
         accepted = json.loads((out / "patterns.json").read_text())["patterns"]
-        assert bool(accepted) == (threshold == "0")
+        assert bool(accepted) == (target == "Germany")
         logs = sorted(str(p) for p in out.glob("run_*.json"))
         assert len(logs) == 1
         assert main(["report", *logs, "--html", str(workdir / "r.html"),

@@ -1,5 +1,6 @@
 import math
 import random
+from operator import itemgetter
 from typing import Optional
 
 import pytest
@@ -8,8 +9,7 @@ from bgplearn import endpoint
 from bgplearn.endpoint import local_endpoint
 from bgplearn.engine import (COMPLETE, DEFAULT_HARD_TIMEOUT, DEFAULT_SOFT_TIMEOUT,
                              HARD_TIMEOUT, SOFT_TIMEOUT, TICKS_PER_SECOND,
-                             EvalResult, _compile,
-                             _Step, _Stop, _tuple_getter, join_plan, select)
+                             EvalResult, _Stop, _tuple_getter, join_plan, select)
 from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
                                TriplePattern, Variable, check_pattern,
                                check_projection, is_var)
@@ -286,9 +286,42 @@ class TestOracleEquivalence:
         assert nonempty >= checked // 2
 
 
-# engine.select before plans were memoised, with today's query-shape checks,
-# kept as the reference that every plan, memoised or not, must reproduce bit
-# for bit
+# engine.select before plans were memoised and before each step read its own
+# lookup table, with today's query-shape checks, kept as the reference that
+# every plan, memoised or not, must reproduce bit for bit: each step looks its
+# matches up through `store.match_ids`, under a key padded with None
+
+# One plan triple compiled for one set of bound slots: the getter of its
+# padded lookup key, the (position, slot) pairs it binds, the position pairs
+# that must hold one id (an unbound variable repeated in the triple), and
+# whether its key reads a bound VALUES slot, the only kind that can hold a
+# negative id.
+_Pairs = tuple[tuple[int, int], ...]
+_Step = tuple[itemgetter, _Pairs, _Pairs, bool]
+
+
+def _compile(triple_slots: list[tuple[int, int, int]],
+             values_bound: frozenset[int]) -> list[_Step]:
+    """Steps of the plan when only `values_bound` is bound before the first;
+    negative slots hold constants and are always bound."""
+    bound = set(values_bound)
+    steps = []
+    for slots in triple_slots:
+        first: dict[int, int] = {}
+        pairs = []
+        for pos, slot in enumerate(slots):
+            if slot < 0 or slot in bound:
+                continue
+            if slot in first:
+                pairs.append((first[slot], pos))
+            else:
+                first[slot] = pos
+        writes = tuple((pos, slot) for slot, pos in first.items())
+        steps.append((itemgetter(*slots), writes, tuple(pairs),
+                      not values_bound.isdisjoint(slots)))
+        bound.update(first)
+    return steps
+
 
 def _reference_select(store: TripleStore, gp: GraphPattern,
                       projection: list[Variable],

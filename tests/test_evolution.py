@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 
@@ -531,6 +532,41 @@ class TestLearn:
         # the exact pattern covers everything in run 1, so later runs stop
         assert len(result.runs) < 10
 
+    @staticmethod
+    def _runs(monkeypatch, store, gt, cfg, **kw):
+        """The number of runs `learn_runs` makes and of records it yields."""
+        real_run_single = evolution.run_single
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real_run_single(*args)
+
+        monkeypatch.setattr(evolution, "run_single", counted)
+        records = list(learn_runs(local_endpoint(store), gt, cfg, **kw))
+        return len(calls), len(records)
+
+    def test_no_run_once_no_pattern_can_pass(self, capitals_store, capitals_gt,
+                                             monkeypatch):
+        """A score is at most the remains, so no run is made once the remains
+        are at most `score_threshold`: a 1-pair GT under the default config,
+        and a resumed session whose ledger leaves remains of exactly 2.0."""
+        cfg = EvolutionConfig(seed=7)
+        assert self._runs(monkeypatch, capitals_store, capitals_gt[:1], cfg) == (0, 0)
+        ledger = CoverageLedger([0.5, 0.5, 0.0])
+        assert ledger.remains() == cfg.score_threshold
+        assert self._runs(monkeypatch, capitals_store, capitals_gt, cfg,
+                          ledger=ledger, start_run=5) == (0, 0)
+
+    def test_run_made_while_remains_exceed_threshold(self, capitals_store, capitals_gt,
+                                                     monkeypatch):
+        """Remains one ulp above the threshold still make a run."""
+        cfg = small_cfg(max_runs=1, score_threshold=math.nextafter(1.0, 0.0))
+        assert self._runs(monkeypatch, capitals_store, capitals_gt[:1], cfg) == (1, 1)
+        cfg = small_cfg(max_runs=5, score_threshold=math.nextafter(2.0, 0.0))
+        assert self._runs(monkeypatch, capitals_store, capitals_gt, cfg,
+                          ledger=CoverageLedger([0.5, 0.5, 0.0]), start_run=5) == (1, 1)
+
     def test_seeded_determinism(self, capitals_store, capitals_gt):
         cfg = small_cfg(max_runs=2)
         r1 = learn(local_endpoint(capitals_store), capitals_gt, cfg)
@@ -552,7 +588,7 @@ class TestLearn:
             learn(local_endpoint(capitals_store), [], small_cfg())
 
     def test_learn_collects_learn_runs(self, capitals_store, capitals_gt):
-        cfg = small_cfg(max_runs=3, min_remains=0.0)
+        cfg = small_cfg(max_runs=3, min_remains=0.0, score_threshold=-1.0)
         runs = list(learn_runs(local_endpoint(capitals_store), capitals_gt, cfg))
         result = learn(local_endpoint(capitals_store), capitals_gt, cfg)
         assert runs == result.runs and len(runs) == 3
@@ -561,7 +597,7 @@ class TestLearn:
             sorted(lp.canonical_key for rec in runs for lp in rec.accepted)
 
     def test_known_keys_never_accepted(self, capitals_store, capitals_gt):
-        cfg = small_cfg(max_runs=3, min_remains=0.0)
+        cfg = small_cfg(max_runs=3, min_remains=0.0, score_threshold=-1.0)
         first = learn(local_endpoint(capitals_store), capitals_gt, cfg)
         known = {lp.canonical_key for lp in first.patterns}
         assert pattern_key(CAPITAL_GP) in known

@@ -446,7 +446,7 @@ _CORPUS = [_corpus_doc(random.Random(seed)) for seed in range(60)]
 
 
 def _table(store):
-    return list(store._index.items())
+    return [list(table.items()) for table in store.tables]
 
 
 # N-Triples lines whose terms fail a check after a statement that is read in
@@ -559,37 +559,42 @@ class TestMatch:
         rng = random.Random(3)
         store = random_store(rng, n_triples=50, n_nodes=8, n_preds=3)
         triples = list(store.triples())
-        probe = triples[17]
-        for mask in range(8):
-            s = probe.s if mask & 4 else None
-            p = probe.p if mask & 2 else None
-            o = probe.o if mask & 1 else None
-            expected = {t for t in triples
-                        if (s is None or t.s == s)
-                        and (p is None or t.p == p)
-                        and (o is None or t.o == o)}
-            ids = [None if t is None else store.term_id(t) for t in (s, p, o)]
-            matches = store.match_ids(*ids)
-            assert isinstance(matches, tuple)
-            assert list(matches) == sorted(matches)
-            assert {Triple(*map(store.term, trip)) for trip in matches} == expected
-        # counts must agree with match_ids, the reference
-        probe_ids = tuple(store.term_id(t) for t in probe)
-        absent = store.term_id(probe.p)  # predicates never occur as nodes here
         past_end = len(store.terms)
-        for ids in (probe_ids, (absent,) * 3, (past_end,) * 3, (-1,) * 3):
+        for probe in triples:
+            probe_ids = tuple(store.term_id(t) for t in probe)
             for mask in range(8):
-                bound = [tid if mask & bit else None
-                         for tid, bit in zip(ids, (4, 2, 1))]
-                assert store.count(*bound) == len(store.match_ids(*bound)), bound
-        # a negative or past-the-end id in any bound slot matches nothing
+                s = probe.s if mask & 4 else None
+                p = probe.p if mask & 2 else None
+                o = probe.o if mask & 1 else None
+                expected = {t for t in triples
+                            if (s is None or t.s == s)
+                            and (p is None or t.p == p)
+                            and (o is None or t.o == o)}
+                ids = [None if t is None else store.term_id(t) for t in (s, p, o)]
+                matches = store.match_ids(*ids)
+                assert isinstance(matches, tuple)
+                assert list(matches) == sorted(matches)
+                assert {Triple(*map(store.term, trip)) for trip in matches} == expected
+                # counts must agree with match_ids, the reference
+                assert store.count(*ids) == len(matches), ids
+            # a negative or past-the-end id in any bound slot matches nothing
+            for bad in (-1, past_end):
+                for mask in range(1, 8):
+                    bound = [bad if mask & bit else tid
+                             for tid, bit in zip(probe_ids, (4, 2, 1))]
+                    assert store.match_ids(*bound) == (), bound
+                    assert store.count(*bound) == 0, bound
+            assert probe in store
         for bad in (-1, past_end):
             for mask in range(1, 8):
-                bound = [bad if mask & bit else tid
-                         for tid, bit in zip(probe_ids, (4, 2, 1))]
+                bound = [bad if mask & bit else None for bit in (4, 2, 1)]
                 assert store.match_ids(*bound) == (), bound
                 assert store.count(*bound) == 0, bound
-        assert probe in store
+        probe = triples[17]
+        absent = store.term_id(probe.p)  # predicates never occur as nodes here
+        for mask in range(8):
+            bound = [absent if mask & bit else None for bit in (4, 2, 1)]
+            assert store.count(*bound) == len(store.match_ids(*bound)), bound
         assert Triple(probe.s, probe.p, ex("absent")) not in store
         assert Triple(ex("absent1"), ex("absent2"), ex("absent3")) not in store
         dup = load_ntriples(probe.n3() + "\n" + probe.n3() + "\n")
@@ -605,6 +610,37 @@ class TestMatch:
             assert store.degree(node, OUT) == out_deg
             assert store.degree(node, IN) == in_deg
             assert store.degree(node, BIDI) == out_deg + in_deg
+
+
+    def test_singleton_groups_share_the_triples_1_tuple(self):
+        """A group of one triple, under any slots bound, is the very tuple
+        that the fully bound lookup of that triple returns."""
+        store = random_store(random.Random(5), n_triples=60, n_nodes=10, n_preds=4)
+        shared = 0
+        for trip in store.match_ids(None, None, None):
+            full = store.match_ids(*trip)
+            assert full == (trip,)
+            for mask in range(7):
+                bound = [tid if mask & bit else None for tid, bit in zip(trip, (4, 2, 1))]
+                group = store.match_ids(*bound)
+                if len(group) == 1:
+                    assert group is full, bound
+                    shared += 1
+        assert shared > len(store)
+
+    @pytest.mark.parametrize("path", ["statement", "tokens"])
+    def test_literals_share_tag_strings(self, path, monkeypatch):
+        """Literals of one load share one string per language tag and per
+        datatype IRI, read in one match or token by token."""
+        if path == "tokens":
+            monkeypatch.setattr(rdf, "_STATEMENT_RE", re.compile(r"(?!)"))
+        xsd_int = "<http://www.w3.org/2001/XMLSchema#integer>"
+        store = load_ntriples("".join(_S_P + lit + " .\n" for lit in (
+            '"a"@en', '"b"@en', '"1"^^' + xsd_int, '"2"^^' + xsd_int)))
+        a, b, one, two = store.terms[2:]
+        assert (a.lang, b.lang, one.datatype) == ("en", "en", xsd_int[1:-1])
+        assert a.lang is b.lang
+        assert one.datatype is two.datatype
 
 
 class TestDegree:
