@@ -1,11 +1,12 @@
 """Uniform query interface over a local store or a remote SPARQL endpoint.
 
-Adds VALUES batching, retry with backoff, and a result cache keyed by the
-pattern's canonical form, so renamed-variable twins hit, and by a number for
-its VALUES table. The results, the table numbers and a local store's plans
-are three plain dicts; once any of them holds `_MEMO_BOUND` entries, all
-three are cleared together, so a table number is never read against results
-stored under an older table.
+Adds VALUES batching, retry with backoff, and a result cache for the queries
+a caller may ask again (fitness and `simplify.projection_checker`), keyed by
+the pattern's canonical form, so renamed-variable twins hit, and by a number
+for its VALUES table. Fix-var and predict queries skip it. The results, the
+table numbers and a local store's plans are three plain dicts; once any of
+them holds `_MEMO_BOUND` entries, all three are cleared together, so a table
+number is never read against results stored under an older table.
 """
 
 from __future__ import annotations
@@ -91,7 +92,8 @@ def _cache_key(gp: GraphPattern, projection, values, limit,
 
 
 class Endpoint:
-    """Facade sharing one cache across all callers, over a store or a URL."""
+    """Facade over a store or a URL, with one result cache for the queries
+    that ask for it."""
 
     def __init__(self, config: EndpointConfig, store: Optional[TripleStore] = None,
                  url: Optional[str] = None, http_post: Optional[Callable] = None):
@@ -110,23 +112,26 @@ class Endpoint:
 
     def run_select(self, gp: GraphPattern, projection: list[Variable],
                    values: Optional[tuple[list[Variable], list[tuple]]] = None,
-                   limit: Optional[int] = None) -> EvalResult:
+                   limit: Optional[int] = None, cache: bool = True) -> EvalResult:
+        """The rows of the query; `cache=False` neither reads nor stores the
+        result cache, for a caller that never asks the same query twice."""
         check_pattern(gp)  # before the cache key, which canonicalizes gp
         memos = (self._cache, self._tables, self._plans)
         if max(map(len, memos)) >= _MEMO_BOUND:
             for memo in memos:
                 memo.clear()
-        key = _cache_key(gp, projection, values, limit, self._tables)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+        if cache:
+            key = _cache_key(gp, projection, values, limit, self._tables)
+            hit = self._cache.get(key)
+            if hit is not None:
+                return hit
         if values is not None and len(values[1]) > self.config.batch_size:
             result = self._batched_select(gp, projection, values, limit)
         else:
             result = self._backend_select(gp, projection, values, limit)
         # a remote HARD_TIMEOUT only comes from 5xx answers, which are
         # transient: caching it would keep a fitness penalty for the session
-        if self.store is not None or result.status != HARD_TIMEOUT:
+        if cache and (self.store is not None or result.status != HARD_TIMEOUT):
             self._cache[key] = result
         return result
 

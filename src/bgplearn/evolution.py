@@ -13,8 +13,8 @@ from typing import Iterator, Optional, Sequence
 from .canon import pattern_key
 from .endpoint import check_settings
 from .engine import HARD_TIMEOUT
-from .fitness import (CoverageLedger, FitnessTuple, GroundTruthPair,
-                      PatternEvaluation, ScoreConfig, evaluate)
+from .fitness import (_STATUS_PENALTY, CoverageLedger, FitnessTuple,
+                      GroundTruthPair, PatternEvaluation, ScoreConfig, evaluate)
 from .patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR, TriplePattern,
                        Variable)
 from .rdf import LITERAL, Term
@@ -386,7 +386,7 @@ def fix_var(gp: GraphPattern, endpoint, gt: list[GroundTruthPair],
 
     res = endpoint.run_select(gp, [SOURCE_VAR, TARGET_VAR, var],
                               values=([SOURCE_VAR, TARGET_VAR], pairs),
-                              limit=endpoint.config.default_limit)
+                              limit=endpoint.config.default_limit, cache=False)
     if res.status == HARD_TIMEOUT or not res.rows:
         return []
     counts: dict[Term, int] = {}
@@ -450,12 +450,24 @@ def fit_to_live(individual: Individual, cfg: EvolutionConfig) -> bool:
 
 def _evaluate_all(individuals: list[Individual], endpoint,
                   gt: list[GroundTruthPair], ledger: CoverageLedger,
-                  cfg: EvolutionConfig) -> None:
+                  cfg: EvolutionConfig, scored: dict) -> None:
+    """Score each unscored individual. One whose pattern `scored` holds takes
+    the pattern object, evaluation and fitness of the individual held there,
+    with no query: within a run the GT and the ledger are fixed. A hard
+    timeout, which may be a transient remote 5xx, is not held."""
     score_cfg = cfg.score_config()
     for ind in individuals:
-        if ind.fitness is None:
-            ind.evaluation, ind.fitness = evaluate(endpoint, ind.pattern, gt,
-                                                   ledger, score_cfg)
+        if ind.fitness is not None:
+            continue
+        first = scored.get(ind.pattern)
+        if first is not None:
+            ind.pattern, ind.evaluation, ind.fitness = (
+                first.pattern, first.evaluation, first.fitness)
+            continue
+        ind.evaluation, ind.fitness = evaluate(endpoint, ind.pattern, gt,
+                                               ledger, score_cfg)
+        if ind.fitness.timeout_penalty != _STATUS_PENALTY[HARD_TIMEOUT]:
+            scored[ind.pattern] = ind
 
 
 def tournament(pool: list[Individual], k: int, rng: random.Random) -> Individual:
@@ -508,8 +520,9 @@ class LearnResult:
 def run_single(endpoint, gt: list[GroundTruthPair], ledger: CoverageLedger,
                cfg: EvolutionConfig, rng: random.Random) -> HallOfFame:
     """One full evolutionary run; returns its hall of fame."""
+    scored: dict[GraphPattern, Individual] = {}  # first scoring of each pattern
     population = init_population(cfg, rng, endpoint, gt, ledger)
-    _evaluate_all(population, endpoint, gt, ledger, cfg)
+    _evaluate_all(population, endpoint, gt, ledger, cfg, scored)
     hof = HallOfFame(cfg.hall_of_fame_size)
     hof.update(ind for ind in population if fit_to_live(ind, cfg))
 
@@ -528,10 +541,10 @@ def run_single(endpoint, gt: list[GroundTruthPair], ledger: CoverageLedger,
                     offspring.append(parent)
                 else:
                     offspring.append(m)
-        _evaluate_all(offspring, endpoint, gt, ledger, cfg)
+        _evaluate_all(offspring, endpoint, gt, ledger, cfg, scored)
         hof.update(ind for ind in offspring if fit_to_live(ind, cfg))
         population = next_generation(offspring, hof, cfg, rng, endpoint, gt, ledger)
-        _evaluate_all(population, endpoint, gt, ledger, cfg)
+        _evaluate_all(population, endpoint, gt, ledger, cfg, scored)
         hof.update(ind for ind in population if fit_to_live(ind, cfg))
     return hof
 

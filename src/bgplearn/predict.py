@@ -175,7 +175,8 @@ def predict_targets(endpoint, portfolio: PatternPortfolio,
     for entry in portfolio.selected():
         res = endpoint.run_select(entry.pattern, [TARGET_VAR],
                                   values=([SOURCE_VAR], [(source,)]),
-                                  limit=endpoint.config.default_limit)
+                                  limit=endpoint.config.default_limit,
+                                  cache=False)
         sets.append(set() if res.timed_out else {row[0] for row in res.rows})
     return sets
 

@@ -8,8 +8,10 @@ from bgplearn import endpoint
 from bgplearn.endpoint import (Endpoint, EndpointConfig, EndpointError,
                                EndpointUnreachable, local_endpoint)
 from bgplearn.engine import COMPLETE, HARD_TIMEOUT, select
+from bgplearn.evolution import EvolutionConfig, fix_var
 from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
                                TriplePattern, Variable, to_select_sparql)
+from bgplearn.predict import PatternPortfolio, PortfolioEntry, predict_targets
 from bgplearn.rdf import bnode, iri, literal, load_ntriples
 
 from conftest import ex
@@ -48,6 +50,31 @@ class TestCaching:
         ep.run_select(CAPITAL_GP, [TARGET_VAR],
                       values=([SOURCE_VAR], [(ex("Paris"),)]))
         assert ep.backend_calls == calls + 1
+
+
+class TestUncached:
+    def test_fix_var_and_predict_store_nothing(self, capitals_store, capitals_gt):
+        """Each of their queries goes to the backend, even asked twice."""
+        ep = local_endpoint(capitals_store)
+        gp = GraphPattern([TriplePattern(SOURCE_VAR, V("p"), V("o")),
+                           TriplePattern(V("o"), V("q"), TARGET_VAR)])
+        portfolio = PatternPortfolio([PortfolioEntry(CAPITAL_GP, [1.0], None)])
+        for _ in range(2):
+            fix_var(gp, ep, capitals_gt, None, random.Random(0), EvolutionConfig())
+            assert predict_targets(ep, portfolio, ex("Berlin")) == [{ex("Germany")}]
+        assert ep.backend_calls == 4
+        assert ep._cache == {} and ep._tables == {}
+
+    def test_uncached_queries_still_bound_the_plans(self, capitals_store,
+                                                    monkeypatch):
+        monkeypatch.setattr(endpoint, "_MEMO_BOUND", 2)
+        ep = local_endpoint(capitals_store)
+        for name in ("capitalOf", "locatedIn", "population", "capitalOf"):
+            gp = GraphPattern([TriplePattern(SOURCE_VAR, ex(name), TARGET_VAR)])
+            res = ep.run_select(gp, [SOURCE_VAR, TARGET_VAR], cache=False)
+            assert res.rows == select(capitals_store, gp, [SOURCE_VAR, TARGET_VAR]).rows
+            assert len(ep._plans) <= 2
+        assert ep.backend_calls == 4 and ep._cache == {}
 
 
 class TestValuesTableKey:

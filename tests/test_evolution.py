@@ -6,7 +6,7 @@ import pytest
 
 from bgplearn import evolution
 from bgplearn.canon import pattern_key
-from bgplearn.endpoint import local_endpoint
+from bgplearn.endpoint import Endpoint, EndpointConfig, local_endpoint
 from bgplearn.evolution import (EvolutionConfig, HallOfFame, Individual,
                                 fit_to_live, fix_var, init_population, learn,
                                 learn_runs,
@@ -21,7 +21,7 @@ from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
                                TriplePattern, Variable)
 from bgplearn.rdf import iri, load_ntriples
 
-from conftest import ex
+from conftest import EX, ex
 
 V = Variable
 CAPITAL_GP = GraphPattern([TriplePattern(SOURCE_VAR, ex("capitalOf"), TARGET_VAR)])
@@ -298,9 +298,10 @@ class TestFixVar:
         class Spy:
             config = inner.config
 
-            def run_select(self, gp, projection, values=None, limit=None):
+            def run_select(self, gp, projection, values=None, limit=None,
+                           cache=True):
                 sent.append(list(values[1]))
-                return inner.run_select(gp, projection, values, limit)
+                return inner.run_select(gp, projection, values, limit, cache)
 
         gp = GraphPattern([TriplePattern(SOURCE_VAR, V("p"), TARGET_VAR)])
         fix_var(gp, Spy(), gt, ledger, random.Random(seed), EvolutionConfig())
@@ -514,6 +515,63 @@ class TestRunSingle:
         assert len(seen["population"]) == cfg.population_size
         assert [id(ind) for ind in seen["offspring"]] == [
             id(ind) for ind in seen["population"]]
+
+
+class TestRunSingleScoresEachPatternOnce:
+    @staticmethod
+    def _scored(monkeypatch, ep, gt, patterns):
+        """The initial population of a run of no generations, one individual
+        per pattern, once scored, and the patterns `ep` was asked for."""
+        population = [Individual(gp) for gp in patterns]
+        monkeypatch.setattr(evolution, "init_population", lambda *args: population)
+        asked = []
+        real_run_select = ep.run_select
+
+        def run_select(gp, *args, **kwargs):
+            asked.append(gp)
+            return real_run_select(gp, *args, **kwargs)
+
+        monkeypatch.setattr(ep, "run_select", run_select)
+        cfg = small_cfg(max_generations=0, population_size=len(patterns))
+        run_single(ep, gt, CoverageLedger.zeros(len(gt)), cfg,
+                   random.Random(cfg.seed))
+        return population, asked
+
+    def test_equal_pattern_is_not_queried_again(self, capitals_store, capitals_gt,
+                                                monkeypatch):
+        a, b = (GraphPattern([TriplePattern(SOURCE_VAR, ex("capitalOf"), TARGET_VAR)])
+                for _ in range(2))
+        assert a == b and a is not b
+        ep = local_endpoint(capitals_store)
+        (first, second), asked = self._scored(monkeypatch, ep, capitals_gt, [a, b])
+        assert asked == [a] and ep.backend_calls == 1
+        assert second.pattern is first.pattern
+        assert second.fitness == first.fitness and second.fitness.score > 0
+
+    def test_renamed_twin_hits_the_endpoint_cache(self, capitals_store, capitals_gt,
+                                                  monkeypatch):
+        a = GraphPattern([TriplePattern(SOURCE_VAR, V("p"), TARGET_VAR)])
+        b = GraphPattern([TriplePattern(SOURCE_VAR, V("q"), TARGET_VAR)])
+        ep = local_endpoint(capitals_store)
+        (first, second), asked = self._scored(monkeypatch, ep, capitals_gt, [a, b])
+        assert asked == [a, b] and ep.backend_calls == 1
+        assert second.pattern is b and second.fitness == first.fitness
+
+    def test_remote_hard_timeout_is_asked_again(self, capitals_gt, monkeypatch):
+        """A 5xx answer may be transient: the equal pattern scored after it
+        takes the next answer, not the hard timeout."""
+        berlin = {"source": {"type": "uri", "value": EX + "Berlin"},
+                  "target": {"type": "uri", "value": EX + "Germany"}}
+        answers = [(503, None), (200, {"results": {"bindings": [berlin]}})]
+        ep = Endpoint(EndpointConfig(retries=0, backoff=0.0), url="http://e/sparql",
+                      http_post=lambda *args, **kwargs: answers.pop(0))
+        a, b = (GraphPattern([TriplePattern(SOURCE_VAR, ex("capitalOf"), TARGET_VAR)])
+                for _ in range(2))
+        (first, second), asked = self._scored(monkeypatch, ep, capitals_gt, [a, b])
+        assert asked == [a, b] and answers == []
+        assert first.fitness.timeout_penalty == 1.0
+        assert second.fitness.timeout_penalty == 0.0
+        assert second.evaluation.pv == [1.0, 0.0, 0.0]
 
 
 class TestLearn:
