@@ -135,6 +135,7 @@ def _compute(gp: GraphPattern) -> CanonicalForm:
         return best
 
     key, mapping = search({v: _initial_color(v) for v in vertices})
+    del search  # its closure holds itself: free the pattern's graph now, not at a GC pass
     return CanonicalForm(key=key, variable_mapping=MappingProxyType(mapping))
 
 

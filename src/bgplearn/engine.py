@@ -4,23 +4,30 @@ Evaluation cost is metered in deterministic work ticks (one tick per candidate
 triple touched) and converted to seconds at a fixed nominal rate, so that
 reported query times and timeout behaviour are reproducible across runs.
 
-A plan (join order, slot layout and compiled steps) depends only on the
-store, the pattern, the VALUES variables and the projection. `select` plans
-each call afresh unless it is given a `plans` dict, in which it keeps the
-plan of each such shape so that it runs with any VALUES table, limit and
-budget. Planning costs no ticks, so a memo changes no result.
+A plan (join order, slot layout, each step's lookup table and the constants'
+ids) depends only on the store, the pattern, the VALUES variables and the
+projection. `select` plans each call afresh unless it is given a `plans`
+dict, in which it keeps the plan of each such shape so that it runs with any
+VALUES table, limit and budget. Planning costs no ticks, so a memo changes no
+result.
+
+A plan runs as one generated Python function: a loop over the VALUES rows and
+one nested `for` loop per triple, with the lookups, the tick counting and the
+budget and limit checks written out inline. The function depends only on the
+plan's slot layout, so one is generated per layout and kept for the process;
+the first query of a layout pays for compiling it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import chain
 from typing import Callable, Optional
 
 from .patterns import (GraphPattern, TriplePattern, Variable, check_pattern,
                        check_projection, is_var, values_table)
-from .rdf import Term, TripleStore, key_getter
+from .rdf import Term, TripleStore
 
 COMPLETE = "complete"
 SOFT_TIMEOUT = "soft_timeout"
@@ -45,10 +52,6 @@ class EvalResult:
 
     def row_set(self) -> frozenset[tuple[Term, ...]]:
         return frozenset(self.rows)
-
-
-class _Stop(Exception):
-    """Ends a join early: the row limit is reached or the tick budget overrun."""
 
 
 def _estimate(store: TripleStore, tp: TriplePattern, bound: set[Variable]) -> int:
@@ -95,68 +98,115 @@ def join_plan(store: TripleStore, gp: GraphPattern,
     return order
 
 
-def _tuple_getter(slots: list[int]):
-    """`itemgetter` that returns a tuple for any number of slots."""
-    if len(slots) == 1:
-        slot = slots[0]
-        return lambda binding: (binding[slot],)
-    if not slots:
-        return lambda binding: ()
-    return itemgetter(*slots)
+# the join function and table masks of each plan shape: its triples' slots,
+# its VALUES slots and its projection slots, ints only; a function depends on
+# nothing else, so every store and endpoint shares it; cleared once it holds
+# this many
+_RUNS_BOUND = 1024
+_RUNS: dict[tuple, tuple[Callable, tuple[int, ...]]] = {}
+
+# steps per generated function: CPython refuses more than 20 nested blocks
+_BLOCK = 16
 
 
-# One plan triple compiled for one set of bound slots: the `get` of the
-# store's table for its bound positions and that table's key getter, the
-# (position, slot) pairs it binds, the position pairs that must hold one id
-# (a repeated unbound variable), and its VALUES slots, the only negative ids.
-_Pairs = tuple[tuple[int, int], ...]
-_Step = tuple[Callable, Callable, _Pairs, _Pairs, tuple[int, ...]]
+def _generate(triple_slots: tuple[tuple[int, int, int], ...],
+              value_slots: tuple[int, ...], project_slots: tuple[int, ...]):
+    """The join function of a plan shape and the table mask of each step.
 
+    `run(rows, gets, consts, budget, max_rows, found)` walks each row of
+    VALUES ids through one nested loop per triple, looking each step's
+    matches up with its `get`. It adds each new projected id row to the dict
+    `found` and returns its ticks, stopping once they pass `budget` or
+    `found` holds `max_rows` rows. Slot n is the local `vn` and slot -n the
+    constant `cn`, `consts[n - 1]`. Each `_BLOCK` steps are one function,
+    which passes its bound variables to the next block's and gets back its
+    ticks and whether to stop. The source holds only fixed names and slot
+    numbers, never a term."""
+    source: list[str] = []
 
-def _compile(store: TripleStore, triple_slots: list[tuple[int, int, int]],
-             values_bound: frozenset[int]) -> list[_Step]:
-    """Steps of the plan when only `values_bound` is bound before the first;
-    negative slots hold constants and are always bound."""
-    bound = set(values_bound)
-    steps = []
-    for slots in triple_slots:
-        first: dict[int, int] = {}
-        pairs = []
-        keyed = []
-        mask = 0
-        for pos, slot in enumerate(slots):
-            if slot < 0 or slot in bound:
-                keyed.append(slot)
-                mask |= 4 >> pos
-            elif slot in first:
-                pairs.append((first[slot], pos))
-            else:
-                first[slot] = pos
-        writes = tuple((pos, slot) for slot, pos in first.items())
-        steps.append((store.tables[mask].get, key_getter(keyed), writes, tuple(pairs),
-                      tuple(values_bound.intersection(slots))))
-        bound.update(first)
-    return steps
+    def put(depth: int, *lines: str) -> None:
+        source.extend(" " * depth + line for line in lines)
+
+    def names(prefix: str, slots) -> str:
+        return "".join("%s%d, " % (prefix, n) for n in slots)
+
+    # the lowest slot, if negative, is minus the number of constants
+    consts = names("c", range(1, 1 - min(0, *map(min, triple_slots))))
+    bound = set(value_slots)
+    masks = []
+    for start in range(0, len(triple_slots), _BLOCK):
+        steps = triple_slots[start:start + _BLOCK]
+        if start == 0:
+            stop = done = "return ticks"
+            put(0, "def run(rows, gets, consts, budget, max_rows, found):", " ticks = 0")
+        else:
+            stop, done = "return ticks, True", "return ticks, False"
+            put(0, "def b%d(ticks, gets, consts, budget, max_rows, found, %s):"
+                % (start, names("v", sorted(bound))))
+        put(1, "%s= gets[%d:%d]" % (names("g", range(start, start + len(steps))),
+                                    start, start + len(steps)))
+        if consts:
+            put(1, consts + "= consts")
+        depth = 1
+        if start == 0:
+            put(1, "for %s in rows:" % (names("v", value_slots) or "_"),
+                " ticks += 1", " if ticks > budget: return ticks")
+            depth = 2
+        for i, slots in enumerate(steps, start):
+            keyed, targets, repeats = [], [], []
+            mask = 0
+            for pos, slot in enumerate(slots):
+                name = "v%d" % slot if slot >= 0 else "c%d" % -slot
+                if slot < 0 or slot in bound:
+                    keyed.append(name)
+                    targets.append("_")
+                    mask |= 4 >> pos
+                elif name in targets:  # a repeated variable holds one id
+                    repeats.append("e%d != %s" % (pos, name))
+                    targets.append("e%d" % pos)
+                else:
+                    targets.append(name)
+            masks.append(mask)
+            reads = sorted(set(value_slots).intersection(slots))
+            if reads:  # an unknown VALUES term, a negative id, matches nothing
+                put(depth, "if %s: %s" % (" or ".join("v%d < 0" % v for v in reads),
+                                          "continue" if depth > 1 else done))
+            key = keyed[0] if len(keyed) == 1 else "(%s)" % "".join(k + ", " for k in keyed)
+            put(depth, "m = g%d(%s, ())" % (i, key), "ticks += len(m) or 1",
+                "if ticks > budget: " + stop, "for %s in m:" % ", ".join(targets))
+            depth += 1
+            if repeats:
+                put(depth, "if %s: continue" % " or ".join(repeats))
+            bound.update(slot for slot in slots if slot >= 0)
+        if start + _BLOCK < len(triple_slots):
+            put(depth, "ticks, stop = b%d(ticks, gets, consts, budget, max_rows, found, %s)"
+                % (start + _BLOCK, names("v", sorted(bound))), "if stop: " + stop)
+        else:
+            put(depth, "row = (%s)" % names("v", project_slots), "if row not in found:",
+                " ticks += 1", " if ticks > budget: " + stop, " found[row] = None",
+                " if len(found) >= max_rows: " + stop)
+        put(1, done)
+    namespace: dict = {}
+    exec("\n".join(source), namespace)
+    return namespace["run"], tuple(masks)
 
 
 class _Plan:
     """What select works out from the store, the pattern, the VALUES
-    variables and the projection alone: the join order, the slot layout, the
-    projection getter and the steps compiled for a row that binds every
-    VALUES slot. `steps` is None when a constant is missing from the store,
-    so that the query matches nothing."""
+    variables and the projection alone: the join order, the generated join
+    function of its shape, each step's table `get` and the constants' ids.
+    `run` is None when a constant is missing from the store, so that the
+    query matches nothing."""
 
-    __slots__ = ("template", "value_slots", "project", "steps")
+    __slots__ = ("run", "gets", "consts")
 
     def __init__(self, store: TripleStore, gp: GraphPattern,
                  projection: list[Variable], values_vars: list[Variable]):
         check_pattern(gp)
         check_projection(gp, projection, values_vars)
         plan = join_plan(store, gp, set(values_vars))
-        # a binding is a list of term ids: one slot per variable (plan order,
-        # then VALUES and projection order), then the plan's constants,
-        # addressed by negative slots from the end; a triple's lookup key is
-        # then one itemgetter, and an unbound variable's slot reads None
+        # one slot per variable, in plan order and then VALUES order; the
+        # plan's constants take slots -1, -2, ...
         slot_of: dict[Variable, int] = {}
         constants: list[int] = []
         triple_slots = []
@@ -168,17 +218,23 @@ class _Plan:
                     continue
                 tid = store.term_id(node)
                 if tid is None:  # a constant missing from the store matches nothing
-                    self.steps = None
+                    self.run = None
                     return
                 constants.append(tid)
                 slots.append(-len(constants))
             triple_slots.append(tuple(slots))
-        for v in (*values_vars, *projection):
+        for v in values_vars:
             slot_of.setdefault(v, len(slot_of))
-        self.template = [None] * len(slot_of) + constants[::-1]
-        self.value_slots = [slot_of[v] for v in values_vars]
-        self.project = _tuple_getter([slot_of[v] for v in projection])
-        self.steps = _compile(store, triple_slots, frozenset(self.value_slots))
+        shape = (tuple(triple_slots), tuple(slot_of[v] for v in values_vars),
+                 tuple(slot_of[v] for v in projection))
+        compiled = _RUNS.get(shape)
+        if compiled is None:
+            if len(_RUNS) >= _RUNS_BOUND:
+                _RUNS.clear()
+            compiled = _RUNS[shape] = _generate(*shape)
+        self.run, masks = compiled
+        self.gets = tuple(store.tables[mask].get for mask in masks)
+        self.consts = tuple(constants)
 
 
 def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
@@ -189,9 +245,9 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
            plans: Optional[dict] = None) -> EvalResult:
     """DISTINCT solution mappings of the natural join of gp, VALUES-restricted.
 
-    The plan is compiled into one step per triple, or taken from `plans`, a
-    dict of plans over `store` only that keeps each plan compiled here; every
-    VALUES row then runs through the steps depth first. The pattern, the
+    The plan is made here, or taken from `plans`, a dict of plans over
+    `store` only that keeps each plan made here; its join function then runs
+    every VALUES row through the triples depth first. The pattern, the
     projection and the VALUES rows are read by `patterns.check_pattern`,
     `check_projection` and `values_table`, the rules a remote endpoint's
     queries follow too; the rows are read only once the budget and the
@@ -210,78 +266,31 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
     hard_budget = None if hard_timeout is None else int(hard_timeout * TICKS_PER_SECOND)
     if hard_budget is not None and hard_budget <= 0:
         return EvalResult([], 0.0, HARD_TIMEOUT)
-    steps = plan.steps
-    if steps is None:
+    if plan.run is None:
         return EvalResult([], 0.0, COMPLETE)
 
     # VALUES terms missing from the store get negative ids, which match nothing
-    value_slots = plan.value_slots
-    template = plan.template
-    term_id = store.term_id
     unknown: dict[Term, int] = {}
-    work = []  # the initial binding of each VALUES row
-    for row in (values_table(len(value_slots), values[1]) if values else [()]):
-        binding = template.copy()
-        for slot, term in zip(value_slots, row):
-            tid = term_id(term)
-            if tid is None:
-                tid = unknown.setdefault(term, ~len(unknown))
-            binding[slot] = tid
-        work.append(binding)
+    work = [()]  # the ids of each VALUES row
+    if values:
+        work = values_table(len(values_vars), values[1])
+        ids = list(map(store.term_id, chain.from_iterable(work)))
+        if None in ids:
+            ids = [unknown.setdefault(term, ~len(unknown)) if tid is None else tid
+                   for term, tid in zip(chain.from_iterable(work), ids)]
+        if values_vars:  # else every row is empty
+            work = list(zip(*[iter(ids)] * len(values_vars)))
 
     budget = min((b for b in (soft_budget, hard_budget) if b is not None),
                  default=math.inf)
-    max_rows = math.inf if limit is None else limit
-    project = plan.project
-    last = len(steps) - 1
     found: dict[tuple, None] = {}  # distinct projected id rows, in order
-    ticks = 0
-
-    def emit(binding: list) -> None:
-        nonlocal ticks
-        row = project(binding)
-        if row not in found:
-            ticks += 1
-            if ticks > budget:
-                raise _Stop
-            found[row] = None
-            if len(found) >= max_rows:
-                raise _Stop
-
-    def extend(binding: list, depth: int) -> None:
-        nonlocal ticks
-        get, key, writes, pairs, value_slots = steps[depth]
-        if value_slots and unknown and any(binding[slot] < 0 for slot in value_slots):
-            return
-        matches = get(key(binding), ())
-        ticks += len(matches) or 1
-        if ticks > budget:
-            raise _Stop
-        # bind in place; the slots are reset once all matches are tried
-        for trip in matches:
-            if pairs and any(trip[a] != trip[b] for a, b in pairs):
-                continue
-            for pos, slot in writes:
-                binding[slot] = trip[pos]
-            if depth < last:
-                extend(binding, depth + 1)
-            else:
-                emit(binding)
-        for _pos, slot in writes:
-            binding[slot] = None
-
+    ticks = plan.run(work, plan.gets, plan.consts, budget,
+                     math.inf if limit is None else limit, found)
     status = COMPLETE
-    try:
-        for binding in work:
-            ticks += 1
-            if ticks > budget:
-                raise _Stop
-            extend(binding, 0)
-    except _Stop:
-        if ticks > budget:
-            if hard_budget is not None and ticks > hard_budget:
-                return EvalResult([], ticks / TICKS_PER_SECOND, HARD_TIMEOUT)
-            status = SOFT_TIMEOUT
+    if ticks > budget:
+        if hard_budget is not None and ticks > hard_budget:
+            return EvalResult([], ticks / TICKS_PER_SECOND, HARD_TIMEOUT)
+        status = SOFT_TIMEOUT
 
     missing = list(unknown)
     term = store.term
@@ -289,5 +298,5 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
     def decode(tid: int) -> Term:
         return term(tid) if tid >= 0 else missing[~tid]
 
-    rows = [tuple(map(decode, row)) for row in found]
+    rows = [tuple(map(decode if missing else term, row)) for row in found]
     return EvalResult(rows, ticks / TICKS_PER_SECOND, status)

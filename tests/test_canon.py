@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -54,6 +55,19 @@ class TestCanonicalize:
         p = gp(TriplePattern(SOURCE_VAR, V("p"), V("v")),
                TriplePattern(V("v"), ex("q"), TARGET_VAR))
         assert pattern_key(p) == pattern_key(p)
+
+    def test_no_cyclic_garbage(self):
+        """A form that needs individualisation (?a and ?b are tied) leaves
+        nothing for the cyclic collector."""
+        gc.collect()
+        gc.disable()
+        try:
+            form = canonicalize(gp(TriplePattern(V("a"), ex("p"), V("b")),
+                                   TriplePattern(V("b"), ex("p"), V("a"))))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert form.key.count("?cv") == 4
 
 
 def _random_rename_shuffle(gp_in, rng):

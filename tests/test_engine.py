@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from operator import itemgetter
@@ -5,15 +6,15 @@ from typing import Optional
 
 import pytest
 
-from bgplearn import endpoint
+from bgplearn import endpoint, engine
 from bgplearn.endpoint import local_endpoint
 from bgplearn.engine import (COMPLETE, DEFAULT_HARD_TIMEOUT, DEFAULT_SOFT_TIMEOUT,
                              HARD_TIMEOUT, SOFT_TIMEOUT, TICKS_PER_SECOND,
-                             EvalResult, _Stop, _tuple_getter, join_plan, select)
+                             EvalResult, join_plan, select)
 from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
                                TriplePattern, Variable, check_pattern,
                                check_projection, is_var)
-from bgplearn.rdf import Term, TripleStore, load_ntriples
+from bgplearn.rdf import Term, Triple, TripleStore, literal, load_ntriples
 
 from conftest import ex, naive_select, random_pattern, random_store
 
@@ -300,6 +301,20 @@ _Pairs = tuple[tuple[int, int], ...]
 _Step = tuple[itemgetter, _Pairs, _Pairs, bool]
 
 
+class _Stop(Exception):
+    """Ends a join early: the row limit is reached or the tick budget overrun."""
+
+
+def _tuple_getter(slots: list[int]):
+    """`itemgetter` that returns a tuple for any number of slots."""
+    if len(slots) == 1:
+        slot = slots[0]
+        return lambda binding: (binding[slot],)
+    if not slots:
+        return lambda binding: ()
+    return itemgetter(*slots)
+
+
 def _compile(triple_slots: list[tuple[int, int, int]],
              values_bound: frozenset[int]) -> list[_Step]:
     """Steps of the plan when only `values_bound` is bound before the first;
@@ -552,3 +567,121 @@ class TestPlanMemo:
             with pytest.raises(ValueError, match="projection variables"):
                 ep.run_select(CAPITAL_GP, [V("nowhere")])
         assert ep._plans == {}
+
+
+def _chain_store():
+    """n0 -next-> n1 ... -> n25, with dead ends off the chain, two more ends
+    after n24, a self-loop and a literal of quotes, newlines and `#` text."""
+    nxt, loop, note = ex("next"), ex("loop"), ex("note")
+    triples = [Triple(ex("n%d" % i), nxt, ex("n%d" % (i + 1))) for i in range(25)]
+    triples += [Triple(ex("n%d" % i), nxt, ex("dead%d" % i)) for i in (3, 9, 17, 22)]
+    triples += [Triple(ex("n24"), nxt, ex("z1")), Triple(ex("n24"), nxt, ex("z2")),
+                Triple(ex("n2"), loop, ex("n2")), Triple(ex("n2"), loop, ex("n3")),
+                Triple(ex("n3"), note, QUOTED), Triple(ex("n4"), note, QUOTED)]
+    return TripleStore(triples)
+
+
+QUOTED = literal('say "hi"\n# not a comment\n""" \\ \' + )\n', lang="en")
+
+
+def _chain(length):
+    nodes = [SOURCE_VAR, *(V("v%d" % i) for i in range(1, length)), TARGET_VAR]
+    return gp(*(TriplePattern(a, ex("next"), b) for a, b in zip(nodes, nodes[1:])))
+
+
+def _hand_made_queries():
+    """(pattern, projection, values) of each case the generated joins must
+    reproduce: a chain past one generated function's nesting, repeated
+    variables, an absent constant, unknown VALUES terms read by a step (in
+    the first block and in a later one), a projected VALUES-only variable, an
+    empty VALUES table and no VALUES."""
+    x, y = V("x"), V("y")
+    absent = ex("absent")
+    chain = _chain(25)
+    ends = [(ex("n0"), ex("n25")), (ex("n0"), absent), (absent, ex("z1")),
+            (ex("n1"), ex("z2")), (ex("n0"), ex("z1"))]
+    return [
+        (chain, [TARGET_VAR], ([SOURCE_VAR], [(ex("n0"),), (absent,), (ex("n1"),)])),
+        (chain, [SOURCE_VAR, TARGET_VAR], ([SOURCE_VAR, TARGET_VAR], ends)),
+        (chain, [TARGET_VAR, V("v24")], None),
+        # steps 0-15 walk the chain; step 16, the first of the second
+        # generated function, reads ?extra
+        (gp(*_chain(16).triples, TriplePattern(V("extra"), y, x)), [TARGET_VAR, y],
+         ([SOURCE_VAR, V("extra")], [(ex("n0"), ex("n2")), (ex("n0"), absent),
+                                     (ex("n1"), ex("n3")), (ex("n9"), ex("n2"))])),
+        (gp(TriplePattern(x, ex("loop"), x), TriplePattern(x, ex("next"), y),
+            TriplePattern(y, ex("next"), TARGET_VAR)), [x, y, TARGET_VAR], None),
+        (gp(TriplePattern(x, y, x)), [x, y], None),
+        (gp(TriplePattern(SOURCE_VAR, ex("next"), x), TriplePattern(x, absent, y)),
+         [y], ([SOURCE_VAR], [(ex("n0"),)])),
+        (gp(TriplePattern(SOURCE_VAR, ex("next"), x), TriplePattern(x, ex("next"), y)),
+         [V("extra"), y, SOURCE_VAR],
+         ([SOURCE_VAR, V("extra")], [(ex("n%d" % i), ex("e%d" % i)) for i in range(6)]
+          + [(absent, ex("n1")), (ex("n1"), absent), (ex("n1"), absent)])),
+        (gp(TriplePattern(SOURCE_VAR, ex("next"), x)), [x], ([SOURCE_VAR], [])),
+        (gp(TriplePattern(x, ex("note"), QUOTED), TriplePattern(SOURCE_VAR, ex("next"), x)),
+         [SOURCE_VAR, x], None),
+    ]
+
+
+class TestGeneratedJoin:
+    def test_hand_made_plans_equal_reference(self):
+        """Every soft budget up to the full ticks, and every limit up to the
+        full row count, give the reference's rows, status and elapsed."""
+        store = _chain_store()
+        for pattern, projection, values in _hand_made_queries():
+            full = _reference_select(store, pattern, projection, values, None, None, None)
+            ticks = round(full.elapsed * TICKS_PER_SECOND)
+            limits = [None, *range(len(full.rows) + 1)]
+            # each budget with one limit in turn, and each limit unbudgeted
+            cases = [(limits[b % len(limits)], b / TICKS_PER_SECOND)
+                     for b in range(ticks + 1)] + [(limit, None) for limit in limits]
+            memo = {}
+            for limit, soft in cases:
+                args = (store, pattern, projection, values, limit, soft, None)
+                ref = _reference_select(*args)
+                _same(select(*args), ref)
+                _same(select(*args, plans=memo), ref)
+        assert [len(_reference_select(store, q[0], q[1], q[2]).rows)
+                for q in _hand_made_queries()] == [3, 2, 3, 10, 2, 1, 0, 8, 0, 2]
+
+    def test_bounded_cache_equals_reference(self, monkeypatch):
+        monkeypatch.setattr(engine, "_RUNS", {})
+        monkeypatch.setattr(engine, "_RUNS_BOUND", 2)
+        rng = random.Random(45)
+        store = random_store(rng, n_triples=40, n_nodes=6, n_preds=3)
+        for _ in range(60):
+            pattern, projection, values_vars = _random_query(rng, store)
+            values = (values_vars, _random_table(rng, store, values_vars))
+            args = (store, pattern, projection, values, rng.choice([None, 1, 3]))
+            _same(select(*args), _reference_select(*args))
+            assert len(engine._RUNS) <= 2
+
+    def test_cache_keys_hold_ints_only(self):
+        store = _chain_store()
+        for pattern, projection, values in _hand_made_queries():
+            select(store, pattern, projection, values)
+        assert engine._RUNS
+
+        def leaves(key):
+            for part in key:
+                yield from leaves(part) if isinstance(part, tuple) else [part]
+
+        assert all(type(leaf) is int for key in engine._RUNS for leaf in leaves(key))
+
+    def test_no_cyclic_garbage(self):
+        """A query leaves nothing for the cyclic collector, whether it
+        completes, times out or stops at its limit."""
+        store = _chain_store()
+        chain = _chain(25)
+        queries = [dict(), dict(soft_timeout=10 / TICKS_PER_SECOND), dict(limit=1)]
+        gc.collect()
+        gc.disable()
+        try:
+            for kwargs in queries:
+                res = select(store, chain, [TARGET_VAR], ([SOURCE_VAR], [(ex("n0"),)]),
+                             **kwargs)
+                assert gc.collect() == 0
+            assert (res.status, len(res.rows)) == (COMPLETE, 1)
+        finally:
+            gc.enable()
