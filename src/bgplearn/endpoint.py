@@ -3,7 +3,8 @@
 Adds VALUES batching, retry with backoff, and a result cache for the queries
 a caller may ask again (fitness and `simplify.projection_checker`), keyed by
 the pattern's canonical form, so renamed-variable twins hit, and by a number
-for its VALUES table. Fix-var and predict queries skip it. The results, the
+for its VALUES table. Fix-var and predict queries skip it, and so does
+every query whose rows are not decoded to terms. The results, the
 table numbers and a local store's plans are three plain dicts; once any of
 them holds `_MEMO_BOUND` entries, all three are cleared together, so a table
 number is never read against results stored under an older table.
@@ -107,15 +108,25 @@ class Endpoint:
         self._tables: dict = {}
         self._plans: dict = {}
         self.backend_calls = 0
+        # the term of a handle in an undecoded row
+        self.term: Callable = store.term if store is not None else _same
 
     # -- public API ---------------------------------------------------------
 
     def run_select(self, gp: GraphPattern, projection: list[Variable],
                    values: Optional[tuple[list[Variable], list[tuple]]] = None,
-                   limit: Optional[int] = None, cache: bool = True) -> EvalResult:
+                   limit: Optional[int] = None, cache: bool = True,
+                   decode: bool = True) -> EvalResult:
         """The rows of the query; `cache=False` neither reads nor stores the
-        result cache, for a caller that never asks the same query twice."""
+        result cache, for a caller that never asks the same query twice.
+
+        `decode=False` leaves each row as this endpoint's handles: a local
+        store's term ids (see `engine.select`) or a remote endpoint's terms.
+        `term` decodes a handle and `order_key` orders handles as their
+        terms. Such a query neither reads nor stores the result cache, which
+        holds decoded rows."""
         check_pattern(gp)  # before the cache key, which canonicalizes gp
+        cache = cache and decode
         memos = (self._cache, self._tables, self._plans)
         if max(map(len, memos)) >= _MEMO_BOUND:
             for memo in memos:
@@ -126,18 +137,23 @@ class Endpoint:
             if hit is not None:
                 return hit
         if values is not None and len(values[1]) > self.config.batch_size:
-            result = self._batched_select(gp, projection, values, limit)
+            result = self._batched_select(gp, projection, values, limit, decode)
         else:
-            result = self._backend_select(gp, projection, values, limit)
+            result = self._backend_select(gp, projection, values, limit, decode)
         # a remote HARD_TIMEOUT only comes from 5xx answers, which are
         # transient: caching it would keep a fitness penalty for the session
         if cache and (self.store is not None or result.status != HARD_TIMEOUT):
             self._cache[key] = result
         return result
 
+    def order_key(self) -> Callable:
+        """The sort key that orders handles as `Term.sort_key` orders their
+        terms: a local store's rank of each id, or `Term.sort_key` itself."""
+        return Term.sort_key if self.store is None else self.store.term_rank.__getitem__
+
     # -- batching -----------------------------------------------------------
 
-    def _batched_select(self, gp, projection, values, limit) -> EvalResult:
+    def _batched_select(self, gp, projection, values, limit, decode) -> EvalResult:
         vvars, rows = values
         merged: list[tuple] = []
         seen: set = set()
@@ -146,7 +162,7 @@ class Endpoint:
         bs = self.config.batch_size
         for i in range(0, len(rows), bs):
             chunk = rows[i:i + bs]
-            res = self._backend_select(gp, projection, (vvars, chunk), limit)
+            res = self._backend_select(gp, projection, (vvars, chunk), limit, decode)
             elapsed += res.elapsed
             if _STATUS_RANK[res.status] > _STATUS_RANK[worst]:
                 worst = res.status
@@ -162,12 +178,12 @@ class Endpoint:
 
     # -- backends -----------------------------------------------------------
 
-    def _backend_select(self, gp, projection, values, limit) -> EvalResult:
+    def _backend_select(self, gp, projection, values, limit, decode) -> EvalResult:
         self.backend_calls += 1
         if self.store is not None:
             return engine.select(self.store, gp, projection, values, limit,
-                                 self.config.soft_timeout,
-                                 self.config.hard_timeout, plans=self._plans)
+                                 self.config.soft_timeout, self.config.hard_timeout,
+                                 plans=self._plans, decode=decode)
         return self._remote_select(gp, projection, values, limit)
 
     def _remote_select(self, gp, projection, values, limit) -> EvalResult:
@@ -202,6 +218,10 @@ class Endpoint:
             return EvalResult([], time.time() - started, HARD_TIMEOUT)
         raise EndpointUnreachable("no answer after %d retries: %s"
                                   % (self.config.retries, last_error))
+
+
+def _same(handle):
+    return handle
 
 
 def _requests_post(url, data, headers, timeout):

@@ -42,7 +42,7 @@ DEFAULT_LIMIT = 1024
 
 @dataclass
 class EvalResult:
-    rows: list[tuple[Term, ...]]
+    rows: list[tuple]  # of terms, or of store ids when not decoded
     elapsed: float
     status: str = COMPLETE
 
@@ -196,14 +196,16 @@ class _Plan:
     variables and the projection alone: the join order, the generated join
     function of its shape, each step's table `get` and the constants' ids.
     `run` is None when a constant is missing from the store, so that the
-    query matches nothing."""
+    query matches nothing. `values_only` says whether the projection names
+    a variable that only the VALUES table binds."""
 
-    __slots__ = ("run", "gets", "consts")
+    __slots__ = ("run", "gets", "consts", "values_only")
 
     def __init__(self, store: TripleStore, gp: GraphPattern,
                  projection: list[Variable], values_vars: list[Variable]):
         check_pattern(gp)
         check_projection(gp, projection, values_vars)
+        self.values_only = not gp.variables().issuperset(projection)
         plan = join_plan(store, gp, set(values_vars))
         # one slot per variable, in plan order and then VALUES order; the
         # plan's constants take slots -1, -2, ...
@@ -242,7 +244,7 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
            limit: Optional[int] = None,
            soft_timeout: Optional[float] = DEFAULT_SOFT_TIMEOUT,
            hard_timeout: Optional[float] = DEFAULT_HARD_TIMEOUT,
-           plans: Optional[dict] = None) -> EvalResult:
+           plans: Optional[dict] = None, decode: bool = True) -> EvalResult:
     """DISTINCT solution mappings of the natural join of gp, VALUES-restricted.
 
     The plan is made here, or taken from `plans`, a dict of plans over
@@ -252,6 +254,12 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
     `check_projection` and `values_table`, the rules a remote endpoint's
     queries follow too; the rows are read only once the budget and the
     pattern's constants leave something to run.
+
+    With `decode=False` each row holds the store's term ids, which
+    `store.term` decodes, in place of its terms. A VALUES term the store
+    lacks has an id that means nothing outside this call, so such a query
+    must not project a variable that only the VALUES table binds
+    (ValueError); every variable the pattern binds holds a store id.
     """
     values_vars = values[0] if values else []
     if plans is None:
@@ -261,6 +269,10 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
         plan = plans.get(key)
         if plan is None:
             plan = plans[key] = _Plan(store, gp, projection, values_vars)
+    if not decode and plan.values_only:
+        bound = gp.variables()
+        raise ValueError("an undecoded row cannot hold a VALUES-only variable: %s"
+                         % ", ".join(v.n3() for v in projection if v not in bound))
 
     soft_budget = None if soft_timeout is None else int(soft_timeout * TICKS_PER_SECOND)
     hard_budget = None if hard_timeout is None else int(hard_timeout * TICKS_PER_SECOND)
@@ -291,6 +303,8 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
         if hard_budget is not None and ticks > hard_budget:
             return EvalResult([], ticks / TICKS_PER_SECOND, HARD_TIMEOUT)
         status = SOFT_TIMEOUT
+    if not decode:
+        return EvalResult(list(found), ticks / TICKS_PER_SECOND, status)
 
     missing = list(unknown)
     term = store.term

@@ -160,7 +160,9 @@ def baseline_predict(store: TripleStore, source: Term, direction: str,
                      scorer: str, k: int,
                      scores: dict[Term, float] | None = None
                      ) -> list[tuple[Term, float]]:
-    """Rank 1-hop neighbours by a global score; lexicographic IRI tie-break."""
+    """Rank 1-hop neighbours by a global score. Ties break by
+    `Term.sort_key`: IRIs, then blank nodes, then literals, each by value,
+    then datatype, then language tag."""
     candidates = neighbourhood(store, source, direction)
     if not candidates:
         return []

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Optional
+from typing import Callable, Optional
 
 from .fitness import FitnessTuple
 from .patterns import GraphPattern, SOURCE_VAR, TARGET_VAR
@@ -168,30 +168,35 @@ def reduce_queries(portfolio: PatternPortfolio, k: int) -> PatternPortfolio:
     return PatternPortfolio(entries, reps, name, loss)
 
 
-def predict_targets(endpoint, portfolio: PatternPortfolio,
-                    source: Term) -> list[set[Term]]:
-    """Per-representative distinct ?target sets; timed-out patterns give empty sets."""
-    sets: list[set[Term]] = []
+def predict_targets(endpoint, portfolio: PatternPortfolio, source: Term) -> list[set]:
+    """Per-representative distinct ?target sets, empty for a timed-out
+    pattern. They hold the endpoint's undecoded handles, whose terms
+    `endpoint.term` gives."""
+    sets: list[set] = []
     for entry in portfolio.selected():
         res = endpoint.run_select(entry.pattern, [TARGET_VAR],
                                   values=([SOURCE_VAR], [(source,)]),
                                   limit=endpoint.config.default_limit,
-                                  cache=False)
+                                  cache=False, decode=False)
         sets.append(set() if res.timed_out else {row[0] for row in res.rows})
     return sets
 
 
-def fuse(target_sets: list[set[Term]], portfolio: PatternPortfolio,
-         source: Term) -> RankedPrediction:
-    """Aggregate per-pattern target sets into the five ranked fusion lists."""
+def fuse(target_sets: list[set], portfolio: PatternPortfolio, source: Term,
+         order_key: Callable = Term.sort_key,
+         decode: Optional[Callable] = None) -> RankedPrediction:
+    """Aggregate per-pattern target sets into the five ranked fusion lists.
+
+    Targets of equal value rank in `order_key` order; `decode`, if given,
+    maps each target to the term that the rankings hold."""
     selected = portfolio.selected()
     if len(target_sets) != len(selected):
         raise ValueError("one target set per selected pattern required")
     # the five sums of each target, one list per strategy in
-    # FUSION_STRATEGIES order, each in sort_key order of the targets
-    terms = sorted(set().union(*target_sets), key=Term.sort_key)
-    index = dict(zip(terms, range(len(terms))))
-    sums = [[0.0] * len(terms) for _ in FUSION_STRATEGIES]
+    # FUSION_STRATEGIES order, each in order_key order of the targets
+    targets = sorted(set().union(*target_sets), key=order_key)
+    index = dict(zip(targets, range(len(targets))))
+    sums = [[0.0] * len(targets) for _ in FUSION_STRATEGIES]
     occs, scores, f_measures, gp_precisions, precisions = sums
     for entry, tset in zip(selected, target_sets):
         if not tset:
@@ -204,7 +209,8 @@ def fuse(target_sets: list[set[Term]], portfolio: PatternPortfolio,
             f_measures[i] += f1
             gp_precisions[i] += gp_precision
             precisions[i] += share
-    # stable sorts: by term first, then by value, give (-value, sort_key) order
+    terms = targets if decode is None else list(map(decode, targets))
+    # stable sorts: by target first, then by value, give (-value, order_key) order
     rankings = {}
     for strategy, column in zip(FUSION_STRATEGIES, sums):
         ranked = list(zip(terms, column))
@@ -214,4 +220,5 @@ def fuse(target_sets: list[set[Term]], portfolio: PatternPortfolio,
 
 
 def predict(endpoint, portfolio: PatternPortfolio, source: Term) -> RankedPrediction:
-    return fuse(predict_targets(endpoint, portfolio, source), portfolio, source)
+    return fuse(predict_targets(endpoint, portfolio, source), portfolio, source,
+                endpoint.order_key(), endpoint.term)

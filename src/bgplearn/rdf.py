@@ -6,6 +6,7 @@ import gzip
 import re
 import sys
 from collections import namedtuple
+from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
@@ -208,19 +209,25 @@ class TripleStore:
         """Exact cardinality of a bound/unbound slot combination (for join planning)."""
         return len(self.match_ids(s, p, o))
 
+    @cached_property
+    def term_rank(self) -> list[int]:
+        """Each id's place among the store's terms in `Term.sort_key` order,
+        which no two terms share; worked out on first use."""
+        terms = self._terms
+        rank = [0] * len(terms)
+        for place, tid in enumerate(sorted(range(len(terms)),
+                                           key=lambda i: terms[i].sort_key())):
+            rank[tid] = place
+        return rank
+
     def degree(self, node: Term, direction: str = BIDI) -> int:
-        nid = self._ids.get(node)
-        if nid is None:
-            out_deg = in_deg = 0
-        else:
-            out_deg = len(self.tables[4].get(nid, ()))
-            in_deg = len(self.tables[1].get(nid, ()))
+        nid = self._ids.get(node)  # None is no table's key
         if direction == OUT:
-            return out_deg
+            return len(self.tables[4].get(nid, ()))
         if direction == IN:
-            return in_deg
+            return len(self.tables[1].get(nid, ()))
         if direction == BIDI:
-            return out_deg + in_deg
+            return len(self.tables[4].get(nid, ())) + len(self.tables[1].get(nid, ()))
         raise ValueError("unknown direction: %r" % direction)
 
     def triples(self) -> Iterator[Triple]:

@@ -61,7 +61,8 @@ class TestUncached:
         portfolio = PatternPortfolio([PortfolioEntry(CAPITAL_GP, [1.0], None)])
         for _ in range(2):
             fix_var(gp, ep, capitals_gt, None, random.Random(0), EvolutionConfig())
-            assert predict_targets(ep, portfolio, ex("Berlin")) == [{ex("Germany")}]
+            sets = predict_targets(ep, portfolio, ex("Berlin"))
+            assert [set(map(ep.term, s)) for s in sets] == [{ex("Germany")}]
         assert ep.backend_calls == 4
         assert ep._cache == {} and ep._tables == {}
 
@@ -75,6 +76,51 @@ class TestUncached:
             assert res.rows == select(capitals_store, gp, [SOURCE_VAR, TARGET_VAR]).rows
             assert len(ep._plans) <= 2
         assert ep.backend_calls == 4 and ep._cache == {}
+
+
+class TestUndecoded:
+    """`decode=False`: rows of store ids, outside the result cache."""
+
+    def test_batched_equals_unbatched(self, capitals_store):
+        values = ([SOURCE_VAR], [(ex("Berlin"),), (ex("Nowhere"),), (ex("Paris"),)])
+        projection = [SOURCE_VAR, TARGET_VAR]
+        batched = local_endpoint(capitals_store, batch_size=1)
+        whole = local_endpoint(capitals_store)
+        rows = batched.run_select(CAPITAL_GP, projection, values, decode=False).rows
+        assert batched.backend_calls == 3
+        assert rows == whole.run_select(CAPITAL_GP, projection, values,
+                                        decode=False).rows
+        assert all(type(tid) is int for row in rows for tid in row)
+        assert ([tuple(map(whole.term, row)) for row in rows]
+                == whole.run_select(CAPITAL_GP, projection, values).rows
+                == [(ex("Berlin"), ex("Germany")), (ex("Paris"), ex("France"))])
+
+    def test_neither_reads_nor_stores_the_cache(self, capitals_store):
+        ep = local_endpoint(capitals_store)
+        values = ([SOURCE_VAR], [(ex("Berlin"),)])
+        decoded = ep.run_select(CAPITAL_GP, [TARGET_VAR], values)
+        stored = (dict(ep._cache), dict(ep._tables))
+        for _ in range(2):
+            res = ep.run_select(CAPITAL_GP, [TARGET_VAR], values, decode=False)
+            assert res.rows == [(capitals_store.term_id(ex("Germany")),)]
+        assert ep.backend_calls == 3
+        assert (ep._cache, ep._tables) == stored
+        assert ep.run_select(CAPITAL_GP, [TARGET_VAR], values) is decoded
+
+    def test_values_only_projection_refused(self, capitals_store):
+        """Its id would mean nothing outside the query, for a term the store
+        lacks; decoded, the query gives that term back."""
+        ep = local_endpoint(capitals_store)
+        values = ([SOURCE_VAR, V("x")], [(ex("Berlin"), ex("Nowhere"))])
+        projection = [TARGET_VAR, V("x")]
+        refusal = r"undecoded row cannot hold a VALUES-only variable: \?x$"
+        for _ in range(2):  # a new plan, then the endpoint's kept one
+            with pytest.raises(ValueError, match=refusal):
+                ep.run_select(CAPITAL_GP, projection, values, decode=False)
+        with pytest.raises(ValueError, match=refusal):
+            select(capitals_store, CAPITAL_GP, projection, values, decode=False)
+        assert (ep.run_select(CAPITAL_GP, projection, values).rows
+                == [(ex("Germany"), ex("Nowhere"))])
 
 
 class TestValuesTableKey:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import pathlib
@@ -6,15 +7,16 @@ import random
 import numpy as np
 import pytest
 
-from bgplearn.endpoint import local_endpoint
+from bgplearn.endpoint import Endpoint, EndpointConfig, local_endpoint
+from bgplearn.engine import HARD_TIMEOUT, select
 from bgplearn.fitness import FitnessTuple
 from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
-                               TriplePattern, Variable)
+                               TriplePattern, Variable, to_select_sparql)
 from bgplearn.predict import (FUSION_STRATEGIES, PatternPortfolio,
                               PortfolioEntry, RankedPrediction, _ward_clusters,
                               fuse, precision_loss, predict, predict_targets,
                               reduce_queries)
-from bgplearn.rdf import Term, bnode, literal
+from bgplearn.rdf import Term, Triple, TripleStore, bnode, literal
 
 from conftest import ex
 
@@ -112,7 +114,7 @@ class TestPredictTargets:
         entry = _entry([1.0], pred="capitalOf")
         portfolio = PatternPortfolio([entry], representatives=[0])
         sets = predict_targets(ep, portfolio, ex("Berlin"))
-        assert sets == [{ex("Germany")}]
+        assert [set(map(ep.term, s)) for s in sets] == [{ex("Germany")}]
 
     def test_unknown_source_gives_empty(self, capitals_store):
         ep = local_endpoint(capitals_store)
@@ -276,6 +278,127 @@ class TestFuse:
         portfolio = PatternPortfolio([_entry([1.0])], representatives=[0])
         with pytest.raises(ValueError):
             fuse([], portfolio, ex("s"))
+
+
+_DT = "http://e/dt"
+
+# targets of every kind, several of one lexical form, so that a tie between
+# them breaks by kind, then value, then datatype, then language
+_MIXED = [ex("v"), ex("w"), bnode("v"), bnode("w"), literal("v"), literal("w"),
+          literal("v", lang="en"), literal("v", lang="de"),
+          literal("v", datatype=_DT), literal("v", datatype=EX_INT),
+          literal(ex("v").value)]
+_SOURCES = [ex("s%d" % i) for i in range(4)]
+_PREDS = [ex("p%d" % i) for i in range(3)]
+
+
+def _mixed_store(rng) -> TripleStore:
+    """Sources pointing at `_MIXED` targets, which point on at each other,
+    interned in a random first-occurrence order."""
+    triples = [Triple(s, p, t) for s in _SOURCES for p in _PREDS for t in _MIXED
+               if rng.random() < 0.3]
+    triples += [Triple(t, p, u) for t in _MIXED[:4] for p in _PREDS for u in _MIXED
+                if rng.random() < 0.1]
+    rng.shuffle(triples)
+    return TripleStore(triples)
+
+
+def _random_portfolio(rng) -> PatternPortfolio:
+    """One to six patterns with tied and signed zero weights; one in three
+    portfolios holds a cross product that overruns a 0.01 s budget."""
+    p, q = rng.choice(_PREDS), rng.choice(_PREDS)
+    shapes = [[(SOURCE_VAR, p, TARGET_VAR)], [(SOURCE_VAR, V("p"), TARGET_VAR)],
+              [(SOURCE_VAR, p, V("x")), (V("x"), q, TARGET_VAR)],
+              [(SOURCE_VAR, p, TARGET_VAR), (TARGET_VAR, q, V("y"))]]
+    chosen = [rng.choice(shapes) for _ in range(rng.randint(1, 6))]
+    if rng.random() < 1 / 3:
+        chosen.append([(SOURCE_VAR, V("p"), TARGET_VAR), (V("a"), V("b"), V("c")),
+                       (V("d"), V("e"), V("f"))])
+    entries = [PortfolioEntry(GraphPattern([TriplePattern(*t) for t in triples]),
+                              [1.0], _fit(score=rng.choice([0.0, -0.0, 0.5, 1.0]),
+                                          f1=rng.choice([0.0, -0.0, 0.5]),
+                                          avg=rng.choice([0.0, 2.0, 4.0])))
+               for triples in chosen]
+    reps = sorted(rng.sample(range(len(entries)), rng.randint(1, len(entries))))
+    return PatternPortfolio(entries, representatives=reps)
+
+
+def _config():
+    return EndpointConfig(soft_timeout=None, hard_timeout=0.01)
+
+
+class TestPredictGate:
+    """What the benchmark's predict gate checks, on stores whose targets
+    mix every kind of term."""
+
+    def test_predict_equals_fuse_over_engine_select(self):
+        rng = random.Random(34)
+        statuses = []
+        for _ in range(40):
+            store = _mixed_store(rng)
+            ep = Endpoint(_config(), store=store)
+            portfolio = _random_portfolio(rng)
+            for source in _SOURCES + [ex("nowhere")]:
+                sets = []
+                for entry in portfolio.selected():
+                    res = select(store, entry.pattern, [TARGET_VAR],
+                                 values=([SOURCE_VAR], [(source,)]),
+                                 limit=ep.config.default_limit,
+                                 soft_timeout=ep.config.soft_timeout,
+                                 hard_timeout=ep.config.hard_timeout)
+                    statuses.append(res.status)
+                    sets.append(set() if res.timed_out else {row[0] for row in res.rows})
+                direct = fuse(sets, portfolio, source)
+                assert repr(predict(ep, portfolio, source)) == repr(direct)
+        assert HARD_TIMEOUT in statuses
+
+    def test_store_order_is_sort_key_order(self):
+        store = _mixed_store(random.Random(7))
+        order = sorted(range(len(store.terms)), key=store.term_rank.__getitem__)
+        assert [store.term(i) for i in order] == sorted(store.terms, key=Term.sort_key)
+        assert sorted(store.term_rank) == list(range(len(store.terms)))
+
+
+def _json_term(term: Term) -> dict:
+    if term.kind == "iri":
+        return {"type": "uri", "value": term.value}
+    if term.kind == "bnode":
+        return {"type": "bnode", "value": term.value}
+    out = {"type": "literal", "value": term.value}
+    if term.lang is not None:
+        out["xml:lang"] = term.lang
+    if term.datatype is not None:
+        out["datatype"] = term.datatype
+    return out
+
+
+def test_remote_predict_equals_local():
+    """A remote endpoint that answers each predict query, by its exact text,
+    with the local engine's rows, or with a 503 where the engine's query
+    overran its budget, ranks as the local store does."""
+    rng = random.Random(35)
+    for _ in range(20):
+        store = _mixed_store(rng)
+        local = Endpoint(_config(), store=store)
+        portfolio = _random_portfolio(rng)
+        answers = {}
+        for entry in portfolio.selected():
+            for source in _SOURCES + [ex("nowhere")]:
+                args = (entry.pattern, [TARGET_VAR], ([SOURCE_VAR], [(source,)]),
+                        local.config.default_limit)
+                res = local.run_select(*args)
+                answers[to_select_sparql(*args)] = (503, None) if res.timed_out else (
+                    200, {"results": {"bindings": [{"target": _json_term(t)}
+                                                   for t, in res.rows]}})
+
+        def post(url, data, headers, timeout):
+            return answers[data["query"]]
+
+        remote = Endpoint(dataclasses.replace(_config(), retries=0, backoff=0.0),
+                          url="http://fake/sparql", http_post=post)
+        for source in _SOURCES + [ex("nowhere")]:
+            got = predict(remote, portfolio, source)
+            assert repr(got) == repr(predict(local, portfolio, source))
 
 
 class TestEndToEnd:

@@ -660,6 +660,11 @@ class TestDegree:
         assert store.degree(n, IN) == 2
         assert store.degree(n, BIDI) == 5
 
+    def test_unknown_direction_refused(self, capitals_store):
+        for node in (ex("Berlin"), ex("Nowhere")):
+            with pytest.raises(ValueError, match="unknown direction"):
+                capitals_store.degree(node, "sideways")
+
     def test_self_loop_counts_twice_bidi(self):
         store = load_ntriples("<http://x/x> <http://x/p> <http://x/x> .")
         x = iri("http://x/x")
