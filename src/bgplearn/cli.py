@@ -195,8 +195,7 @@ def cmd_learn(args) -> int:
 def _load_portfolio(path: str) -> predict_mod.PatternPortfolio:
     """The portfolio in a `patterns.json`; ValueError if it is malformed."""
     return predict_mod.PatternPortfolio([predict_mod.PortfolioEntry(
-        pattern=lp.pattern, pv=lp.evaluation.pv, fitness=lp.fitness,
-        canonical_key=lp.canonical_key) for lp in _read_learned(path)[1]])
+        lp.pattern, lp.evaluation.pv, lp.fitness) for lp in _read_learned(path)[1]])
 
 
 def _predict_each(endpoint, portfolio: predict_mod.PatternPortfolio, k: int,

@@ -13,6 +13,7 @@ number is never read against results stored under an older table.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import time
 from dataclasses import dataclass
@@ -21,8 +22,8 @@ from typing import Callable, Optional
 from . import engine
 from .canon import canonicalize
 from .engine import COMPLETE, HARD_TIMEOUT, SOFT_TIMEOUT, EvalResult
-from .patterns import (GraphPattern, Variable, check_pattern, check_projection,
-                       to_select_sparql, values_table)
+from .patterns import (GraphPattern, Variable, check_limit, check_pattern,
+                       check_projection, to_select_sparql, values_table)
 from .rdf import Term, TripleStore, bnode, iri, literal
 
 _STATUS_RANK = {COMPLETE: 0, SOFT_TIMEOUT: 1, HARD_TIMEOUT: 2}
@@ -94,7 +95,8 @@ def _cache_key(gp: GraphPattern, projection, values, limit,
 
 class Endpoint:
     """Facade over a store or a URL, with one result cache for the queries
-    that ask for it."""
+    that ask for it. `http_post(url, data, headers, timeout)`, requests by
+    default, returns an answer's status code and body, or raises OSError."""
 
     def __init__(self, config: EndpointConfig, store: Optional[TripleStore] = None,
                  url: Optional[str] = None, http_post: Optional[Callable] = None):
@@ -126,6 +128,7 @@ class Endpoint:
         terms. Such a query neither reads nor stores the result cache, which
         holds decoded rows."""
         check_pattern(gp)  # before the cache key, which canonicalizes gp
+        check_limit(limit)
         cache = cache and decode
         memos = (self._cache, self._tables, self._plans)
         if max(map(len, memos)) >= _MEMO_BOUND:
@@ -172,9 +175,7 @@ class Endpoint:
                     merged.append(row)
         if worst == HARD_TIMEOUT:
             return EvalResult([], elapsed, HARD_TIMEOUT)
-        if limit is not None:
-            merged = merged[:limit]
-        return EvalResult(merged, elapsed, worst)
+        return EvalResult(merged[:limit], elapsed, worst)
 
     # -- backends -----------------------------------------------------------
 
@@ -198,26 +199,26 @@ class Endpoint:
                 time.sleep(delay)
                 delay *= 2
             try:
-                status_code, payload = post(
+                status_code, body = post(
                     self.url, data={"query": query},
                     headers={"Accept": "application/sparql-results+json"},
                     timeout=self.config.hard_timeout)
-            except Exception as exc:  # network failure: retry with backoff
+            except OSError as exc:  # transport failure: retry with backoff
                 last_error = exc
                 continue
-            if status_code >= 500:  # overload/timeout: retry with backoff
-                last_error = None
-                continue
-            if status_code >= 400:
-                raise EndpointError("SPARQL endpoint rejected query: HTTP %d"
-                                    % status_code)
-            rows = _parse_sparql_json(payload, projection)
-            return EvalResult(rows, time.time() - started, COMPLETE)
-        if last_error is None:
-            # the last attempt got a 5xx answer: fitness punishment, not a crash
-            return EvalResult([], time.time() - started, HARD_TIMEOUT)
-        raise EndpointUnreachable("no answer after %d retries: %s"
-                                  % (self.config.retries, last_error))
+            if status_code < 500:
+                break
+            last_error = None  # overload/timeout: retry with backoff
+        else:
+            if last_error is None:
+                # the last attempt got a 5xx answer: fitness punishment, not a crash
+                return EvalResult([], time.time() - started, HARD_TIMEOUT)
+            raise EndpointUnreachable("no answer after %d retries: %s"
+                                      % (self.config.retries, last_error))
+        if status_code >= 400:
+            raise EndpointError("SPARQL endpoint rejected query: HTTP %d" % status_code)
+        return EvalResult(_parse_sparql_json(body, projection), time.time() - started,
+                          COMPLETE)
 
 
 def _same(handle):
@@ -225,33 +226,30 @@ def _same(handle):
 
 
 def _requests_post(url, data, headers, timeout):
-    import requests
+    import requests  # its errors are OSErrors
     resp = requests.post(url, data=data, headers=headers, timeout=timeout)
-    return resp.status_code, (resp.json() if resp.status_code < 400 else None)
+    return resp.status_code, resp.content
 
 
 def _json_term(obj: dict) -> Term:
-    """The term of a SPARQL JSON value; ValueError if N-Triples cannot write it."""
-    value = obj.get("value") if isinstance(obj, dict) else None
-    if not isinstance(value, str):
-        raise ValueError("SPARQL JSON term without a string value: %r" % (obj,))
-    typ = obj.get("type")
+    """The term of a SPARQL JSON value; `Term` refuses a field it cannot hold."""
+    typ = obj.get("type") if isinstance(obj, dict) else None
     if typ == "uri":
-        return iri(value)
+        return iri(obj.get("value"))
     if typ == "bnode":
-        return bnode(value)
+        return bnode(obj.get("value"))
     if typ in ("literal", "typed-literal"):
-        datatype, lang = obj.get("datatype"), obj.get("xml:lang")
-        if any(x is not None and not isinstance(x, str) for x in (datatype, lang)):
-            raise ValueError("SPARQL JSON literal with a non-string datatype or "
-                             "language: %r" % (obj,))
-        return literal(value, datatype=datatype, lang=lang)
-    raise ValueError("unknown SPARQL JSON term type: %r" % typ)
+        return literal(obj.get("value"), obj.get("datatype"), obj.get("xml:lang"))
+    raise ValueError("SPARQL JSON term of unknown type: %r" % (obj,))
 
 
-def _parse_sparql_json(payload: dict, projection: list[Variable]) -> list[tuple]:
-    """The distinct rows of a SPARQL JSON answer; ValueError unless it has the
-    results format's shape and each binding binds every projected variable."""
+def _parse_sparql_json(body, projection: list[Variable]) -> list[tuple]:
+    """The distinct rows of a SPARQL JSON answer's body; ValueError unless it is
+    JSON in the results format and each binding binds every projected variable."""
+    try:
+        payload = json.loads(body)
+    except ValueError as exc:  # bad input, not a network failure to retry
+        raise ValueError("SPARQL JSON answer that is not JSON: %s" % exc) from exc
     results = payload.get("results") if isinstance(payload, dict) else None
     bindings = results.get("bindings") if isinstance(results, dict) else None
     if not isinstance(bindings, list):

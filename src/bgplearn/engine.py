@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Optional
 
-from .patterns import (GraphPattern, TriplePattern, Variable, check_pattern,
-                       check_projection, is_var, values_table)
+from .patterns import (GraphPattern, TriplePattern, Variable, check_limit,
+                       check_pattern, check_projection, is_var, values_table)
 from .rdf import Term, TripleStore
 
 COMPLETE = "complete"
@@ -249,11 +249,11 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
 
     The plan is made here, or taken from `plans`, a dict of plans over
     `store` only that keeps each plan made here; its join function then runs
-    every VALUES row through the triples depth first. The pattern, the
-    projection and the VALUES rows are read by `patterns.check_pattern`,
-    `check_projection` and `values_table`, the rules a remote endpoint's
-    queries follow too; the rows are read only once the budget and the
-    pattern's constants leave something to run.
+    every VALUES row through the triples depth first. The limit, pattern,
+    projection and VALUES rows are read by `patterns.check_limit`,
+    `check_pattern`, `check_projection` and `values_table`, the rules a
+    remote endpoint's queries follow too; the rows are read only once the
+    budget, the constants and the limit leave something to run.
 
     With `decode=False` each row holds the store's term ids, which
     `store.term` decodes, in place of its terms. A VALUES term the store
@@ -261,6 +261,7 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
     must not project a variable that only the VALUES table binds
     (ValueError); every variable the pattern binds holds a store id.
     """
+    check_limit(limit)
     values_vars = values[0] if values else []
     if plans is None:
         plan = _Plan(store, gp, projection, values_vars)
@@ -278,7 +279,7 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
     hard_budget = None if hard_timeout is None else int(hard_timeout * TICKS_PER_SECOND)
     if hard_budget is not None and hard_budget <= 0:
         return EvalResult([], 0.0, HARD_TIMEOUT)
-    if plan.run is None:
+    if plan.run is None or limit == 0:
         return EvalResult([], 0.0, COMPLETE)
 
     # VALUES terms missing from the store get negative ids, which match nothing

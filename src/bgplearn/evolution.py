@@ -496,8 +496,8 @@ class LearnedPattern:
     pattern: GraphPattern
     fitness: FitnessTuple
     evaluation: PatternEvaluation
-    canonical_key: str
     run_index: int
+    canonical_key = Individual.canonical_key  # derived from `pattern`, never stored
 
 
 @dataclass
@@ -585,7 +585,7 @@ def learn_runs(endpoint, gt: list[GroundTruthPair], cfg: EvolutionConfig,
             seen.add(key)
             accepted.append(LearnedPattern(
                 pattern=ind.pattern, fitness=ind.fitness, evaluation=ind.evaluation,
-                canonical_key=key, run_index=run_index))
+                run_index=run_index))
         ledger = ledger.updated([lp.evaluation.pv for lp in accepted])
         yield RunRecord(run_index=run_index, remains_before=remains_before,
                         remains_after=ledger.remains(), accepted=accepted,

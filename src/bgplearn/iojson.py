@@ -76,7 +76,6 @@ def learned_from_json(obj: dict):
         fitness=FitnessTuple(**obj["fitness"]),
         # the ledger's rule: each entry a number in [0, 1], NaN refused
         evaluation=PatternEvaluation(pv=list(CoverageLedger(obj["pv"]).values)),
-        canonical_key=obj["canonical_key"],
         run_index=obj["run_index"],
     )
 

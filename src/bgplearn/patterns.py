@@ -193,7 +193,7 @@ class GraphPattern:
 
 def values_table(width: int, rows) -> tuple:
     """`rows` as a tuple, each row holding one Term per VALUES variable; a
-    shorter or longer row is a ValueError (a bare Term is a 5-tuple)."""
+    shorter or longer row is a ValueError."""
     if set(map(len, rows)) <= {width}:
         return tuple(rows)
     row = next(row for row in rows if len(row) != width)
@@ -217,9 +217,15 @@ def check_projection(gp: GraphPattern, projection, values_vars) -> None:
                          % ", ".join(v.n3() for v in missing))
 
 
+def check_limit(limit) -> None:
+    """ValueError unless `limit` is None (no limit) or an int >= 0."""
+    if limit is not None and (type(limit) is not int or limit < 0):
+        raise ValueError("a limit is None or an integer >= 0, not %r" % (limit,))
+
+
 def values_clause(variables: list[Variable], rows: list[tuple]) -> str:
     head = " ".join(v.n3() for v in variables)
-    body = " ".join("(%s)" % " ".join(t.nt for t in row)
+    body = " ".join("(%s)" % " ".join(t.n3() for t in row)
                     for row in values_table(len(variables), rows))
     return "VALUES (%s) { %s }" % (head, body)
 
@@ -227,6 +233,7 @@ def values_clause(variables: list[Variable], rows: list[tuple]) -> str:
 def to_select_sparql(gp: GraphPattern, projection: list[Variable],
                      values: Optional[tuple[list[Variable], list[tuple]]] = None,
                      limit: Optional[int] = None) -> str:
+    check_limit(limit)
     parts = ["SELECT DISTINCT %s WHERE {" % " ".join(v.n3() for v in projection)]
     if values is not None:
         parts.append(" " + values_clause(*values))

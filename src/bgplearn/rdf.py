@@ -38,9 +38,9 @@ class RDFSyntaxError(ValueError):
         self.column = column
 
 
-class Term(namedtuple("_Term", "kind value datatype lang nt")):
-    """An RDF node: IRI, blank node, or literal. An immutable tuple that keeps
-    its N-Triples text `nt`; order terms with `sort_key()`."""
+class Term(namedtuple("_Term", "kind value datatype lang")):
+    """An RDF node: IRI, blank node, or literal. An immutable tuple of its four
+    fields that writes its N-Triples text in `n3()`; order terms with `sort_key()`."""
 
     __slots__ = ()
 
@@ -52,6 +52,9 @@ class Term(namedtuple("_Term", "kind value datatype lang nt")):
             raise ValueError("datatype/lang only valid on literals")
         if datatype is not None and lang is not None:
             raise ValueError("literal has at most one of datatype and language tag")
+        if not isinstance(value, str) or {type(datatype), type(lang)} - {str, type(None)}:
+            raise ValueError("a term's value, datatype and language tag are strings, "
+                             "not %r" % ((value, datatype, lang),))
         # a field N-Triples cannot write would change the text of every
         # query or file that the term is written into
         if kind == IRI and not _IRI_RE.fullmatch(value):
@@ -62,20 +65,7 @@ class Term(namedtuple("_Term", "kind value datatype lang nt")):
             raise ValueError("not an absolute datatype IRI: %r" % (datatype,))
         if lang is not None and not _LANG_RE.fullmatch(lang):
             raise ValueError("not a language tag: %r" % (lang,))
-        if kind == IRI:
-            nt = "<%s>" % value
-        elif kind == BNODE:
-            nt = "_:%s" % value
-        elif lang is not None:
-            nt = '"%s"@%s' % (escape_literal(value), lang)
-        elif datatype is not None:
-            nt = '"%s"^^<%s>' % (escape_literal(value), datatype)
-        else:
-            nt = '"%s"' % escape_literal(value)
-        return tuple.__new__(cls, (kind, value, datatype, lang, nt))
-
-    def __getnewargs__(self):
-        return self[:4]
+        return tuple.__new__(cls, (kind, value, datatype, lang))
 
     def __repr__(self):
         return "Term(%s)" % self.n3()
@@ -84,7 +74,16 @@ class Term(namedtuple("_Term", "kind value datatype lang nt")):
         return (_KIND_ORDER[self.kind], self.value, self.datatype or "", self.lang or "")
 
     def n3(self) -> str:
-        return self.nt
+        kind, value, datatype, lang = self
+        if kind == IRI:
+            return "<%s>" % value
+        if kind == BNODE:
+            return "_:%s" % value
+        text = '"%s"' % (value.replace("\\", "\\\\").replace('"', '\\"')
+                         .replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t"))
+        if lang is not None:
+            return "%s@%s" % (text, lang)
+        return text if datatype is None else "%s^^<%s>" % (text, datatype)
 
 
 def iri(value: str) -> Term:
@@ -97,11 +96,6 @@ def bnode(value: str) -> Term:
 
 def literal(value: str, datatype: Optional[str] = None, lang: Optional[str] = None) -> Term:
     return Term(LITERAL, value, datatype, lang)
-
-
-def escape_literal(s: str) -> str:
-    return (s.replace("\\", "\\\\").replace('"', '\\"')
-            .replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t"))
 
 
 class Triple(namedtuple("_Triple", "s p o")):

@@ -7,8 +7,9 @@ import subprocess
 import sys
 
 import pytest
+import requests
 
-from bgplearn import cli, endpoint, evalharness, evolution, predict
+from bgplearn import canon, cli, endpoint, evalharness, evolution, iojson, predict
 from bgplearn.cli import (EXIT_BAD_INPUT, EXIT_ENDPOINT, EXIT_OK, EXIT_USAGE,
                           load_config, main)
 from bgplearn.report import build_report
@@ -91,9 +92,9 @@ def test_refuses_unwritable_remote_term(workdir, capsys, monkeypatch, command):
     bad = "http://e/a> . ?x ?y <http://e/z"
 
     def post(url, data, headers, timeout):
-        return 200, {"results": {"bindings": [
+        return 200, json.dumps({"results": {"bindings": [
             {"source": {"type": "uri", "value": "http://example.org/Berlin"},
-             "target": {"type": "uri", "value": bad}}]}}
+             "target": {"type": "uri", "value": bad}}]}})
 
     monkeypatch.setattr(endpoint, "_requests_post", post)
     code = main([command, *remote_inputs(workdir, command)])
@@ -110,9 +111,9 @@ def test_refuses_unwritable_remote_term(workdir, capsys, monkeypatch, command):
 def test_remote_term_without_string_value_exits_2(workdir, capsys, monkeypatch,
                                                    term):
     def post(url, data, headers, timeout):
-        return 200, {"results": {"bindings": [
+        return 200, json.dumps({"results": {"bindings": [
             {"source": {"type": "uri", "value": "http://example.org/Berlin"},
-             "target": term}]}}
+             "target": term}]}})
 
     monkeypatch.setattr(endpoint, "_requests_post", post)
     assert main(["learn", *remote_inputs(workdir, "learn")]) == EXIT_BAD_INPUT
@@ -152,6 +153,24 @@ def test_real_http_client_unreachable_exits_3(workdir, capsys, monkeypatch):
                  "--set", "retries=0", "--set", "backoff=0"])
     assert code == EXIT_ENDPOINT
     assert "endpoint unreachable" in capsys.readouterr().err
+
+
+def test_non_json_answer_exits_2_after_one_post(workdir, capsys, monkeypatch):
+    """The HTTP client's own answer: a 200 whose body is not JSON is bad
+    input, exit 2, after one post; it is not a network failure to retry."""
+    posts = []
+
+    def post(url, data, headers, timeout):
+        posts.append(data["query"])
+        answer = requests.Response()
+        answer.status_code, answer._content = 200, b"<html>busy</html>"
+        return answer
+
+    monkeypatch.setattr(requests, "post", post)
+    code = main(["learn", "--endpoint-url", "http://fake/sparql",
+                 *command_inputs(workdir, "learn"), *FAST, "--set", "backoff=0"])
+    assert code == EXIT_BAD_INPUT and len(posts) == 1
+    assert "input error" in capsys.readouterr().err
 
 
 RUN_LOG = {"run_index": 1, "remains_before": 1.0, "remains_after": 0.0,
@@ -526,6 +545,27 @@ class TestLearnCommand:
         run_2 = json.loads((out / "run_002.json").read_text())["accepted"]
         assert [p["canonical_key"] for p in run_2] == keys[len(saved):]
 
+    def test_resume_reads_keys_from_patterns(self, workdir):
+        """A saved canonical_key that does not match its pattern, edited by
+        hand or written with other labels, neither lets --resume accept the
+        pattern again nor is written back."""
+        out = workdir / "out"
+        every_run = ["--set", "min_remains=0", "--set", "score_threshold=-1"]
+        assert run_learn(workdir, extra=[*every_run, "--set", "max_runs=1"]) == EXIT_OK
+        doc = json.loads((out / "patterns.json").read_text())
+        saved = [p["canonical_key"] for p in doc["patterns"]]
+        for i, entry in enumerate(doc["patterns"]):
+            entry["canonical_key"] = "k%d" % i
+        (out / "patterns.json").write_text(json.dumps(doc))
+
+        assert run_learn(workdir, extra=[*every_run, "--resume"]) == EXIT_OK
+        doc = json.loads((out / "patterns.json").read_text())
+        keys = [p["canonical_key"] for p in doc["patterns"]]
+        assert doc["next_run"] == 3
+        assert keys[:len(saved)] == saved and len(keys) == len(set(keys))
+        assert keys == [canon.pattern_key(iojson.pattern_from_json(p["pattern"]))
+                        for p in doc["patterns"]]
+
     @pytest.mark.parametrize("case", ["other_pairs", "older_session"])
     def test_resume_of_other_session_exits_2(self, workdir, capsys, case):
         """--resume refuses, before any run, a ground truth with as many pairs
@@ -664,9 +704,11 @@ class TestPredictCommand:
     {"patterns": [dict(ENTRY, pv="1")]},
     {"next_run": 0, "patterns": [ENTRY]},
     {"patterns": [dict(ENTRY, pattern=[[_var("source"), CAPITAL_OF,
-                                        {"type": "bnode", "value": "b1"}]])]}],
+                                        {"type": "bnode", "value": "b1"}]])]},
+    {"patterns": [dict(ENTRY, pattern=[[_var("source"), CAPITAL_OF,
+                                        {"type": "literal", "value": 5}]])]}],
     ids=["no_patterns", "no_pattern", "unknown_fitness_key", "nan_pv", "string_pv",
-         "zero_next_run", "bnode_node"])
+         "zero_next_run", "bnode_node", "number_literal"])
 @pytest.mark.parametrize("command", ["predict", "evaluate"])
 def test_malformed_patterns_exits_2(workdir, capsys, command, doc):
     args = [command, "--store", str(workdir / "store.ttl"),

@@ -3,6 +3,7 @@ import random
 from types import SimpleNamespace
 
 import pytest
+import requests
 
 from bgplearn import endpoint
 from bgplearn.endpoint import (Endpoint, EndpointConfig, EndpointError,
@@ -189,10 +190,11 @@ class TestUnboundValues:
 _LONG_ROW = (ex("Berlin"), ex("Paris"))
 
 # Each query is accepted with the same rows on every path, or refused with
-# the same message before anything runs, is sent or is cached. `sent` is the
-# VALUES clause a remote endpoint must be sent for the query; the pattern is
+# the same message before anything runs, is sent or is cached. `sent` is
+# text a remote endpoint must be sent for the query; the pattern is
 # CAPITAL_GP unless the case names one. A VALUES row holds one term per
-# VALUES variable, no fewer and no more.
+# VALUES variable, no fewer and no more; a limit is None or an int >= 0,
+# and a limit of 0 gives no rows.
 _SHAPES = {
     "full_rows": dict(
         projection=[SOURCE_VAR, TARGET_VAR],
@@ -215,6 +217,17 @@ _SHAPES = {
         pattern=GraphPattern(), projection=[SOURCE_VAR],
         values=([SOURCE_VAR], [(ex("Berlin"),)]),
         error="a query needs at least one triple pattern"),
+    "limit_zero": dict(
+        projection=[SOURCE_VAR, TARGET_VAR],
+        values=([SOURCE_VAR], [(ex("Berlin"),), (ex("Oslo"),)]), limit=0,
+        sent=" } LIMIT 0", rows=[]),
+    "bad_limit": dict(
+        projection=[SOURCE_VAR, TARGET_VAR],
+        values=([SOURCE_VAR], [(ex("Berlin"),), (ex("Oslo"),)]), limit=-1,
+        error="a limit is None or an integer >= 0, not -1"),
+    "float_limit": dict(
+        projection=[SOURCE_VAR, TARGET_VAR], values=None, limit=1.5,
+        error="a limit is None or an integer >= 0, not 1.5"),
 }
 
 
@@ -228,29 +241,33 @@ class _AnsweringPost:
     def __call__(self, url, data, headers, timeout):
         self.calls.append(data["query"])
         rows = self.rows if self.sent in data["query"] else []
-        return 200, {"results": {"bindings": [
+        return _answer({"results": {"bindings": [
             {"source": {"type": "uri", "value": s.value},
-             "target": {"type": "uri", "value": t.value}} for s, t in rows]}}
+             "target": {"type": "uri", "value": t.value}} for s, t in rows]}})
 
 
-@pytest.mark.parametrize("path", ["engine", "local", "remote"])
+@pytest.mark.parametrize("path", ["engine", "local", "batched", "remote"])
 @pytest.mark.parametrize("case", list(_SHAPES))
 def test_one_query_shape_rule_on_every_path(capitals_store, case, path):
     c = _SHAPES[case]
     post = _AnsweringPost(c.get("sent"), c.get("rows"))
     ep = {"engine": None, "local": local_endpoint(capitals_store),
+          "batched": local_endpoint(capitals_store, batch_size=1),
           "remote": _remote(post, retries=0)}[path]
 
     pattern = c.get("pattern", CAPITAL_GP)
 
     def run():
         if ep is None:
-            return select(capitals_store, pattern, c["projection"], c["values"])
-        return ep.run_select(pattern, c["projection"], c["values"])
+            return select(capitals_store, pattern, c["projection"], c["values"],
+                          c.get("limit"))
+        return ep.run_select(pattern, c["projection"], c["values"], c.get("limit"))
 
     if "error" not in c:
-        assert run().rows == c["rows"]
+        result = run()
+        assert result.rows == c["rows"] and result.status == COMPLETE
         assert len(post.calls) == (path == "remote")
+        assert all(c["sent"] in query for query in post.calls)
         return
     with pytest.raises(ValueError) as exc:
         run()
@@ -258,10 +275,11 @@ def test_one_query_shape_rule_on_every_path(capitals_store, case, path):
     assert post.calls == []
     if ep is not None:
         assert len(ep._cache) == 0
-    if path == "remote" and case in ("short_row", "long_row"):
-        # the query writer refuses the rows on its own too
+    if path == "remote" and case in ("short_row", "long_row", "bad_limit",
+                                     "float_limit"):
+        # the query writer refuses the rows and the limit on its own too
         with pytest.raises(ValueError) as writer:
-            to_select_sparql(pattern, c["projection"], c["values"])
+            to_select_sparql(pattern, c["projection"], c["values"], c.get("limit"))
         assert str(writer.value) == c["error"]
 
 
@@ -291,6 +309,11 @@ def _sparql_json(rows):
                 {"target": {"type": "uri", "value": t}} for t in rows]}}
 
 
+def _answer(doc):
+    """A 200 answer whose body is the JSON text of `doc`."""
+    return 200, json.dumps(doc)
+
+
 class _FakePost:
     def __init__(self, responses):
         self.responses = list(responses)
@@ -303,7 +326,7 @@ class _FakePost:
             raise ConnectionError("boom")
         if action[0] == "http":
             return action[1], None
-        return 200, _sparql_json(action[1])
+        return _answer(_sparql_json(action[1]))
 
 
 _BERLIN = {"type": "uri", "value": "http://example.org/Berlin"}
@@ -351,7 +374,7 @@ class TestRemote:
         answers = [{"type": "bnode", "value": "b0"},
                    {"type": "literal", "value": 'say "hi"', "xml:lang": "en-GB"},
                    {"type": "typed-literal", "value": "42", "datatype": xsd_int}]
-        ep = _remote(lambda url, data, headers, timeout: (200, {
+        ep = _remote(lambda url, data, headers, timeout: _answer({
             "results": {"bindings": [{"target": a} for a in answers]}}))
         res = ep.run_select(CAPITAL_GP, [TARGET_VAR])
         assert res.rows == [(bnode("b0"),), (literal('say "hi"', lang="en-GB"),),
@@ -368,7 +391,7 @@ class TestRemote:
         """A term N-Triples cannot write would change the text of every later
         query built from it, so the answer is refused, not learned from."""
         bad = term.get("datatype") or term.get("xml:lang") or term["value"]
-        ep = _remote(lambda url, data, headers, timeout: (200, {
+        ep = _remote(lambda url, data, headers, timeout: _answer({
             "results": {"bindings": [{"target": term}]}}))
         with pytest.raises(ValueError) as exc:
             ep.run_select(CAPITAL_GP, [TARGET_VAR])
@@ -376,13 +399,15 @@ class TestRemote:
         assert len(ep._cache) == 0
 
     @pytest.mark.parametrize("term,message", [
-        ({"type": "uri"}, "without a string value"),
-        ({"type": "literal", "value": 3}, "without a string value"),
-        ({"type": "literal", "value": "v", "datatype": 3}, "non-string datatype"),
-        ({"type": "literal", "value": "v", "xml:lang": 3}, "or language")],
+        ({"type": "uri"}, r"are strings, not \(None, None, None\)"),
+        ({"type": "literal", "value": 3}, r"are strings, not \(3, None, None\)"),
+        ({"type": "literal", "value": "v", "datatype": 3},
+         r"are strings, not \('v', 3, None\)"),
+        ({"type": "literal", "value": "v", "xml:lang": 3},
+         r"are strings, not \('v', None, 3\)")],
         ids=["missing", "not-string", "datatype", "lang"])
     def test_json_term_without_string_value_refused(self, term, message):
-        ep = _remote(lambda url, data, headers, timeout: (200, {
+        ep = _remote(lambda url, data, headers, timeout: _answer({
             "results": {"bindings": [{"target": term}]}}))
         with pytest.raises(ValueError, match=message):
             ep.run_select(CAPITAL_GP, [TARGET_VAR])
@@ -398,10 +423,29 @@ class TestRemote:
     def test_malformed_answer_refused(self, payload):
         """An answer outside the SPARQL JSON results format, or one leaving a
         projected variable unbound, is refused and nothing is cached."""
-        ep = _remote(lambda url, data, headers, timeout: (200, payload))
+        ep = _remote(lambda url, data, headers, timeout: _answer(payload))
         with pytest.raises(ValueError, match="^SPARQL JSON "):
             ep.run_select(CAPITAL_GP, [SOURCE_VAR, TARGET_VAR])
         assert len(ep._cache) == 0
+
+    @pytest.mark.parametrize("body", [b"<html>busy</html>", b"", b"\xff"],
+                             ids=["html", "empty", "not-utf8"])
+    def test_non_json_answer_refused_once(self, monkeypatch, body):
+        """A 200 answer that is not JSON, through the HTTP client itself, is
+        a ValueError after one post, and nothing is cached."""
+        posts = []
+
+        def post(url, data, headers, timeout):
+            posts.append(url)
+            answer = requests.Response()
+            answer.status_code, answer._content = 200, body
+            return answer
+
+        monkeypatch.setattr(requests, "post", post)
+        ep = Endpoint(EndpointConfig(backoff=0.0), url="http://fake/sparql")
+        with pytest.raises(ValueError, match="^SPARQL JSON answer that is not JSON: "):
+            ep.run_select(CAPITAL_GP, [TARGET_VAR])
+        assert len(posts) == 1 and len(ep._cache) == 0
 
     def test_retry_then_success(self):
         post = _FakePost([("error",), ("error",), ("ok", ["http://x/G"])])
@@ -473,7 +517,7 @@ class TestBackend:
 
         def post(url, data, headers, timeout):
             urls.append(url)
-            return 200, _sparql_json([])
+            return _answer(_sparql_json([]))
 
         Endpoint(EndpointConfig(), url="http://e/sparql",
                  http_post=post).run_select(CAPITAL_GP, [TARGET_VAR])

@@ -357,6 +357,8 @@ def _reference_select(store: TripleStore, gp: GraphPattern,
     hard_budget = None if hard_timeout is None else int(hard_timeout * TICKS_PER_SECOND)
     if hard_budget is not None and hard_budget <= 0:
         return EvalResult([], 0.0, HARD_TIMEOUT)
+    if limit == 0:  # a query for no rows is complete without running
+        return EvalResult([], 0.0, COMPLETE)
 
     plan = join_plan(store, gp, set(values_vars))
     # a binding is a list of term ids: one slot per variable (plan order, then
@@ -384,7 +386,7 @@ def _reference_select(store: TripleStore, gp: GraphPattern,
 
     # VALUES terms missing from the store get negative ids, which match
     # nothing; a row holds one term per VALUES variable, and a shorter or
-    # longer row is an error (a bare Term is a 5-tuple)
+    # longer row is an error
     value_slots = [slot_of[v] for v in values_vars]
     width = len(value_slots)
     steps = _compile(triple_slots, frozenset(value_slots))

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import Counter
@@ -562,7 +563,7 @@ class TestRunSingleScoresEachPatternOnce:
         takes the next answer, not the hard timeout."""
         berlin = {"source": {"type": "uri", "value": EX + "Berlin"},
                   "target": {"type": "uri", "value": EX + "Germany"}}
-        answers = [(503, None), (200, {"results": {"bindings": [berlin]}})]
+        answers = [(503, None), (200, json.dumps({"results": {"bindings": [berlin]}}))]
         ep = Endpoint(EndpointConfig(retries=0, backoff=0.0), url="http://e/sparql",
                       http_post=lambda *args, **kwargs: answers.pop(0))
         a, b = (GraphPattern([TriplePattern(SOURCE_VAR, ex("capitalOf"), TARGET_VAR)])

@@ -52,8 +52,7 @@ class TestFitnessAndLedger:
                           pattern_vars=3, timeout_penalty=0.5, query_time_s=0.125)
         lp = LearnedPattern(
             pattern=GraphPattern([TriplePattern(SOURCE_VAR, ex("p"), TARGET_VAR)]),
-            fitness=ft, evaluation=PatternEvaluation(pv=[1.0, 0.5]),
-            canonical_key="k", run_index=2)
+            fitness=ft, evaluation=PatternEvaluation(pv=[1.0, 0.5]), run_index=2)
         assert learned_from_json(json.loads(dumps(learned_to_json(lp)))) == lp
 
     @pytest.mark.parametrize("pv", [[float("nan"), 0.0], [2.0, -1.0], ["abc", 0],
@@ -64,8 +63,7 @@ class TestFitnessAndLedger:
         lp = LearnedPattern(
             pattern=GraphPattern([TriplePattern(SOURCE_VAR, ex("p"), TARGET_VAR)]),
             fitness=FitnessTuple(1.0, 1.0, 1.0, 1.0, 1.0, 1, 1, 2, 0.0, 0.0),
-            evaluation=PatternEvaluation(pv=[1.0, 0.5]), canonical_key="k",
-            run_index=1)
+            evaluation=PatternEvaluation(pv=[1.0, 0.5]), run_index=1)
         doc = dict(learned_to_json(lp), pv=pv)
         with pytest.raises((ValueError, TypeError)):
             learned_from_json(doc)

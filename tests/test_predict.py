@@ -388,8 +388,8 @@ def test_remote_predict_equals_local():
                         local.config.default_limit)
                 res = local.run_select(*args)
                 answers[to_select_sparql(*args)] = (503, None) if res.timed_out else (
-                    200, {"results": {"bindings": [{"target": _json_term(t)}
-                                                   for t, in res.rows]}})
+                    200, json.dumps({"results": {"bindings": [{"target": _json_term(t)}
+                                                              for t, in res.rows]}}))
 
         def post(url, data, headers, timeout):
             return answers[data["query"]]

@@ -44,6 +44,26 @@ class TestTerm:
         with pytest.raises(AttributeError):
             t.value = "other"
 
+    def test_four_fields(self):
+        """A term holds its RDF fields only; its text is written on demand."""
+        t = literal('a"b', lang="en")
+        assert Term._fields == ("kind", "value", "datatype", "lang")
+        assert tuple(t) == ("literal", 'a"b', None, "en")
+        assert pickle.loads(pickle.dumps(t)) == t
+        assert t.n3() == '"a\\"b"@en'
+
+    @pytest.mark.parametrize("kind", ["iri", "bnode", "literal"])
+    @pytest.mark.parametrize("field", ["value", "datatype", "lang"])
+    @pytest.mark.parametrize("bad", [5, 0, b"http://x/a", ["en"]],
+                             ids=["int", "zero", "bytes", "list"])
+    def test_non_string_field_refused(self, kind, field, bad):
+        """Every field is checked when the term is built, not when it is written."""
+        fields = dict(value={"iri": "http://x/a", "bnode": "b1"}.get(kind, "v"),
+                      datatype=None, lang=None)
+        fields[field] = bad
+        with pytest.raises(ValueError):
+            Term(kind, **fields)
+
 
 # text near the edges of the term rules: delimiters, whitespace, a scheme
 _EDGY_TEXT = st.text(st.sampled_from('<>"{}|^`\\ \t\n\x00#.:_-?/@aZ09\xe9\u2028'))
@@ -61,7 +81,7 @@ _MAKERS = {
 
 def _read_back(term):
     """`term` parsed back from a triple that holds its N-Triples text."""
-    (t,) = parse_triples("<http://x/s> <http://x/p> %s ." % term.nt)
+    (t,) = parse_triples("<http://x/s> <http://x/p> %s ." % term.n3())
     return t.o
 
 
