@@ -262,17 +262,17 @@ def cmd_evaluate(args) -> int:
 
     if args.baselines:
         store = endpoint.store
-        pr = evalharness.pagerank(store)
-        auth, _hub = evalharness.hits(store)
-        indeg = {t: float(store.degree(t, "in")) for t in store.terms}
-        outdeg = {t: float(store.degree(t, "out")) for t in store.terms}
-        for scorer_name, scores in (("pagerank", pr), ("hits", auth),
-                                    ("indeg", indeg), ("outdeg", outdeg)):
+        # a degree scorer, given no scores, scores only each source's candidates
+        scorers = (("pagerank", evalharness.PAGERANK, evalharness.pagerank(store)),
+                   ("hits", evalharness.HITS_AUTH, evalharness.hits(store)[0]),
+                   ("indeg", evalharness.INDEG, None),
+                   ("outdeg", evalharness.OUTDEG, None))
+        for scorer_name, scorer, scores in scorers:
             for direction in ("in", "out", "bidi"):
                 ranks = []
                 for pair in test:
                     ranked = evalharness.baseline_predict(
-                        store, pair.source, direction, "pagerank", k=args.top,
+                        store, pair.source, direction, scorer, k=args.top,
                         scores=scores)
                     ranks.append(evalharness.rank_of_truth(ranked, pair.target))
                 reports["%s %s" % (scorer_name, direction)] = evalharness.metrics(ranks)

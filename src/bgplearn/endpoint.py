@@ -13,11 +13,12 @@ number is never read against results stored under an older table.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, get_type_hints
 
 from . import engine
 from .canon import canonicalize
@@ -38,19 +39,25 @@ _BOUNDS = {"batch_size": (1, math.inf), "default_limit": (1, math.inf),
            "soft_timeout": (0, math.inf), "hard_timeout": (0, math.inf)}
 
 
+_field_types = functools.cache(get_type_hints)  # it compiles annotations per call
+
+
 def check_settings(config, bounds: dict, unlimited=()) -> None:
     """ValueError unless every field of the dataclass `config` is a finite
-    number, in [low, high] where `bounds` maps its name to them; a field
-    named in `unlimited` may also be None, for "no limit"."""
+    number, an int for an int field and never a bool, in [low, high] where
+    `bounds` maps its name to them; a field named in `unlimited` may also be
+    None, for "no limit"."""
+    types = _field_types(type(config))
     for field in dataclasses.fields(config):
         value = getattr(config, field.name)
         if value is None and field.name in unlimited:
             continue
         low, high = bounds.get(field.name, (-math.inf, math.inf))
-        if not (isinstance(value, (int, float)) and math.isfinite(value)
-                and low <= value <= high):
-            raise ValueError("%s must be a finite number in [%s, %s], not %r"
-                             % (field.name, low, high, value))
+        kind = types[field.name]  # a float field takes an int too
+        if not (isinstance(value, (kind, int)) and not isinstance(value, bool)
+                and math.isfinite(value) and low <= value <= high):
+            raise ValueError("%s must be a finite %s in [%s, %s], not %r"
+                             % (field.name, kind.__name__, low, high, value))
 
 
 @dataclass

@@ -26,7 +26,8 @@ from itertools import chain
 from typing import Callable, Optional
 
 from .patterns import (GraphPattern, TriplePattern, Variable, check_limit,
-                       check_pattern, check_projection, is_var, values_table)
+                       check_pattern, check_projection, check_values_terms,
+                       is_var, values_table)
 from .rdf import Term, TripleStore
 
 COMPLETE = "complete"
@@ -251,9 +252,10 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
     `store` only that keeps each plan made here; its join function then runs
     every VALUES row through the triples depth first. The limit, pattern,
     projection and VALUES rows are read by `patterns.check_limit`,
-    `check_pattern`, `check_projection` and `values_table`, the rules a
-    remote endpoint's queries follow too; the rows are read only once the
-    budget, the constants and the limit leave something to run.
+    `check_pattern`, `check_projection`, `values_table` and, for an entry
+    the store lacks, `check_values_terms`: the rules a remote endpoint's
+    queries follow too; the rows are read only once the budget, the
+    constants and the limit leave something to run.
 
     With `decode=False` each row holds the store's term ids, which
     `store.term` decodes, in place of its terms. A VALUES term the store
@@ -291,6 +293,8 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
         if None in ids:
             ids = [unknown.setdefault(term, ~len(unknown)) if tid is None else tid
                    for term, tid in zip(chain.from_iterable(work), ids)]
+            if not all(isinstance(term, Term) for term in unknown):
+                check_values_terms(work)
         if values_vars:  # else every row is empty
             work = list(zip(*[iter(ids)] * len(values_vars)))
 

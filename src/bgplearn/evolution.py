@@ -13,8 +13,8 @@ from typing import Iterator, Optional, Sequence
 from .canon import pattern_key
 from .endpoint import check_settings
 from .engine import HARD_TIMEOUT
-from .fitness import (_STATUS_PENALTY, CoverageLedger, FitnessTuple,
-                      GroundTruthPair, PatternEvaluation, ScoreConfig, evaluate)
+from .fitness import (_STATUS_PENALTY, OVERFIT_FACTOR, CoverageLedger,
+                      FitnessTuple, GroundTruthPair, PatternEvaluation, evaluate)
 from .patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR, TriplePattern,
                        Variable)
 from .rdf import LITERAL, Term
@@ -29,12 +29,10 @@ _BOUNDS = {
     **dict.fromkeys(("max_generations", "max_runs", "fix_var_sample_size",
                      "fix_var_children", "max_pattern_length", "max_vars",
                      "hall_of_fame_size", "reintro_fresh", "reintro_hof",
-                     "min_remains", "overfit_min_sources", "overfit_min_targets"),
+                     "min_remains"),
                     (0, math.inf)),
     **dict.fromkeys(("mating_prob", "p_dominant", "p_recessive", "fragment_fraction",
-                     "init_fix_var_prob", "p_introduce_var", "p_split_var",
-                     "p_merge_var", "p_del_triple", "p_expand_node", "p_add_edge",
-                     "p_increase_dist", "p_simplify", "p_fix_var", "overfit_factor"),
+                     "init_fix_var_prob", "p_fix_var", "overfit_factor"),
                     (0, 1)),
 }
 
@@ -51,15 +49,6 @@ class EvolutionConfig:
     max_path_length: int = 3       # initial path lengths drawn with P(l) ~ 2^-l
     fragment_fraction: float = 0.1
     init_fix_var_prob: float = 0.9
-    # per-strategy mutation probabilities, applied sequentially in this order
-    p_introduce_var: float = 0.05
-    p_split_var: float = 0.05
-    p_merge_var: float = 0.05
-    p_del_triple: float = 0.05
-    p_expand_node: float = 0.1
-    p_add_edge: float = 0.05
-    p_increase_dist: float = 0.05
-    p_simplify: float = 0.05
     p_fix_var: float = 0.3
     fix_var_sample_size: int = 32  # GT pairs sampled per fix-var query
     fix_var_children: int = 8      # max instantiation children per fix-var
@@ -71,16 +60,10 @@ class EvolutionConfig:
     score_threshold: float = 2.0
     min_remains: float = 0.5
     seed: int = 42
-    overfit_factor: float = 0.1
-    overfit_min_sources: int = 2
-    overfit_min_targets: int = 2
+    overfit_factor: float = OVERFIT_FACTOR
 
     def __post_init__(self):
         check_settings(self, _BOUNDS)
-
-    def score_config(self) -> ScoreConfig:
-        return ScoreConfig(self.overfit_factor, self.overfit_min_sources,
-                           self.overfit_min_targets)
 
 
 class Individual:
@@ -403,15 +386,16 @@ def fix_var(gp: GraphPattern, endpoint, gt: list[GroundTruthPair],
     return children
 
 
+# (probability, operator), applied sequentially in this order by `mutate`
 _LOCAL_STRATEGIES = (
-    ("p_introduce_var", mut_introduce_var),
-    ("p_split_var", mut_split_var),
-    ("p_merge_var", mut_merge_var),
-    ("p_del_triple", mut_del_triple),
-    ("p_expand_node", mut_expand_node),
-    ("p_add_edge", mut_add_edge),
-    ("p_increase_dist", mut_increase_dist),
-    ("p_simplify", mut_simplify),
+    (0.05, mut_introduce_var),
+    (0.05, mut_split_var),
+    (0.05, mut_merge_var),
+    (0.05, mut_del_triple),
+    (0.1, mut_expand_node),
+    (0.05, mut_add_edge),
+    (0.05, mut_increase_dist),
+    (0.05, mut_simplify),
 )
 
 
@@ -422,8 +406,8 @@ def mutate(individual: Individual, endpoint, gt: list[GroundTruthPair],
     fix-var (the only query-issuing strategy) may emit several children."""
     gp = individual.pattern
     changed = False
-    for prob_name, strategy in _LOCAL_STRATEGIES:
-        if rng.random() < getattr(cfg, prob_name):
+    for prob, strategy in _LOCAL_STRATEGIES:
+        if rng.random() < prob:
             out = strategy(gp, rng)
             if out is not None:
                 gp = out
@@ -455,7 +439,6 @@ def _evaluate_all(individuals: list[Individual], endpoint,
     the pattern object, evaluation and fitness of the individual held there,
     with no query: within a run the GT and the ledger are fixed. A hard
     timeout, which may be a transient remote 5xx, is not held."""
-    score_cfg = cfg.score_config()
     for ind in individuals:
         if ind.fitness is not None:
             continue
@@ -465,7 +448,7 @@ def _evaluate_all(individuals: list[Individual], endpoint,
                 first.pattern, first.evaluation, first.fitness)
             continue
         ind.evaluation, ind.fitness = evaluate(endpoint, ind.pattern, gt,
-                                               ledger, score_cfg)
+                                               ledger, cfg.overfit_factor)
         if ind.fitness.timeout_penalty != _STATUS_PENALTY[HARD_TIMEOUT]:
             scored[ind.pattern] = ind
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from itertools import compress, repeat
 from numbers import Real
 from operator import itemgetter, sub
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple
 
 from .engine import COMPLETE, HARD_TIMEOUT, SOFT_TIMEOUT
 from .patterns import SOURCE_VAR, TARGET_VAR, GraphPattern
@@ -98,26 +98,22 @@ class PatternEvaluation:
         return [p > 0 for p in self.pv]
 
 
-@dataclass
-class ScoreConfig:
-    overfit_factor: float = 0.1
-    min_distinct_sources: int = 2
-    min_distinct_targets: int = 2
+# the factor of the score of a pattern that fits a single source or target
+OVERFIT_FACTOR = 0.1
 
 
 def score(gain: float, evaluation: PatternEvaluation, gt: list[GroundTruthPair],
-          config: Optional[ScoreConfig] = None) -> float:
-    """Gain with a multiplicative punishment for patterns fitting a single source/target."""
+          overfit_factor: float = OVERFIT_FACTOR) -> float:
+    """Gain, times `overfit_factor` when the matched pairs hold fewer than 2
+    distinct sources or targets: a pattern fitting a single source/target."""
     if gain < 0:
         raise ValueError("gain must be non-negative")
-    cfg = config or ScoreConfig()
     matched = list(compress(gt, evaluation.pv))
     sources = {p.source for p in matched}
     targets = {p.target for p in matched}
     penalty = 1.0
-    if (len(sources) < cfg.min_distinct_sources
-            or len(targets) < cfg.min_distinct_targets):
-        penalty = cfg.overfit_factor
+    if len(sources) < 2 or len(targets) < 2:
+        penalty = overfit_factor
     return gain * penalty
 
 
@@ -125,7 +121,7 @@ _STATUS_PENALTY = {COMPLETE: 0.0, SOFT_TIMEOUT: 0.5, HARD_TIMEOUT: 1.0}
 
 
 def evaluate(endpoint, gp: GraphPattern, gt: list[GroundTruthPair],
-             ledger: CoverageLedger, score_config: Optional[ScoreConfig] = None
+             ledger: CoverageLedger, overfit_factor: float = OVERFIT_FACTOR
              ) -> tuple[PatternEvaluation, FitnessTuple]:
     """Fitness of one pattern via a single batched prediction query over GT sources."""
     n = len(gt)
@@ -171,7 +167,7 @@ def evaluate(endpoint, gp: GraphPattern, gt: list[GroundTruthPair],
         gain = sum(map(max, repeat(0.0), map(sub, pv, ledger.values)))
 
     ev = PatternEvaluation(pv=pv)
-    sc = score(gain, ev, gt, score_config)
+    sc = score(gain, ev, gt, overfit_factor)
     ft = FitnessTuple(score=sc, gain=gain, f1=f1, avg_result_len=avg_result_len,
                       gt_matches=gt_matches, timeout_penalty=penalty,
                       query_time_s=res.elapsed, **base)

@@ -201,6 +201,13 @@ def values_table(width: int, rows) -> tuple:
                      % (row, "longer" if len(row) > width else "shorter", width))
 
 
+def check_values_terms(rows) -> None:
+    """ValueError for the first VALUES row, such as a bare Term, holding a non-Term."""
+    for row in rows:
+        if not all(isinstance(entry, Term) for entry in row):
+            raise ValueError("VALUES row %r holds an entry that is not a Term" % (row,))
+
+
 def check_pattern(gp: GraphPattern) -> None:
     """ValueError unless `gp` has a triple pattern: a query needs at least one."""
     if not gp.triples:
@@ -225,8 +232,9 @@ def check_limit(limit) -> None:
 
 def values_clause(variables: list[Variable], rows: list[tuple]) -> str:
     head = " ".join(v.n3() for v in variables)
-    body = " ".join("(%s)" % " ".join(t.n3() for t in row)
-                    for row in values_table(len(variables), rows))
+    table = values_table(len(variables), rows)
+    check_values_terms(table)
+    body = " ".join("(%s)" % " ".join(t.n3() for t in row) for row in table)
     return "VALUES (%s) { %s }" % (head, body)
 
 

@@ -117,14 +117,14 @@ class Triple(namedtuple("_Triple", "s p o")):
         return "%s %s %s ." % (self.s.n3(), self.p.n3(), self.o.n3())
 
 
-def key_getter(slots: list[int]):
+def _key_getter(slots: list[int]):
     """The getter of a lookup table's key from the ids at `slots` of a
     sequence: the id for one slot, their tuple for none or several."""
     return itemgetter(*slots) if slots else (lambda ids: ())
 
 
 # each lookup table's key from (s, p, o), by mask (see `TripleStore`)
-_KEYS = [key_getter([i for i in range(3) if mask & (4 >> i)]) for mask in range(8)]
+_KEYS = [_key_getter([i for i in range(3) if mask & (4 >> i)]) for mask in range(8)]
 
 
 class TripleStore:

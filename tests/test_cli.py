@@ -326,20 +326,32 @@ class TestConfig:
                                          "population_size=0", "max_runs=-1",
                                          "hard_timeout=inf", "soft_timeout=nan",
                                          "backoff=nan", "score_threshold=nan",
-                                         "p_fix_var=1.5", "overfit_factor=-0.1"],
+                                         "p_fix_var=1.5", "overfit_factor=-0.1",
+                                         "p_split_var=0.1", "overfit_min_sources=3"],
                              ids=["bogus", "batch_size", "backoff",
                                   "cache_capacity", "soft_timeout", "backend", "url",
                                   "max_path_length_0", "tournament_size_0",
                                   "population_size_0", "max_runs_negative",
                                   "hard_timeout_inf", "soft_timeout_nan",
                                   "backoff_nan", "score_threshold_nan",
-                                  "probability_above_1", "overfit_factor_negative"])
+                                  "probability_above_1", "overfit_factor_negative",
+                                  "p_split_var", "overfit_min_sources"])
     @pytest.mark.parametrize("command", ["learn", "predict", "evaluate"])
     def test_bad_config_key_exits_1(self, workdir, capsys, command, setting):
         code = main([command, "--store", str(workdir / "store.ttl"),
                      *command_inputs(workdir, command), "--set", setting])
         assert code == EXIT_USAGE
         assert "configuration error" in capsys.readouterr().err
+
+    def test_dropped_key_in_config_file_exits_1(self, workdir, capsys):
+        """The operator rates and the overfit minimums are constants now."""
+        config = workdir / "old.cfg"
+        config.write_text("population_size = 10\noverfit_min_targets = 2\n")
+        code = main(["learn", "--store", str(workdir / "store.ttl"),
+                     *command_inputs(workdir, "learn"), "--config", str(config)])
+        assert code == EXIT_USAGE
+        assert ("configuration error: unknown config key: 'overfit_min_targets'"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command, options", [
         ("learn", ["--seed", "x"]),

@@ -193,8 +193,8 @@ _LONG_ROW = (ex("Berlin"), ex("Paris"))
 # the same message before anything runs, is sent or is cached. `sent` is
 # text a remote endpoint must be sent for the query; the pattern is
 # CAPITAL_GP unless the case names one. A VALUES row holds one term per
-# VALUES variable, no fewer and no more; a limit is None or an int >= 0,
-# and a limit of 0 gives no rows.
+# VALUES variable, no fewer and no more, and a bare term is no row; a limit
+# is None or an int >= 0, and a limit of 0 gives no rows.
 _SHAPES = {
     "full_rows": dict(
         projection=[SOURCE_VAR, TARGET_VAR],
@@ -210,6 +210,10 @@ _SHAPES = {
         projection=[SOURCE_VAR],
         values=([SOURCE_VAR], [(ex("Berlin"),), _LONG_ROW]),
         error="VALUES row %r is longer than its 1 variables" % (_LONG_ROW,)),
+    "bare_term_row": dict(
+        projection=[SOURCE_VAR, TARGET_VAR],
+        values=([SOURCE_VAR, TARGET_VAR, V("a"), V("b")], [ex("Berlin")]),
+        error="VALUES row %r holds an entry that is not a Term" % (ex("Berlin"),)),
     "projection_outside": dict(
         projection=[V("nowhere")], values=None,
         error="projection variables not in pattern or VALUES: ?nowhere"),
@@ -275,8 +279,8 @@ def test_one_query_shape_rule_on_every_path(capitals_store, case, path):
     assert post.calls == []
     if ep is not None:
         assert len(ep._cache) == 0
-    if path == "remote" and case in ("short_row", "long_row", "bad_limit",
-                                     "float_limit"):
+    if path == "remote" and case in ("short_row", "long_row", "bare_term_row",
+                                     "bad_limit", "float_limit"):
         # the query writer refuses the rows and the limit on its own too
         with pytest.raises(ValueError) as writer:
             to_select_sparql(pattern, c["projection"], c["values"], c.get("limit"))
@@ -503,6 +507,22 @@ class TestConfig:
             EndpointConfig(**{name: lowest})
             with pytest.raises(ValueError, match=name):
                 EndpointConfig(**{name: below})
+
+    @pytest.mark.parametrize("setting", [
+        dict(batch_size=1.5), dict(default_limit=2.0), dict(retries=True),
+        dict(backoff=False), dict(soft_timeout=True)],
+        ids=lambda s: "%s=%r" % next(iter(s.items())))
+    def test_a_setting_has_its_declared_type(self, capitals_store, setting):
+        """An int setting takes an int, and no setting takes a bool, on a
+        local and a remote endpoint alike; the remote one posts nothing."""
+        refusal = "^%s must be " % next(iter(setting))
+        with pytest.raises(ValueError, match=refusal):
+            local_endpoint(capitals_store, **setting)
+        post = _FakePost([])
+        with pytest.raises(ValueError, match=refusal):
+            Endpoint(EndpointConfig(**setting), url="http://fake/sparql",
+                     http_post=post)
+        assert post.calls == []
 
 
 class TestBackend:

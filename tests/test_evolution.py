@@ -520,7 +520,7 @@ class TestRunSingle:
 
 class TestRunSingleScoresEachPatternOnce:
     @staticmethod
-    def _scored(monkeypatch, ep, gt, patterns):
+    def _scored(monkeypatch, ep, gt, patterns, **cfg_kw):
         """The initial population of a run of no generations, one individual
         per pattern, once scored, and the patterns `ep` was asked for."""
         population = [Individual(gp) for gp in patterns]
@@ -533,7 +533,7 @@ class TestRunSingleScoresEachPatternOnce:
             return real_run_select(gp, *args, **kwargs)
 
         monkeypatch.setattr(ep, "run_select", run_select)
-        cfg = small_cfg(max_generations=0, population_size=len(patterns))
+        cfg = small_cfg(max_generations=0, population_size=len(patterns), **cfg_kw)
         run_single(ep, gt, CoverageLedger.zeros(len(gt)), cfg,
                    random.Random(cfg.seed))
         return population, asked
@@ -548,6 +548,15 @@ class TestRunSingleScoresEachPatternOnce:
         assert asked == [a] and ep.backend_calls == 1
         assert second.pattern is first.pattern
         assert second.fitness == first.fitness and second.fitness.score > 0
+
+    @pytest.mark.parametrize("factor", [0.1, 0.5])
+    def test_score_takes_the_configured_overfit_factor(self, capitals_store,
+                                                       capitals_gt, monkeypatch,
+                                                       factor):
+        gt = [capitals_gt[0], GroundTruthPair(ex("Nowhere"), ex("Germany"))]
+        (ind,), _ = self._scored(monkeypatch, local_endpoint(capitals_store), gt,
+                                 [CAPITAL_GP], overfit_factor=factor)
+        assert (ind.fitness.gain, ind.fitness.score) == (1.0, factor)
 
     def test_renamed_twin_hits_the_endpoint_cache(self, capitals_store, capitals_gt,
                                                   monkeypatch):
@@ -665,3 +674,18 @@ class TestLearn:
         keys = [lp.canonical_key for rec in runs for lp in rec.accepted]
         assert len(runs) == 3 and not known & set(keys)
         assert len(keys) == len(set(keys))
+
+
+class TestConfig:
+    @pytest.mark.parametrize("setting", [
+        dict(population_size=40.0), dict(max_runs=2.5), dict(seed=True),
+        dict(fix_var_children=False), dict(p_fix_var=True),
+        dict(score_threshold=False)], ids=lambda s: "%s=%r" % next(iter(s.items())))
+    def test_a_setting_has_its_declared_type(self, setting):
+        """An int setting takes an int, and no setting takes a bool."""
+        with pytest.raises(ValueError, match="^%s must be " % next(iter(setting))):
+            EvolutionConfig(**setting)
+
+    def test_a_float_setting_takes_an_int(self):
+        cfg = EvolutionConfig(score_threshold=2, p_fix_var=1, overfit_factor=0)
+        assert (cfg.score_threshold, cfg.p_fix_var, cfg.overfit_factor) == (2, 1, 0)

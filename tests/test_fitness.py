@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from bgplearn.endpoint import local_endpoint
 from bgplearn.engine import SOFT_TIMEOUT, EvalResult, select
-from bgplearn.fitness import (_STATUS_PENALTY, CoverageLedger, FitnessTuple,
-                              GroundTruthPair, PatternEvaluation, ScoreConfig,
+from bgplearn.fitness import (_STATUS_PENALTY, OVERFIT_FACTOR, CoverageLedger,
+                              FitnessTuple, GroundTruthPair, PatternEvaluation,
                               evaluate, score)
 from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
                                TriplePattern, Variable)
@@ -115,21 +115,21 @@ class TestScore:
           GroundTruthPair(ex("c"), ex("z"))]
 
     def test_diverse_matches_full_gain(self):
-        assert score(3.0, self._eval({0, 1, 2}), self.gt, ScoreConfig()) == 3.0
+        assert score(3.0, self._eval({0, 1, 2}), self.gt) == 3.0
 
     def test_single_pair_overfit(self):
-        s = score(1.0, self._eval({0}), self.gt, ScoreConfig())
+        s = score(1.0, self._eval({0}), self.gt)
         assert s == pytest.approx(0.1)
 
     def test_zero_gain(self):
-        assert score(0.0, self._eval({0, 1}), self.gt, ScoreConfig()) == 0.0
+        assert score(0.0, self._eval({0, 1}), self.gt) == 0.0
 
     def test_same_source_overfit(self):
         gt = [GroundTruthPair(ex("a"), ex("x")),
               GroundTruthPair(ex("a"), ex("y"))]
         from bgplearn.fitness import PatternEvaluation
         ev = PatternEvaluation(pv=[1.0, 1.0])
-        assert score(2.0, ev, gt, ScoreConfig()) == pytest.approx(0.2)
+        assert score(2.0, ev, gt) == pytest.approx(0.2)
 
 
 class TestEvaluate:
@@ -146,6 +146,15 @@ class TestEvaluate:
         assert fit.remains == pytest.approx(3.0)
         assert fit.pattern_length == 1 and fit.pattern_vars == 2
         assert fit.timeout_penalty == 0.0
+
+    def test_overfit_factor_scales_a_single_matched_pair(self, capitals_store,
+                                                         capitals_gt):
+        gt = [capitals_gt[0], GroundTruthPair(ex("Nowhere"), ex("Germany"))]
+        led = CoverageLedger.zeros(len(gt))
+        for factor, expected in ((OVERFIT_FACTOR, 0.1), (0.5, 0.5), (1.0, 1.0)):
+            _, fit = evaluate(local_endpoint(capitals_store), CAPITAL_GP, gt, led,
+                              factor)
+            assert (fit.gain, fit.score) == (1.0, expected)
 
     def test_all_variable_predicate(self, capitals_store, capitals_gt):
         # Berlin has capitalOf, locatedIn and population edges so its
@@ -230,7 +239,7 @@ class TestEvaluate:
         assert new.remains() == 0.0
 
 
-def _reference_evaluate(endpoint, gp, gt, ledger, score_config=None):
+def _reference_evaluate(endpoint, gp, gt, ledger):
     """fitness.evaluate and score as per-pair loops, kept verbatim as the
     reference for the same float operations in the same order."""
     n = len(gt)
@@ -265,11 +274,10 @@ def _reference_evaluate(endpoint, gp, gt, ledger, score_config=None):
         gain = 0.0
     else:
         gain = sum([max(0.0, p - v) for p, v in zip(pv, ledger.values)])
-    cfg = score_config or ScoreConfig()
     matched = [pair for pair, hit in zip(gt, covered) if hit]
-    if (len({p.source for p in matched}) < cfg.min_distinct_sources
-            or len({p.target for p in matched}) < cfg.min_distinct_targets):
-        sc = gain * cfg.overfit_factor
+    if (len({p.source for p in matched}) < 2
+            or len({p.target for p in matched}) < 2):
+        sc = gain * OVERFIT_FACTOR
     else:
         sc = gain * 1.0
     ft = FitnessTuple(score=sc, gain=gain, f1=f1, avg_result_len=avg_result_len,
