@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import Callable, Optional
 
 from .patterns import (GraphPattern, TriplePattern, Variable, check_limit,
@@ -252,10 +252,9 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
     `store` only that keeps each plan made here; its join function then runs
     every VALUES row through the triples depth first. The limit, pattern,
     projection and VALUES rows are read by `patterns.check_limit`,
-    `check_pattern`, `check_projection`, `values_table` and, for an entry
-    the store lacks, `check_values_terms`: the rules a remote endpoint's
-    queries follow too; the rows are read only once the budget, the
-    constants and the limit leave something to run.
+    `check_pattern`, `check_projection`, `values_table` and `check_values_terms`:
+    the rules a remote endpoint's queries follow too; the rows are read only
+    once the budget, the constants and the limit leave something to run.
 
     With `decode=False` each row holds the store's term ids, which
     `store.term` decodes, in place of its terms. A VALUES term the store
@@ -289,12 +288,13 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
     work = [()]  # the ids of each VALUES row
     if values:
         work = values_table(len(values_vars), values[1])
-        ids = list(map(store.term_id, chain.from_iterable(work)))
+        flat = list(chain.from_iterable(work))
+        if not all(map(isinstance, flat, repeat(Term))):  # nor a tuple equal to one
+            check_values_terms(work)
+        ids = list(map(store.term_id, flat))
         if None in ids:
             ids = [unknown.setdefault(term, ~len(unknown)) if tid is None else tid
-                   for term, tid in zip(chain.from_iterable(work), ids)]
-            if not all(isinstance(term, Term) for term in unknown):
-                check_values_terms(work)
+                   for term, tid in zip(flat, ids)]
         if values_vars:  # else every row is empty
             work = list(zip(*[iter(ids)] * len(values_vars)))
 

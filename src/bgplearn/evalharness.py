@@ -78,23 +78,20 @@ def metrics(ranks: list[float], ks: range = range(1, 11)) -> MetricReport:
 
 
 def _node_graph(store: TripleStore):
-    """The sorted node ids of the store's edges, and each edge's source and
-    destination as indices into them, in numpy arrays."""
+    """The terms of the store's graph nodes (see `TripleStore.graph`), and
+    each edge's source and destination as indices into them, in numpy arrays."""
     import numpy as np
-    edges = sorted(store.edges())
-    nodes = sorted({n for e in edges for n in e})
-    index = {n: i for i, n in enumerate(nodes)}
-    src = np.array([index[s] for s, _ in edges], dtype=np.int64)
-    dst = np.array([index[o] for _, o in edges], dtype=np.int64)
-    return nodes, src, dst
+    nodes, src, dst = store.graph
+    return (list(map(store.term, nodes)), np.frombuffer(src, np.int64),
+            np.frombuffer(dst, np.int64))
 
 
 def pagerank(store: TripleStore, damping: float = 0.85, eps: float = 1e-10,
              max_iter: int = 200) -> dict[Term, float]:
     """Power iteration with dangling-mass redistribution; scores sum to 1."""
     import numpy as np
-    nodes, src, dst = _node_graph(store)
-    n = len(nodes)
+    terms, src, dst = _node_graph(store)
+    n = len(terms)
     if n == 0:
         return {}
     out_deg = np.bincount(src, minlength=n).astype(float)
@@ -108,7 +105,7 @@ def pagerank(store: TripleStore, damping: float = 0.85, eps: float = 1e-10,
             rank = new
             break
         rank = new
-    return {store.term(tid): float(r) for tid, r in zip(nodes, rank)}
+    return dict(zip(terms, rank.tolist()))
 
 
 def _unit(v):
@@ -123,8 +120,8 @@ def hits(store: TripleStore, eps: float = 1e-10, max_iter: int = 200
          ) -> tuple[dict[Term, float], dict[Term, float]]:
     """HITS with L2 normalization each step; returns (authority, hub) scores."""
     import numpy as np
-    nodes, src, dst = _node_graph(store)
-    n = len(nodes)
+    terms, src, dst = _node_graph(store)
+    n = len(terms)
     if n == 0:
         return {}, {}
     auth = np.full(n, 1.0 / math.sqrt(n))
@@ -136,9 +133,7 @@ def hits(store: TripleStore, eps: float = 1e-10, max_iter: int = 200
             auth, hub = new_auth, new_hub
             break
         auth, hub = new_auth, new_hub
-    terms = [store.term(tid) for tid in nodes]
-    return ({t: float(a) for t, a in zip(terms, auth)},
-            {t: float(h) for t, h in zip(terms, hub)})
+    return dict(zip(terms, auth.tolist())), dict(zip(terms, hub.tolist()))
 
 
 def neighbourhood(store: TripleStore, node: Term, direction: str) -> set[Term]:

@@ -5,9 +5,10 @@ from __future__ import annotations
 import gzip
 import re
 import sys
+from array import array
 from collections import namedtuple
 from functools import cached_property
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
@@ -160,6 +161,8 @@ class TripleStore:
         of id i and `ids` maps each term back to its id."""
         self._ids = ids
         self._terms = terms
+        self.term_id = ids.get  # a term's id, or None if the store lacks it
+        self.term = terms.__getitem__  # the term of an id
         spo = sorted(spo)
         one = dict(zip(spo, zip(spo)))
         self.tables: list[dict] = [{(): tuple(spo)}]
@@ -177,12 +180,6 @@ class TripleStore:
 
     def __contains__(self, t: Triple) -> bool:
         return (self._ids.get(t.s), self._ids.get(t.p), self._ids.get(t.o)) in self.tables[7]
-
-    def term_id(self, term: Term) -> Optional[int]:
-        return self._ids.get(term)
-
-    def term(self, tid: int) -> Term:
-        return self._terms[tid]
 
     @property
     def terms(self) -> list[Term]:
@@ -214,6 +211,16 @@ class TripleStore:
             rank[tid] = place
         return rank
 
+    @cached_property
+    def graph(self) -> tuple[array, array, array]:
+        """The distinct subject-object edges, worked out on first use: their
+        nodes' sorted ids, then each edge's source and destination as places
+        in those ids, in the (s, o) table's key order, which `_build` sorts."""
+        nodes = sorted(self.tables[4].keys() | self.tables[1].keys())
+        place = dict(zip(nodes, range(len(nodes))))
+        ends = array("q", map(place.__getitem__, chain.from_iterable(self.tables[5])))
+        return array("q", nodes), ends[0::2], ends[1::2]
+
     def degree(self, node: Term, direction: str = BIDI) -> int:
         nid = self._ids.get(node)  # None is no table's key
         if direction == OUT:
@@ -230,10 +237,6 @@ class TripleStore:
 
     def serialize(self) -> str:
         return "".join(t.n3() + "\n" for t in self.triples())
-
-    def edges(self) -> set[tuple[int, int]]:
-        """Distinct (subject-id, object-id) pairs, predicates collapsed."""
-        return {(s, o) for s, _, o in self.tables[0][()]}
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import pytest
 from bgplearn.fitness import GroundTruthPair
 from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
                                TriplePattern, Variable, is_var)
-from bgplearn.rdf import LITERAL, IRI, Term, Triple, TripleStore, iri
+from bgplearn.rdf import (LITERAL, IRI, Term, Triple, TripleStore, bnode, iri,
+                          literal)
 
 EX = "http://example.org/"
 
@@ -49,6 +50,31 @@ def random_store(rng, n_triples=60, n_nodes=15, n_preds=4):
     while len(triples) < n_triples:
         triples.add(Triple(rng.choice(nodes), rng.choice(preds), rng.choice(nodes)))
     return TripleStore(triples)
+
+
+def mixed_store(rng, n_triples=40):
+    """A random store whose objects include blank nodes and literals, whose
+    predicates are nodes too, with self-loops and node pairs that more than
+    one predicate joins."""
+    nodes = [ex("n%d" % i) for i in range(8)] + [bnode("b%d" % i) for i in range(3)]
+    objects = nodes + [literal("l%d" % i) for i in range(3)] + [literal("l0", lang="en")]
+    preds = nodes[:3] + [ex("p")]
+    triples = set()
+    while len(triples) < n_triples:
+        s = rng.choice(nodes)
+        o = s if rng.random() < 0.1 else rng.choice(objects)
+        triples.add(Triple(s, rng.choice(preds), o))
+    return TripleStore(triples)
+
+
+def sorted_set_graph(store):
+    """The sorted node ids of the store's distinct (subject, object) edges,
+    and each edge's source and destination as indices into them, edges in
+    sorted order: the graph built from a sorted set of edge tuples."""
+    edges = sorted({(s, o) for s, _, o in store.match_ids(None, None, None)})
+    nodes = sorted({n for e in edges for n in e})
+    index = {n: i for i, n in enumerate(nodes)}
+    return nodes, [index[s] for s, _ in edges], [index[o] for _, o in edges]
 
 
 def random_pattern(rng, n_triples=3, n_vars=4, store=None, with_reserved=True):

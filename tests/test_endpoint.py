@@ -190,11 +190,12 @@ class TestUnboundValues:
 _LONG_ROW = (ex("Berlin"), ex("Paris"))
 
 # Each query is accepted with the same rows on every path, or refused with
-# the same message before anything runs, is sent or is cached. `sent` is
-# text a remote endpoint must be sent for the query; the pattern is
-# CAPITAL_GP unless the case names one. A VALUES row holds one term per
-# VALUES variable, no fewer and no more, and a bare term is no row; a limit
-# is None or an int >= 0, and a limit of 0 gives no rows.
+# the same message before anything is sent or cached; only a local batched
+# query may run its earlier batches first. `sent` is text a remote endpoint
+# must be sent for the unbatched query; the pattern is CAPITAL_GP unless the
+# case names one. A VALUES row holds one Term per VALUES variable, no fewer
+# and no more, so a bare term is no row and a plain tuple equal to a term is
+# no entry; a limit is None or an int >= 0, and a limit of 0 gives no rows.
 _SHAPES = {
     "full_rows": dict(
         projection=[SOURCE_VAR, TARGET_VAR],
@@ -214,6 +215,15 @@ _SHAPES = {
         projection=[SOURCE_VAR, TARGET_VAR],
         values=([SOURCE_VAR, TARGET_VAR, V("a"), V("b")], [ex("Berlin")]),
         error="VALUES row %r holds an entry that is not a Term" % (ex("Berlin"),)),
+    "late_bad_row": dict(
+        projection=[SOURCE_VAR, TARGET_VAR],
+        values=([SOURCE_VAR], [(ex("Berlin"),), ("x",)]),
+        error="VALUES row ('x',) holds an entry that is not a Term"),
+    "plain_tuple_entry": dict(
+        projection=[SOURCE_VAR, TARGET_VAR],
+        values=([SOURCE_VAR], [(tuple(ex("Berlin")),)]),
+        error="VALUES row %r holds an entry that is not a Term"
+              % ((tuple(ex("Berlin")),),)),
     "projection_outside": dict(
         projection=[V("nowhere")], values=None,
         error="projection variables not in pattern or VALUES: ?nowhere"),
@@ -236,28 +246,32 @@ _SHAPES = {
 
 
 class _AnsweringPost:
-    """A remote endpoint that answers a query carrying `sent` with `rows`."""
+    """A remote endpoint that answers a query with those of `rows` whose
+    source its VALUES table names."""
 
-    def __init__(self, sent, rows):
-        self.sent, self.rows = sent, rows
+    def __init__(self, rows):
+        self.rows = rows or []
         self.calls = []
 
     def __call__(self, url, data, headers, timeout):
-        self.calls.append(data["query"])
-        rows = self.rows if self.sent in data["query"] else []
+        query = data["query"]
+        self.calls.append(query)
         return _answer({"results": {"bindings": [
             {"source": {"type": "uri", "value": s.value},
-             "target": {"type": "uri", "value": t.value}} for s, t in rows]}})
+             "target": {"type": "uri", "value": t.value}}
+            for s, t in self.rows if "(%s)" % s.n3() in query]}})
 
 
-@pytest.mark.parametrize("path", ["engine", "local", "batched", "remote"])
+@pytest.mark.parametrize("path", ["engine", "local", "batched", "remote",
+                                  "remote_batched"])
 @pytest.mark.parametrize("case", list(_SHAPES))
 def test_one_query_shape_rule_on_every_path(capitals_store, case, path):
     c = _SHAPES[case]
-    post = _AnsweringPost(c.get("sent"), c.get("rows"))
+    post = _AnsweringPost(c.get("rows"))
     ep = {"engine": None, "local": local_endpoint(capitals_store),
           "batched": local_endpoint(capitals_store, batch_size=1),
-          "remote": _remote(post, retries=0)}[path]
+          "remote": _remote(post, retries=0),
+          "remote_batched": _remote(post, retries=0, batch_size=1)}[path]
 
     pattern = c.get("pattern", CAPITAL_GP)
 
@@ -270,8 +284,10 @@ def test_one_query_shape_rule_on_every_path(capitals_store, case, path):
     if "error" not in c:
         result = run()
         assert result.rows == c["rows"] and result.status == COMPLETE
-        assert len(post.calls) == (path == "remote")
-        assert all(c["sent"] in query for query in post.calls)
+        batches = len(c["values"][1]) if c["values"] else 1
+        assert len(post.calls) == {"remote": 1, "remote_batched": batches}.get(path, 0)
+        if path == "remote":
+            assert c["sent"] in post.calls[0]
         return
     with pytest.raises(ValueError) as exc:
         run()
@@ -280,6 +296,7 @@ def test_one_query_shape_rule_on_every_path(capitals_store, case, path):
     if ep is not None:
         assert len(ep._cache) == 0
     if path == "remote" and case in ("short_row", "long_row", "bare_term_row",
+                                     "late_bad_row", "plain_tuple_entry",
                                      "bad_limit", "float_limit"):
         # the query writer refuses the rows and the limit on its own too
         with pytest.raises(ValueError) as writer:
@@ -305,6 +322,20 @@ class TestBatching:
         ep.run_select(CAPITAL_GP, [SOURCE_VAR, TARGET_VAR],
                       values=([SOURCE_VAR], pairs))
         assert ep.backend_calls == 3
+
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_remote_refuses_late_bad_row_before_posting(self, cache):
+        """A remote endpoint reads the whole VALUES table before it posts the
+        first batch, with or without the cache key, which reads row lengths."""
+        post = _AnsweringPost([])
+        ep = _remote(post, retries=0, batch_size=1)
+        for late, error in ((_LONG_ROW, "is longer than its 1 variables"),
+                            (("x",), "holds an entry that is not a Term")):
+            with pytest.raises(ValueError, match=error):
+                ep.run_select(CAPITAL_GP, [SOURCE_VAR],
+                              values=([SOURCE_VAR], [(ex("Berlin"),), late]),
+                              cache=cache)
+        assert post.calls == [] and ep.backend_calls == 0
 
 
 def _sparql_json(rows):

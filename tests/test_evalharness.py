@@ -3,10 +3,12 @@ import os
 import random
 import subprocess
 import sys
+from functools import cached_property
 
 import numpy as np
 import pytest
 
+from bgplearn import evalharness
 from bgplearn.evalharness import (HITS_AUTH, INDEG, PAGERANK, baseline_predict,
                                   hits, metrics, neighbourhood, pagerank,
                                   rank_of_truth, split_pairs)
@@ -14,11 +16,16 @@ import bgplearn
 from bgplearn.fitness import GroundTruthPair
 from bgplearn.rdf import BIDI, IN, OUT, Triple, TripleStore, load_ntriples
 
-from conftest import CAPITALS_TTL, ex, random_store
+from conftest import CAPITALS_TTL, ex, mixed_store, random_store, sorted_set_graph
 
 
 def chain_store(edges):
     return TripleStore([Triple(ex(s), ex("p"), ex(o)) for s, o in edges])
+
+
+def _edges(store):
+    """The store's distinct (subject id, object id) pairs."""
+    return {(s, o) for s, _, o in store.match_ids(None, None, None)}
 
 
 class TestSplit:
@@ -124,11 +131,11 @@ class TestPageRank:
         # independent dense-matrix power iteration
         rng = random.Random(30)
         store = random_store(rng, 60, 15, 4)
-        nodes = sorted({n for e in store.edges() for n in e})
+        nodes = sorted({n for e in _edges(store) for n in e})
         idx = {store.term(n): i for i, n in enumerate(nodes)}
         n = len(nodes)
         m = np.zeros((n, n))
-        for s, o in store.edges():
+        for s, o in _edges(store):
             m[idx[store.term(o)], idx[store.term(s)]] = 1.0
         out_deg = m.sum(axis=0)
         col = np.where(out_deg > 0, out_deg, 1.0)
@@ -163,11 +170,9 @@ class TestHits:
 
 def _reference_scores(store):
     """PageRank and HITS as computed with np.add.at and np.linalg.norm."""
-    nodes = sorted({n for e in store.edges() for n in e})
-    index = {t: i for i, t in enumerate(nodes)}
-    edges = sorted(store.edges())
-    src = np.array([index[s] for s, _ in edges], dtype=np.int64)
-    dst = np.array([index[o] for _, o in edges], dtype=np.int64)
+    nodes, src, dst = sorted_set_graph(store)
+    src = np.array(src, dtype=np.int64)
+    dst = np.array(dst, dtype=np.int64)
     n = len(nodes)
     out_deg = np.bincount(src, minlength=n).astype(float)
     dangling = out_deg == 0
@@ -248,6 +253,48 @@ class TestReferenceScores:
                 [sys.executable, "-c", _THREADS_SCRIPT], env=env, check=True,
                 capture_output=True, text=True, timeout=300).stdout)
         assert outputs[0] == outputs[1]
+
+
+def _sorted_set_node_graph(store):
+    """`evalharness._node_graph` from a sorted set of edge tuples."""
+    nodes, src, dst = sorted_set_graph(store)
+    return ([store.term(n) for n in nodes], np.array(src, dtype=np.int64),
+            np.array(dst, dtype=np.int64))
+
+
+_GRAPH_STORES = dict(_FIXTURE_STORES, empty=TripleStore, **{
+    "mixed%d" % seed: (lambda seed=seed: mixed_store(random.Random(seed)))
+    for seed in range(12)})
+
+
+class TestSharedGraph:
+    @pytest.mark.parametrize("name", sorted(_GRAPH_STORES))
+    def test_scores_equal_the_sorted_set_build(self, name, monkeypatch):
+        """Each score and its node order are those of the scores over a
+        graph built from a sorted set of edge tuples, float for float."""
+        make = _GRAPH_STORES[name]
+        got = [pagerank(make()), *hits(make())]
+        monkeypatch.setattr(evalharness, "_node_graph", _sorted_set_node_graph)
+        want = [pagerank(make()), *hits(make())]
+        assert [list(d.items()) for d in got] == [list(d.items()) for d in want]
+
+    def test_pagerank_and_hits_build_one_graph(self, monkeypatch):
+        build = TripleStore.graph.func
+        stores = []
+
+        def counted(store):
+            stores.append(store)
+            return build(store)
+
+        graph = cached_property(counted)
+        graph.__set_name__(TripleStore, "graph")
+        monkeypatch.setattr(TripleStore, "graph", graph)
+        store = mixed_store(random.Random(3))
+        assert stores == []  # not built at load
+        pagerank(store)
+        hits(store)
+        pagerank(store)
+        assert stores == [store]
 
 
 class TestBaselines:

@@ -3,6 +3,7 @@ import gzip
 import pickle
 import random
 import re
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from bgplearn.patterns import TriplePattern, Variable
 from bgplearn.rdf import (BIDI, IN, OUT, RDFSyntaxError, Term, Triple, TripleStore,
                           bnode, iri, literal, load_ntriples, parse_triples)
 
-from conftest import ex, random_store
+from conftest import ex, mixed_store, random_store, sorted_set_graph
 
 
 class TestTerm:
@@ -661,6 +662,36 @@ class TestMatch:
         assert (a.lang, b.lang, one.datatype) == ("en", "en", xsd_int[1:-1])
         assert a.lang is b.lang
         assert one.datatype is two.datatype
+
+
+class TestGraph:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_the_sorted_set_build(self, seed):
+        store = mixed_store(random.Random(seed))
+        nodes, src, dst = store.graph
+        assert all(type(a) is array and a.typecode == "q" for a in store.graph)
+        assert (list(nodes), list(src), list(dst)) == sorted_set_graph(store)
+        assert store.graph is store.graph
+
+    def test_stores_cover_each_kind_of_edge(self):
+        """Between them the stores above hold self-loops, literal and blank
+        node objects, predicates that are nodes, and pairs of nodes that
+        two predicates join."""
+        seen = set()
+        for seed in range(20):
+            store = mixed_store(random.Random(seed))
+            triples = list(store.triples())
+            nodes = {t.s for t in triples} | {t.o for t in triples}
+            pairs = [(t.s, t.o) for t in triples]
+            seen |= {"self_loop" for s, o in pairs if s == o}
+            seen |= {o.kind for _, o in pairs}
+            seen |= {"predicate_node" for t in triples if t.p in nodes}
+            seen |= {"two_predicates" for pair in pairs if pairs.count(pair) > 1}
+        assert seen == {"self_loop", "iri", "bnode", "literal", "predicate_node",
+                        "two_predicates"}
+
+    def test_empty_store(self):
+        assert TripleStore().graph == (array("q"), array("q"), array("q"))
 
 
 class TestDegree:
