@@ -2,12 +2,13 @@
 
 Adds VALUES batching, retry with backoff, and a result cache for the queries
 a caller may ask again (fitness and `simplify.projection_checker`), keyed by
-the pattern's canonical form, so renamed-variable twins hit, and by a number
-for its VALUES table. Fix-var and predict queries skip it, and so does
-every query whose rows are not decoded to terms. The results, the
-table numbers and a local store's plans are three plain dicts; once any of
-them holds `_MEMO_BOUND` entries, all three are cleared together, so a table
-number is never read against results stored under an older table.
+the pattern's canonical form, so renamed-variable twins hit, by a number
+for its VALUES table, and by whether its rows are decoded to terms; both of
+those callers leave them as the endpoint's handles. Fix-var and predict
+queries skip it. The results, the table numbers and a local store's
+plans are three plain dicts; once any of them holds `_MEMO_BOUND` entries,
+all three are cleared together, so a table number is never read against
+results stored under an older table.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ class EndpointUnreachable(EndpointError):
     """Raised after exhausting retries against a remote endpoint."""
 
 
-def _cache_key(gp: GraphPattern, projection, values, limit,
+def _cache_key(gp: GraphPattern, projection, values, limit, decode,
                tables: dict) -> str:
     form = canonicalize(gp)
     mapping = form.variable_mapping
@@ -97,6 +98,8 @@ def _cache_key(gp: GraphPattern, projection, values, limit,
         table = values_table(len(vvars), rows)
         parts.append("T:%d" % tables.setdefault(table, len(tables)))
     parts.append("L:%s" % (limit,))
+    if decode:
+        parts.append("terms")
     return "\x1e".join(parts)
 
 
@@ -117,8 +120,10 @@ class Endpoint:
         self._tables: dict = {}
         self._plans: dict = {}
         self.backend_calls = 0
-        # the term of a handle in an undecoded row
+        # the term of a handle in an undecoded row, and its inverse: the
+        # handle of a term, None for a term a local store lacks
         self.term: Callable = store.term if store is not None else _same
+        self.handle: Callable = store.term_id if store is not None else _same
 
     # -- public API ---------------------------------------------------------
 
@@ -131,18 +136,17 @@ class Endpoint:
 
         `decode=False` leaves each row as this endpoint's handles: a local
         store's term ids (see `engine.select`) or a remote endpoint's terms.
-        `term` decodes a handle and `order_key` orders handles as their
-        terms. Such a query neither reads nor stores the result cache, which
-        holds decoded rows."""
+        `term` decodes a handle, `handle` encodes a term and `order_key`
+        orders handles as their terms. The cache keeps such rows apart from
+        decoded ones."""
         check_pattern(gp)  # before the cache key, which canonicalizes gp
         check_limit(limit)
-        cache = cache and decode
         memos = (self._cache, self._tables, self._plans)
         if max(map(len, memos)) >= _MEMO_BOUND:
             for memo in memos:
                 memo.clear()
         if cache:
-            key = _cache_key(gp, projection, values, limit, self._tables)
+            key = _cache_key(gp, projection, values, limit, decode, self._tables)
             hit = self._cache.get(key)
             if hit is not None:
                 return hit

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress, groupby, repeat
 from numbers import Real
 from operator import itemgetter, sub
 from typing import Iterable, NamedTuple
@@ -137,19 +137,22 @@ def evaluate(endpoint, gp: GraphPattern, gt: list[GroundTruthPair],
     sources = dict.fromkeys(map(itemgetter(0), gt))
     res = endpoint.run_select(gp, [SOURCE_VAR, TARGET_VAR],
                               values=([SOURCE_VAR], list(zip(sources))),
-                              limit=None)
+                              limit=None, decode=False)
     penalty = _STATUS_PENALTY[res.status]
 
-    targets_by_source: dict[Term, set[Term]] = {}
-    for s, t in res.rows:
-        targets_by_source.setdefault(s, set()).add(t)
+    # rows hold the endpoint's handles, so the GT is compared as handles;
+    # a term the store lacks is None, which no row holds
+    targets_by_source: dict = {}
+    for s, group in groupby(res.rows, itemgetter(0)):
+        targets_by_source.setdefault(s, set()).update(map(itemgetter(1), group))
 
     # each pair's target set, or None if its source has no row: only the
     # pairs with a set take a step in Python
-    tsets = list(map(targets_by_source.get, map(itemgetter(0), gt)))
+    handle = endpoint.handle
+    tsets = list(map(targets_by_source.get, map(handle, map(itemgetter(0), gt))))
     pv = [0.0] * n
     for i in compress(range(n), tsets):
-        if gt[i].target in tsets[i]:
+        if handle(gt[i].target) in tsets[i]:
             pv[i] = 1.0 / len(tsets[i])
     total_len = sum(map(len, filter(None, tsets)))
 

@@ -177,7 +177,7 @@ def predict_targets(endpoint, portfolio: PatternPortfolio, source: Term) -> list
         res = endpoint.run_select(entry.pattern, [TARGET_VAR],
                                   values=([SOURCE_VAR], [(source,)]),
                                   limit=endpoint.config.default_limit,
-                                  decode=False)
+                                  cache=False, decode=False)
         sets.append(set() if res.timed_out else {row[0] for row in res.rows})
     return sets
 

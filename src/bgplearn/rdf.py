@@ -286,7 +286,8 @@ _STATEMENT_RE = re.compile(r"""
            lang=_LANG_RE.pattern), re.VERBOSE)
 
 
-_ESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
+# An escape, whole, as `re.split` gives it back between the text around it.
+_ESCAPE_RE = re.compile(r"(\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.))")
 
 _UNESCAPES = {
     "\\t": "\t", "\\b": "\b", "\\n": "\n", "\\r": "\r", "\\f": "\f",
@@ -294,28 +295,37 @@ _UNESCAPES = {
 }
 
 
-def _unescape_one(m: re.Match) -> str:
-    c = _UNESCAPES.get(m.group())
+def _unescape_one(escape: str) -> str:
+    c = _UNESCAPES.get(escape)
     if c is not None:
         return c
-    digits = m.group(1) or m.group(2)
-    if digits:
-        code = int(digits, 16)
+    if len(escape) > 2:  # \uXXXX or \UXXXXXXXX
+        code = int(escape[2:], 16)
         if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
-            raise ValueError("%s is not a Unicode scalar value" % m.group())
+            raise ValueError("%s is not a Unicode scalar value" % escape)
         return chr(code)
-    e = m.group(3)
+    e = escape[1]
     if e in ("u", "U"):
         raise ValueError("malformed \\%s escape in literal" % e)
     raise ValueError("unknown escape \\%s in literal" % e)
 
 
-def _unescape(raw: str) -> str:
-    """A literal's body with its escapes decoded; a bad escape raises
-    ValueError with the message to report."""
+class _Escapes(dict):
+    """The text of each escape, decoded at its first use; a bad escape
+    raises ValueError with the message to report, and is never stored."""
+
+    def __missing__(self, escape: str) -> str:
+        self[escape] = text = _unescape_one(escape)
+        return text
+
+
+def _unescape(raw: str, escapes: _Escapes) -> str:
+    """A literal's body with its escapes decoded through `escapes`."""
     if "\\" not in raw:
         return raw
-    return _ESCAPE_RE.sub(_unescape_one, raw)
+    parts = _ESCAPE_RE.split(raw)
+    parts[1::2] = map(escapes.__getitem__, parts[1::2])
+    return "".join(parts)
 
 
 class _Parser:
@@ -334,7 +344,8 @@ class _Parser:
     fails the check is never entered, so it raises wherever it occurs first.
     Literals and every newly built term are keyed by `Term` in `term_ids`,
     so a term has one id however it is written; each language tag and
-    datatype IRI is one interned string.
+    datatype IRI is one interned string, and each escape is decoded once,
+    in `escapes`.
     """
 
     def __init__(self, text: str):
@@ -344,6 +355,7 @@ class _Parser:
         self.ids: dict[str, int] = {}
         self.terms: list[Term] = []
         self.term_ids: dict[Term, int] = {}
+        self.escapes = _Escapes()
 
     def _error(self, message: str, offset: int) -> RDFSyntaxError:
         line_start = self.text.rfind("\n", 0, offset) + 1
@@ -373,8 +385,13 @@ class _Parser:
             sid, pid = self._node(s), self._node(p)
             if o is not None:
                 return sid, pid, self._node(o)
-            return sid, pid, self._intern(literal(
-                _unescape(lit[1:-1]), dt and sys.intern(dt[1:-1]), lang and sys.intern(lang)))
+            # the match has made every check of `Term` but this one
+            if dt is not None:
+                dt = sys.intern(dt[1:-1])
+                if not _IRI_RE.fullmatch(dt):
+                    return None
+            return sid, pid, self._intern(tuple.__new__(Term, (
+                LITERAL, _unescape(lit[1:-1], self.escapes), dt, lang and sys.intern(lang))))
         except ValueError:
             return None
 
@@ -434,7 +451,7 @@ class _Parser:
             if as_predicate or as_subject:
                 raise self._error("literal not allowed in this position", offset)
             try:
-                raw = _unescape(value[1:-1])
+                raw = _unescape(value[1:-1], self.escapes)
             except ValueError as exc:
                 raise self._error(str(exc), offset) from None
             nxt = self._next()

@@ -67,6 +67,20 @@ def mixed_store(rng, n_triples=40):
     return TripleStore(triples)
 
 
+def json_term(term: Term) -> dict:
+    """The SPARQL JSON value of a term, as a remote endpoint answers it."""
+    if term.kind == "iri":
+        return {"type": "uri", "value": term.value}
+    if term.kind == "bnode":
+        return {"type": "bnode", "value": term.value}
+    out = {"type": "literal", "value": term.value}
+    if term.lang is not None:
+        out["xml:lang"] = term.lang
+    if term.datatype is not None:
+        out["datatype"] = term.datatype
+    return out
+
+
 def sorted_set_graph(store):
     """The sorted node ids of the store's distinct (subject, object) edges,
     and each edge's source and destination as indices into them, edges in

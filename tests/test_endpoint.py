@@ -80,7 +80,7 @@ class TestUncached:
 
 
 class TestUndecoded:
-    """`decode=False`: rows of store ids, outside the result cache."""
+    """`decode=False`: rows of store ids, cached apart from decoded rows."""
 
     def test_batched_equals_unbatched(self, capitals_store):
         values = ([SOURCE_VAR], [(ex("Berlin"),), (ex("Nowhere"),), (ex("Paris"),)])
@@ -96,17 +96,26 @@ class TestUndecoded:
                 == whole.run_select(CAPITAL_GP, projection, values).rows
                 == [(ex("Berlin"), ex("Germany")), (ex("Paris"), ex("France"))])
 
-    def test_neither_reads_nor_stores_the_cache(self, capitals_store):
+    def test_cached_apart_from_decoded_rows(self, capitals_store):
         ep = local_endpoint(capitals_store)
         values = ([SOURCE_VAR], [(ex("Berlin"),)])
         decoded = ep.run_select(CAPITAL_GP, [TARGET_VAR], values)
-        stored = (dict(ep._cache), dict(ep._tables))
-        for _ in range(2):
-            res = ep.run_select(CAPITAL_GP, [TARGET_VAR], values, decode=False)
-            assert res.rows == [(capitals_store.term_id(ex("Germany")),)]
-        assert ep.backend_calls == 3
-        assert (ep._cache, ep._tables) == stored
+        ids = ep.run_select(CAPITAL_GP, [TARGET_VAR], values, decode=False)
+        assert ids.rows == [(capitals_store.term_id(ex("Germany")),)]
+        assert ep.run_select(CAPITAL_GP, [TARGET_VAR], values, decode=False) is ids
         assert ep.run_select(CAPITAL_GP, [TARGET_VAR], values) is decoded
+        assert ep.backend_calls == 2 and len(ep._cache) == 2
+        # `cache=False` neither reads nor stores it, nor numbers a new table
+        stored = (dict(ep._cache), dict(ep._tables))
+        other = ([SOURCE_VAR], [(ex("Paris"),)])
+        for _ in range(2):
+            res = ep.run_select(CAPITAL_GP, [TARGET_VAR], other, cache=False,
+                                decode=False)
+            assert res.rows == [(capitals_store.term_id(ex("France")),)]
+            res = ep.run_select(CAPITAL_GP, [TARGET_VAR], values, cache=False)
+            assert res is not decoded and res.rows == decoded.rows
+        assert ep.backend_calls == 6
+        assert (ep._cache, ep._tables) == stored
 
     def test_values_only_projection_refused(self, capitals_store):
         """Its id would mean nothing outside the query, for a term the store

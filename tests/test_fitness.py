@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -6,15 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgplearn.endpoint import local_endpoint
-from bgplearn.engine import SOFT_TIMEOUT, EvalResult, select
+from bgplearn.endpoint import Endpoint, local_endpoint
+from bgplearn.engine import COMPLETE, SOFT_TIMEOUT, EvalResult, select
 from bgplearn.fitness import (_STATUS_PENALTY, OVERFIT_FACTOR, CoverageLedger,
                               FitnessTuple, GroundTruthPair, PatternEvaluation,
                               evaluate, score)
 from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
-                               TriplePattern, Variable)
+                               TriplePattern, Variable, to_select_sparql)
+from bgplearn.rdf import IRI, literal
 
-from conftest import ex, random_pattern, random_store
+from conftest import ex, json_term, mixed_store, random_pattern, random_store
 
 V = Variable
 CAPITAL_GP = GraphPattern([TriplePattern(SOURCE_VAR, ex("capitalOf"), TARGET_VAR)])
@@ -218,7 +220,10 @@ class TestEvaluate:
         """A soft-timed-out answer still gives each pair its precision from
         the rows it holds, but no gain, however many new pairs they cover."""
         class SoftTimeoutEndpoint:
-            def run_select(self, gp, projection, values=None, limit=None):
+            handle = staticmethod(lambda term: term)  # as a remote endpoint maps terms
+
+            def run_select(self, gp, projection, values=None, limit=None,
+                           decode=True):
                 rows = [(ex("Berlin"), ex("Germany")), (ex("Paris"), ex("France")),
                         (ex("Paris"), ex("Spain"))]
                 return EvalResult(rows, elapsed=0.25, status=SOFT_TIMEOUT)
@@ -286,6 +291,17 @@ def _reference_evaluate(endpoint, gp, gt, ledger):
     return pv, covered, ft
 
 
+def _random_path_pattern(rng, store) -> GraphPattern:
+    """?source to ?target over one or two edges of the store's predicates."""
+    preds = [V("p")] + sorted({tr.p for tr in store.triples()},
+                              key=lambda t: t.sort_key())
+    return GraphPattern(rng.choice([
+        [TriplePattern(SOURCE_VAR, rng.choice(preds), TARGET_VAR)],
+        [TriplePattern(TARGET_VAR, rng.choice(preds), SOURCE_VAR)],
+        [TriplePattern(SOURCE_VAR, rng.choice(preds), V("x")),
+         TriplePattern(V("x"), rng.choice(preds), TARGET_VAR)]]))
+
+
 def test_evaluate_equals_per_pair_reference():
     rng = random.Random(21)
     budgets = [dict(soft_timeout=None, hard_timeout=None)] * 4 + [
@@ -295,13 +311,7 @@ def test_evaluate_equals_per_pair_reference():
         store = random_store(rng, rng.randint(30, 120), rng.randint(8, 16),
                              rng.randint(2, 4))
         nodes = sorted(store.terms, key=lambda t: t.sort_key())
-        preds = [V("p")] + sorted({tr.p for tr in store.triples()},
-                                  key=lambda t: t.sort_key())
-        gp = GraphPattern(rng.choice([
-            [TriplePattern(SOURCE_VAR, rng.choice(preds), TARGET_VAR)],
-            [TriplePattern(TARGET_VAR, rng.choice(preds), SOURCE_VAR)],
-            [TriplePattern(SOURCE_VAR, rng.choice(preds), V("x")),
-             TriplePattern(V("x"), rng.choice(preds), TARGET_VAR)]]))
+        gp = _random_path_pattern(rng, store)
         answers = select(store, gp, [SOURCE_VAR, TARGET_VAR], limit=None).rows
         # pairs the pattern finds, repeated sources and pairs, and sources
         # it never reaches
@@ -319,3 +329,54 @@ def test_evaluate_equals_per_pair_reference():
         # repr round-trips every float and tells 1 from 1.0
         assert repr((ev.pv, ev.covered)) == repr((ref_pv, ref_covered))
         assert repr(ft) == repr(ref_ft)
+
+
+def test_local_fitness_on_ids_equals_remote_fitness_on_terms():
+    """A local endpoint scores store ids and a remote one terms: both give the
+    same evaluation, for a GT that holds a source and a target the store
+    lacks, and the local one keeps each fitness query's id rows cached."""
+    rng = random.Random(41)
+    matched = 0
+    for _ in range(40):
+        store = mixed_store(rng, rng.randint(20, 60))
+        iris = [t for t in store.terms if t.kind == IRI]
+        gp = _random_path_pattern(rng, store)
+        answers = select(store, gp, [SOURCE_VAR, TARGET_VAR], limit=None).rows
+        gt = [GroundTruthPair(*pair) for pair in answers[:rng.randint(0, 8)]
+              if pair[0].kind == IRI]
+        gt += [GroundTruthPair(rng.choice(iris), rng.choice(store.terms))
+               for _ in range(rng.randint(1, 8))]
+        gt += [GroundTruthPair(ex("nowhere"), rng.choice(store.terms)),
+               GroundTruthPair(rng.choice(iris), literal("nothing")),
+               GroundTruthPair(ex("nowhere"), ex("nothing"))]
+        rng.shuffle(gt)
+        ledger = CoverageLedger([rng.choice([0.0, 1.0, 0.5]) for _ in gt])
+
+        local = local_endpoint(store)
+        query = (gp, [SOURCE_VAR, TARGET_VAR],
+                 ([SOURCE_VAR], list(zip(dict.fromkeys(p.source for p in gt)))), None)
+        res = select(store, *query)
+        assert res.status == COMPLETE
+        body = json.dumps({"results": {"bindings": [
+            {"source": json_term(s), "target": json_term(t)} for s, t in res.rows]}})
+        posts = []
+
+        def post(url, data, headers, timeout):
+            posts.append(data["query"])
+            assert data["query"] == to_select_sparql(*query)
+            return 200, body
+
+        remote = Endpoint(local.config, url="http://fake/sparql", http_post=post)
+        ev, ft = evaluate(local, gp, gt, ledger)
+        remote_ev, remote_ft = evaluate(remote, gp, gt, ledger)
+        assert len(posts) == 1
+        assert repr(ev) == repr(remote_ev)
+        assert (repr(dataclasses.replace(ft, query_time_s=0.0))
+                == repr(dataclasses.replace(remote_ft, query_time_s=0.0)))
+
+        assert evaluate(local, gp, gt, ledger) == (ev, ft)
+        assert local.backend_calls == 1
+        (cached,) = local._cache.values()
+        assert all(type(h) is int for row in cached.rows for h in row)
+        matched += ft.gt_matches > 0
+    assert matched > 20

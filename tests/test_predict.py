@@ -18,7 +18,7 @@ from bgplearn.predict import (FUSION_STRATEGIES, PatternPortfolio,
                               reduce_queries)
 from bgplearn.rdf import Term, Triple, TripleStore, bnode, literal
 
-from conftest import ex
+from conftest import ex, json_term
 
 V = Variable
 EX_INT = "http://www.w3.org/2001/XMLSchema#integer"
@@ -359,19 +359,6 @@ class TestPredictGate:
         assert sorted(store.term_rank) == list(range(len(store.terms)))
 
 
-def _json_term(term: Term) -> dict:
-    if term.kind == "iri":
-        return {"type": "uri", "value": term.value}
-    if term.kind == "bnode":
-        return {"type": "bnode", "value": term.value}
-    out = {"type": "literal", "value": term.value}
-    if term.lang is not None:
-        out["xml:lang"] = term.lang
-    if term.datatype is not None:
-        out["datatype"] = term.datatype
-    return out
-
-
 def test_remote_predict_equals_local():
     """A remote endpoint that answers each predict query, by its exact text,
     with the local engine's rows, or with a 503 where the engine's query
@@ -388,7 +375,7 @@ def test_remote_predict_equals_local():
                         local.config.default_limit)
                 res = local.run_select(*args)
                 answers[to_select_sparql(*args)] = (503, None) if res.timed_out else (
-                    200, json.dumps({"results": {"bindings": [{"target": _json_term(t)}
+                    200, json.dumps({"results": {"bindings": [{"target": json_term(t)}
                                                               for t, in res.rows]}}))
 
         def post(url, data, headers, timeout):

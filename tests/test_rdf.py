@@ -486,6 +486,13 @@ _NT_LINE_ERRORS = {
                              "literal not allowed in this position", 2, 1),
     "blank_before_iri": (_S_P + "_:b.c<http://x/o> .",
                          "expected '.' at end of statement", 1, 32),
+    # each escape is decoded once per parse; a bad one is never kept
+    "bad_U_after_good": (_S_P + '"\\U0010FFFF" .\n' + _S_P + '"\\U00110000" .',
+                         "\\U00110000 is not a Unicode scalar value", 2, 27),
+    "bad_u_after_good": (_S_P + '"\\u0041" .\n' + _S_P + '"a\\u004" .',
+                         "malformed \\u escape in literal", 2, 27),
+    "bad_escape_twice": (_S_P + '"\\n" .\n' + _S_P + '"\\n\\q" .\n' + _S_P + '"\\q" .',
+                         "unknown escape \\q in literal", 2, 27),
 }
 
 
@@ -544,6 +551,73 @@ class TestStatementPath:
             loaded, built = load_ntriples(text), TripleStore(parse_triples(text))
             assert loaded.terms == built.terms
             assert _table(loaded) == _table(built)
+
+
+# The escapes a literal may hold, decoded by the regex substitution the
+# parser used before it kept each escape's text: the reference below.
+_REFERENCE_ESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
+_ONE_CHAR_ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
+                     '"': '"', "'": "'", "\\": "\\"}
+
+
+def _reference_unescape_one(m):
+    digits = m.group(1) or m.group(2)
+    if digits:
+        code = int(digits, 16)
+        if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+            raise ValueError("%s is not a Unicode scalar value" % m.group())
+        return chr(code)
+    return _ONE_CHAR_ESCAPES[m.group(3)]
+
+
+def _reference_unescape(body):
+    return _REFERENCE_ESCAPE_RE.sub(_reference_unescape_one, body)
+
+
+def _random_body(rng):
+    """A literal's text: escapes of every kind in any case, next to text that
+    reads like the rest of one (`u`, `U`, hex digits, a backslash's escape)."""
+    pieces = []
+    for _ in range(rng.randrange(0, 12)):
+        kind = rng.randrange(6)
+        if kind == 0:
+            pieces.append("\\" + rng.choice(list(_ONE_CHAR_ESCAPES)))
+        elif kind == 1:
+            code = rng.choice([rng.randrange(0xD800), rng.randrange(0xE000, 0x10000)])
+            pieces.append("\\u" + rng.choice(["%04x", "%04X"]) % code)
+        elif kind == 2:
+            code = rng.choice([rng.randrange(0xD800), rng.randrange(0xE000, 0x110000)])
+            pieces.append("\\U" + rng.choice(["%08x", "%08X"]) % code)
+        elif kind == 3:
+            pieces.append("\\U0010FFFF")
+        else:
+            pieces.append("".join(rng.choice("aZ0f9uU é\t'") for _ in range(rng.randrange(4))))
+    return "".join(pieces)
+
+
+class TestEscapes:
+    def test_random_mixes_decode_as_the_reference(self, monkeypatch):
+        rng = random.Random(9)
+        bodies = [_random_body(rng) for _ in range(400)]
+        assert sum(body.count("\\") for body in bodies) > 1000
+        text = "".join(_S_P + '"%s"%s .\n' % (body, rng.choice(_SUFFIXES))
+                       for body in bodies)
+        expected = [_reference_unescape(body) for body in bodies]
+        fast, slow = TestStatementPath._both(
+            text, monkeypatch, lambda t: [tr.o.value for tr in parse_triples(t)])
+        assert fast == slow == expected
+        escapes = rdf._Escapes()
+        assert [rdf._unescape(body, escapes) for body in bodies] == expected
+
+    def test_bad_escape_is_never_kept(self):
+        escapes = rdf._Escapes()
+        assert rdf._unescape("\\U0010FFFF\\u0041", escapes) == "\U0010FFFFA"
+        for _ in range(2):
+            with pytest.raises(ValueError, match="U00110000 is not a Unicode"):
+                rdf._unescape("a\\U00110000", escapes)
+            with pytest.raises(ValueError, match="unknown escape \\\\q"):
+                rdf._unescape("\\q", escapes)
+        assert escapes == {"\\U0010FFFF": "\U0010FFFF", "\\u0041": "A"}
 
 
 class TestEncoding:
