@@ -286,7 +286,7 @@ def cmd_evaluate(args) -> int:
 
 
 def format_metric_table(reports: dict[str, "evalharness.MetricReport"]) -> str:
-    ks = list(range(1, 11))
+    ks = evalharness.RECALL_KS
     header = "%-18s" % "" + "".join("%9s" % ("R@%d" % k) for k in ks) \
         + "%9s%9s" % ("MAP", "NDCG")
     lines = [header]

@@ -25,7 +25,8 @@ from . import engine
 from .canon import canonicalize
 from .engine import COMPLETE, HARD_TIMEOUT, SOFT_TIMEOUT, EvalResult
 from .patterns import (GraphPattern, Variable, check_limit, check_pattern,
-                       check_projection, to_select_sparql, values_clause, values_table)
+                       check_projection, check_values_terms, to_select_sparql,
+                       values_table)
 from .rdf import Term, TripleStore, bnode, iri, literal
 
 _STATUS_RANK = {COMPLETE: 0, SOFT_TIMEOUT: 1, HARD_TIMEOUT: 2}
@@ -151,8 +152,8 @@ class Endpoint:
             if hit is not None:
                 return hit
         if values is not None and len(values[1]) > self.config.batch_size:
-            if self.store is None:  # the writer refuses a bad row before the first post
-                values_clause(*values)
+            # a bad row is refused before the first batch runs
+            check_values_terms(values_table(len(values[0]), values[1]))
             result = self._batched_select(gp, projection, values, limit, decode)
         else:
             result = self._backend_select(gp, projection, values, limit, decode)

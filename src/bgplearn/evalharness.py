@@ -11,9 +11,16 @@ from .rdf import BIDI, IN, OUT, Term, TripleStore
 
 PAGERANK = "pagerank"
 HITS_AUTH = "hits_auth"
-HITS_HUB = "hits_hub"
 INDEG = "indeg"
 OUTDEG = "outdeg"
+
+RECALL_KS = range(1, 11)  # the cutoffs k of Recall@k
+
+DAMPING = 0.85  # PageRank's
+# PageRank and HITS iterate until the L1 change of a step is below EPS, at
+# most MAX_ITER times
+EPS = 1e-10
+MAX_ITER = 200
 
 
 @dataclass
@@ -58,14 +65,14 @@ class MetricReport:
                 "map": self.map, "ndcg": self.ndcg}
 
 
-def metrics(ranks: list[float], ks: range = range(1, 11)) -> MetricReport:
+def metrics(ranks: list[float]) -> MetricReport:
     """With one relevant target per pair: AP = 1/r, NDCG = 1/log2(r+1)."""
     n = len(ranks)
     report = MetricReport()
     if n == 0:
-        report.recall_at_k = {k: 0.0 for k in ks}
+        report.recall_at_k = {k: 0.0 for k in RECALL_KS}
         return report
-    for k in ks:
+    for k in RECALL_KS:
         report.recall_at_k[k] = sum(1 for r in ranks if r <= k) / n
     report.map = sum((1.0 / r) if math.isfinite(r) else 0.0 for r in ranks) / n
     report.ndcg = sum((1.0 / math.log2(r + 1)) if math.isfinite(r) else 0.0
@@ -86,8 +93,7 @@ def _node_graph(store: TripleStore):
             np.frombuffer(dst, np.int64))
 
 
-def pagerank(store: TripleStore, damping: float = 0.85, eps: float = 1e-10,
-             max_iter: int = 200) -> dict[Term, float]:
+def pagerank(store: TripleStore) -> dict[Term, float]:
     """Power iteration with dangling-mass redistribution; scores sum to 1."""
     import numpy as np
     terms, src, dst = _node_graph(store)
@@ -97,11 +103,11 @@ def pagerank(store: TripleStore, damping: float = 0.85, eps: float = 1e-10,
     out_deg = np.bincount(src, minlength=n).astype(float)
     dangling = out_deg == 0
     rank = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         contrib = np.where(dangling, 0.0, rank / np.maximum(out_deg, 1.0))
         new = np.bincount(dst, weights=contrib[src], minlength=n)
-        new = damping * (new + rank[dangling].sum() / n) + (1.0 - damping) / n
-        if np.abs(new - rank).sum() < eps:
+        new = DAMPING * (new + rank[dangling].sum() / n) + (1.0 - DAMPING) / n
+        if np.abs(new - rank).sum() < EPS:
             rank = new
             break
         rank = new
@@ -116,8 +122,7 @@ def _unit(v):
     return v / norm if norm > 0 else v
 
 
-def hits(store: TripleStore, eps: float = 1e-10, max_iter: int = 200
-         ) -> tuple[dict[Term, float], dict[Term, float]]:
+def hits(store: TripleStore) -> tuple[dict[Term, float], dict[Term, float]]:
     """HITS with L2 normalization each step; returns (authority, hub) scores."""
     import numpy as np
     terms, src, dst = _node_graph(store)
@@ -126,10 +131,10 @@ def hits(store: TripleStore, eps: float = 1e-10, max_iter: int = 200
         return {}, {}
     auth = np.full(n, 1.0 / math.sqrt(n))
     hub = np.full(n, 1.0 / math.sqrt(n))
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         new_auth = _unit(np.bincount(dst, weights=hub[src], minlength=n))
         new_hub = _unit(np.bincount(src, weights=new_auth[dst], minlength=n))
-        if (np.abs(new_auth - auth).sum() + np.abs(new_hub - hub).sum()) < eps:
+        if (np.abs(new_auth - auth).sum() + np.abs(new_hub - hub).sum()) < EPS:
             auth, hub = new_auth, new_hub
             break
         auth, hub = new_auth, new_hub
@@ -155,25 +160,19 @@ def baseline_predict(store: TripleStore, source: Term, direction: str,
                      scorer: str, k: int,
                      scores: dict[Term, float] | None = None
                      ) -> list[tuple[Term, float]]:
-    """Rank 1-hop neighbours by a global score. Ties break by
+    """Rank 1-hop neighbours by a global score: `scores`, or with none given,
+    the `INDEG` or `OUTDEG` degree of each candidate. Ties break by
     `Term.sort_key`: IRIs, then blank nodes, then literals, each by value,
     then datatype, then language tag."""
+    if scores is None and scorer not in (INDEG, OUTDEG):
+        raise ValueError("scorer %r needs its scores; only %r and %r score "
+                         "without them" % (scorer, INDEG, OUTDEG))
     candidates = neighbourhood(store, source, direction)
     if not candidates:
         return []
     if scores is None:
-        if scorer == PAGERANK:
-            scores = pagerank(store)
-        elif scorer == HITS_AUTH:
-            scores = hits(store)[0]
-        elif scorer == HITS_HUB:
-            scores = hits(store)[1]
-        elif scorer == INDEG:
-            scores = {c: float(store.degree(c, IN)) for c in candidates}
-        elif scorer == OUTDEG:
-            scores = {c: float(store.degree(c, OUT)) for c in candidates}
-        else:
-            raise ValueError("unknown scorer: %r" % scorer)
+        side = IN if scorer == INDEG else OUT
+        scores = {c: float(store.degree(c, side)) for c in candidates}
     ranked = sorted(((c, scores.get(c, 0.0)) for c in candidates),
                     key=lambda cv: (-cv[1], cv[0].sort_key()))
     return ranked[:k]

@@ -21,13 +21,18 @@ from .rdf import LITERAL, Term
 from .simplify import simplify
 
 
+# the paper's search limits
+TOURNAMENT_SIZE = 3
+MAX_PATH_LENGTH = 3       # initial path lengths drawn with P(l) ~ 2^-l
+FIX_VAR_SAMPLE_SIZE = 32  # GT pairs sampled per fix-var query
+MAX_PATTERN_LENGTH = 10   # triples of a pattern fit to live
+MAX_VARS = 6              # variables of a pattern fit to live
+
 # [low, high] of each setting but the seed and score_threshold, which need
 # only be finite: a count, a probability or a fraction
 _BOUNDS = {
-    **dict.fromkeys(("population_size", "tournament_size", "max_path_length"),
-                    (1, math.inf)),
-    **dict.fromkeys(("max_generations", "max_runs", "fix_var_sample_size",
-                     "fix_var_children", "max_pattern_length", "max_vars",
+    "population_size": (1, math.inf),
+    **dict.fromkeys(("max_generations", "max_runs", "fix_var_children",
                      "hall_of_fame_size", "reintro_fresh", "reintro_hof",
                      "min_remains"),
                     (0, math.inf)),
@@ -45,15 +50,10 @@ class EvolutionConfig:
     mating_prob: float = 0.5
     p_dominant: float = 0.9
     p_recessive: float = 0.1
-    tournament_size: int = 3
-    max_path_length: int = 3       # initial path lengths drawn with P(l) ~ 2^-l
     fragment_fraction: float = 0.1
     init_fix_var_prob: float = 0.9
     p_fix_var: float = 0.3
-    fix_var_sample_size: int = 32  # GT pairs sampled per fix-var query
     fix_var_children: int = 8      # max instantiation children per fix-var
-    max_pattern_length: int = 10
-    max_vars: int = 6
     hall_of_fame_size: int = 50
     reintro_fresh: int = 4
     reintro_hof: int = 4
@@ -119,8 +119,8 @@ class HallOfFame:
 # Initial population
 
 
-def _random_path(cfg: EvolutionConfig, rng: random.Random) -> GraphPattern:
-    lengths = list(range(1, cfg.max_path_length + 1))
+def _random_path(rng: random.Random) -> GraphPattern:
+    lengths = list(range(1, MAX_PATH_LENGTH + 1))
     weights = [2.0 ** -l for l in lengths]
     l = rng.choices(lengths, weights=weights)[0]
     nodes = [SOURCE_VAR] + [Variable("n%d" % i) for i in range(1, l)] + [TARGET_VAR]
@@ -152,7 +152,7 @@ def init_population(cfg: EvolutionConfig, rng: random.Random, endpoint=None,
     for _ in range(n_fragments):
         population.append(Individual(_random_fragment(rng)))
     while len(population) < size:
-        gp = _random_path(cfg, rng)
+        gp = _random_path(rng)
         if endpoint is not None and gt and rng.random() < cfg.init_fix_var_prob:
             children = fix_var(gp, endpoint, gt, ledger, rng, cfg)
             if children:
@@ -364,7 +364,7 @@ def fix_var(gp: GraphPattern, endpoint, gt: list[GroundTruthPair],
         weights = ledger.weights
     else:
         weights = [1.0] * len(gt)  # no ledger or a saturated one: uniform
-    sampled = _weighted_draws(weights, cfg.fix_var_sample_size, rng)
+    sampled = _weighted_draws(weights, FIX_VAR_SAMPLE_SIZE, rng)
     pairs = [(gt[i].source, gt[i].target) for i in sampled]
 
     res = endpoint.run_select(gp, [SOURCE_VAR, TARGET_VAR, var],
@@ -425,10 +425,10 @@ def mutate(individual: Individual, endpoint, gt: list[GroundTruthPair],
 # Selection and generation loop
 
 
-def fit_to_live(individual: Individual, cfg: EvolutionConfig) -> bool:
+def fit_to_live(individual: Individual) -> bool:
     gp = individual.pattern
-    return (1 <= gp.length <= cfg.max_pattern_length
-            and gp.variable_count <= cfg.max_vars
+    return (1 <= gp.length <= MAX_PATTERN_LENGTH
+            and gp.variable_count <= MAX_VARS
             and gp.is_complete and gp.is_connected)
 
 
@@ -466,7 +466,7 @@ def next_generation(offspring: list[Individual], hof: HallOfFame,
     n_hof = min(cfg.reintro_hof, len(hof))
     n_fresh = cfg.reintro_fresh
     n_win = max(0, cfg.population_size - n_fresh - n_hof)
-    winners = [tournament(offspring, cfg.tournament_size, rng)
+    winners = [tournament(offspring, TOURNAMENT_SIZE, rng)
                for _ in range(n_win)]
     fresh = init_population(cfg, rng, endpoint, gt, ledger, size=n_fresh)
     returned = hof.best(n_hof)
@@ -507,7 +507,7 @@ def run_single(endpoint, gt: list[GroundTruthPair], ledger: CoverageLedger,
     population = init_population(cfg, rng, endpoint, gt, ledger)
     _evaluate_all(population, endpoint, gt, ledger, cfg, scored)
     hof = HallOfFame(cfg.hall_of_fame_size)
-    hof.update(ind for ind in population if fit_to_live(ind, cfg))
+    hof.update(ind for ind in population if fit_to_live(ind))
 
     for _ in range(cfg.max_generations):
         offspring: list[Individual] = []
@@ -519,16 +519,16 @@ def run_single(endpoint, gt: list[GroundTruthPair], ledger: CoverageLedger,
         for parent, current in zip(population, clones):
             mutants = mutate(current, endpoint, gt, ledger, rng, cfg)
             for m in mutants:
-                if m is not parent and not fit_to_live(m, cfg):
+                if m is not parent and not fit_to_live(m):
                     # unfit child: the parent takes its place
                     offspring.append(parent)
                 else:
                     offspring.append(m)
         _evaluate_all(offspring, endpoint, gt, ledger, cfg, scored)
-        hof.update(ind for ind in offspring if fit_to_live(ind, cfg))
+        hof.update(ind for ind in offspring if fit_to_live(ind))
         population = next_generation(offspring, hof, cfg, rng, endpoint, gt, ledger)
         _evaluate_all(population, endpoint, gt, ledger, cfg, scored)
-        hof.update(ind for ind in population if fit_to_live(ind, cfg))
+        hof.update(ind for ind in population if fit_to_live(ind))
     return hof
 
 
@@ -575,12 +575,10 @@ def learn_runs(endpoint, gt: list[GroundTruthPair], cfg: EvolutionConfig,
                         generations=cfg.max_generations, ledger=ledger)
 
 
-def learn(endpoint, gt: list[GroundTruthPair], cfg: EvolutionConfig,
-          ledger: Optional[CoverageLedger] = None,
-          start_run: int = 1) -> LearnResult:
-    """Every run of `learn_runs`, their patterns best first, and the last ledger."""
-    if ledger is None:
-        ledger = CoverageLedger.zeros(len(gt))
-    runs = list(learn_runs(endpoint, gt, cfg, ledger, start_run))
+def learn(endpoint, gt: list[GroundTruthPair], cfg: EvolutionConfig) -> LearnResult:
+    """Every run of `learn_runs` from scratch, their patterns best first, and
+    the last ledger."""
+    runs = list(learn_runs(endpoint, gt, cfg))
     return LearnResult(patterns=best_first(lp for rec in runs for lp in rec.accepted),
-                       ledger=runs[-1].ledger if runs else ledger, runs=runs)
+                       ledger=runs[-1].ledger if runs else CoverageLedger.zeros(len(gt)),
+                       runs=runs)

@@ -204,8 +204,9 @@ def values_table(width: int, rows) -> tuple:
 def check_values_terms(rows) -> None:
     """ValueError for the first VALUES row, such as a bare Term, holding a non-Term."""
     for row in rows:
-        if not all(isinstance(entry, Term) for entry in row):
-            raise ValueError("VALUES row %r holds an entry that is not a Term" % (row,))
+        for entry in row:
+            if not isinstance(entry, Term):
+                raise ValueError("VALUES row %r holds an entry that is not a Term" % (row,))
 
 
 def check_pattern(gp: GraphPattern) -> None:

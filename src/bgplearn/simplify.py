@@ -99,12 +99,12 @@ def simplify(gp: GraphPattern, checker: Optional[Checker] = None) -> GraphPatter
         current = reduced
 
 
-def projection_checker(endpoint, values=None) -> Checker:
+def projection_checker(endpoint) -> Checker:
     """Equivalence oracle: same ?source/?target projection on the endpoint."""
     def check(before: GraphPattern, after: GraphPattern) -> bool:
         proj = [SOURCE_VAR, TARGET_VAR]
-        r1 = endpoint.run_select(before, proj, values=values, limit=None, decode=False)
-        r2 = endpoint.run_select(after, proj, values=values, limit=None, decode=False)
+        r1 = endpoint.run_select(before, proj, limit=None, decode=False)
+        r2 = endpoint.run_select(after, proj, limit=None, decode=False)
         if r1.timed_out or r2.timed_out:
             return False
         return r1.row_set() == r2.row_set()

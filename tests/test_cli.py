@@ -319,6 +319,8 @@ class TestConfig:
         _evo, ep = load_config(None, ["backoff=2"])
         assert ep.backoff == 2.0 and isinstance(ep.backoff, float)
 
+    # max_path_length and tournament_size are no settings now: constants of
+    # the search, so their keys are unknown keys
     @pytest.mark.parametrize("setting", ["bogus=1", "batch_size=0", "backoff=abc",
                                          "cache_capacity=100", "soft_timeout=-1",
                                          "backend=local", "url=x",
@@ -344,14 +346,16 @@ class TestConfig:
         assert "configuration error" in capsys.readouterr().err
 
     def test_dropped_key_in_config_file_exits_1(self, workdir, capsys):
-        """The operator rates and the overfit minimums are constants now."""
+        """The operator rates, the overfit minimums and the search limits are
+        constants now."""
         config = workdir / "old.cfg"
-        config.write_text("population_size = 10\noverfit_min_targets = 2\n")
-        code = main(["learn", "--store", str(workdir / "store.ttl"),
-                     *command_inputs(workdir, "learn"), "--config", str(config)])
-        assert code == EXIT_USAGE
-        assert ("configuration error: unknown config key: 'overfit_min_targets'"
-                in capsys.readouterr().err)
+        for key in ("overfit_min_targets", "max_vars"):
+            config.write_text("population_size = 10\n%s = 2\n" % key)
+            code = main(["learn", "--store", str(workdir / "store.ttl"),
+                         *command_inputs(workdir, "learn"), "--config", str(config)])
+            assert code == EXIT_USAGE
+            assert ("configuration error: unknown config key: %r" % key
+                    in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command, options", [
         ("learn", ["--seed", "x"]),

@@ -199,8 +199,8 @@ class TestUnboundValues:
 _LONG_ROW = (ex("Berlin"), ex("Paris"))
 
 # Each query is accepted with the same rows on every path, or refused with
-# the same message before anything is sent or cached; only a local batched
-# query may run its earlier batches first. `sent` is text a remote endpoint
+# the same message before anything is sent or cached, and before the first
+# batch of a batched query runs. `sent` is text a remote endpoint
 # must be sent for the unbatched query; the pattern is CAPITAL_GP unless the
 # case names one. A VALUES row holds one Term per VALUES variable, no fewer
 # and no more, so a bare term is no row and a plain tuple equal to a term is
@@ -345,6 +345,20 @@ class TestBatching:
                               values=([SOURCE_VAR], [(ex("Berlin"),), late]),
                               cache=cache)
         assert post.calls == [] and ep.backend_calls == 0
+
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_local_refuses_late_bad_row_before_any_batch(self, capitals_store, cache):
+        """A local endpoint reads the whole VALUES table before it runs the
+        first batch, as a remote one does before it posts."""
+        ep = local_endpoint(capitals_store, batch_size=1)
+        for late, error in ((_LONG_ROW, "is longer than its 1 variables"),
+                            (("x",), "holds an entry that is not a Term")):
+            with pytest.raises(ValueError, match=error):
+                ep.run_select(CAPITAL_GP, [SOURCE_VAR, TARGET_VAR],
+                              values=([SOURCE_VAR], [(ex("Berlin"),), (ex("Oslo"),),
+                                                     late]),
+                              cache=cache)
+        assert ep.backend_calls == 0 and ep._cache == {}
 
 
 def _sparql_json(rows):

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from bgplearn import evalharness
-from bgplearn.evalharness import (HITS_AUTH, INDEG, PAGERANK, baseline_predict,
-                                  hits, metrics, neighbourhood, pagerank,
-                                  rank_of_truth, split_pairs)
+from bgplearn.evalharness import (HITS_AUTH, INDEG, PAGERANK, RECALL_KS,
+                                  baseline_predict, hits, metrics, neighbourhood,
+                                  pagerank, rank_of_truth, split_pairs)
 import bgplearn
 from bgplearn.fitness import GroundTruthPair
 from bgplearn.rdf import BIDI, IN, OUT, Triple, TripleStore, load_ntriples
@@ -92,6 +92,10 @@ class TestMetrics:
         rep = metrics([])
         assert rep.map == 0.0 and rep.ndcg == 0.0
         assert all(v == 0.0 for v in rep.recall_at_k.values())
+
+    @pytest.mark.parametrize("ranks", [[], [3.0, math.inf]])
+    def test_cutoffs_are_one_to_ten(self, ranks):
+        assert list(metrics(ranks).recall_at_k) == list(RECALL_KS) == list(range(1, 11))
 
     def test_recall_monotone(self):
         rng = random.Random(6)
@@ -322,7 +326,8 @@ class TestBaselines:
 
     def test_pagerank_baseline(self):
         store = self._star()
-        ranked = baseline_predict(store, ex("hub"), OUT, PAGERANK, 2)
+        ranked = baseline_predict(store, ex("hub"), OUT, PAGERANK, 2,
+                                  scores=pagerank(store))
         assert len(ranked) == 2
         assert ranked[0][0] == ex("popular")
 
@@ -340,5 +345,13 @@ class TestBaselines:
 
     def test_unknown_scorer(self):
         store = self._star()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'bogus'"):
             baseline_predict(store, ex("hub"), OUT, "bogus", 5)
+
+    @pytest.mark.parametrize("source", ["hub", "absent"])
+    @pytest.mark.parametrize("scorer", [PAGERANK, HITS_AUTH])
+    def test_graph_scorer_needs_its_scores(self, scorer, source):
+        """Refused whether or not the source has a neighbour to rank."""
+        store = self._star()
+        with pytest.raises(ValueError, match="scorer %r needs its scores" % scorer):
+            baseline_predict(store, ex(source), OUT, scorer, 5)

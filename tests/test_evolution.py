@@ -8,7 +8,9 @@ import pytest
 from bgplearn import evolution
 from bgplearn.canon import pattern_key
 from bgplearn.endpoint import Endpoint, EndpointConfig, local_endpoint
-from bgplearn.evolution import (EvolutionConfig, HallOfFame, Individual,
+from bgplearn.evolution import (FIX_VAR_SAMPLE_SIZE, MAX_PATH_LENGTH,
+                                MAX_PATTERN_LENGTH, MAX_VARS, TOURNAMENT_SIZE,
+                                EvolutionConfig, HallOfFame, Individual,
                                 fit_to_live, fix_var, init_population, learn,
                                 learn_runs,
                                 mate, mut_add_edge, mut_del_triple,
@@ -48,10 +50,9 @@ def small_cfg(**kw):
 class TestInitPopulation:
     def test_path_shapes(self):
         rng = random.Random(3)
-        cfg = EvolutionConfig()
         for _ in range(200):
-            gp = _random_path(cfg, rng)
-            assert 1 <= gp.length <= cfg.max_path_length
+            gp = _random_path(rng)
+            assert 1 <= gp.length <= MAX_PATH_LENGTH
             assert gp.is_complete and gp.is_connected
             # every slot except the predicates is a chain node variable
             for tp in gp.triples:
@@ -60,8 +61,7 @@ class TestInitPopulation:
 
     def test_length_distribution_halves(self):
         rng = random.Random(9)
-        cfg = EvolutionConfig()
-        counts = Counter(_random_path(cfg, rng).length for _ in range(8000))
+        counts = Counter(_random_path(rng).length for _ in range(8000))
         # P(l) proportional to 2^-l over l in 1..3: 4/7, 2/7, 1/7
         assert counts[1] / 8000 == pytest.approx(4 / 7, abs=0.03)
         assert counts[2] / 8000 == pytest.approx(2 / 7, abs=0.03)
@@ -420,28 +420,28 @@ class TestWeightedDraws:
 
 class TestFitToLive:
     def test_happy_path(self):
-        assert fit_to_live(Individual(CAPITAL_GP), EvolutionConfig())
+        assert fit_to_live(Individual(CAPITAL_GP))
 
     def test_too_long(self):
         tps = [TriplePattern(SOURCE_VAR, ex("p%d" % i), TARGET_VAR)
                for i in range(11)]
-        assert not fit_to_live(Individual(GraphPattern(tps)), EvolutionConfig())
+        assert not fit_to_live(Individual(GraphPattern(tps)))
 
     def test_too_many_vars(self):
         tps = [TriplePattern(SOURCE_VAR, V("p%d" % i), TARGET_VAR)
                for i in range(6)]
         gp = GraphPattern(tps + [TriplePattern(SOURCE_VAR, ex("q"), TARGET_VAR)])
         assert gp.variable_count == 8
-        assert not fit_to_live(Individual(gp), EvolutionConfig())
+        assert not fit_to_live(Individual(gp))
 
     def test_incomplete(self):
         frag = GraphPattern([TriplePattern(SOURCE_VAR, V("p"), V("o"))])
-        assert not fit_to_live(Individual(frag), EvolutionConfig())
+        assert not fit_to_live(Individual(frag))
 
     def test_disconnected(self):
         gp = GraphPattern([TriplePattern(SOURCE_VAR, ex("p"), TARGET_VAR),
                            TriplePattern(V("a"), ex("q"), V("b"))])
-        assert not fit_to_live(Individual(gp), EvolutionConfig())
+        assert not fit_to_live(Individual(gp))
 
 
 def _ind(pattern, **fit):
@@ -494,7 +494,7 @@ class TestRunSingle:
         """Every child below is unfit (it has no ?target), so the offspring
         handed to the next generation is the population itself."""
         unfit = GraphPattern([TriplePattern(SOURCE_VAR, ex("capitalOf"), V("x"))])
-        assert not fit_to_live(Individual(unfit), small_cfg())
+        assert not fit_to_live(Individual(unfit))
         seen = {}
 
         def init_spy(*args, **kwargs):
@@ -689,3 +689,14 @@ class TestConfig:
     def test_a_float_setting_takes_an_int(self):
         cfg = EvolutionConfig(score_threshold=2, p_fix_var=1, overfit_factor=0)
         assert (cfg.score_threshold, cfg.p_fix_var, cfg.overfit_factor) == (2, 1, 0)
+
+    def test_search_limits_are_the_papers(self):
+        assert (TOURNAMENT_SIZE, MAX_PATH_LENGTH, FIX_VAR_SAMPLE_SIZE,
+                MAX_PATTERN_LENGTH, MAX_VARS) == (3, 3, 32, 10, 6)
+
+    @pytest.mark.parametrize("name", ["tournament_size", "max_path_length",
+                                      "fix_var_sample_size", "max_pattern_length",
+                                      "max_vars"])
+    def test_a_search_limit_is_no_setting(self, name):
+        with pytest.raises(TypeError, match=name):
+            EvolutionConfig(**{name: 4})
