@@ -14,8 +14,9 @@ from . import evalharness, evolution, predict as predict_mod
 from .endpoint import Endpoint, EndpointConfig, EndpointError, EndpointUnreachable
 from .evolution import EvolutionConfig
 from .fitness import CoverageLedger, GroundTruthPair
-from .iojson import (GroundTruthError, dumps, learned_from_json, learned_to_json,
-                     parse_ground_truth, parse_sources, run_record_to_json)
+from .iojson import (GroundTruthError, check_run_index, dumps, learned_from_json,
+                     learned_to_json, parse_ground_truth, parse_sources,
+                     run_record_to_json)
 from .rdf import load_file
 from .report import build_report
 
@@ -35,33 +36,31 @@ class RunLogError(Exception):
 
 # every field is an int or a float, so its declared type converts its text
 _EVO_TYPES = get_type_hints(EvolutionConfig)
-_EP_TYPES = get_type_hints(EndpointConfig)
+_TYPES = {**_EVO_TYPES, **get_type_hints(EndpointConfig)}
 
 
 def load_config(path: Optional[str], overrides: list[str]
                 ) -> tuple[EvolutionConfig, EndpointConfig]:
-    """Flat key=value file plus `--set key=value` overrides; every field addressable."""
+    """Flat key=value file plus `--set key=value` overrides; every field
+    addressable. An error names the key, and `--set` or the file and line."""
     evo = EvolutionConfig()
     ep = EndpointConfig()
-    items: list[tuple[str, str]] = []
+    items: list[tuple[str, str]] = []  # (where it was set, key=value)
     if path:
         with open(path) as fh:
-            for line in fh:
+            for number, line in enumerate(fh, start=1):
                 line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, value = line.partition("=")
-                items.append((key.strip(), value.strip()))
-    for ov in overrides:
-        key, _, value = ov.partition("=")
-        items.append((key.strip(), value.strip()))
-    for key, value in items:
-        if key in _EVO_TYPES:
-            setattr(evo, key, _EVO_TYPES[key](value))
-        elif key in _EP_TYPES:
-            setattr(ep, key, _EP_TYPES[key](value))
-        else:
-            raise ValueError("unknown config key: %r" % key)
+                if line and not line.startswith("#"):
+                    items.append(("%s, line %d" % (path, number), line))
+    items += [("--set", ov) for ov in overrides]
+    for where, item in items:
+        key, _, value = map(str.strip, item.partition("="))
+        if key not in _TYPES:
+            raise ValueError("unknown config key: %r (%s)" % (key, where))
+        try:
+            setattr(evo if key in _EVO_TYPES else ep, key, _TYPES[key](value))
+        except ValueError as exc:
+            raise ValueError("%s: %s (%s)" % (key, exc, where)) from exc
     # rebuilt so that the configs' own checks see the values set above
     return dataclasses.replace(evo), dataclasses.replace(ep)
 
@@ -106,8 +105,8 @@ def _read_learned(path: str) -> tuple[list, list[evolution.LearnedPattern],
     try:
         doc = _read_json(path)
         next_run = doc.get("next_run")
-        if next_run is not None and (type(next_run) is not int or next_run < 1):
-            raise ValueError("next_run must be an integer >= 1, not %r" % (next_run,))
+        if next_run is not None:
+            check_run_index("next_run", next_run)
         return (doc.get("ground_truth"),
                 [learned_from_json(obj) for obj in doc["patterns"]], next_run)
     except (KeyError, TypeError, AttributeError, ValueError) as exc:

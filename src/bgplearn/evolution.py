@@ -13,8 +13,8 @@ from typing import Iterator, Optional, Sequence
 from .canon import pattern_key
 from .endpoint import check_settings
 from .engine import HARD_TIMEOUT
-from .fitness import (_STATUS_PENALTY, OVERFIT_FACTOR, CoverageLedger,
-                      FitnessTuple, GroundTruthPair, PatternEvaluation, evaluate)
+from .fitness import (_STATUS_PENALTY, CoverageLedger, FitnessTuple,
+                      GroundTruthPair, PatternEvaluation, evaluate)
 from .patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR, TriplePattern,
                        Variable)
 from .rdf import LITERAL, Term
@@ -28,17 +28,22 @@ FIX_VAR_SAMPLE_SIZE = 32  # GT pairs sampled per fix-var query
 MAX_PATTERN_LENGTH = 10   # triples of a pattern fit to live
 MAX_VARS = 6              # variables of a pattern fit to live
 
+# the paper's rates
+MATING_PROB = 0.5         # each pair of neighbours mates with it
+P_DOMINANT = 0.9          # a child keeps a triple of its dominant parent only
+P_RECESSIVE = 0.1         # ... and of its recessive parent only
+FRAGMENT_FRACTION = 0.1   # of an initial population, one-triple fragments
+INIT_FIX_VAR_PROB = 0.9   # an initial path is grounded by fix-var
+FIX_VAR_CHILDREN = 8      # at most, per fix-var
+
 # [low, high] of each setting but the seed and score_threshold, which need
-# only be finite: a count, a probability or a fraction
+# only be finite: a count or a probability
 _BOUNDS = {
     "population_size": (1, math.inf),
-    **dict.fromkeys(("max_generations", "max_runs", "fix_var_children",
-                     "hall_of_fame_size", "reintro_fresh", "reintro_hof",
-                     "min_remains"),
+    **dict.fromkeys(("max_generations", "max_runs", "hall_of_fame_size",
+                     "reintro_fresh", "reintro_hof", "min_remains"),
                     (0, math.inf)),
-    **dict.fromkeys(("mating_prob", "p_dominant", "p_recessive", "fragment_fraction",
-                     "init_fix_var_prob", "p_fix_var", "overfit_factor"),
-                    (0, 1)),
+    "p_fix_var": (0, 1),
 }
 
 
@@ -47,20 +52,13 @@ class EvolutionConfig:
     population_size: int = 200
     max_generations: int = 20
     max_runs: int = 64
-    mating_prob: float = 0.5
-    p_dominant: float = 0.9
-    p_recessive: float = 0.1
-    fragment_fraction: float = 0.1
-    init_fix_var_prob: float = 0.9
     p_fix_var: float = 0.3
-    fix_var_children: int = 8      # max instantiation children per fix-var
     hall_of_fame_size: int = 50
     reintro_fresh: int = 4
     reintro_hof: int = 4
     score_threshold: float = 2.0
     min_remains: float = 0.5
     seed: int = 42
-    overfit_factor: float = OVERFIT_FACTOR
 
     def __post_init__(self):
         check_settings(self, _BOUNDS)
@@ -142,19 +140,18 @@ def _random_fragment(rng: random.Random) -> GraphPattern:
     return GraphPattern([tp])
 
 
-def init_population(cfg: EvolutionConfig, rng: random.Random, endpoint=None,
-                    gt: Optional[list[GroundTruthPair]] = None,
-                    ledger: Optional[CoverageLedger] = None,
+def init_population(cfg: EvolutionConfig, rng: random.Random, endpoint,
+                    gt: list[GroundTruthPair], ledger: CoverageLedger,
                     size: Optional[int] = None) -> list[Individual]:
     size = cfg.population_size if size is None else size
-    n_fragments = int(round(cfg.fragment_fraction * size))
+    n_fragments = int(round(FRAGMENT_FRACTION * size))
     population: list[Individual] = []
     for _ in range(n_fragments):
         population.append(Individual(_random_fragment(rng)))
     while len(population) < size:
         gp = _random_path(rng)
-        if endpoint is not None and gt and rng.random() < cfg.init_fix_var_prob:
-            children = fix_var(gp, endpoint, gt, ledger, rng, cfg)
+        if rng.random() < INIT_FIX_VAR_PROB:
+            children = fix_var(gp, endpoint, gt, ledger, rng)
             if children:
                 gp = children[rng.randrange(len(children))]
         population.append(Individual(gp))
@@ -180,11 +177,11 @@ def _fresh_var(taken: set[str], prefix: str = "v") -> Variable:
 
 
 def _mate_one(dominant: GraphPattern, recessive: GraphPattern,
-              rng: random.Random, cfg: EvolutionConfig) -> GraphPattern:
+              rng: random.Random) -> GraphPattern:
     shared = dominant.triples & recessive.triples
     child = set(shared)
     for tp in sorted(dominant.triples - shared, key=TriplePattern.sort_key):
-        if rng.random() < cfg.p_dominant:
+        if rng.random() < P_DOMINANT:
             child.add(tp)
     rec_rest = sorted(recessive.triples - shared, key=TriplePattern.sort_key)
     if rec_rest and rng.random() < 0.5:
@@ -198,16 +195,16 @@ def _mate_one(dominant: GraphPattern, recessive: GraphPattern,
                     rename[v] = _fresh_var(taken, "r")
         rec_rest = [tp.substitute(rename) for tp in rec_rest]
     for tp in rec_rest:
-        if rng.random() < cfg.p_recessive:
+        if rng.random() < P_RECESSIVE:
             child.add(tp)
     return GraphPattern(child)
 
 
-def mate(parent_a: Individual, parent_b: Individual, rng: random.Random,
-         cfg: EvolutionConfig) -> tuple[Individual, Individual]:
+def mate(parent_a: Individual, parent_b: Individual,
+         rng: random.Random) -> tuple[Individual, Individual]:
     """Two children with swapped dominant/recessive roles."""
-    c1 = _mate_one(parent_a.pattern, parent_b.pattern, rng, cfg)
-    c2 = _mate_one(parent_b.pattern, parent_a.pattern, rng, cfg)
+    c1 = _mate_one(parent_a.pattern, parent_b.pattern, rng)
+    c2 = _mate_one(parent_b.pattern, parent_a.pattern, rng)
     return Individual(c1), Individual(c2)
 
 
@@ -352,18 +349,15 @@ def _weighted_draws(weights: Sequence[float], m: int,
 
 
 def fix_var(gp: GraphPattern, endpoint, gt: list[GroundTruthPair],
-            ledger: Optional[CoverageLedger], rng: random.Random,
-            cfg: EvolutionConfig) -> list[GraphPattern]:
+            ledger: CoverageLedger, rng: random.Random) -> list[GraphPattern]:
     """Ground one variable with terms observed while binding sampled GT pairs."""
     candidates = gp.nonreserved_variables()
     if not candidates:
         return []
     var = candidates[rng.randrange(len(candidates))]
 
-    if ledger is not None and ledger.remains() > 0:
-        weights = ledger.weights
-    else:
-        weights = [1.0] * len(gt)  # no ledger or a saturated one: uniform
+    # a saturated ledger weighs every pair 0: sample uniformly instead
+    weights = ledger.weights if ledger.remains() > 0 else [1.0] * len(gt)
     sampled = _weighted_draws(weights, FIX_VAR_SAMPLE_SIZE, rng)
     pairs = [(gt[i].source, gt[i].target) for i in sampled]
 
@@ -378,7 +372,7 @@ def fix_var(gp: GraphPattern, endpoint, gt: list[GroundTruthPair],
     terms = sorted(counts, key=lambda t: (-counts[t], t.sort_key()))
     children: list[GraphPattern] = []
     for k in _weighted_draws([float(counts[t]) for t in terms],
-                             cfg.fix_var_children, rng):
+                             FIX_VAR_CHILDREN, rng):
         try:
             children.append(gp.substitute({var: terms[k]}))
         except ValueError:
@@ -400,7 +394,7 @@ _LOCAL_STRATEGIES = (
 
 
 def mutate(individual: Individual, endpoint, gt: list[GroundTruthPair],
-           ledger: Optional[CoverageLedger], rng: random.Random,
+           ledger: CoverageLedger, rng: random.Random,
            cfg: EvolutionConfig) -> list[Individual]:
     """Apply each strategy independently with its probability, in listed order;
     fix-var (the only query-issuing strategy) may emit several children."""
@@ -412,8 +406,8 @@ def mutate(individual: Individual, endpoint, gt: list[GroundTruthPair],
             if out is not None:
                 gp = out
                 changed = True
-    if gp.triples and rng.random() < cfg.p_fix_var and endpoint is not None and gt:
-        children = fix_var(gp, endpoint, gt, ledger, rng, cfg)
+    if gp.triples and rng.random() < cfg.p_fix_var:
+        children = fix_var(gp, endpoint, gt, ledger, rng)
         if children:
             return [Individual(c) for c in children]
     if changed:
@@ -434,7 +428,7 @@ def fit_to_live(individual: Individual) -> bool:
 
 def _evaluate_all(individuals: list[Individual], endpoint,
                   gt: list[GroundTruthPair], ledger: CoverageLedger,
-                  cfg: EvolutionConfig, scored: dict) -> None:
+                  scored: dict) -> None:
     """Score each unscored individual. One whose pattern `scored` holds takes
     the pattern object, evaluation and fitness of the individual held there,
     with no query: within a run the GT and the ledger are fixed. A hard
@@ -447,8 +441,7 @@ def _evaluate_all(individuals: list[Individual], endpoint,
             ind.pattern, ind.evaluation, ind.fitness = (
                 first.pattern, first.evaluation, first.fitness)
             continue
-        ind.evaluation, ind.fitness = evaluate(endpoint, ind.pattern, gt,
-                                               ledger, cfg.overfit_factor)
+        ind.evaluation, ind.fitness = evaluate(endpoint, ind.pattern, gt, ledger)
         if ind.fitness.timeout_penalty != _STATUS_PENALTY[HARD_TIMEOUT]:
             scored[ind.pattern] = ind
 
@@ -460,8 +453,9 @@ def tournament(pool: list[Individual], k: int, rng: random.Random) -> Individual
 
 
 def next_generation(offspring: list[Individual], hof: HallOfFame,
-                    cfg: EvolutionConfig, rng: random.Random, endpoint=None,
-                    gt=None, ledger=None) -> list[Individual]:
+                    cfg: EvolutionConfig, rng: random.Random, endpoint,
+                    gt: list[GroundTruthPair],
+                    ledger: CoverageLedger) -> list[Individual]:
     """Tournament winners plus fresh initial patterns and hall-of-fame returns."""
     n_hof = min(cfg.reintro_hof, len(hof))
     n_fresh = cfg.reintro_fresh
@@ -505,7 +499,7 @@ def run_single(endpoint, gt: list[GroundTruthPair], ledger: CoverageLedger,
     """One full evolutionary run; returns its hall of fame."""
     scored: dict[GraphPattern, Individual] = {}  # first scoring of each pattern
     population = init_population(cfg, rng, endpoint, gt, ledger)
-    _evaluate_all(population, endpoint, gt, ledger, cfg, scored)
+    _evaluate_all(population, endpoint, gt, ledger, scored)
     hof = HallOfFame(cfg.hall_of_fame_size)
     hof.update(ind for ind in population if fit_to_live(ind))
 
@@ -513,8 +507,8 @@ def run_single(endpoint, gt: list[GroundTruthPair], ledger: CoverageLedger,
         offspring: list[Individual] = []
         clones = list(population)
         for i in range(0, len(clones) - 1, 2):
-            if rng.random() < cfg.mating_prob:
-                c1, c2 = mate(clones[i], clones[i + 1], rng, cfg)
+            if rng.random() < MATING_PROB:
+                c1, c2 = mate(clones[i], clones[i + 1], rng)
                 clones[i], clones[i + 1] = c1, c2
         for parent, current in zip(population, clones):
             mutants = mutate(current, endpoint, gt, ledger, rng, cfg)
@@ -524,10 +518,10 @@ def run_single(endpoint, gt: list[GroundTruthPair], ledger: CoverageLedger,
                     offspring.append(parent)
                 else:
                     offspring.append(m)
-        _evaluate_all(offspring, endpoint, gt, ledger, cfg, scored)
+        _evaluate_all(offspring, endpoint, gt, ledger, scored)
         hof.update(ind for ind in offspring if fit_to_live(ind))
         population = next_generation(offspring, hof, cfg, rng, endpoint, gt, ledger)
-        _evaluate_all(population, endpoint, gt, ledger, cfg, scored)
+        _evaluate_all(population, endpoint, gt, ledger, scored)
         hof.update(ind for ind in population if fit_to_live(ind))
     return hof
 
@@ -539,16 +533,14 @@ def best_first(patterns) -> list[LearnedPattern]:
 
 
 def learn_runs(endpoint, gt: list[GroundTruthPair], cfg: EvolutionConfig,
-               ledger: Optional[CoverageLedger] = None, start_run: int = 1,
+               ledger: CoverageLedger, start_run: int = 1,
                known_keys=()) -> Iterator[RunRecord]:
-    """Multi-run driver: yields each finished run; a known or earlier key is
-    skipped. A score is at most the remains, so no run starts once they are
-    at most `score_threshold`, nor below `min_remains`."""
+    """Multi-run driver from `ledger`: yields each finished run; a known or
+    earlier key is skipped. A score is at most the remains, so no run starts
+    once they are at most `score_threshold`, nor below `min_remains`."""
     if not gt:
         raise ValueError("ground truth must be non-empty")
-    if ledger is None:
-        ledger = CoverageLedger.zeros(len(gt))
-    elif len(ledger) != len(gt):
+    if len(ledger) != len(gt):
         raise ValueError("ledger has %d entries but the ground truth has %d pairs"
                          % (len(ledger), len(gt)))
     rng = random.Random(cfg.seed)
@@ -578,7 +570,7 @@ def learn_runs(endpoint, gt: list[GroundTruthPair], cfg: EvolutionConfig,
 def learn(endpoint, gt: list[GroundTruthPair], cfg: EvolutionConfig) -> LearnResult:
     """Every run of `learn_runs` from scratch, their patterns best first, and
     the last ledger."""
-    runs = list(learn_runs(endpoint, gt, cfg))
+    ledger = CoverageLedger.zeros(len(gt))
+    runs = list(learn_runs(endpoint, gt, cfg, ledger))
     return LearnResult(patterns=best_first(lp for rec in runs for lp in rec.accepted),
-                       ledger=runs[-1].ledger if runs else CoverageLedger.zeros(len(gt)),
-                       runs=runs)
+                       ledger=runs[-1].ledger if runs else ledger, runs=runs)

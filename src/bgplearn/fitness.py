@@ -102,9 +102,9 @@ class PatternEvaluation:
 OVERFIT_FACTOR = 0.1
 
 
-def score(gain: float, evaluation: PatternEvaluation, gt: list[GroundTruthPair],
-          overfit_factor: float = OVERFIT_FACTOR) -> float:
-    """Gain, times `overfit_factor` when the matched pairs hold fewer than 2
+def score(gain: float, evaluation: PatternEvaluation,
+          gt: list[GroundTruthPair]) -> float:
+    """Gain, times `OVERFIT_FACTOR` when the matched pairs hold fewer than 2
     distinct sources or targets: a pattern fitting a single source/target."""
     if gain < 0:
         raise ValueError("gain must be non-negative")
@@ -113,7 +113,7 @@ def score(gain: float, evaluation: PatternEvaluation, gt: list[GroundTruthPair],
     targets = {p.target for p in matched}
     penalty = 1.0
     if len(sources) < 2 or len(targets) < 2:
-        penalty = overfit_factor
+        penalty = OVERFIT_FACTOR
     return gain * penalty
 
 
@@ -121,8 +121,7 @@ _STATUS_PENALTY = {COMPLETE: 0.0, SOFT_TIMEOUT: 0.5, HARD_TIMEOUT: 1.0}
 
 
 def evaluate(endpoint, gp: GraphPattern, gt: list[GroundTruthPair],
-             ledger: CoverageLedger, overfit_factor: float = OVERFIT_FACTOR
-             ) -> tuple[PatternEvaluation, FitnessTuple]:
+             ledger: CoverageLedger) -> tuple[PatternEvaluation, FitnessTuple]:
     """Fitness of one pattern via a single batched prediction query over GT sources."""
     n = len(gt)
     remains = ledger.remains()
@@ -170,7 +169,7 @@ def evaluate(endpoint, gp: GraphPattern, gt: list[GroundTruthPair],
         gain = sum(map(max, repeat(0.0), map(sub, pv, ledger.values)))
 
     ev = PatternEvaluation(pv=pv)
-    sc = score(gain, ev, gt, overfit_factor)
+    sc = score(gain, ev, gt)
     ft = FitnessTuple(score=sc, gain=gain, f1=f1, avg_result_len=avg_result_len,
                       gt_matches=gt_matches, timeout_penalty=penalty,
                       query_time_s=res.elapsed, **base)

@@ -7,6 +7,7 @@ import json
 import re
 from typing import Optional
 
+from .endpoint import check_settings
 from .evolution import LearnedPattern
 from .fitness import CoverageLedger, FitnessTuple, GroundTruthPair, PatternEvaluation
 from .patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR, TriplePattern, Variable,
@@ -70,14 +71,23 @@ def learned_to_json(lp) -> dict:
     }
 
 
+def check_run_index(name: str, value) -> None:
+    """ValueError unless `value`, a run's number, is an integer >= 1."""
+    if type(value) is not int or value < 1:
+        raise ValueError("%s must be an integer >= 1, not %r" % (name, value))
+
+
 def learned_from_json(obj: dict):
-    return LearnedPattern(
+    lp = LearnedPattern(
         pattern=pattern_from_json(obj["pattern"]),
         fitness=FitnessTuple(**obj["fitness"]),
         # the ledger's rule: each entry a number in [0, 1], NaN refused
         evaluation=PatternEvaluation(pv=list(CoverageLedger(obj["pv"]).values)),
         run_index=obj["run_index"],
     )
+    check_settings(lp.fitness, {})  # each a finite number of its type, no bool
+    check_run_index("run_index", lp.run_index)
+    return lp
 
 
 def run_record_to_json(rec, echo_config: dict) -> dict:

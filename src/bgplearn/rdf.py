@@ -221,14 +221,12 @@ class TripleStore:
         ends = array("q", map(place.__getitem__, chain.from_iterable(self.tables[5])))
         return array("q", nodes), ends[0::2], ends[1::2]
 
-    def degree(self, node: Term, direction: str = BIDI) -> int:
+    def degree(self, node: Term, direction: str) -> int:
         nid = self._ids.get(node)  # None is no table's key
         if direction == OUT:
             return len(self.tables[4].get(nid, ()))
         if direction == IN:
             return len(self.tables[1].get(nid, ()))
-        if direction == BIDI:
-            return len(self.tables[4].get(nid, ())) + len(self.tables[1].get(nid, ()))
         raise ValueError("unknown direction: %r" % direction)
 
     def triples(self) -> Iterator[Triple]:

@@ -11,6 +11,11 @@ from bgplearn.rdf import (LITERAL, IRI, Term, Triple, TripleStore, bnode, iri,
 
 EX = "http://example.org/"
 
+# the keys of the paper's rates, which were settings and are constants of the
+# search now: evolution's and fitness.OVERFIT_FACTOR
+RATE_KEYS = ["mating_prob", "p_dominant", "p_recessive", "fragment_fraction",
+             "init_fix_var_prob", "fix_var_children", "overfit_factor"]
+
 
 def ex(name):
     return iri(EX + name)

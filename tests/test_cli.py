@@ -14,7 +14,7 @@ from bgplearn.cli import (EXIT_BAD_INPUT, EXIT_ENDPOINT, EXIT_OK, EXIT_USAGE,
                           load_config, main)
 from bgplearn.report import build_report
 
-from conftest import CAPITALS_TTL, ex, random_store
+from conftest import CAPITALS_TTL, RATE_KEYS, ex, random_store
 
 GT_TSV = """\
 @prefix : <http://example.org/> .
@@ -320,7 +320,8 @@ class TestConfig:
         assert ep.backoff == 2.0 and isinstance(ep.backoff, float)
 
     # max_path_length and tournament_size are no settings now: constants of
-    # the search, so their keys are unknown keys
+    # the search, so their keys are unknown keys; so is overfit_factor, whose
+    # case was a value out of range before it became fitness.OVERFIT_FACTOR
     @pytest.mark.parametrize("setting", ["bogus=1", "batch_size=0", "backoff=abc",
                                          "cache_capacity=100", "soft_timeout=-1",
                                          "backend=local", "url=x",
@@ -344,6 +345,47 @@ class TestConfig:
                      *command_inputs(workdir, command), "--set", setting])
         assert code == EXIT_USAGE
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("how", ["--set", "--config"])
+    @pytest.mark.parametrize("key", RATE_KEYS)
+    def test_rate_key_exits_1(self, workdir, capsys, key, how):
+        """The paper's rates are constants of the search now."""
+        config = workdir / "rates.cfg"
+        config.write_text("%s = 0.5\n" % key)
+        option = "%s=0.5" % key if how == "--set" else str(config)
+        code = main(["learn", "--store", str(workdir / "store.ttl"),
+                     *command_inputs(workdir, "learn"), how, option])
+        assert code == EXIT_USAGE
+        assert ("configuration error: unknown config key: %r" % key
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("config, option, expected", [
+        (None, "backoff=abc",
+         "backoff: could not convert string to float: 'abc' (--set)"),
+        (None, "population_size",
+         "population_size: invalid literal for int() with base 10: '' (--set)"),
+        (None, "backoff=", "backoff: could not convert string to float: '' (--set)"),
+        ("seed = 1\npopulation_size\n", None,
+         "population_size: invalid literal for int() with base 10: '' "
+         "(CONFIG, line 2)"),
+        ("# rates\n\nmax_runs = two\n", None,
+         "max_runs: invalid literal for int() with base 10: 'two' (CONFIG, line 3)"),
+        ("max_runs = 2\nbogus = 1\n", None,
+         "unknown config key: 'bogus' (CONFIG, line 2)")],
+        ids=["set_not_a_number", "set_no_value", "set_empty_value", "file_no_value",
+             "file_not_a_number", "file_unknown_key"])
+    def test_config_error_names_key_and_where(self, workdir, capsys, config,
+                                              option, expected):
+        args = ["learn", "--store", str(workdir / "store.ttl"),
+                *command_inputs(workdir, "learn")]
+        if config is not None:
+            (workdir / "my.cfg").write_text(config)
+            args += ["--config", str(workdir / "my.cfg")]
+        else:
+            args += ["--set", option]
+        assert main(args) == EXIT_USAGE
+        expected = expected.replace("CONFIG", str(workdir / "my.cfg"))
+        assert "configuration error: %s\n" % expected in capsys.readouterr().err
 
     def test_dropped_key_in_config_file_exits_1(self, workdir, capsys):
         """The operator rates, the overfit minimums and the search limits are
@@ -735,6 +777,44 @@ def test_malformed_patterns_exits_2(workdir, capsys, command, doc):
     (workdir / "patterns.json").write_text(json.dumps(doc))
     assert main(args) == EXIT_BAD_INPUT
     assert "input error: patterns" in capsys.readouterr().err
+
+
+# a fitness field or run_index of the wrong kind, and the name the error gives
+BAD_ENTRIES = {
+    "string_score": (dict(ENTRY, fitness=dict(FITNESS, score="1")), "score"),
+    "bool_gt_matches": (dict(ENTRY, fitness=dict(FITNESS, gt_matches=True)),
+                        "gt_matches"),
+    "float_pattern_length": (dict(ENTRY, fitness=dict(FITNESS, pattern_length=1.5)),
+                             "pattern_length"),
+    "nan_remains": (dict(ENTRY, fitness=dict(FITNESS, remains=float("nan"))),
+                    "remains"),
+    "null_f1": (dict(ENTRY, fitness=dict(FITNESS, f1=None)), "f1"),
+    "string_run_index": (dict(ENTRY, run_index="one"), "run_index"),
+    "zero_run_index": (dict(ENTRY, run_index=0), "run_index"),
+    "float_run_index": (dict(ENTRY, run_index=1.0), "run_index"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_ENTRIES)
+@pytest.mark.parametrize("command", ["predict", "evaluate", "resume"])
+def test_malformed_fitness_or_run_index_exits_2(workdir, capsys, command, bad):
+    """Each fitness field is a finite number of its declared type, never a
+    bool, and run_index an integer >= 1, whichever command reads the file."""
+    entry, field = BAD_ENTRIES[bad]
+    doc = {"ground_truth": GT_PAIRS, "next_run": 2, "patterns": [entry]}
+    if command == "resume":
+        (workdir / "out").mkdir()
+        (workdir / "out" / "patterns.json").write_text(json.dumps(doc))
+        code = run_learn(workdir, extra=["--resume"])
+    else:
+        args = [command, "--store", str(workdir / "store.ttl"),
+                *command_inputs(workdir, command)]
+        (workdir / "patterns.json").write_text(json.dumps(doc))
+        code = main(args)
+    assert code == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert "input error: patterns" in err and "malformed" in err
+    assert "%s must be " % field in err
 
 
 class TestEvaluateCommand:

@@ -9,7 +9,8 @@ from bgplearn import endpoint
 from bgplearn.endpoint import (Endpoint, EndpointConfig, EndpointError,
                                EndpointUnreachable, local_endpoint)
 from bgplearn.engine import COMPLETE, HARD_TIMEOUT, select
-from bgplearn.evolution import EvolutionConfig, fix_var
+from bgplearn.evolution import fix_var
+from bgplearn.fitness import CoverageLedger
 from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
                                TriplePattern, Variable, to_select_sparql)
 from bgplearn.predict import PatternPortfolio, PortfolioEntry, predict_targets
@@ -61,7 +62,8 @@ class TestUncached:
                            TriplePattern(V("o"), V("q"), TARGET_VAR)])
         portfolio = PatternPortfolio([PortfolioEntry(CAPITAL_GP, [1.0], None)])
         for _ in range(2):
-            fix_var(gp, ep, capitals_gt, None, random.Random(0), EvolutionConfig())
+            fix_var(gp, ep, capitals_gt, CoverageLedger.zeros(len(capitals_gt)),
+                    random.Random(0))
             sets = predict_targets(ep, portfolio, ex("Berlin"))
             assert [set(map(ep.term, s)) for s in sets] == [{ex("Germany")}]
         assert ep.backend_calls == 4

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -5,11 +6,14 @@ from collections import Counter
 
 import pytest
 
-from bgplearn import evolution
+from bgplearn import evolution, fitness
 from bgplearn.canon import pattern_key
 from bgplearn.endpoint import Endpoint, EndpointConfig, local_endpoint
-from bgplearn.evolution import (FIX_VAR_SAMPLE_SIZE, MAX_PATH_LENGTH,
-                                MAX_PATTERN_LENGTH, MAX_VARS, TOURNAMENT_SIZE,
+from bgplearn.evolution import (FIX_VAR_CHILDREN, FIX_VAR_SAMPLE_SIZE,
+                                FRAGMENT_FRACTION, INIT_FIX_VAR_PROB,
+                                MATING_PROB, MAX_PATH_LENGTH,
+                                MAX_PATTERN_LENGTH, MAX_VARS, P_DOMINANT,
+                                P_RECESSIVE, TOURNAMENT_SIZE,
                                 EvolutionConfig, HallOfFame, Individual,
                                 fit_to_live, fix_var, init_population, learn,
                                 learn_runs,
@@ -19,12 +23,13 @@ from bgplearn.evolution import (FIX_VAR_SAMPLE_SIZE, MAX_PATH_LENGTH,
                                 mut_simplify, mut_split_var, mutate,
                                 next_generation, run_single, tournament,
                                 _random_path, _weighted_draws)
-from bgplearn.fitness import CoverageLedger, FitnessTuple, GroundTruthPair
+from bgplearn.fitness import (OVERFIT_FACTOR, CoverageLedger, FitnessTuple,
+                              GroundTruthPair)
 from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
                                TriplePattern, Variable)
 from bgplearn.rdf import iri, load_ntriples
 
-from conftest import EX, ex
+from conftest import EX, RATE_KEYS, ex
 
 V = Variable
 CAPITAL_GP = GraphPattern([TriplePattern(SOURCE_VAR, ex("capitalOf"), TARGET_VAR)])
@@ -38,6 +43,11 @@ class _LowestDraws:
 
     def randrange(self, n):
         return 0
+
+
+def capitals_args(store, gt):
+    """The endpoint, ground truth and zeros ledger a learner reads."""
+    return local_endpoint(store), gt, CoverageLedger.zeros(len(gt))
 
 
 def small_cfg(**kw):
@@ -67,10 +77,10 @@ class TestInitPopulation:
         assert counts[2] / 8000 == pytest.approx(2 / 7, abs=0.03)
         assert counts[3] / 8000 == pytest.approx(1 / 7, abs=0.03)
 
-    def test_fragment_fraction(self):
+    def test_fragment_fraction(self, capitals_store, capitals_gt):
         rng = random.Random(1)
         cfg = EvolutionConfig(population_size=100)
-        pop = init_population(cfg, rng)
+        pop = init_population(cfg, rng, *capitals_args(capitals_store, capitals_gt))
         fragments = [i for i in pop if not i.pattern.is_complete]
         assert len(fragments) == 10
         for ind in fragments:
@@ -79,19 +89,21 @@ class TestInitPopulation:
             names = {v.name for v in gp.variables()}
             assert "source" in names or "target" in names
 
-    def test_seeded_determinism(self):
+    def test_seeded_determinism(self, capitals_store, capitals_gt):
         cfg = EvolutionConfig(population_size=50)
-        a = init_population(cfg, random.Random(5))
-        b = init_population(cfg, random.Random(5))
+        a = init_population(cfg, random.Random(5),
+                            *capitals_args(capitals_store, capitals_gt))
+        b = init_population(cfg, random.Random(5),
+                            *capitals_args(capitals_store, capitals_gt))
         assert [i.pattern for i in a] == [i.pattern for i in b]
 
-    def test_init_fix_var_grounds_terms(self, capitals_store, capitals_gt):
-        ep = local_endpoint(capitals_store)
-        cfg = EvolutionConfig(population_size=60, init_fix_var_prob=1.0,
-                              fragment_fraction=0.0)
-        pop = init_population(cfg, random.Random(2), endpoint=ep,
-                              gt=capitals_gt,
-                              ledger=CoverageLedger.zeros(len(capitals_gt)))
+    def test_init_fix_var_grounds_terms(self, capitals_store, capitals_gt,
+                                        monkeypatch):
+        monkeypatch.setattr(evolution, "INIT_FIX_VAR_PROB", 1.0)
+        monkeypatch.setattr(evolution, "FRAGMENT_FRACTION", 0.0)
+        cfg = EvolutionConfig(population_size=60)
+        pop = init_population(cfg, random.Random(2),
+                              *capitals_args(capitals_store, capitals_gt))
         grounded = [i for i in pop
                     if any(not isinstance(n, Variable)
                            for tp in i.pattern.triples for n in tp)]
@@ -100,25 +112,24 @@ class TestInitPopulation:
 
 class TestMating:
     def test_identical_parents_yield_parent(self):
-        cfg = EvolutionConfig()
         rng = random.Random(0)
         a = Individual(CAPITAL_GP)
-        c1, c2 = mate(a, Individual(CAPITAL_GP), rng, cfg)
+        c1, c2 = mate(a, Individual(CAPITAL_GP), rng)
         assert c1.pattern == CAPITAL_GP and c2.pattern == CAPITAL_GP
 
-    def test_degenerate_probabilities(self):
-        cfg = EvolutionConfig(p_dominant=1.0, p_recessive=0.0)
+    def test_degenerate_probabilities(self, monkeypatch):
+        monkeypatch.setattr(evolution, "P_DOMINANT", 1.0)
+        monkeypatch.setattr(evolution, "P_RECESSIVE", 0.0)
         rng = random.Random(4)
         dom = GraphPattern([TriplePattern(SOURCE_VAR, ex("p"), TARGET_VAR),
                             TriplePattern(SOURCE_VAR, ex("q"), V("x"))])
         rec = GraphPattern([TriplePattern(SOURCE_VAR, V("y"), TARGET_VAR)])
         for _ in range(50):
-            c1, c2 = mate(Individual(dom), Individual(rec), rng, cfg)
+            c1, c2 = mate(Individual(dom), Individual(rec), rng)
             assert c1.pattern == dom
             assert c2.pattern == rec
 
     def test_child_triples_come_from_parents(self):
-        cfg = EvolutionConfig()
         rng = random.Random(8)
         dom = GraphPattern([TriplePattern(SOURCE_VAR, ex("p"), TARGET_VAR),
                             TriplePattern(TARGET_VAR, ex("q"), V("x"))])
@@ -126,21 +137,22 @@ class TestMating:
                             TriplePattern(V("y"), ex("s"), TARGET_VAR)])
         allowed_preds = {ex("p"), ex("q"), ex("r"), ex("s")}
         for _ in range(100):
-            c1, _ = mate(Individual(dom), Individual(rec), rng, cfg)
+            c1, _ = mate(Individual(dom), Individual(rec), rng)
             for tp in c1.pattern.triples:
                 assert tp.p in allowed_preds
 
 
-    def test_recessive_variables_renamed_to_free_names(self):
+    def test_recessive_variables_renamed_to_free_names(self, monkeypatch):
         """The recessive side's free variables become the lowest `r<n>` names
         that neither side holds, in order of first appearance."""
-        cfg = EvolutionConfig(p_dominant=1.0, p_recessive=1.0)
+        monkeypatch.setattr(evolution, "P_DOMINANT", 1.0)
+        monkeypatch.setattr(evolution, "P_RECESSIVE", 1.0)
         dom = GraphPattern([TriplePattern(SOURCE_VAR, ex("p"), V("r0")),
                             TriplePattern(V("r0"), ex("q"), TARGET_VAR)])
         rec = GraphPattern([TriplePattern(SOURCE_VAR, ex("r"), V("a")),
                             TriplePattern(V("a"), ex("s"), V("r2")),
                             TriplePattern(V("r2"), ex("t"), TARGET_VAR)])
-        c1, c2 = mate(Individual(dom), Individual(rec), _LowestDraws(), cfg)
+        c1, c2 = mate(Individual(dom), Individual(rec), _LowestDraws())
         assert c1.pattern == GraphPattern(dom.triples | {
             TriplePattern(SOURCE_VAR, ex("r"), V("r1")),
             TriplePattern(V("r1"), ex("s"), V("r3")),
@@ -265,30 +277,27 @@ class TestFixVar:
     def test_grounds_predicate_on_fixture(self, capitals_store, capitals_gt):
         ep = local_endpoint(capitals_store)
         gp = GraphPattern([TriplePattern(SOURCE_VAR, V("p"), TARGET_VAR)])
-        cfg = EvolutionConfig()
         children = fix_var(gp, ep, capitals_gt,
-                           CoverageLedger.zeros(3), random.Random(1), cfg)
+                           CoverageLedger.zeros(3), random.Random(1))
         assert CAPITAL_GP in children
         for child in children:
             assert V("p") not in child.variables()
 
     def test_no_free_variables(self, capitals_store, capitals_gt):
-        ep = local_endpoint(capitals_store)
-        assert fix_var(CAPITAL_GP, ep, capitals_gt, None,
-                       random.Random(0), EvolutionConfig()) == []
+        ep, gt, ledger = capitals_args(capitals_store, capitals_gt)
+        assert fix_var(CAPITAL_GP, ep, gt, ledger, random.Random(0)) == []
 
     def test_no_bindings(self, capitals_store, capitals_gt):
-        ep = local_endpoint(capitals_store)
         gp = GraphPattern([TriplePattern(SOURCE_VAR, ex("nosuch"), V("x")),
                            TriplePattern(V("x"), ex("nosuch"), TARGET_VAR)])
-        assert fix_var(gp, ep, capitals_gt, None,
-                       random.Random(0), EvolutionConfig()) == []
+        assert fix_var(gp, *capitals_args(capitals_store, capitals_gt),
+                       random.Random(0)) == []
 
     def test_saturated_ledger_uniform_fallback(self, capitals_store, capitals_gt):
         ep = local_endpoint(capitals_store)
         gp = GraphPattern([TriplePattern(SOURCE_VAR, V("p"), TARGET_VAR)])
         children = fix_var(gp, ep, capitals_gt, CoverageLedger([1.0, 1.0, 1.0]),
-                           random.Random(2), EvolutionConfig())
+                           random.Random(2))
         assert CAPITAL_GP in children
 
     @staticmethod
@@ -305,16 +314,17 @@ class TestFixVar:
                 return inner.run_select(gp, projection, values, limit, cache)
 
         gp = GraphPattern([TriplePattern(SOURCE_VAR, V("p"), TARGET_VAR)])
-        fix_var(gp, Spy(), gt, ledger, random.Random(seed), EvolutionConfig())
+        fix_var(gp, Spy(), gt, ledger, random.Random(seed))
         return sent
 
     def test_saturated_ledger_samples_like_no_ledger(self, capitals_store,
                                                      capitals_gt):
+        """A saturated ledger samples as a zeros one does: uniformly."""
         for seed in range(5):
             saturated = self._sampled_pairs(capitals_store, capitals_gt,
                                             CoverageLedger([1.0, 1.0, 1.0]), seed)
             assert saturated == self._sampled_pairs(capitals_store, capitals_gt,
-                                                    None, seed)
+                                                    CoverageLedger.zeros(3), seed)
             assert sorted(saturated[0]) == sorted(capitals_gt)
 
     def test_sampling_stops_at_zero_weight(self, capitals_store, capitals_gt):
@@ -332,16 +342,16 @@ class TestFixVar:
         gp = GraphPattern([TriplePattern(SOURCE_VAR, iri("http://x/p"), V("v")),
                            TriplePattern(V("v"), iri("http://x/q"), TARGET_VAR)])
         gt = [GroundTruthPair(iri("http://x/a"), iri("http://x/t"))]
-        children = fix_var(gp, local_endpoint(store), gt, None, random.Random(0),
-                           EvolutionConfig())
+        children = fix_var(gp, local_endpoint(store), gt, CoverageLedger.zeros(1),
+                           random.Random(0))
         assert children == [gp.substitute({V("v"): iri("http://x/c")})]
 
-    def test_child_count_bounded(self, capitals_store, capitals_gt):
-        ep = local_endpoint(capitals_store)
+    def test_child_count_bounded(self, capitals_store, capitals_gt, monkeypatch):
+        monkeypatch.setattr(evolution, "FIX_VAR_CHILDREN", 2)
         gp = GraphPattern([TriplePattern(SOURCE_VAR, V("p"), V("o")),
                            TriplePattern(V("o"), V("q"), TARGET_VAR)])
-        cfg = EvolutionConfig(fix_var_children=2)
-        children = fix_var(gp, ep, capitals_gt, None, random.Random(3), cfg)
+        children = fix_var(gp, *capitals_args(capitals_store, capitals_gt),
+                           random.Random(3))
         assert len(children) <= 2
 
 
@@ -476,12 +486,13 @@ class TestSelection:
         picks = {tournament(pool, 1, rng).fitness.score for _ in range(200)}
         assert len(picks) == len(pool)
 
-    def test_next_generation_size_and_reintro(self):
+    def test_next_generation_size_and_reintro(self, capitals_store, capitals_gt):
         cfg = small_cfg()
         pool = self._pool()
         hof = HallOfFame(cfg.hall_of_fame_size)
         hof.update(pool)
-        out = next_generation(pool * 5, hof, cfg, random.Random(2))
+        out = next_generation(pool * 5, hof, cfg, random.Random(2),
+                              *capitals_args(capitals_store, capitals_gt))
         assert len(out) == cfg.population_size
         # hof reintroduction: the two best patterns are present
         keys = {ind.canonical_key for ind in out}
@@ -509,7 +520,8 @@ class TestRunSingle:
         monkeypatch.setattr(evolution, "init_population", init_spy)
         monkeypatch.setattr(evolution, "mutate", lambda *args: [Individual(unfit)])
         monkeypatch.setattr(evolution, "next_generation", next_generation_spy)
-        cfg = small_cfg(max_generations=1, mating_prob=0.0)
+        monkeypatch.setattr(evolution, "MATING_PROB", 0.0)
+        cfg = small_cfg(max_generations=1)
         ledger = CoverageLedger.zeros(len(capitals_gt))
         run_single(local_endpoint(capitals_store), capitals_gt, ledger, cfg,
                    random.Random(cfg.seed))
@@ -553,9 +565,10 @@ class TestRunSingleScoresEachPatternOnce:
     def test_score_takes_the_configured_overfit_factor(self, capitals_store,
                                                        capitals_gt, monkeypatch,
                                                        factor):
+        monkeypatch.setattr(fitness, "OVERFIT_FACTOR", factor)
         gt = [capitals_gt[0], GroundTruthPair(ex("Nowhere"), ex("Germany"))]
         (ind,), _ = self._scored(monkeypatch, local_endpoint(capitals_store), gt,
-                                 [CAPITAL_GP], overfit_factor=factor)
+                                 [CAPITAL_GP])
         assert (ind.fitness.gain, ind.fitness.score) == (1.0, factor)
 
     def test_renamed_twin_hits_the_endpoint_cache(self, capitals_store, capitals_gt,
@@ -611,6 +624,7 @@ class TestLearn:
             return real_run_single(*args)
 
         monkeypatch.setattr(evolution, "run_single", counted)
+        kw.setdefault("ledger", CoverageLedger.zeros(len(gt)))
         records = list(learn_runs(local_endpoint(store), gt, cfg, **kw))
         return len(calls), len(records)
 
@@ -657,7 +671,8 @@ class TestLearn:
 
     def test_learn_collects_learn_runs(self, capitals_store, capitals_gt):
         cfg = small_cfg(max_runs=3, min_remains=0.0, score_threshold=-1.0)
-        runs = list(learn_runs(local_endpoint(capitals_store), capitals_gt, cfg))
+        ep, gt, ledger = capitals_args(capitals_store, capitals_gt)
+        runs = list(learn_runs(ep, gt, cfg, ledger))
         result = learn(local_endpoint(capitals_store), capitals_gt, cfg)
         assert runs == result.runs and len(runs) == 3
         assert result.ledger == runs[-1].ledger
@@ -669,8 +684,8 @@ class TestLearn:
         first = learn(local_endpoint(capitals_store), capitals_gt, cfg)
         known = {lp.canonical_key for lp in first.patterns}
         assert pattern_key(CAPITAL_GP) in known
-        runs = list(learn_runs(local_endpoint(capitals_store), capitals_gt, cfg,
-                               known_keys=known))
+        ep, gt, ledger = capitals_args(capitals_store, capitals_gt)
+        runs = list(learn_runs(ep, gt, cfg, ledger, known_keys=known))
         keys = [lp.canonical_key for rec in runs for lp in rec.accepted]
         assert len(runs) == 3 and not known & set(keys)
         assert len(keys) == len(set(keys))
@@ -679,7 +694,7 @@ class TestLearn:
 class TestConfig:
     @pytest.mark.parametrize("setting", [
         dict(population_size=40.0), dict(max_runs=2.5), dict(seed=True),
-        dict(fix_var_children=False), dict(p_fix_var=True),
+        dict(hall_of_fame_size=False), dict(p_fix_var=True),
         dict(score_threshold=False)], ids=lambda s: "%s=%r" % next(iter(s.items())))
     def test_a_setting_has_its_declared_type(self, setting):
         """An int setting takes an int, and no setting takes a bool."""
@@ -687,8 +702,8 @@ class TestConfig:
             EvolutionConfig(**setting)
 
     def test_a_float_setting_takes_an_int(self):
-        cfg = EvolutionConfig(score_threshold=2, p_fix_var=1, overfit_factor=0)
-        assert (cfg.score_threshold, cfg.p_fix_var, cfg.overfit_factor) == (2, 1, 0)
+        cfg = EvolutionConfig(score_threshold=2, p_fix_var=1, min_remains=0)
+        assert (cfg.score_threshold, cfg.p_fix_var, cfg.min_remains) == (2, 1, 0)
 
     def test_search_limits_are_the_papers(self):
         assert (TOURNAMENT_SIZE, MAX_PATH_LENGTH, FIX_VAR_SAMPLE_SIZE,
@@ -700,3 +715,21 @@ class TestConfig:
     def test_a_search_limit_is_no_setting(self, name):
         with pytest.raises(TypeError, match=name):
             EvolutionConfig(**{name: 4})
+
+    def test_rates_are_the_papers(self):
+        assert (MATING_PROB, P_DOMINANT, P_RECESSIVE, FRAGMENT_FRACTION,
+                INIT_FIX_VAR_PROB, FIX_VAR_CHILDREN, OVERFIT_FACTOR) == (
+                    0.5, 0.9, 0.1, 0.1, 0.9, 8, 0.1)
+
+    @pytest.mark.parametrize("name", RATE_KEYS)
+    def test_a_rate_is_no_setting(self, name):
+        with pytest.raises(TypeError, match=name):
+            EvolutionConfig(**{name: 0.5})
+
+    def test_settings_left(self):
+        """Ten evolution settings and six endpoint ones."""
+        assert [f.name for f in dataclasses.fields(EvolutionConfig)] == [
+            "population_size", "max_generations", "max_runs", "p_fix_var",
+            "hall_of_fame_size", "reintro_fresh", "reintro_hof",
+            "score_threshold", "min_remains", "seed"]
+        assert len(dataclasses.fields(EndpointConfig)) == 6

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bgplearn import fitness
 from bgplearn.endpoint import Endpoint, local_endpoint
 from bgplearn.engine import COMPLETE, SOFT_TIMEOUT, EvalResult, select
 from bgplearn.fitness import (_STATUS_PENALTY, OVERFIT_FACTOR, CoverageLedger,
@@ -150,12 +151,12 @@ class TestEvaluate:
         assert fit.timeout_penalty == 0.0
 
     def test_overfit_factor_scales_a_single_matched_pair(self, capitals_store,
-                                                         capitals_gt):
+                                                         capitals_gt, monkeypatch):
         gt = [capitals_gt[0], GroundTruthPair(ex("Nowhere"), ex("Germany"))]
         led = CoverageLedger.zeros(len(gt))
         for factor, expected in ((OVERFIT_FACTOR, 0.1), (0.5, 0.5), (1.0, 1.0)):
-            _, fit = evaluate(local_endpoint(capitals_store), CAPITAL_GP, gt, led,
-                              factor)
+            monkeypatch.setattr(fitness, "OVERFIT_FACTOR", factor)
+            _, fit = evaluate(local_endpoint(capitals_store), CAPITAL_GP, gt, led)
             assert (fit.gain, fit.score) == (1.0, expected)
 
     def test_all_variable_predicate(self, capitals_store, capitals_gt):
