@@ -42,9 +42,8 @@ _TYPES = {**_EVO_TYPES, **get_type_hints(EndpointConfig)}
 def load_config(path: Optional[str], overrides: list[str]
                 ) -> tuple[EvolutionConfig, EndpointConfig]:
     """Flat key=value file plus `--set key=value` overrides; every field
-    addressable. An error names the key, and `--set` or the file and line."""
-    evo = EvolutionConfig()
-    ep = EndpointConfig()
+    addressable, the last setting of a key winning. An error names the key,
+    and `--set` or the file and line of the setting at fault."""
     items: list[tuple[str, str]] = []  # (where it was set, key=value)
     if path:
         with open(path) as fh:
@@ -53,16 +52,25 @@ def load_config(path: Optional[str], overrides: list[str]
                 if line and not line.startswith("#"):
                     items.append(("%s, line %d" % (path, number), line))
     items += [("--set", ov) for ov in overrides]
+    settings: dict[str, tuple] = {}  # key -> (value, where) of its last setting
     for where, item in items:
         key, _, value = map(str.strip, item.partition("="))
         if key not in _TYPES:
             raise ValueError("unknown config key: %r (%s)" % (key, where))
         try:
-            setattr(evo if key in _EVO_TYPES else ep, key, _TYPES[key](value))
+            settings[key] = (_TYPES[key](value), where)
         except ValueError as exc:
             raise ValueError("%s: %s (%s)" % (key, exc, where)) from exc
-    # rebuilt so that the configs' own checks see the values set above
-    return dataclasses.replace(evo), dataclasses.replace(ep)
+    # each value that stands meets its config's checks alone, as no check
+    # reads two fields, so a value out of bounds is named where it was set
+    for key, (value, where) in settings.items():
+        try:
+            (EvolutionConfig if key in _EVO_TYPES else EndpointConfig)(**{key: value})
+        except ValueError as exc:
+            raise ValueError("%s (%s)" % (exc, where)) from exc
+    values = {key: value for key, (value, _) in settings.items()}
+    return (EvolutionConfig(**{k: v for k, v in values.items() if k in _EVO_TYPES}),
+            EndpointConfig(**{k: v for k, v in values.items() if k not in _EVO_TYPES}))
 
 
 def _open_endpoint(args) -> tuple[EvolutionConfig, Endpoint]:

@@ -3,8 +3,8 @@
 Adds VALUES batching, retry with backoff, and a result cache for the queries
 a caller may ask again (fitness and `simplify.projection_checker`), keyed by
 the pattern's canonical form, so renamed-variable twins hit, by a number
-for its VALUES table, and by whether its rows are decoded to terms; both of
-those callers leave them as the endpoint's handles. Fix-var and predict
+for its VALUES table, and by whether the query is decoded, in terms, or in
+the endpoint's handles, as both of those callers ask it. Fix-var and predict
 queries skip it. The results, the table numbers and a local store's
 plans are three plain dicts; once any of them holds `_MEMO_BOUND` entries,
 all three are cleared together, so a table number is never read against
@@ -25,7 +25,7 @@ from . import engine
 from .canon import canonicalize
 from .engine import COMPLETE, HARD_TIMEOUT, SOFT_TIMEOUT, EvalResult
 from .patterns import (GraphPattern, Variable, check_limit, check_pattern,
-                       check_projection, check_values_terms, to_select_sparql,
+                       check_projection, check_values_entries, to_select_sparql,
                        values_table)
 from .rdf import Term, TripleStore, bnode, iri, literal
 
@@ -86,6 +86,7 @@ class EndpointUnreachable(EndpointError):
 
 def _cache_key(gp: GraphPattern, projection, values, limit, decode,
                tables: dict) -> str:
+    """The cache key of a query whose VALUES rows, if any, are a checked tuple."""
     form = canonicalize(gp)
     mapping = form.variable_mapping
 
@@ -96,8 +97,7 @@ def _cache_key(gp: GraphPattern, projection, values, limit, decode,
     if values is not None:
         vvars, rows = values
         parts.append("V:" + ",".join([canon_var(v) for v in vvars]))
-        table = values_table(len(vvars), rows)
-        parts.append("T:%d" % tables.setdefault(table, len(tables)))
+        parts.append("T:%d" % tables.setdefault(rows, len(tables)))
     parts.append("L:%s" % (limit,))
     if decode:
         parts.append("terms")
@@ -121,10 +121,8 @@ class Endpoint:
         self._tables: dict = {}
         self._plans: dict = {}
         self.backend_calls = 0
-        # the term of a handle in an undecoded row, and its inverse: the
-        # handle of a term, None for a term a local store lacks
+        # the term of a handle in an undecoded row
         self.term: Callable = store.term if store is not None else _same
-        self.handle: Callable = store.term_id if store is not None else _same
 
     # -- public API ---------------------------------------------------------
 
@@ -135,13 +133,21 @@ class Endpoint:
         """The rows of the query; `cache=False` neither reads nor stores the
         result cache, for a caller that never asks the same query twice.
 
-        `decode=False` leaves each row as this endpoint's handles: a local
-        store's term ids (see `engine.select`) or a remote endpoint's terms.
-        `term` decodes a handle, `handle` encodes a term and `order_key`
-        orders handles as their terms. The cache keeps such rows apart from
-        decoded ones."""
+        `decode=False` puts the query in this endpoint's handles, both ways:
+        each VALUES entry is a handle, as `handles` gives, and so is each
+        entry of a row. A local store's handles are its term ids (see
+        `engine.select`), a remote endpoint's its terms. `term` decodes a
+        handle and `order_key` orders handles as their terms. The cache keeps
+        such queries apart from decoded ones, whose entries are terms.
+
+        The whole VALUES table is checked, its row lengths and the type of
+        each entry, before the cache is read or the first batch runs."""
         check_pattern(gp)  # before the cache key, which canonicalizes gp
         check_limit(limit)
+        if values is not None:  # the whole table, before the cache and any batch
+            values = (values[0], values_table(len(values[0]), values[1]))
+            check_values_entries(values[1], int if self.store is not None and not decode
+                                 else Term)
         memos = (self._cache, self._tables, self._plans)
         if max(map(len, memos)) >= _MEMO_BOUND:
             for memo in memos:
@@ -152,8 +158,6 @@ class Endpoint:
             if hit is not None:
                 return hit
         if values is not None and len(values[1]) > self.config.batch_size:
-            # a bad row is refused before the first batch runs
-            check_values_terms(values_table(len(values[0]), values[1]))
             result = self._batched_select(gp, projection, values, limit, decode)
         else:
             result = self._backend_select(gp, projection, values, limit, decode)
@@ -162,6 +166,14 @@ class Endpoint:
         if cache and (self.store is not None or result.status != HARD_TIMEOUT):
             self._cache[key] = result
         return result
+
+    def handles(self, terms) -> list:
+        """The handle of each of `terms`, for the VALUES table of an
+        undecoded query: a local store's `engine.term_ids`, where a term the
+        store lacks has a negative id with no term, or a remote endpoint's
+        terms themselves."""
+        terms = list(terms)
+        return terms if self.store is None else engine.term_ids(self.store, terms)
 
     def order_key(self) -> Callable:
         """The sort key that orders handles as `Term.sort_key` orders their

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from typing import Callable, Optional
 
 from .patterns import (GraphPattern, TriplePattern, Variable, check_limit,
-                       check_pattern, check_projection, check_values_terms,
+                       check_pattern, check_projection, check_values_entries,
                        is_var, values_table)
 from .rdf import Term, TripleStore
 
@@ -197,16 +197,14 @@ class _Plan:
     variables and the projection alone: the join order, the generated join
     function of its shape, each step's table `get` and the constants' ids.
     `run` is None when a constant is missing from the store, so that the
-    query matches nothing. `values_only` says whether the projection names
-    a variable that only the VALUES table binds."""
+    query matches nothing."""
 
-    __slots__ = ("run", "gets", "consts", "values_only")
+    __slots__ = ("run", "gets", "consts")
 
     def __init__(self, store: TripleStore, gp: GraphPattern,
                  projection: list[Variable], values_vars: list[Variable]):
         check_pattern(gp)
         check_projection(gp, projection, values_vars)
-        self.values_only = not gp.variables().issuperset(projection)
         plan = join_plan(store, gp, set(values_vars))
         # one slot per variable, in plan order and then VALUES order; the
         # plan's constants take slots -1, -2, ...
@@ -240,6 +238,17 @@ class _Plan:
         self.consts = tuple(constants)
 
 
+def term_ids(store: TripleStore, terms: list[Term]) -> list[int]:
+    """The store id of each term; a term the store lacks gets a negative id,
+    one for each distinct such term, which matches nothing."""
+    ids = list(map(store.term_id, terms))
+    if None in ids:
+        unknown: dict[Term, int] = {}
+        ids = [unknown.setdefault(term, ~len(unknown)) if tid is None else tid
+               for term, tid in zip(terms, ids)]
+    return ids
+
+
 def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
            values: Optional[tuple[list[Variable], list[tuple]]] = None,
            limit: Optional[int] = None,
@@ -250,17 +259,21 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
 
     The plan is made here, or taken from `plans`, a dict of plans over
     `store` only that keeps each plan made here; its join function then runs
-    every VALUES row through the triples depth first. The limit, pattern,
-    projection and VALUES rows are read by `patterns.check_limit`,
-    `check_pattern`, `check_projection`, `values_table` and `check_values_terms`:
-    the rules a remote endpoint's queries follow too; the rows are read only
-    once the budget, the constants and the limit leave something to run.
+    every VALUES row through the triples depth first. The limit, pattern
+    and projection are read by `patterns.check_limit`, `check_pattern` and
+    `check_projection`: the rules a remote endpoint's queries follow too.
 
-    With `decode=False` each row holds the store's term ids, which
-    `store.term` decodes, in place of its terms. A VALUES term the store
-    lacks has an id that means nothing outside this call, so such a query
-    must not project a variable that only the VALUES table binds
-    (ValueError); every variable the pattern binds holds a store id.
+    With `decode=True` each VALUES entry is a `Term` and each row holds
+    terms; the VALUES rows are read by `values_table` and
+    `check_values_entries`, only once the budget, the constants and the
+    limit leave something to run.
+
+    With `decode=False` the query is in the store's ids, both ways: each
+    VALUES entry is an id, as `term_ids` gives, read as given (the caller
+    checks the table, as `Endpoint.run_select` does), and each row holds
+    ids, which `store.term` decodes. A negative id, for a term the store
+    lacks, matches nothing; a projected variable that only the VALUES table
+    binds holds the id it was given.
     """
     check_limit(limit)
     values_vars = values[0] if values else []
@@ -271,11 +284,6 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
         plan = plans.get(key)
         if plan is None:
             plan = plans[key] = _Plan(store, gp, projection, values_vars)
-    if not decode and plan.values_only:
-        bound = gp.variables()
-        raise ValueError("an undecoded row cannot hold a VALUES-only variable: %s"
-                         % ", ".join(v.n3() for v in projection if v not in bound))
-
     soft_budget = None if soft_timeout is None else int(soft_timeout * TICKS_PER_SECOND)
     hard_budget = None if hard_timeout is None else int(hard_timeout * TICKS_PER_SECOND)
     if hard_budget is not None and hard_budget <= 0:
@@ -283,18 +291,14 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
     if plan.run is None or limit == 0:
         return EvalResult([], 0.0, COMPLETE)
 
-    # VALUES terms missing from the store get negative ids, which match nothing
-    unknown: dict[Term, int] = {}
-    work = [()]  # the ids of each VALUES row
-    if values:
-        work = values_table(len(values_vars), values[1])
+    work = values[1] if values else [()]  # the ids of each VALUES row
+    missing: dict[int, Term] = {}  # the term of each negative id
+    if values and decode:
+        work = values_table(len(values_vars), work)
+        check_values_entries(work, Term)
         flat = list(chain.from_iterable(work))
-        if not all(map(isinstance, flat, repeat(Term))):  # nor a tuple equal to one
-            check_values_terms(work)
-        ids = list(map(store.term_id, flat))
-        if None in ids:
-            ids = [unknown.setdefault(term, ~len(unknown)) if tid is None else tid
-                   for term, tid in zip(flat, ids)]
+        ids = term_ids(store, flat)
+        missing = {tid: term for term, tid in zip(flat, ids) if tid < 0}
         if values_vars:  # else every row is empty
             work = list(zip(*[iter(ids)] * len(values_vars)))
 
@@ -311,11 +315,10 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
     if not decode:
         return EvalResult(list(found), ticks / TICKS_PER_SECOND, status)
 
-    missing = list(unknown)
     term = store.term
 
     def decode(tid: int) -> Term:
-        return term(tid) if tid >= 0 else missing[~tid]
+        return term(tid) if tid >= 0 else missing[tid]
 
     rows = [tuple(map(decode if missing else term, row)) for row in found]
     return EvalResult(rows, ticks / TICKS_PER_SECOND, status)

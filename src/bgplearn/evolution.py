@@ -14,7 +14,7 @@ from .canon import pattern_key
 from .endpoint import check_settings
 from .engine import HARD_TIMEOUT
 from .fitness import (_STATUS_PENALTY, CoverageLedger, FitnessTuple,
-                      GroundTruthPair, PatternEvaluation, evaluate)
+                      GroundTruthPair, PatternEvaluation, encode_gt, evaluate)
 from .patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR, TriplePattern,
                        Variable)
 from .rdf import LITERAL, Term
@@ -141,7 +141,7 @@ def _random_fragment(rng: random.Random) -> GraphPattern:
 
 
 def init_population(cfg: EvolutionConfig, rng: random.Random, endpoint,
-                    gt: list[GroundTruthPair], ledger: CoverageLedger,
+                    gt: Sequence[GroundTruthPair], ledger: CoverageLedger,
                     size: Optional[int] = None) -> list[Individual]:
     size = cfg.population_size if size is None else size
     n_fragments = int(round(FRAGMENT_FRACTION * size))
@@ -348,33 +348,38 @@ def _weighted_draws(weights: Sequence[float], m: int,
     return picks
 
 
-def fix_var(gp: GraphPattern, endpoint, gt: list[GroundTruthPair],
+def fix_var(gp: GraphPattern, endpoint, gt: Sequence[GroundTruthPair],
             ledger: CoverageLedger, rng: random.Random) -> list[GraphPattern]:
-    """Ground one variable with terms observed while binding sampled GT pairs."""
+    """Ground one variable with terms observed while binding sampled GT
+    pairs; `gt` is encoded here unless `encode_gt` did so for `endpoint`."""
     candidates = gp.nonreserved_variables()
     if not candidates:
         return []
     var = candidates[rng.randrange(len(candidates))]
 
+    gt = encode_gt(endpoint, gt)
     # a saturated ledger weighs every pair 0: sample uniformly instead
     weights = ledger.weights if ledger.remains() > 0 else [1.0] * len(gt)
     sampled = _weighted_draws(weights, FIX_VAR_SAMPLE_SIZE, rng)
-    pairs = [(gt[i].source, gt[i].target) for i in sampled]
+    pairs = [(gt.sources[i], gt.targets[i]) for i in sampled]
 
     res = endpoint.run_select(gp, [SOURCE_VAR, TARGET_VAR, var],
                               values=([SOURCE_VAR, TARGET_VAR], pairs),
-                              limit=endpoint.config.default_limit, cache=False)
+                              limit=endpoint.config.default_limit, cache=False,
+                              decode=False)
     if res.status == HARD_TIMEOUT or not res.rows:
         return []
-    counts: dict[Term, int] = {}
+    # the pattern binds `var`, so each of its handles has a term
+    counts: dict = {}
     for row in res.rows:
         counts[row[2]] = counts.get(row[2], 0) + 1
-    terms = sorted(counts, key=lambda t: (-counts[t], t.sort_key()))
+    term = endpoint.term
+    handles = sorted(counts, key=lambda h: (-counts[h], term(h).sort_key()))
     children: list[GraphPattern] = []
-    for k in _weighted_draws([float(counts[t]) for t in terms],
+    for k in _weighted_draws([float(counts[h]) for h in handles],
                              FIX_VAR_CHILDREN, rng):
         try:
-            children.append(gp.substitute({var: terms[k]}))
+            children.append(gp.substitute({var: term(handles[k])}))
         except ValueError:
             pass  # a literal subject, or a blank node, which no pattern names
     return children
@@ -393,7 +398,7 @@ _LOCAL_STRATEGIES = (
 )
 
 
-def mutate(individual: Individual, endpoint, gt: list[GroundTruthPair],
+def mutate(individual: Individual, endpoint, gt: Sequence[GroundTruthPair],
            ledger: CoverageLedger, rng: random.Random,
            cfg: EvolutionConfig) -> list[Individual]:
     """Apply each strategy independently with its probability, in listed order;
@@ -427,7 +432,7 @@ def fit_to_live(individual: Individual) -> bool:
 
 
 def _evaluate_all(individuals: list[Individual], endpoint,
-                  gt: list[GroundTruthPair], ledger: CoverageLedger,
+                  gt: Sequence[GroundTruthPair], ledger: CoverageLedger,
                   scored: dict) -> None:
     """Score each unscored individual. One whose pattern `scored` holds takes
     the pattern object, evaluation and fitness of the individual held there,
@@ -454,7 +459,7 @@ def tournament(pool: list[Individual], k: int, rng: random.Random) -> Individual
 
 def next_generation(offspring: list[Individual], hof: HallOfFame,
                     cfg: EvolutionConfig, rng: random.Random, endpoint,
-                    gt: list[GroundTruthPair],
+                    gt: Sequence[GroundTruthPair],
                     ledger: CoverageLedger) -> list[Individual]:
     """Tournament winners plus fresh initial patterns and hall-of-fame returns."""
     n_hof = min(cfg.reintro_hof, len(hof))
@@ -494,7 +499,7 @@ class LearnResult:
     runs: list[RunRecord]
 
 
-def run_single(endpoint, gt: list[GroundTruthPair], ledger: CoverageLedger,
+def run_single(endpoint, gt: Sequence[GroundTruthPair], ledger: CoverageLedger,
                cfg: EvolutionConfig, rng: random.Random) -> HallOfFame:
     """One full evolutionary run; returns its hall of fame."""
     scored: dict[GraphPattern, Individual] = {}  # first scoring of each pattern
@@ -532,7 +537,7 @@ def best_first(patterns) -> list[LearnedPattern]:
         lp.run_index, [-v for v in lp.fitness.key()], lp.canonical_key))
 
 
-def learn_runs(endpoint, gt: list[GroundTruthPair], cfg: EvolutionConfig,
+def learn_runs(endpoint, gt: Sequence[GroundTruthPair], cfg: EvolutionConfig,
                ledger: CoverageLedger, start_run: int = 1,
                known_keys=()) -> Iterator[RunRecord]:
     """Multi-run driver from `ledger`: yields each finished run; a known or
@@ -543,6 +548,7 @@ def learn_runs(endpoint, gt: list[GroundTruthPair], cfg: EvolutionConfig,
     if len(ledger) != len(gt):
         raise ValueError("ledger has %d entries but the ground truth has %d pairs"
                          % (len(ledger), len(gt)))
+    gt = encode_gt(endpoint, gt)  # once for every query of the session
     rng = random.Random(cfg.seed)
     seen = set(known_keys)
     for run_index in range(start_run, cfg.max_runs + 1):
@@ -567,7 +573,7 @@ def learn_runs(endpoint, gt: list[GroundTruthPair], cfg: EvolutionConfig,
                         generations=cfg.max_generations, ledger=ledger)
 
 
-def learn(endpoint, gt: list[GroundTruthPair], cfg: EvolutionConfig) -> LearnResult:
+def learn(endpoint, gt: Sequence[GroundTruthPair], cfg: EvolutionConfig) -> LearnResult:
     """Every run of `learn_runs` from scratch, their patterns best first, and
     the last ledger."""
     ledger = CoverageLedger.zeros(len(gt))

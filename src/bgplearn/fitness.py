@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import compress, groupby, repeat
+from itertools import chain, compress, groupby, repeat
 from numbers import Real
 from operator import itemgetter, sub
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .engine import COMPLETE, HARD_TIMEOUT, SOFT_TIMEOUT
 from .patterns import SOURCE_VAR, TARGET_VAR, GraphPattern
@@ -17,6 +17,31 @@ from .rdf import Term
 class GroundTruthPair(NamedTuple):
     source: Term
     target: Term
+
+
+class GroundTruth(tuple):
+    """Ground-truth pairs encoded once as one endpoint's handles, for every
+    query of a learning session: `sources` and `targets` hold each pair's
+    source and target handle, and `rows` the VALUES rows of a fitness query,
+    each distinct source once, in pair order. A term a local store lacks has
+    a negative id, one for each distinct term, so each missing source stays
+    a row of its own."""
+
+    def __new__(cls, endpoint, pairs: Iterable[GroundTruthPair]):
+        self = tuple.__new__(cls, pairs)
+        handles = endpoint.handles(chain.from_iterable(self))
+        self.endpoint = endpoint
+        self.sources = handles[0::2]
+        self.targets = handles[1::2]
+        self.rows = tuple(zip(dict.fromkeys(self.sources)))
+        return self
+
+
+def encode_gt(endpoint, gt: Sequence[GroundTruthPair]) -> GroundTruth:
+    """`gt` itself if it is encoded for `endpoint`, else its encoding."""
+    if isinstance(gt, GroundTruth) and gt.endpoint is endpoint:
+        return gt
+    return GroundTruth(endpoint, gt)
 
 
 class CoverageLedger:
@@ -103,7 +128,7 @@ OVERFIT_FACTOR = 0.1
 
 
 def score(gain: float, evaluation: PatternEvaluation,
-          gt: list[GroundTruthPair]) -> float:
+          gt: Sequence[GroundTruthPair]) -> float:
     """Gain, times `OVERFIT_FACTOR` when the matched pairs hold fewer than 2
     distinct sources or targets: a pattern fitting a single source/target."""
     if gain < 0:
@@ -120,9 +145,10 @@ def score(gain: float, evaluation: PatternEvaluation,
 _STATUS_PENALTY = {COMPLETE: 0.0, SOFT_TIMEOUT: 0.5, HARD_TIMEOUT: 1.0}
 
 
-def evaluate(endpoint, gp: GraphPattern, gt: list[GroundTruthPair],
+def evaluate(endpoint, gp: GraphPattern, gt: Sequence[GroundTruthPair],
              ledger: CoverageLedger) -> tuple[PatternEvaluation, FitnessTuple]:
-    """Fitness of one pattern via a single batched prediction query over GT sources."""
+    """Fitness of one pattern via a single batched prediction query over GT
+    sources; `gt` is encoded here unless `encode_gt` did so for `endpoint`."""
     n = len(gt)
     remains = ledger.remains()
     base = dict(remains=remains, pattern_length=gp.length, pattern_vars=gp.variable_count)
@@ -133,25 +159,25 @@ def evaluate(endpoint, gp: GraphPattern, gt: list[GroundTruthPair],
                           gt_matches=0, timeout_penalty=0.0, query_time_s=0.0, **base)
         return ev, ft
 
-    sources = dict.fromkeys(map(itemgetter(0), gt))
+    gt = encode_gt(endpoint, gt)
     res = endpoint.run_select(gp, [SOURCE_VAR, TARGET_VAR],
-                              values=([SOURCE_VAR], list(zip(sources))),
+                              values=([SOURCE_VAR], gt.rows),
                               limit=None, decode=False)
     penalty = _STATUS_PENALTY[res.status]
 
     # rows hold the endpoint's handles, so the GT is compared as handles;
-    # a term the store lacks is None, which no row holds
+    # a term the store lacks has a negative id, which no row holds
     targets_by_source: dict = {}
     for s, group in groupby(res.rows, itemgetter(0)):
         targets_by_source.setdefault(s, set()).update(map(itemgetter(1), group))
 
     # each pair's target set, or None if its source has no row: only the
     # pairs with a set take a step in Python
-    handle = endpoint.handle
-    tsets = list(map(targets_by_source.get, map(handle, map(itemgetter(0), gt))))
+    tsets = list(map(targets_by_source.get, gt.sources))
+    targets = gt.targets
     pv = [0.0] * n
     for i in compress(range(n), tsets):
-        if handle(gt[i].target) in tsets[i]:
+        if targets[i] in tsets[i]:
             pv[i] = 1.0 / len(tsets[i])
     total_len = sum(map(len, filter(None, tsets)))
 

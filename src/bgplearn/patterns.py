@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Union
 
 from .rdf import BNODE, IRI, LITERAL, Term
@@ -192,7 +193,7 @@ class GraphPattern:
 
 
 def values_table(width: int, rows) -> tuple:
-    """`rows` as a tuple, each row holding one Term per VALUES variable; a
+    """`rows` as a tuple, each row holding one entry per VALUES variable; a
     shorter or longer row is a ValueError."""
     if set(map(len, rows)) <= {width}:
         return tuple(rows)
@@ -201,12 +202,15 @@ def values_table(width: int, rows) -> tuple:
                      % (row, "longer" if len(row) > width else "shorter", width))
 
 
-def check_values_terms(rows) -> None:
-    """ValueError for the first VALUES row, such as a bare Term, holding a non-Term."""
+def check_values_entries(rows, kind: type) -> None:
+    """ValueError for the first VALUES row, such as a bare Term, holding an
+    entry whose type is not `kind`: `Term`, or `int` for a store's ids."""
+    if set(map(type, chain.from_iterable(rows))) <= {kind}:
+        return
     for row in rows:
-        for entry in row:
-            if not isinstance(entry, Term):
-                raise ValueError("VALUES row %r holds an entry that is not a Term" % (row,))
+        if not all(type(entry) is kind for entry in row):
+            raise ValueError("VALUES row %r holds an entry that is not %s"
+                             % (row, "a Term" if kind is Term else "an int"))
 
 
 def check_pattern(gp: GraphPattern) -> None:
@@ -234,7 +238,7 @@ def check_limit(limit) -> None:
 def values_clause(variables: list[Variable], rows: list[tuple]) -> str:
     head = " ".join(v.n3() for v in variables)
     table = values_table(len(variables), rows)
-    check_values_terms(table)
+    check_values_entries(table, Term)
     body = " ".join("(%s)" % " ".join(t.n3() for t in row) for row in table)
     return "VALUES (%s) { %s }" % (head, body)
 

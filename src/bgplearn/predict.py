@@ -173,9 +173,9 @@ def predict_targets(endpoint, portfolio: PatternPortfolio, source: Term) -> list
     pattern. They hold the endpoint's undecoded handles, whose terms
     `endpoint.term` gives."""
     sets: list[set] = []
+    values = ([SOURCE_VAR], [tuple(endpoint.handles([source]))])
     for entry in portfolio.selected():
-        res = endpoint.run_select(entry.pattern, [TARGET_VAR],
-                                  values=([SOURCE_VAR], [(source,)]),
+        res = endpoint.run_select(entry.pattern, [TARGET_VAR], values=values,
                                   limit=endpoint.config.default_limit,
                                   cache=False, decode=False)
         sets.append(set() if res.timed_out else {row[0] for row in res.rows})

@@ -47,6 +47,18 @@ def capitals_gt():
             GroundTruthPair(ex("Oslo"), ex("Norway"))]
 
 
+@pytest.fixture
+def missing_gt():
+    """Pairs over the capitals store whose sources Atlantis (twice) and
+    Lemuria and whose target Elsewhere the store lacks."""
+    return [GroundTruthPair(ex("Berlin"), ex("Germany")),
+            GroundTruthPair(ex("Atlantis"), ex("Germany")),
+            GroundTruthPair(ex("Paris"), ex("Elsewhere")),
+            GroundTruthPair(ex("Lemuria"), ex("France")),
+            GroundTruthPair(ex("Atlantis"), ex("Norway")),
+            GroundTruthPair(ex("Oslo"), ex("Norway"))]
+
+
 def random_store(rng, n_triples=60, n_nodes=15, n_preds=4):
     nodes = [ex("n%d" % i) for i in range(n_nodes)]
     preds = [ex("p%d" % i) for i in range(n_preds)]

@@ -387,6 +387,22 @@ class TestConfig:
         expected = expected.replace("CONFIG", str(workdir / "my.cfg"))
         assert "configuration error: %s\n" % expected in capsys.readouterr().err
 
+    def test_bound_error_names_where_the_value_was_set(self, workdir, capsys):
+        """A value out of its bounds is named at its file and line, or at
+        `--set`; a bad file value that a later `--set` overrides is accepted."""
+        config = workdir / "run.cfg"
+        config.write_text("seed = 1\n\npopulation_size = 0\n")
+        args = ["learn", "--store", str(workdir / "store.ttl"),
+                *command_inputs(workdir, "learn"), "--config", str(config)]
+        bound = "population_size must be a finite int in [1, inf], not 0"
+        assert main(args) == EXIT_USAGE
+        assert ("configuration error: %s (%s, line 3)\n" % (bound, config)
+                in capsys.readouterr().err)
+        assert main(args + ["--set", "seed=2", "--set", "population_size=0"]) == EXIT_USAGE
+        assert "configuration error: %s (--set)\n" % bound in capsys.readouterr().err
+        evo, _ = load_config(str(config), ["population_size=5"])
+        assert (evo.population_size, evo.seed) == (5, 1)
+
     def test_dropped_key_in_config_file_exits_1(self, workdir, capsys):
         """The operator rates, the overfit minimums and the search limits are
         constants now."""

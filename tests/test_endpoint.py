@@ -10,7 +10,7 @@ from bgplearn.endpoint import (Endpoint, EndpointConfig, EndpointError,
                                EndpointUnreachable, local_endpoint)
 from bgplearn.engine import COMPLETE, HARD_TIMEOUT, select
 from bgplearn.evolution import fix_var
-from bgplearn.fitness import CoverageLedger
+from bgplearn.fitness import CoverageLedger, evaluate
 from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
                                TriplePattern, Variable, to_select_sparql)
 from bgplearn.predict import PatternPortfolio, PortfolioEntry, predict_targets
@@ -82,34 +82,42 @@ class TestUncached:
 
 
 class TestUndecoded:
-    """`decode=False`: rows of store ids, cached apart from decoded rows."""
+    """`decode=False`: VALUES entries and rows of store ids, cached apart
+    from decoded queries."""
 
     def test_batched_equals_unbatched(self, capitals_store):
-        values = ([SOURCE_VAR], [(ex("Berlin"),), (ex("Nowhere"),), (ex("Paris"),)])
+        terms = [ex("Berlin"), ex("Nowhere"), ex("Paris")]
         projection = [SOURCE_VAR, TARGET_VAR]
         batched = local_endpoint(capitals_store, batch_size=1)
         whole = local_endpoint(capitals_store)
+        handles = whole.handles(terms)
+        assert handles == [capitals_store.term_id(ex("Berlin")), -1,
+                           capitals_store.term_id(ex("Paris"))]
+        values = ([SOURCE_VAR], [(h,) for h in handles])
         rows = batched.run_select(CAPITAL_GP, projection, values, decode=False).rows
         assert batched.backend_calls == 3
         assert rows == whole.run_select(CAPITAL_GP, projection, values,
                                         decode=False).rows
         assert all(type(tid) is int for row in rows for tid in row)
         assert ([tuple(map(whole.term, row)) for row in rows]
-                == whole.run_select(CAPITAL_GP, projection, values).rows
+                == whole.run_select(CAPITAL_GP, projection,
+                                    ([SOURCE_VAR], [(t,) for t in terms])).rows
                 == [(ex("Berlin"), ex("Germany")), (ex("Paris"), ex("France"))])
 
     def test_cached_apart_from_decoded_rows(self, capitals_store):
         ep = local_endpoint(capitals_store)
+        berlin = capitals_store.term_id(ex("Berlin"))
         values = ([SOURCE_VAR], [(ex("Berlin"),)])
+        ids_values = ([SOURCE_VAR], [(berlin,)])
         decoded = ep.run_select(CAPITAL_GP, [TARGET_VAR], values)
-        ids = ep.run_select(CAPITAL_GP, [TARGET_VAR], values, decode=False)
+        ids = ep.run_select(CAPITAL_GP, [TARGET_VAR], ids_values, decode=False)
         assert ids.rows == [(capitals_store.term_id(ex("Germany")),)]
-        assert ep.run_select(CAPITAL_GP, [TARGET_VAR], values, decode=False) is ids
+        assert ep.run_select(CAPITAL_GP, [TARGET_VAR], ids_values, decode=False) is ids
         assert ep.run_select(CAPITAL_GP, [TARGET_VAR], values) is decoded
         assert ep.backend_calls == 2 and len(ep._cache) == 2
         # `cache=False` neither reads nor stores it, nor numbers a new table
         stored = (dict(ep._cache), dict(ep._tables))
-        other = ([SOURCE_VAR], [(ex("Paris"),)])
+        other = ([SOURCE_VAR], [(capitals_store.term_id(ex("Paris")),)])
         for _ in range(2):
             res = ep.run_select(CAPITAL_GP, [TARGET_VAR], other, cache=False,
                                 decode=False)
@@ -119,20 +127,64 @@ class TestUndecoded:
         assert ep.backend_calls == 6
         assert (ep._cache, ep._tables) == stored
 
-    def test_values_only_projection_refused(self, capitals_store):
-        """Its id would mean nothing outside the query, for a term the store
-        lacks; decoded, the query gives that term back."""
+    def test_values_only_projection_holds_its_handle(self, capitals_store):
+        """A variable that only the VALUES table binds holds the id it was
+        given, a negative one for a term the store lacks; decoded, the query
+        gives that term back."""
         ep = local_endpoint(capitals_store)
-        values = ([SOURCE_VAR, V("x")], [(ex("Berlin"), ex("Nowhere"))])
+        terms = [ex("Berlin"), ex("Nowhere"), ex("Paris"), ex("Atlantis"), ex("Oslo")]
+        berlin, nowhere, paris, atlantis, oslo = ep.handles(terms)
+        assert (nowhere, atlantis) == (-1, -2)
+        values = ([SOURCE_VAR, V("x")], [(berlin, nowhere), (paris, atlantis),
+                                         (oslo, paris)])
         projection = [TARGET_VAR, V("x")]
-        refusal = r"undecoded row cannot hold a VALUES-only variable: \?x$"
+        germany, france, norway = ep.handles([ex("Germany"), ex("France"),
+                                              ex("Norway")])
+        expected = [(germany, nowhere), (france, atlantis), (norway, paris)]
         for _ in range(2):  # a new plan, then the endpoint's kept one
-            with pytest.raises(ValueError, match=refusal):
-                ep.run_select(CAPITAL_GP, projection, values, decode=False)
-        with pytest.raises(ValueError, match=refusal):
-            select(capitals_store, CAPITAL_GP, projection, values, decode=False)
-        assert (ep.run_select(CAPITAL_GP, projection, values).rows
-                == [(ex("Germany"), ex("Nowhere"))])
+            assert ep.run_select(CAPITAL_GP, projection, values,
+                                 decode=False).rows == expected
+        assert select(capitals_store, CAPITAL_GP, projection, values,
+                      decode=False).rows == expected
+        term_values = ([SOURCE_VAR, V("x")], [(terms[0], terms[1]), (terms[2], terms[3]),
+                                              (terms[4], terms[2])])
+        assert (ep.run_select(CAPITAL_GP, projection, term_values).rows
+                == [(ex("Germany"), ex("Nowhere")), (ex("France"), ex("Atlantis")),
+                    (ex("Norway"), ex("Paris"))])
+
+    @pytest.mark.parametrize("cache", [True, False])
+    @pytest.mark.parametrize("batch_size", [1, 384])
+    def test_local_entry_that_is_no_id_refused(self, capitals_store, cache,
+                                               batch_size):
+        """A local undecoded table holds the store's ids only: a term, a
+        bool or a float is refused before the first batch runs."""
+        ep = local_endpoint(capitals_store, batch_size=batch_size)
+        berlin = capitals_store.term_id(ex("Berlin"))
+        for late in ((ex("Oslo"),), (True,), (1.0,)):
+            with pytest.raises(ValueError) as exc:
+                ep.run_select(CAPITAL_GP, [SOURCE_VAR, TARGET_VAR],
+                              values=([SOURCE_VAR], [(berlin,), late]),
+                              cache=cache, decode=False)
+            assert str(exc.value) == ("VALUES row %r holds an entry that is not an int"
+                                      % (late,))
+        assert ep.backend_calls == 0 and ep._cache == {}
+
+    def test_remote_handles_are_terms(self):
+        """A remote endpoint's handles are its terms, so an undecoded query
+        sends the text a decoded one does, and an id is refused."""
+        post = _AnsweringPost([(ex("Berlin"), ex("Germany"))])
+        ep = _remote(post, retries=0)
+        assert ep.handles([ex("Berlin")]) == [ex("Berlin")]
+        values = ([SOURCE_VAR], [(ex("Berlin"),)])
+        rows = ep.run_select(CAPITAL_GP, [SOURCE_VAR, TARGET_VAR], values,
+                             decode=False).rows
+        assert rows == [(ex("Berlin"), ex("Germany"))]
+        ep.run_select(CAPITAL_GP, [SOURCE_VAR, TARGET_VAR], values, cache=False)
+        assert post.calls[0] == post.calls[1]
+        with pytest.raises(ValueError, match="holds an entry that is not a Term"):
+            ep.run_select(CAPITAL_GP, [SOURCE_VAR], ([SOURCE_VAR], [(3,)]),
+                          decode=False)
+        assert len(post.calls) == 2
 
 
 class TestValuesTableKey:
@@ -407,6 +459,26 @@ class TestRemote:
         assert res.rows[0][0].value == "http://x/Germany"
         assert "SELECT DISTINCT ?target" in post.calls[0]
         assert "VALUES" in post.calls[0]
+
+    def test_learner_queries_post_pinned_text(self, missing_gt):
+        """A fitness and a fix-var query send the text they sent before the
+        ground truth was encoded once per session, pinned from then."""
+        post = _AnsweringPost([(ex("Berlin"), ex("Germany"))])
+        ep = _remote(post, retries=0)
+        ev, _ = evaluate(ep, CAPITAL_GP, missing_gt,
+                         CoverageLedger.zeros(len(missing_gt)))
+        assert ev.pv == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        fix_var(GraphPattern([TriplePattern(SOURCE_VAR, V("p"), TARGET_VAR)]), ep,
+                missing_gt, CoverageLedger.zeros(len(missing_gt)), random.Random(3))
+        assert post.calls == [text.replace("ex:", "http://example.org/") for text in (
+            "SELECT DISTINCT ?source ?target WHERE { VALUES (?source) {"
+            " (<ex:Berlin>) (<ex:Atlantis>) (<ex:Paris>) (<ex:Lemuria>) (<ex:Oslo>) }"
+            " ?source <ex:capitalOf> ?target . }",
+            "SELECT DISTINCT ?source ?target ?p WHERE { VALUES (?source ?target) {"
+            " (<ex:Lemuria> <ex:France>) (<ex:Berlin> <ex:Germany>)"
+            " (<ex:Oslo> <ex:Norway>) (<ex:Paris> <ex:Elsewhere>)"
+            " (<ex:Atlantis> <ex:Norway>) (<ex:Atlantis> <ex:Germany>) }"
+            " ?source ?p ?target . } LIMIT 1024")]
 
     def test_posted_query_text(self):
         xsd_int = "http://www.w3.org/2001/XMLSchema#integer"

@@ -306,12 +306,12 @@ class TestFixVar:
         sent = []
 
         class Spy:
-            config = inner.config
+            config, term, handles = inner.config, inner.term, inner.handles
 
             def run_select(self, gp, projection, values=None, limit=None,
-                           cache=True):
-                sent.append(list(values[1]))
-                return inner.run_select(gp, projection, values, limit, cache)
+                           cache=True, decode=True):
+                sent.append([tuple(map(inner.term, row)) for row in values[1]])
+                return inner.run_select(gp, projection, values, limit, cache, decode)
 
         gp = GraphPattern([TriplePattern(SOURCE_VAR, V("p"), TARGET_VAR)])
         fix_var(gp, Spy(), gt, ledger, random.Random(seed))
@@ -345,6 +345,30 @@ class TestFixVar:
         children = fix_var(gp, local_endpoint(store), gt, CoverageLedger.zeros(1),
                            random.Random(0))
         assert children == [gp.substitute({V("v"): iri("http://x/c")})]
+
+    @pytest.mark.parametrize("seed, children", [
+        (0, ["?source <http://example.org/locatedIn> ?o .",
+             "?source <http://example.org/population> ?o .",
+             "?source <http://example.org/capitalOf> ?o ."]),
+        (2, ["?source ?p <http://example.org/Germany> .",
+             "?source ?p <http://example.org/Paris> .",
+             "?source ?p <http://example.org/Norway> ."]),
+        (5, ["?source <http://example.org/population> ?o .",
+             "?source <http://example.org/locatedIn> ?o .",
+             "?source <http://example.org/capitalOf> ?o ."])])
+    def test_pattern_without_target(self, capitals_store, missing_gt, seed, children):
+        """?target is then a VALUES-only column, which holds each sampled
+        target's handle; Berlin's two missing targets have two negative ids,
+        so each stays a row of its own. The children are pinned from before
+        the ground truth was encoded."""
+        gt = missing_gt + [GroundTruthPair(ex("Berlin"), ex("Nowhere")),
+                           GroundTruthPair(ex("Berlin"), ex("Elsewhere"))]
+        gp = GraphPattern([TriplePattern(SOURCE_VAR, V("p"), V("o"))])
+        ledger = CoverageLedger([0.0, 0.5, 1.0, 0.0, 0.25, 0.0, 0.0, 0.0])
+        ep = local_endpoint(capitals_store)
+        for pairs in (gt, fitness.encode_gt(ep, gt)):
+            got = fix_var(gp, ep, pairs, ledger, random.Random(seed))
+            assert [child.text() for child in got] == children
 
     def test_child_count_bounded(self, capitals_store, capitals_gt, monkeypatch):
         monkeypatch.setattr(evolution, "FIX_VAR_CHILDREN", 2)

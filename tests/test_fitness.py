@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from bgplearn import fitness
 from bgplearn.endpoint import Endpoint, local_endpoint
-from bgplearn.engine import COMPLETE, SOFT_TIMEOUT, EvalResult, select
+from bgplearn.engine import (COMPLETE, SOFT_TIMEOUT, TICKS_PER_SECOND, EvalResult,
+                            select)
 from bgplearn.fitness import (_STATUS_PENALTY, OVERFIT_FACTOR, CoverageLedger,
                               FitnessTuple, GroundTruthPair, PatternEvaluation,
-                              evaluate, score)
+                              encode_gt, evaluate, score)
 from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
                                TriplePattern, Variable, to_select_sparql)
 from bgplearn.rdf import IRI, literal
@@ -221,7 +222,7 @@ class TestEvaluate:
         """A soft-timed-out answer still gives each pair its precision from
         the rows it holds, but no gain, however many new pairs they cover."""
         class SoftTimeoutEndpoint:
-            handle = staticmethod(lambda term: term)  # as a remote endpoint maps terms
+            handles = staticmethod(list)  # a remote endpoint's handles are its terms
 
             def run_select(self, gp, projection, values=None, limit=None,
                            decode=True):
@@ -243,6 +244,41 @@ class TestEvaluate:
         new = led.updated([ev.pv])
         assert list(new.values) == [1.0, 1.0, 1.0]
         assert new.remains() == 0.0
+
+
+class TestMissingTerms:
+    """Terms the store lacks score as they did before the ground truth was
+    encoded once per session; the figures are pinned from then."""
+
+    @pytest.mark.parametrize("batch_size", [2, 384])
+    @pytest.mark.parametrize("gp, pv, elapsed, known_elapsed", [
+        (CAPITAL_GP, [1.0, 0.0, 0.0, 0.0, 0.0, 1.0], 2.2e-05, 1.8e-05),
+        (ALLVAR_GP, [0.5, 0.0, 0.0, 0.0, 0.0, 1.0], 2.8e-05, 2.4e-05)],
+        ids=["capital", "any_predicate"])
+    def test_scored_as_pinned(self, capitals_store, missing_gt, batch_size, gp, pv,
+                              elapsed, known_elapsed):
+        ledger = CoverageLedger.zeros(len(missing_gt))
+        ep = local_endpoint(capitals_store, batch_size=batch_size)
+        encoded = encode_gt(ep, missing_gt)
+        assert encode_gt(ep, encoded) is encoded
+        assert list(encoded) == missing_gt
+        # Atlantis, Elsewhere and Lemuria: one negative id each, in pair order
+        assert ([h for h in encoded.sources + encoded.targets if h < 0]
+                == [-1, -3, -1] + [-2])
+        assert len(encoded.rows) == 5
+        # through the session's encoding, and a plain list on a fresh endpoint
+        for gt, endpoint in ((encoded, ep),
+                             (missing_gt, local_endpoint(capitals_store,
+                                                         batch_size=batch_size))):
+            ev, fit = evaluate(endpoint, gp, gt, ledger)
+            assert ev.pv == pv
+            assert fit.timeout_penalty == 0.0 and fit.query_time_s == elapsed
+        # each missing source is a VALUES row of its own, at one tick
+        known = [p for p in missing_gt if p.source not in (ex("Atlantis"), ex("Lemuria"))]
+        _, fit = evaluate(local_endpoint(capitals_store), gp, known,
+                          CoverageLedger.zeros(len(known)))
+        assert fit.query_time_s == known_elapsed
+        assert round((elapsed - known_elapsed) * TICKS_PER_SECOND) == 2
 
 
 def _reference_evaluate(endpoint, gp, gt, ledger):
