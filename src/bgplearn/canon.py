@@ -26,11 +26,7 @@ class CanonicalForm:
 
 
 def _sig(*parts: str) -> str:
-    h = hashlib.sha256()
-    for p in parts:
-        h.update(p.encode("utf-8"))
-        h.update(b"\x00")
-    return h.hexdigest()
+    return hashlib.sha256(("\x00".join(parts) + "\x00").encode("utf-8")).hexdigest()
 
 
 def _vertex(node):
@@ -63,6 +59,45 @@ def _compute(gp: GraphPattern) -> CanonicalForm:
         raise ValueError("cannot canonicalize an empty pattern")
 
     triples = gp.sorted_triples()
+    # a vertex for each triple and for each distinct node
+    size = len(triples) + len({node for tp in triples for node in tp})
+    if size > MAX_VERTICES:
+        raise ValueError("pattern too large for canonicalization: %d vertices"
+                         % size)
+
+    free_names = sorted(v.name for v in gp.variables() if not v.is_reserved)
+    if len(free_names) <= 1:
+        # colours only order the free variables, so one or none needs no search
+        key, mapping = _serialize(triples, free_names)
+    else:
+        key, mapping = _search(triples, free_names)
+    return CanonicalForm(key=key, variable_mapping=MappingProxyType(mapping))
+
+
+def _serialize(triples: list, ordered: list) -> tuple[str, dict]:
+    """The key and variable mapping that name the free variables `ordered`
+    cv0, cv1, ... in that order."""
+    rename = {name: "cv%d" % i for i, name in enumerate(ordered)}
+
+    def canon_node(node):
+        if is_var(node):
+            if node.name in ("source", "target"):
+                return node
+            return Variable(rename[node.name])
+        return node
+
+    lines = sorted("%s %s %s ." % (canon_node(tp.s).n3(), canon_node(tp.p).n3(),
+                                   canon_node(tp.o).n3())
+                   for tp in triples)
+    mapping = {Variable(name): Variable(new) for name, new in rename.items()}
+    mapping[Variable("source")] = Variable("source")
+    mapping[Variable("target")] = Variable("target")
+    return "\n".join(lines), mapping
+
+
+def _search(triples: list, free_names: list) -> tuple[str, dict]:
+    """The least serialization over the orders of the free variables that
+    colour refinement, with individualization of tied colours, leaves."""
     vertices: set = set()
     adjacency: dict = {}
 
@@ -79,12 +114,6 @@ def _compute(gp: GraphPattern) -> CanonicalForm:
             add_edge(tv, nv, label)
     for v in vertices:
         adjacency.setdefault(v, [])
-    if len(vertices) > MAX_VERTICES:
-        raise ValueError("pattern too large for canonicalization: %d vertices"
-                         % len(vertices))
-
-    free_names = sorted(v[1] for v in vertices
-                        if v[0] == "var" and v[1] not in ("source", "target"))
 
     def refine(colors: dict) -> dict:
         while True:
@@ -98,23 +127,8 @@ def _compute(gp: GraphPattern) -> CanonicalForm:
             colors = new
 
     def serialize(colors: dict) -> tuple[str, dict]:
-        ordered = sorted(free_names, key=lambda name: (colors[("var", name)], name))
-        rename = {name: "cv%d" % i for i, name in enumerate(ordered)}
-
-        def canon_node(node):
-            if is_var(node):
-                if node.name in ("source", "target"):
-                    return node
-                return Variable(rename[node.name])
-            return node
-
-        lines = sorted("%s %s %s ." % (canon_node(tp.s).n3(), canon_node(tp.p).n3(),
-                                       canon_node(tp.o).n3())
-                       for tp in triples)
-        mapping = {Variable(name): Variable(new) for name, new in rename.items()}
-        mapping[Variable("source")] = Variable("source")
-        mapping[Variable("target")] = Variable("target")
-        return "\n".join(lines), mapping
+        return _serialize(triples, sorted(
+            free_names, key=lambda name: (colors[("var", name)], name)))
 
     def search(colors: dict) -> tuple[str, dict]:
         colors = refine(colors)
@@ -134,9 +148,9 @@ def _compute(gp: GraphPattern) -> CanonicalForm:
                 best = result
         return best
 
-    key, mapping = search({v: _initial_color(v) for v in vertices})
+    best = search({v: _initial_color(v) for v in vertices})
     del search  # its closure holds itself: free the pattern's graph now, not at a GC pass
-    return CanonicalForm(key=key, variable_mapping=MappingProxyType(mapping))
+    return best
 
 
 def pattern_key(gp: GraphPattern) -> str:

@@ -52,23 +52,25 @@ def load_config(path: Optional[str], overrides: list[str]
                 if line and not line.startswith("#"):
                     items.append(("%s, line %d" % (path, number), line))
     items += [("--set", ov) for ov in overrides]
-    settings: dict[str, tuple] = {}  # key -> (value, where) of its last setting
+    settings: dict[str, tuple] = {}  # key -> (text, where) of its last setting
     for where, item in items:
-        key, _, value = map(str.strip, item.partition("="))
+        key, _, text = map(str.strip, item.partition("="))
         if key not in _TYPES:
             raise ValueError("unknown config key: %r (%s)" % (key, where))
+        settings[key] = (text, where)
+    # only the value that stands is converted, and it meets its config's
+    # checks alone, as no check reads two fields, so a bad value is named
+    # where it was set and one that a later setting overrides is no error
+    values = {}
+    for key, (text, where) in settings.items():
         try:
-            settings[key] = (_TYPES[key](value), where)
+            values[key] = _TYPES[key](text)
         except ValueError as exc:
             raise ValueError("%s: %s (%s)" % (key, exc, where)) from exc
-    # each value that stands meets its config's checks alone, as no check
-    # reads two fields, so a value out of bounds is named where it was set
-    for key, (value, where) in settings.items():
         try:
-            (EvolutionConfig if key in _EVO_TYPES else EndpointConfig)(**{key: value})
+            (EvolutionConfig if key in _EVO_TYPES else EndpointConfig)(**{key: values[key]})
         except ValueError as exc:
             raise ValueError("%s (%s)" % (exc, where)) from exc
-    values = {key: value for key, (value, _) in settings.items()}
     return (EvolutionConfig(**{k: v for k, v in values.items() if k in _EVO_TYPES}),
             EndpointConfig(**{k: v for k, v in values.items() if k not in _EVO_TYPES}))
 

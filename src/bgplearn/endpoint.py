@@ -121,8 +121,8 @@ class Endpoint:
         self._tables: dict = {}
         self._plans: dict = {}
         self.backend_calls = 0
-        # the term of a handle in an undecoded row
-        self.term: Callable = store.term if store is not None else _same
+        # the last VALUES table that passed the checks: (rows, width, kind)
+        self._checked: tuple = (None, 0, None)
 
     # -- public API ---------------------------------------------------------
 
@@ -141,13 +141,22 @@ class Endpoint:
         such queries apart from decoded ones, whose entries are terms.
 
         The whole VALUES table is checked, its row lengths and the type of
-        each entry, before the cache is read or the first batch runs."""
+        each entry, before the cache is read or the first batch runs. A
+        tuple of tuple rows that passed is not checked again while it is the
+        last table checked, such as a learner's ground truth."""
         check_pattern(gp)  # before the cache key, which canonicalizes gp
         check_limit(limit)
         if values is not None:  # the whole table, before the cache and any batch
-            values = (values[0], values_table(len(values[0]), values[1]))
-            check_values_entries(values[1], int if self.store is not None and not decode
-                                 else Term)
+            rows, width = values[1], len(values[0])
+            kind = int if self.store is not None and not decode else Term
+            last = self._checked
+            if last[0] is not rows or last[1] != width or last[2] is not kind:
+                table = values_table(width, rows)
+                check_values_entries(table, kind)
+                if table is rows and set(map(type, rows)) <= {tuple}:  # it cannot change
+                    self._checked = (rows, width, kind)
+                rows = table
+            values = (values[0], rows)
         memos = (self._cache, self._tables, self._plans)
         if max(map(len, memos)) >= _MEMO_BOUND:
             for memo in memos:
@@ -166,6 +175,23 @@ class Endpoint:
         if cache and (self.store is not None or result.status != HARD_TIMEOUT):
             self._cache[key] = result
         return result
+
+    def term(self, handle) -> Term:
+        """The term of a handle in an undecoded row; IndexError for a local
+        handle below 0, which `handles` gives a term the store lacks."""
+        if self.store is None:
+            return handle
+        if handle < 0:
+            raise IndexError("handle %d names no term of the store" % handle)
+        return self.store.term(handle)
+
+    def terms(self, handles: list) -> list:
+        """The `term` of each of `handles`, checked in one pass."""
+        if self.store is None:
+            return list(handles)
+        if handles and min(handles) < 0:
+            raise IndexError("handle %d names no term of the store" % min(handles))
+        return list(map(self.store.term, handles))
 
     def handles(self, terms) -> list:
         """The handle of each of `terms`, for the VALUES table of an
@@ -245,10 +271,6 @@ class Endpoint:
             raise EndpointError("SPARQL endpoint rejected query: HTTP %d" % status_code)
         return EvalResult(_parse_sparql_json(body, projection), time.time() - started,
                           COMPLETE)
-
-
-def _same(handle):
-    return handle
 
 
 def _requests_post(url, data, headers, timeout):

@@ -5,9 +5,7 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterator, Optional, Sequence
 
 from .canon import pattern_key
@@ -329,22 +327,28 @@ def _weighted_draws(weights: Sequence[float], m: int,
     proportional to their non-negative weights; stops once the weight left
     is 0. The pick of a draw is the first index whose running sum of the
     pool, added left to right from 0.0, exceeds `rng.random()` times the
-    pool's `sum`, or the last index if rounding leaves none."""
-    indices = list(range(len(weights)))
-    pool = list(weights)
-    prefix = [0.0]  # prefix[j + 1]: running sum of pool[:j + 1]
+    last running sum, or the last index left if rounding leaves none."""
+    import numpy as np
+
+    pool = np.array(weights, dtype=np.float64)
+    sums = np.cumsum(pool)  # one add at a time, left to right
     picks: list[int] = []
     for _ in range(m):
-        total = sum(pool)
+        total = float(sums[-1]) if len(sums) else 0.0
         if total <= 0:
             break
         r = rng.random() * total
-        if prefix[-1] <= r:  # extend the running sums past r, or to the end
-            prefix[-1:] = accumulate(pool[len(prefix) - 1:], initial=prefix[-1])
-        pick = min(bisect_right(prefix, r), len(pool)) - 1
-        picks.append(indices.pop(pick))
-        del pool[pick]
-        del prefix[pick + 1:]  # the sums before the pick stay valid
+        pick = int(sums.searchsorted(r, "right"))
+        if pick == len(pool):  # rounding left r at the total
+            pick -= 1
+            while pick in picks:
+                pick -= 1
+        picks.append(pick)
+        # a drawn weight becomes 0.0, and x + 0.0 == x: re-accumulated from
+        # the sum before it, the sums are those of the pool without it
+        pool[pick] = sums[pick - 1] if pick else 0.0
+        np.add.accumulate(pool[pick:], out=sums[pick:])
+        pool[pick] = 0.0
     return picks
 
 

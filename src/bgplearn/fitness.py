@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, compress, groupby, repeat
+from itertools import chain, compress, groupby
 from numbers import Real
-from operator import itemgetter, sub
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .engine import COMPLETE, HARD_TIMEOUT, SOFT_TIMEOUT
@@ -22,10 +22,11 @@ class GroundTruthPair(NamedTuple):
 class GroundTruth(tuple):
     """Ground-truth pairs encoded once as one endpoint's handles, for every
     query of a learning session: `sources` and `targets` hold each pair's
-    source and target handle, and `rows` the VALUES rows of a fitness query,
-    each distinct source once, in pair order. A term a local store lacks has
-    a negative id, one for each distinct term, so each missing source stays
-    a row of its own."""
+    source and target handle, `pairs_of` each source handle's pair indices
+    in ascending order, and `rows` the VALUES rows of a fitness query, each
+    distinct source once, in pair order. A term a local store lacks has a
+    negative id, one for each distinct term, so each missing source stays a
+    row of its own."""
 
     def __new__(cls, endpoint, pairs: Iterable[GroundTruthPair]):
         self = tuple.__new__(cls, pairs)
@@ -33,7 +34,10 @@ class GroundTruth(tuple):
         self.endpoint = endpoint
         self.sources = handles[0::2]
         self.targets = handles[1::2]
-        self.rows = tuple(zip(dict.fromkeys(self.sources)))
+        self.pairs_of = {}
+        for i, s in enumerate(self.sources):
+            self.pairs_of.setdefault(s, []).append(i)
+        self.rows = tuple(zip(self.pairs_of))
         return self
 
 
@@ -106,9 +110,15 @@ class FitnessTuple:
     query_time_s: float     # min
 
     def key(self) -> tuple:
-        return (self.remains, self.score, self.gain, self.f1, -self.avg_result_len,
-                self.gt_matches, -self.pattern_length, -self.pattern_vars,
-                -self.timeout_penalty, -self.query_time_s)
+        """Built on first use and kept: a fitness never changes."""
+        try:
+            return self._key
+        except AttributeError:
+            key = (self.remains, self.score, self.gain, self.f1, -self.avg_result_len,
+                   self.gt_matches, -self.pattern_length, -self.pattern_vars,
+                   -self.timeout_penalty, -self.query_time_s)
+            object.__setattr__(self, "_key", key)
+            return key
 
 
 @dataclass
@@ -131,11 +141,14 @@ def score(gain: float, evaluation: PatternEvaluation,
           gt: Sequence[GroundTruthPair]) -> float:
     """Gain, times `OVERFIT_FACTOR` when the matched pairs hold fewer than 2
     distinct sources or targets: a pattern fitting a single source/target."""
+    matched = list(compress(gt, evaluation.pv))
+    return _score(gain, {p.source for p in matched}, {p.target for p in matched})
+
+
+def _score(gain: float, sources: set, targets: set) -> float:
+    """`score` of the matched pairs' distinct sources and targets."""
     if gain < 0:
         raise ValueError("gain must be non-negative")
-    matched = list(compress(gt, evaluation.pv))
-    sources = {p.source for p in matched}
-    targets = {p.target for p in matched}
     penalty = 1.0
     if len(sources) < 2 or len(targets) < 2:
         penalty = OVERFIT_FACTOR
@@ -171,17 +184,25 @@ def evaluate(endpoint, gp: GraphPattern, gt: Sequence[GroundTruthPair],
     for s, group in groupby(res.rows, itemgetter(0)):
         targets_by_source.setdefault(s, set()).update(map(itemgetter(1), group))
 
-    # each pair's target set, or None if its source has no row: only the
-    # pairs with a set take a step in Python
-    tsets = list(map(targets_by_source.get, gt.sources))
+    # only the sources with rows take a step in Python; a row whose source
+    # is no GT source, which a remote endpoint may send, is ignored
     targets = gt.targets
     pv = [0.0] * n
-    for i in compress(range(n), tsets):
-        if targets[i] in tsets[i]:
-            pv[i] = 1.0 / len(tsets[i])
-    total_len = sum(map(len, filter(None, tsets)))
+    matched: list[int] = []
+    total_len = 0
+    for s, tset in targets_by_source.items():
+        pairs = gt.pairs_of.get(s)
+        if pairs is None:
+            continue
+        total_len += len(tset) * len(pairs)
+        p = 1.0 / len(tset)
+        for i in pairs:
+            if targets[i] in tset:
+                pv[i] = p
+                matched.append(i)
+    matched.sort()
 
-    gt_matches = n - pv.count(0.0)
+    gt_matches = len(matched)
     recall = gt_matches / n if n else 0.0
     avg_result_len = total_len / n if n else 0.0
     precision = 1.0 / avg_result_len if avg_result_len > 0 else 0.0
@@ -191,11 +212,14 @@ def evaluate(endpoint, gp: GraphPattern, gt: Sequence[GroundTruthPair],
     if penalty > 0:
         gain = 0.0
     else:
-        # max(0.0, p - v) per pair, summed in pair order
-        gain = sum(map(max, repeat(0.0), map(sub, pv, ledger.values)))
+        # max(0.0, p - v) per matched pair, summed in pair order: each other
+        # pair adds +0.0, which leaves a float sum as it is
+        values = ledger.values
+        gain = sum([max(0.0, pv[i] - values[i]) for i in matched], 0.0)
 
     ev = PatternEvaluation(pv=pv)
-    sc = score(gain, ev, gt)
+    sc = _score(gain, {gt.sources[i] for i in matched},
+                {targets[i] for i in matched})
     ft = FitnessTuple(score=sc, gain=gain, f1=f1, avg_result_len=avg_result_len,
                       gt_matches=gt_matches, timeout_penalty=penalty,
                       query_time_s=res.elapsed, **base)

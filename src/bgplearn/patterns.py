@@ -92,15 +92,18 @@ class GraphPattern:
     """A set of triple patterns; the evolutionary individual.
 
     `_canon` holds the canonical form once `canon.canonicalize` has computed
-    it; it takes no part in equality, hashing or repr.
+    it, and `_vars` and `_connected` hold `variables()` and `is_connected`
+    once asked; none takes part in equality, hashing or repr.
     """
 
-    __slots__ = ("triples", "_hash", "_canon")
+    __slots__ = ("triples", "_hash", "_canon", "_vars", "_connected")
 
     def __init__(self, triples: Iterable[TriplePattern] = ()):
         object.__setattr__(self, "triples", frozenset(triples))
         object.__setattr__(self, "_hash", hash(self.triples))
         object.__setattr__(self, "_canon", None)
+        object.__setattr__(self, "_vars", None)
+        object.__setattr__(self, "_connected", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GraphPattern is immutable")
@@ -123,8 +126,11 @@ class GraphPattern:
     def sorted_triples(self) -> list[TriplePattern]:
         return sorted(self.triples, key=TriplePattern.sort_key)
 
-    def variables(self) -> set[Variable]:
-        return {v for t in self.triples for v in t.variables()}
+    def variables(self) -> frozenset[Variable]:
+        if self._vars is None:
+            object.__setattr__(self, "_vars", frozenset(
+                [n for t in self.triples for n in t if isinstance(n, Variable)]))
+        return self._vars
 
     def nonreserved_variables(self) -> list[Variable]:
         return sorted((v for v in self.variables() if not v.is_reserved),
@@ -153,6 +159,11 @@ class GraphPattern:
 
     @property
     def is_connected(self) -> bool:
+        if self._connected is None:
+            object.__setattr__(self, "_connected", self._union_find_connected())
+        return self._connected
+
+    def _union_find_connected(self) -> bool:
         if not self.triples:
             return False
         triples = list(self.triples)

@@ -173,7 +173,7 @@ def predict_targets(endpoint, portfolio: PatternPortfolio, source: Term) -> list
     pattern. They hold the endpoint's undecoded handles, whose terms
     `endpoint.term` gives."""
     sets: list[set] = []
-    values = ([SOURCE_VAR], [tuple(endpoint.handles([source]))])
+    values = ([SOURCE_VAR], (tuple(endpoint.handles([source])),))  # checked once
     for entry in portfolio.selected():
         res = endpoint.run_select(entry.pattern, [TARGET_VAR], values=values,
                                   limit=endpoint.config.default_limit,
@@ -188,7 +188,7 @@ def fuse(target_sets: list[set], portfolio: PatternPortfolio, source: Term,
     """Aggregate per-pattern target sets into the five ranked fusion lists.
 
     Targets of equal value rank in `order_key` order; `decode`, if given,
-    maps each target to the term that the rankings hold."""
+    maps the list of targets to the list of terms that the rankings hold."""
     selected = portfolio.selected()
     if len(target_sets) != len(selected):
         raise ValueError("one target set per selected pattern required")
@@ -209,7 +209,7 @@ def fuse(target_sets: list[set], portfolio: PatternPortfolio, source: Term,
             f_measures[i] += f1
             gp_precisions[i] += gp_precision
             precisions[i] += share
-    terms = targets if decode is None else list(map(decode, targets))
+    terms = targets if decode is None else decode(targets)
     # stable sorts: by target first, then by value, give (-value, order_key) order
     rankings = {}
     for strategy, column in zip(FUSION_STRATEGIES, sums):
@@ -221,4 +221,4 @@ def fuse(target_sets: list[set], portfolio: PatternPortfolio, source: Term,
 
 def predict(endpoint, portfolio: PatternPortfolio, source: Term) -> RankedPrediction:
     return fuse(predict_targets(endpoint, portfolio, source), portfolio, source,
-                endpoint.order_key(), endpoint.term)
+                endpoint.order_key(), endpoint.terms)

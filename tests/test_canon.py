@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from bgplearn import canon
 from bgplearn.canon import canonicalize, pattern_key
 from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
                                TriplePattern, Variable)
@@ -117,6 +118,29 @@ class TestRandomized:
                 continue
             assert pattern_key(p) != pattern_key(q)
             seen += 1
+
+    def test_one_free_variable_needs_no_search(self):
+        """A pattern with at most one free variable gets the key and mapping
+        that the full colour-refinement search gives it."""
+        rng = random.Random(19)
+        store = random_store(rng, n_triples=30, n_nodes=6, n_preds=3)
+        free_counts = set()
+        for _ in range(300):
+            p = random_pattern(rng, n_triples=rng.randint(1, 6),
+                               n_vars=rng.randint(0, 1), store=store)
+            free = sorted(v.name for v in p.variables() if not v.is_reserved)
+            free_counts.add(len(free))
+            form = canonicalize(p)
+            key, mapping = canon._search(p.sorted_triples(), free)
+            assert (form.key, dict(form.variable_mapping)) == (key, mapping)
+        assert free_counts == {0, 1}
+
+    def test_size_limit_holds_without_search(self):
+        """The vertex limit also holds for a pattern that needs no search."""
+        triples = [TriplePattern(SOURCE_VAR, ex("p"), ex("n%d" % i))
+                   for i in range(canon.MAX_VERTICES // 2)]
+        with pytest.raises(ValueError, match="too large for canonicalization"):
+            canonicalize(GraphPattern(triples))
 
 
 class TestMemo:

@@ -403,6 +403,21 @@ class TestConfig:
         evo, _ = load_config(str(config), ["population_size=5"])
         assert (evo.population_size, evo.seed) == (5, 1)
 
+    def test_unreadable_value_that_is_overridden_is_accepted(self, workdir):
+        """Only the value that stands is converted: one that its type cannot
+        read is no error once a later setting overrides it, and one that
+        stands is named at its file and line."""
+        config = workdir / "two.cfg"
+        config.write_text("max_runs = two\nbackoff = 1\n")
+        evo, ep = load_config(str(config), ["max_runs=2"])
+        assert (evo.max_runs, ep.backoff) == (2, 1.0)
+        evo, _ = load_config(None, ["max_runs=two", "max_runs=3"])
+        assert evo.max_runs == 3
+        with pytest.raises(ValueError) as exc:
+            load_config(str(config), ["backoff=2"])
+        assert str(exc.value) == ("max_runs: invalid literal for int() with base 10: "
+                                  "'two' (%s, line 1)" % config)
+
     def test_dropped_key_in_config_file_exits_1(self, workdir, capsys):
         """The operator rates, the overfit minimums and the search limits are
         constants now."""

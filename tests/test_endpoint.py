@@ -169,6 +169,63 @@ class TestUndecoded:
                                       % (late,))
         assert ep.backend_calls == 0 and ep._cache == {}
 
+    def test_handle_of_a_missing_term_has_no_term(self, capitals_store):
+        """A local handle below 0 names a term the store lacks: it decodes to
+        none, as a past-the-end id does, rather than to the store's last."""
+        ep = local_endpoint(capitals_store)
+        berlin, missing = ep.handles([ex("Berlin"), iri("http://e/zz")])
+        assert ep.term(berlin) == ex("Berlin") and missing == -1
+        assert ep.terms([berlin, berlin]) == [ex("Berlin")] * 2 and ep.terms([]) == []
+        for handle in (missing, -2, len(capitals_store.terms)):
+            with pytest.raises(IndexError):
+                ep.term(handle)
+            with pytest.raises(IndexError):
+                ep.terms([berlin, handle])
+
+    def test_table_checked_once_while_it_is_the_last(self, capitals_store,
+                                                     monkeypatch):
+        """A tuple of tuple rows that passed is not checked again while it is
+        the last table checked; another width or entry kind is, and refused,
+        which leaves the last table as it was; a list, or a tuple whose rows
+        are lists, is checked every time."""
+        checked = []
+
+        def check(rows, kind):
+            checked.append(rows)
+            real(rows, kind)
+
+        real = endpoint.check_values_entries
+        monkeypatch.setattr(endpoint, "check_values_entries", check)
+        ep = local_endpoint(capitals_store)
+        berlin, paris = ep.handles([ex("Berlin"), ex("Paris")])
+        table = ((berlin,), (paris,))
+        expected = ep.run_select(CAPITAL_GP, [TARGET_VAR], ([SOURCE_VAR], table),
+                                 decode=False).rows
+        for cache in (True, False, False):
+            assert ep.run_select(CAPITAL_GP, [TARGET_VAR], ([SOURCE_VAR], table),
+                                 cache=cache, decode=False).rows == expected
+        assert checked == [table]
+        with pytest.raises(ValueError, match="holds an entry that is not a Term"):
+            ep.run_select(CAPITAL_GP, [TARGET_VAR], ([SOURCE_VAR], table))
+        with pytest.raises(ValueError, match="shorter than its 2 variables"):
+            ep.run_select(CAPITAL_GP, [TARGET_VAR], ([SOURCE_VAR, V("x")], table),
+                          decode=False)
+        assert ep.run_select(CAPITAL_GP, [TARGET_VAR], ([SOURCE_VAR], table),
+                             decode=False).rows == expected
+        assert checked == [table, table]  # the width is refused before it
+        rows = [(berlin,), (paris,)]
+        list_rows = ([berlin], [paris])
+        for _ in range(2):
+            ep.run_select(CAPITAL_GP, [TARGET_VAR], ([SOURCE_VAR], rows),
+                          cache=False, decode=False)
+            ep.run_select(CAPITAL_GP, [TARGET_VAR], ([SOURCE_VAR], list_rows),
+                          cache=False, decode=False)
+        assert len(checked) == 6
+        list_rows[1][0] = ex("Paris")
+        with pytest.raises(ValueError, match="holds an entry that is not an int"):
+            ep.run_select(CAPITAL_GP, [TARGET_VAR], ([SOURCE_VAR], list_rows),
+                          cache=False, decode=False)
+
     def test_remote_handles_are_terms(self):
         """A remote endpoint's handles are its terms, so an undecoded query
         sends the text a decoded one does, and an id is refused."""

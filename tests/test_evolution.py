@@ -3,6 +3,7 @@ import json
 import math
 import random
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 
@@ -380,12 +381,15 @@ class TestFixVar:
 
 
 def _reference_draws(weights, m, rng):
-    """The linear-scan sampler that _weighted_draws replaced, kept verbatim."""
+    """A linear-scan sampler over a shrinking pool, whose total is the pool's
+    sum added left to right, as its running sums are."""
     indices = list(range(len(weights)))
     pool = list(weights)
     picks = []
     for _ in range(m):
-        total = sum(pool)
+        total = 0.0
+        for w in pool:
+            total += w
         if total <= 0:
             break
         r = rng.random() * total
@@ -450,6 +454,24 @@ class TestWeightedDraws:
     def test_draws_without_replacement(self):
         picks = _weighted_draws([1.0, 2.0, 3.0, 4.0], 10, random.Random(4))
         assert sorted(picks) == [0, 1, 2, 3]
+
+    def test_numpy_running_sums_add_left_to_right(self):
+        """`np.cumsum` and `np.add.accumulate` add one weight at a time, as
+        `itertools.accumulate` does, and with drawn weights set to 0.0 they
+        give the running sums of the pool without them."""
+        import numpy as np
+        gen = random.Random(8)
+        for n in [1, 2, 3, 17, 400, 2000] + [gen.randint(1, 2000) for _ in range(30)]:
+            weights = [gen.random() * 10.0 ** gen.randint(-8, 8) for _ in range(n)]
+            sums = list(accumulate(weights))
+            assert np.cumsum(weights).tolist() == sums
+            assert np.add.accumulate(np.array(weights)).tolist() == sums
+            drawn = set(gen.sample(range(n), gen.randint(0, n)))
+            pool = [w for i, w in enumerate(weights) if i not in drawn]
+            zeroed = np.array([0.0 if i in drawn else w for i, w in enumerate(weights)])
+            left = [s for i, s in enumerate(np.add.accumulate(zeroed).tolist())
+                    if i not in drawn]
+            assert left == list(accumulate(pool))
 
 
 class TestFitToLive:

@@ -2,13 +2,14 @@ import dataclasses
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bgplearn import fitness
-from bgplearn.endpoint import Endpoint, local_endpoint
+from bgplearn.endpoint import Endpoint, EndpointConfig, local_endpoint
 from bgplearn.engine import (COMPLETE, SOFT_TIMEOUT, TICKS_PER_SECOND, EvalResult,
                             select)
 from bgplearn.fitness import (_STATUS_PENALTY, OVERFIT_FACTOR, CoverageLedger,
@@ -339,12 +340,24 @@ def _random_path_pattern(rng, store) -> GraphPattern:
          TriplePattern(V("x"), rng.choice(preds), TARGET_VAR)]]))
 
 
+def _answering_endpoint(rows):
+    """A remote endpoint whose every answer is `rows`."""
+    body = json.dumps({"results": {"bindings": [
+        {"source": json_term(s), "target": json_term(t)} for s, t in rows]}})
+    return Endpoint(EndpointConfig(), url="http://fake/sparql",
+                    http_post=lambda url, data, headers, timeout: (200, body))
+
+
 def test_evaluate_equals_per_pair_reference():
+    """On random stores, patterns and ledgers, with GT sources that have up
+    to three targets, terms the store lacks, soft and hard timeouts, and a
+    remote endpoint that also answers a row for a source outside the GT."""
     rng = random.Random(21)
     budgets = [dict(soft_timeout=None, hard_timeout=None)] * 4 + [
         dict(soft_timeout=0.0, hard_timeout=None),
         dict(soft_timeout=None, hard_timeout=0.0)]
-    for _ in range(150):
+    seen = Counter()
+    for _ in range(200):
         store = random_store(rng, rng.randint(30, 120), rng.randint(8, 16),
                              rng.randint(2, 4))
         nodes = sorted(store.terms, key=lambda t: t.sort_key())
@@ -356,16 +369,41 @@ def test_evaluate_equals_per_pair_reference():
               for _ in answers[:rng.randint(0, 20)]]
         gt += [GroundTruthPair(rng.choice(nodes[:6]), rng.choice(nodes))
                for _ in range(rng.randint(1, 20))]
+        # sources with two or three targets, some of which the pattern finds
+        for source in rng.sample(nodes, 2):
+            found = [t for s, t in answers if s == source] or nodes
+            gt += [GroundTruthPair(source, rng.choice(found + nodes[:2]))
+                   for _ in range(rng.randint(2, 3))]
+        # terms the store lacks, as a source and as a target
+        gt += [GroundTruthPair(ex("missing%d" % rng.randrange(2)), rng.choice(nodes))
+               for _ in range(rng.randint(0, 2))]
+        gt += [GroundTruthPair(rng.choice(nodes), ex("missing%d" % rng.randrange(2)))
+               for _ in range(rng.randint(0, 2))]
         rng.shuffle(gt)
         ledger = CoverageLedger([rng.choice([0.0, 1.0, 0.5, rng.random()])
                                  for _ in gt])
-        budget = rng.choice(budgets)
-        ev, ft = evaluate(local_endpoint(store, **budget), gp, gt, ledger)
-        ref_pv, ref_covered, ref_ft = _reference_evaluate(
-            local_endpoint(store, **budget), gp, gt, ledger)
+        if rng.random() < 0.25:
+            sources = {p.source for p in gt}
+            outside = [n for n in nodes if n not in sources] or [ex("outside")]
+            rows = [row for row in answers if row[0] in sources]
+            rows.insert(rng.randint(0, len(rows)), (rng.choice(outside), rng.choice(nodes)))
+            ep, ref_ep = _answering_endpoint(rows), _answering_endpoint(rows)
+            seen["remote"] += 1
+        else:
+            budget = rng.choice(budgets)
+            ep, ref_ep = local_endpoint(store, **budget), local_endpoint(store, **budget)
+        ev, ft = evaluate(ep, gp, gt, ledger)
+        ref_pv, ref_covered, ref_ft = _reference_evaluate(ref_ep, gp, gt, ledger)
+        if ep.store is None:  # a remote query's time is its wall time
+            ft, ref_ft = (dataclasses.replace(f, query_time_s=0.0) for f in (ft, ref_ft))
         # repr round-trips every float and tells 1 from 1.0
         assert repr((ev.pv, ev.covered)) == repr((ref_pv, ref_covered))
         assert repr(ft) == repr(ref_ft)
+        matched = Counter(p.source for p, hit in zip(gt, ev.covered) if hit)
+        seen["several targets matched"] += any(k > 1 for k in matched.values())
+        seen["soft timeout"] += ft.timeout_penalty == 0.5
+        seen["gain"] += ft.gain > 0
+    assert min(seen.values()) >= 10, seen
 
 
 def test_local_fitness_on_ids_equals_remote_fitness_on_terms():
