@@ -2,13 +2,12 @@
 
 Adds VALUES batching, retry with backoff, and a result cache for the queries
 a caller may ask again (fitness and `simplify.projection_checker`), keyed by
-the pattern's canonical form, so renamed-variable twins hit, by a number
-for its VALUES table, and by whether the query is decoded, in terms, or in
-the endpoint's handles, as both of those callers ask it. Fix-var and predict
-queries skip it. The results, the table numbers and a local store's
-plans are three plain dicts; once any of them holds `_MEMO_BOUND` entries,
-all three are cleared together, so a table number is never read against
-results stored under an older table.
+the pattern's canonical form, so renamed-variable twins hit, and by a
+number for its VALUES table. Fix-var and predict queries skip it. The
+results, the table numbers and a local store's plans are three plain dicts;
+once any of them holds `_MEMO_BOUND` entries, all three are cleared
+together, so a table number is never read against results stored under an
+older table. Every query is in the endpoint's handles (see `run_select`).
 """
 
 from __future__ import annotations
@@ -84,8 +83,7 @@ class EndpointUnreachable(EndpointError):
     """Raised after exhausting retries against a remote endpoint."""
 
 
-def _cache_key(gp: GraphPattern, projection, values, limit, decode,
-               tables: dict) -> str:
+def _cache_key(gp: GraphPattern, projection, values, limit, tables: dict) -> str:
     """The cache key of a query whose VALUES rows, if any, are a checked tuple."""
     form = canonicalize(gp)
     mapping = form.variable_mapping
@@ -99,8 +97,6 @@ def _cache_key(gp: GraphPattern, projection, values, limit, decode,
         parts.append("V:" + ",".join([canon_var(v) for v in vvars]))
         parts.append("T:%d" % tables.setdefault(rows, len(tables)))
     parts.append("L:%s" % (limit,))
-    if decode:
-        parts.append("terms")
     return "\x1e".join(parts)
 
 
@@ -121,24 +117,24 @@ class Endpoint:
         self._tables: dict = {}
         self._plans: dict = {}
         self.backend_calls = 0
-        # the last VALUES table that passed the checks: (rows, width, kind)
-        self._checked: tuple = (None, 0, None)
+        # the type of a handle: a local store's term id, or a remote term
+        self._kind = Term if store is None else int
+        # the last VALUES table that passed the checks: (rows, width)
+        self._checked: tuple = (None, 0)
 
     # -- public API ---------------------------------------------------------
 
     def run_select(self, gp: GraphPattern, projection: list[Variable],
                    values: Optional[tuple[list[Variable], list[tuple]]] = None,
-                   limit: Optional[int] = None, cache: bool = True,
-                   decode: bool = True) -> EvalResult:
+                   limit: Optional[int] = None, cache: bool = True) -> EvalResult:
         """The rows of the query; `cache=False` neither reads nor stores the
         result cache, for a caller that never asks the same query twice.
 
-        `decode=False` puts the query in this endpoint's handles, both ways:
-        each VALUES entry is a handle, as `handles` gives, and so is each
-        entry of a row. A local store's handles are its term ids (see
-        `engine.select`), a remote endpoint's its terms. `term` decodes a
-        handle and `order_key` orders handles as their terms. The cache keeps
-        such queries apart from decoded ones, whose entries are terms.
+        The query is in this endpoint's handles, both ways: each VALUES
+        entry is a handle, as `handles` gives, and so is each entry of a
+        row. A local store's handles are its term ids (see `engine.select`),
+        a remote endpoint's its terms. `terms` decodes handles and
+        `order_key` orders them as their terms.
 
         The whole VALUES table is checked, its row lengths and the type of
         each entry, before the cache is read or the first batch runs. A
@@ -148,13 +144,12 @@ class Endpoint:
         check_limit(limit)
         if values is not None:  # the whole table, before the cache and any batch
             rows, width = values[1], len(values[0])
-            kind = int if self.store is not None and not decode else Term
             last = self._checked
-            if last[0] is not rows or last[1] != width or last[2] is not kind:
+            if last[0] is not rows or last[1] != width:
                 table = values_table(width, rows)
-                check_values_entries(table, kind)
+                check_values_entries(table, self._kind)
                 if table is rows and set(map(type, rows)) <= {tuple}:  # it cannot change
-                    self._checked = (rows, width, kind)
+                    self._checked = (rows, width)
                 rows = table
             values = (values[0], rows)
         memos = (self._cache, self._tables, self._plans)
@@ -162,31 +157,23 @@ class Endpoint:
             for memo in memos:
                 memo.clear()
         if cache:
-            key = _cache_key(gp, projection, values, limit, decode, self._tables)
+            key = _cache_key(gp, projection, values, limit, self._tables)
             hit = self._cache.get(key)
             if hit is not None:
                 return hit
         if values is not None and len(values[1]) > self.config.batch_size:
-            result = self._batched_select(gp, projection, values, limit, decode)
+            result = self._batched_select(gp, projection, values, limit)
         else:
-            result = self._backend_select(gp, projection, values, limit, decode)
+            result = self._backend_select(gp, projection, values, limit)
         # a remote HARD_TIMEOUT only comes from 5xx answers, which are
         # transient: caching it would keep a fitness penalty for the session
         if cache and (self.store is not None or result.status != HARD_TIMEOUT):
             self._cache[key] = result
         return result
 
-    def term(self, handle) -> Term:
-        """The term of a handle in an undecoded row; IndexError for a local
-        handle below 0, which `handles` gives a term the store lacks."""
-        if self.store is None:
-            return handle
-        if handle < 0:
-            raise IndexError("handle %d names no term of the store" % handle)
-        return self.store.term(handle)
-
     def terms(self, handles: list) -> list:
-        """The `term` of each of `handles`, checked in one pass."""
+        """The term of each of `handles`; IndexError for a local handle below
+        0, which `handles` gives a term the store lacks."""
         if self.store is None:
             return list(handles)
         if handles and min(handles) < 0:
@@ -194,21 +181,22 @@ class Endpoint:
         return list(map(self.store.term, handles))
 
     def handles(self, terms) -> list:
-        """The handle of each of `terms`, for the VALUES table of an
-        undecoded query: a local store's `engine.term_ids`, where a term the
-        store lacks has a negative id with no term, or a remote endpoint's
-        terms themselves."""
+        """The handle of each of `terms`, for the VALUES table of a query: a
+        local store's `engine.term_ids`, where a term the store lacks has a
+        negative id with no term, or a remote endpoint's terms themselves."""
         terms = list(terms)
         return terms if self.store is None else engine.term_ids(self.store, terms)
 
     def order_key(self) -> Callable:
-        """The sort key that orders handles as `Term.sort_key` orders their
-        terms: a local store's rank of each id, or `Term.sort_key` itself."""
+        """The sort key that orders the handles that `terms` decodes as
+        `Term.sort_key` orders their terms: a local store's rank of each id,
+        or `Term.sort_key` itself. It checks nothing: a local handle below 0
+        ranks as one of the store's terms, and `terms` refuses it."""
         return Term.sort_key if self.store is None else self.store.term_rank.__getitem__
 
     # -- batching -----------------------------------------------------------
 
-    def _batched_select(self, gp, projection, values, limit, decode) -> EvalResult:
+    def _batched_select(self, gp, projection, values, limit) -> EvalResult:
         vvars, rows = values
         merged: list[tuple] = []
         seen: set = set()
@@ -217,7 +205,7 @@ class Endpoint:
         bs = self.config.batch_size
         for i in range(0, len(rows), bs):
             chunk = rows[i:i + bs]
-            res = self._backend_select(gp, projection, (vvars, chunk), limit, decode)
+            res = self._backend_select(gp, projection, (vvars, chunk), limit)
             elapsed += res.elapsed
             if _STATUS_RANK[res.status] > _STATUS_RANK[worst]:
                 worst = res.status
@@ -231,12 +219,12 @@ class Endpoint:
 
     # -- backends -----------------------------------------------------------
 
-    def _backend_select(self, gp, projection, values, limit, decode) -> EvalResult:
+    def _backend_select(self, gp, projection, values, limit) -> EvalResult:
         self.backend_calls += 1
         if self.store is not None:
             return engine.select(self.store, gp, projection, values, limit,
                                  self.config.soft_timeout, self.config.hard_timeout,
-                                 plans=self._plans, decode=decode)
+                                 plans=self._plans, decode=False)
         return self._remote_select(gp, projection, values, limit)
 
     def _remote_select(self, gp, projection, values, limit) -> EvalResult:

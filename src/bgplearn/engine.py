@@ -43,7 +43,7 @@ DEFAULT_LIMIT = 1024
 
 @dataclass
 class EvalResult:
-    rows: list[tuple]  # of terms, or of store ids when not decoded
+    rows: list[tuple]  # of terms, or of store ids: an endpoint's handles
     elapsed: float
     status: str = COMPLETE
 
@@ -51,7 +51,7 @@ class EvalResult:
     def timed_out(self) -> bool:
         return self.status != COMPLETE
 
-    def row_set(self) -> frozenset[tuple[Term, ...]]:
+    def row_set(self) -> frozenset[tuple]:
         return frozenset(self.rows)
 
 
@@ -263,17 +263,18 @@ def select(store: TripleStore, gp: GraphPattern, projection: list[Variable],
     and projection are read by `patterns.check_limit`, `check_pattern` and
     `check_projection`: the rules a remote endpoint's queries follow too.
 
-    With `decode=True` each VALUES entry is a `Term` and each row holds
-    terms; the VALUES rows are read by `values_table` and
-    `check_values_entries`, only once the budget, the constants and the
-    limit leave something to run.
+    With `decode=True`, the form for a direct caller and the reference for
+    the endpoint's, each VALUES entry is a `Term` and each row holds terms;
+    the VALUES rows are read by `values_table` and `check_values_entries`,
+    only once the budget, the constants and the limit leave something to
+    run.
 
-    With `decode=False` the query is in the store's ids, both ways: each
-    VALUES entry is an id, as `term_ids` gives, read as given (the caller
-    checks the table, as `Endpoint.run_select` does), and each row holds
-    ids, which `store.term` decodes. A negative id, for a term the store
-    lacks, matches nothing; a projected variable that only the VALUES table
-    binds holds the id it was given.
+    With `decode=False`, the one form `Endpoint.run_select` asks for, the
+    query is in the store's ids, both ways: each VALUES entry is an id, as
+    `term_ids` gives, read as given (the endpoint checks the table), and
+    each row holds ids, which `store.term` decodes. A negative id, for a
+    term the store lacks, matches nothing; a projected variable that only
+    the VALUES table binds holds the id it was given.
     """
     check_limit(limit)
     values_vars = values[0] if values else []

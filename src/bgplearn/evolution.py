@@ -369,21 +369,19 @@ def fix_var(gp: GraphPattern, endpoint, gt: Sequence[GroundTruthPair],
 
     res = endpoint.run_select(gp, [SOURCE_VAR, TARGET_VAR, var],
                               values=([SOURCE_VAR, TARGET_VAR], pairs),
-                              limit=endpoint.config.default_limit, cache=False,
-                              decode=False)
+                              limit=endpoint.config.default_limit, cache=False)
     if res.status == HARD_TIMEOUT or not res.rows:
         return []
     # the pattern binds `var`, so each of its handles has a term
     counts: dict = {}
     for row in res.rows:
         counts[row[2]] = counts.get(row[2], 0) + 1
-    term = endpoint.term
-    handles = sorted(counts, key=lambda h: (-counts[h], term(h).sort_key()))
+    ranked = sorted(zip(counts.values(), endpoint.terms(list(counts))),
+                    key=lambda ct: (-ct[0], ct[1].sort_key()))
     children: list[GraphPattern] = []
-    for k in _weighted_draws([float(counts[h]) for h in handles],
-                             FIX_VAR_CHILDREN, rng):
+    for k in _weighted_draws([float(c) for c, _ in ranked], FIX_VAR_CHILDREN, rng):
         try:
-            children.append(gp.substitute({var: term(handles[k])}))
+            children.append(gp.substitute({var: ranked[k][1]}))
         except ValueError:
             pass  # a literal subject, or a blank node, which no pattern names
     return children

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, compress, groupby
+from itertools import chain, groupby
 from numbers import Real
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
@@ -137,16 +137,10 @@ class PatternEvaluation:
 OVERFIT_FACTOR = 0.1
 
 
-def score(gain: float, evaluation: PatternEvaluation,
-          gt: Sequence[GroundTruthPair]) -> float:
-    """Gain, times `OVERFIT_FACTOR` when the matched pairs hold fewer than 2
-    distinct sources or targets: a pattern fitting a single source/target."""
-    matched = list(compress(gt, evaluation.pv))
-    return _score(gain, {p.source for p in matched}, {p.target for p in matched})
-
-
-def _score(gain: float, sources: set, targets: set) -> float:
-    """`score` of the matched pairs' distinct sources and targets."""
+def score(gain: float, sources: set, targets: set) -> float:
+    """Gain, times `OVERFIT_FACTOR` when the sets of the matched pairs'
+    distinct `sources` or `targets` hold fewer than 2: a pattern fitting a
+    single source/target."""
     if gain < 0:
         raise ValueError("gain must be non-negative")
     penalty = 1.0
@@ -174,8 +168,7 @@ def evaluate(endpoint, gp: GraphPattern, gt: Sequence[GroundTruthPair],
 
     gt = encode_gt(endpoint, gt)
     res = endpoint.run_select(gp, [SOURCE_VAR, TARGET_VAR],
-                              values=([SOURCE_VAR], gt.rows),
-                              limit=None, decode=False)
+                              values=([SOURCE_VAR], gt.rows), limit=None)
     penalty = _STATUS_PENALTY[res.status]
 
     # rows hold the endpoint's handles, so the GT is compared as handles;
@@ -218,8 +211,8 @@ def evaluate(endpoint, gp: GraphPattern, gt: Sequence[GroundTruthPair],
         gain = sum([max(0.0, pv[i] - values[i]) for i in matched], 0.0)
 
     ev = PatternEvaluation(pv=pv)
-    sc = _score(gain, {gt.sources[i] for i in matched},
-                {targets[i] for i in matched})
+    sc = score(gain, {gt.sources[i] for i in matched},
+               {targets[i] for i in matched})
     ft = FitnessTuple(score=sc, gain=gain, f1=f1, avg_result_len=avg_result_len,
                       gt_matches=gt_matches, timeout_penalty=penalty,
                       query_time_s=res.elapsed, **base)

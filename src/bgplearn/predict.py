@@ -170,14 +170,13 @@ def reduce_queries(portfolio: PatternPortfolio, k: int) -> PatternPortfolio:
 
 def predict_targets(endpoint, portfolio: PatternPortfolio, source: Term) -> list[set]:
     """Per-representative distinct ?target sets, empty for a timed-out
-    pattern. They hold the endpoint's undecoded handles, whose terms
-    `endpoint.term` gives."""
+    pattern. They hold the endpoint's handles, whose terms `endpoint.terms`
+    gives."""
     sets: list[set] = []
     values = ([SOURCE_VAR], (tuple(endpoint.handles([source])),))  # checked once
     for entry in portfolio.selected():
         res = endpoint.run_select(entry.pattern, [TARGET_VAR], values=values,
-                                  limit=endpoint.config.default_limit,
-                                  cache=False, decode=False)
+                                  limit=endpoint.config.default_limit, cache=False)
         sets.append(set() if res.timed_out else {row[0] for row in res.rows})
     return sets
 

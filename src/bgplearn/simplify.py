@@ -103,8 +103,8 @@ def projection_checker(endpoint) -> Checker:
     """Equivalence oracle: same ?source/?target projection on the endpoint."""
     def check(before: GraphPattern, after: GraphPattern) -> bool:
         proj = [SOURCE_VAR, TARGET_VAR]
-        r1 = endpoint.run_select(before, proj, limit=None, decode=False)
-        r2 = endpoint.run_select(after, proj, limit=None, decode=False)
+        r1 = endpoint.run_select(before, proj, limit=None)
+        r2 = endpoint.run_select(after, proj, limit=None)
         if r1.timed_out or r2.timed_out:
             return False
         return r1.row_set() == r2.row_set()

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -5,7 +6,8 @@ import pytest
 
 from bgplearn.fitness import GroundTruthPair
 from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
-                               TriplePattern, Variable, is_var)
+                               TriplePattern, Variable, check_values_entries,
+                               is_var, values_table)
 from bgplearn.rdf import (LITERAL, IRI, Term, Triple, TripleStore, bnode, iri,
                           literal)
 
@@ -96,6 +98,27 @@ def json_term(term: Term) -> dict:
     if term.datatype is not None:
         out["datatype"] = term.datatype
     return out
+
+
+def select_terms(ep, gp, projection, values=None, limit=None, cache=True):
+    """`ep.run_select` of a query in terms, read as `engine.select` reads
+    one: its VALUES table is checked to hold terms and encoded with
+    `ep.handles`, and its rows are decoded with `ep.terms`. A VALUES term
+    that a local store lacks decodes back to itself."""
+    missing = {}
+    if values is not None:
+        vvars, rows = values
+        rows = values_table(len(vvars), rows)
+        check_values_entries(rows, Term)
+        flat = list(itertools.chain.from_iterable(rows))
+        handles = ep.handles(flat)
+        missing = {h: t for t, h in zip(flat, handles) if type(h) is int and h < 0}
+        it = iter(handles)
+        values = (vvars, [tuple(itertools.islice(it, len(vvars))) for _ in rows])
+    res = ep.run_select(gp, projection, values, limit, cache)
+    rows = [tuple(missing[h] if h in missing else ep.terms([h])[0] for h in row)
+            for row in res.rows]
+    return dataclasses.replace(res, rows=rows)
 
 
 def sorted_set_graph(store):

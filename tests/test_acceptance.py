@@ -28,7 +28,7 @@ from bgplearn.predict import (FUSION_STRATEGIES, PatternPortfolio,
 from bgplearn.rdf import Triple, TripleStore, iri
 from bgplearn.simplify import projection_checker, simplify
 
-from conftest import (ex, naive_cost, naive_select, random_pattern,
+from conftest import (ex, naive_cost, naive_select, random_pattern, select_terms,
                       random_store, variable_bijection_isomorphic)
 
 V = Variable
@@ -257,7 +257,7 @@ def test_criterion_4_engine_oracle_equivalence():
         if naive_cost(store, gp, values) > 200_000:
             continue  # keep the independent oracle tractable
         ep = local_endpoint(store, hard_timeout=300.0)
-        res = ep.run_select(gp, projection, values=values, limit=None)
+        res = select_terms(ep, gp, projection, values=values, limit=None)
         assert not res.timed_out
         assert res.row_set() == naive_select(store, gp, projection, values)
         checked += 1

@@ -16,7 +16,7 @@ from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
 from bgplearn.predict import PatternPortfolio, PortfolioEntry, predict_targets
 from bgplearn.rdf import bnode, iri, literal, load_ntriples
 
-from conftest import ex
+from conftest import ex, select_terms
 
 V = Variable
 CAPITAL_GP = GraphPattern([TriplePattern(SOURCE_VAR, ex("capitalOf"), TARGET_VAR)])
@@ -25,11 +25,10 @@ CAPITAL_GP = GraphPattern([TriplePattern(SOURCE_VAR, ex("capitalOf"), TARGET_VAR
 class TestCaching:
     def test_identical_call_hits_cache(self, capitals_store):
         ep = local_endpoint(capitals_store)
-        r1 = ep.run_select(CAPITAL_GP, [TARGET_VAR],
-                           values=([SOURCE_VAR], [(ex("Berlin"),)]))
+        berlin = tuple(ep.handles([ex("Berlin")]))
+        r1 = ep.run_select(CAPITAL_GP, [TARGET_VAR], values=([SOURCE_VAR], [berlin]))
         calls = ep.backend_calls
-        r2 = ep.run_select(CAPITAL_GP, [TARGET_VAR],
-                           values=([SOURCE_VAR], [(ex("Berlin"),)]))
+        r2 = ep.run_select(CAPITAL_GP, [TARGET_VAR], values=([SOURCE_VAR], [berlin]))
         assert ep.backend_calls == calls
         assert r2 is r1
 
@@ -46,11 +45,10 @@ class TestCaching:
 
     def test_different_values_miss_cache(self, capitals_store):
         ep = local_endpoint(capitals_store)
-        ep.run_select(CAPITAL_GP, [TARGET_VAR],
-                      values=([SOURCE_VAR], [(ex("Berlin"),)]))
+        berlin, paris = ep.handles([ex("Berlin"), ex("Paris")])
+        ep.run_select(CAPITAL_GP, [TARGET_VAR], values=([SOURCE_VAR], [(berlin,)]))
         calls = ep.backend_calls
-        ep.run_select(CAPITAL_GP, [TARGET_VAR],
-                      values=([SOURCE_VAR], [(ex("Paris"),)]))
+        ep.run_select(CAPITAL_GP, [TARGET_VAR], values=([SOURCE_VAR], [(paris,)]))
         assert ep.backend_calls == calls + 1
 
 
@@ -65,7 +63,7 @@ class TestUncached:
             fix_var(gp, ep, capitals_gt, CoverageLedger.zeros(len(capitals_gt)),
                     random.Random(0))
             sets = predict_targets(ep, portfolio, ex("Berlin"))
-            assert [set(map(ep.term, s)) for s in sets] == [{ex("Germany")}]
+            assert [set(ep.terms(list(s))) for s in sets] == [{ex("Germany")}]
         assert ep.backend_calls == 4
         assert ep._cache == {} and ep._tables == {}
 
@@ -75,15 +73,15 @@ class TestUncached:
         ep = local_endpoint(capitals_store)
         for name in ("capitalOf", "locatedIn", "population", "capitalOf"):
             gp = GraphPattern([TriplePattern(SOURCE_VAR, ex(name), TARGET_VAR)])
-            res = ep.run_select(gp, [SOURCE_VAR, TARGET_VAR], cache=False)
+            res = select_terms(ep, gp, [SOURCE_VAR, TARGET_VAR], cache=False)
             assert res.rows == select(capitals_store, gp, [SOURCE_VAR, TARGET_VAR]).rows
             assert len(ep._plans) <= 2
         assert ep.backend_calls == 4 and ep._cache == {}
 
 
 class TestUndecoded:
-    """`decode=False`: VALUES entries and rows of store ids, cached apart
-    from decoded queries."""
+    """A local query's VALUES entries and rows are store ids, which `terms`
+    decodes."""
 
     def test_batched_equals_unbatched(self, capitals_store):
         terms = [ex("Berlin"), ex("Nowhere"), ex("Paris")]
@@ -94,43 +92,19 @@ class TestUndecoded:
         assert handles == [capitals_store.term_id(ex("Berlin")), -1,
                            capitals_store.term_id(ex("Paris"))]
         values = ([SOURCE_VAR], [(h,) for h in handles])
-        rows = batched.run_select(CAPITAL_GP, projection, values, decode=False).rows
+        rows = batched.run_select(CAPITAL_GP, projection, values).rows
         assert batched.backend_calls == 3
-        assert rows == whole.run_select(CAPITAL_GP, projection, values,
-                                        decode=False).rows
+        assert rows == whole.run_select(CAPITAL_GP, projection, values).rows
         assert all(type(tid) is int for row in rows for tid in row)
-        assert ([tuple(map(whole.term, row)) for row in rows]
-                == whole.run_select(CAPITAL_GP, projection,
-                                    ([SOURCE_VAR], [(t,) for t in terms])).rows
+        assert ([tuple(whole.terms(row)) for row in rows]
+                == select_terms(whole, CAPITAL_GP, projection,
+                                ([SOURCE_VAR], [(t,) for t in terms])).rows
                 == [(ex("Berlin"), ex("Germany")), (ex("Paris"), ex("France"))])
-
-    def test_cached_apart_from_decoded_rows(self, capitals_store):
-        ep = local_endpoint(capitals_store)
-        berlin = capitals_store.term_id(ex("Berlin"))
-        values = ([SOURCE_VAR], [(ex("Berlin"),)])
-        ids_values = ([SOURCE_VAR], [(berlin,)])
-        decoded = ep.run_select(CAPITAL_GP, [TARGET_VAR], values)
-        ids = ep.run_select(CAPITAL_GP, [TARGET_VAR], ids_values, decode=False)
-        assert ids.rows == [(capitals_store.term_id(ex("Germany")),)]
-        assert ep.run_select(CAPITAL_GP, [TARGET_VAR], ids_values, decode=False) is ids
-        assert ep.run_select(CAPITAL_GP, [TARGET_VAR], values) is decoded
-        assert ep.backend_calls == 2 and len(ep._cache) == 2
-        # `cache=False` neither reads nor stores it, nor numbers a new table
-        stored = (dict(ep._cache), dict(ep._tables))
-        other = ([SOURCE_VAR], [(capitals_store.term_id(ex("Paris")),)])
-        for _ in range(2):
-            res = ep.run_select(CAPITAL_GP, [TARGET_VAR], other, cache=False,
-                                decode=False)
-            assert res.rows == [(capitals_store.term_id(ex("France")),)]
-            res = ep.run_select(CAPITAL_GP, [TARGET_VAR], values, cache=False)
-            assert res is not decoded and res.rows == decoded.rows
-        assert ep.backend_calls == 6
-        assert (ep._cache, ep._tables) == stored
 
     def test_values_only_projection_holds_its_handle(self, capitals_store):
         """A variable that only the VALUES table binds holds the id it was
-        given, a negative one for a term the store lacks; decoded, the query
-        gives that term back."""
+        given, a negative one for a term the store lacks; asked in terms, the
+        query gives that term back."""
         ep = local_endpoint(capitals_store)
         terms = [ex("Berlin"), ex("Nowhere"), ex("Paris"), ex("Atlantis"), ex("Oslo")]
         berlin, nowhere, paris, atlantis, oslo = ep.handles(terms)
@@ -142,13 +116,12 @@ class TestUndecoded:
                                               ex("Norway")])
         expected = [(germany, nowhere), (france, atlantis), (norway, paris)]
         for _ in range(2):  # a new plan, then the endpoint's kept one
-            assert ep.run_select(CAPITAL_GP, projection, values,
-                                 decode=False).rows == expected
+            assert ep.run_select(CAPITAL_GP, projection, values).rows == expected
         assert select(capitals_store, CAPITAL_GP, projection, values,
                       decode=False).rows == expected
         term_values = ([SOURCE_VAR, V("x")], [(terms[0], terms[1]), (terms[2], terms[3]),
                                               (terms[4], terms[2])])
-        assert (ep.run_select(CAPITAL_GP, projection, term_values).rows
+        assert (select_terms(ep, CAPITAL_GP, projection, term_values).rows
                 == [(ex("Germany"), ex("Nowhere")), (ex("France"), ex("Atlantis")),
                     (ex("Norway"), ex("Paris"))])
 
@@ -156,15 +129,15 @@ class TestUndecoded:
     @pytest.mark.parametrize("batch_size", [1, 384])
     def test_local_entry_that_is_no_id_refused(self, capitals_store, cache,
                                                batch_size):
-        """A local undecoded table holds the store's ids only: a term, a
-        bool or a float is refused before the first batch runs."""
+        """A local table holds the store's ids only: a term, a bool or a
+        float is refused before the first batch runs."""
         ep = local_endpoint(capitals_store, batch_size=batch_size)
         berlin = capitals_store.term_id(ex("Berlin"))
         for late in ((ex("Oslo"),), (True,), (1.0,)):
             with pytest.raises(ValueError) as exc:
                 ep.run_select(CAPITAL_GP, [SOURCE_VAR, TARGET_VAR],
                               values=([SOURCE_VAR], [(berlin,), late]),
-                              cache=cache, decode=False)
+                              cache=cache)
             assert str(exc.value) == ("VALUES row %r holds an entry that is not an int"
                                       % (late,))
         assert ep.backend_calls == 0 and ep._cache == {}
@@ -174,18 +147,18 @@ class TestUndecoded:
         none, as a past-the-end id does, rather than to the store's last."""
         ep = local_endpoint(capitals_store)
         berlin, missing = ep.handles([ex("Berlin"), iri("http://e/zz")])
-        assert ep.term(berlin) == ex("Berlin") and missing == -1
+        assert ep.terms([berlin]) == [ex("Berlin")] and missing == -1
         assert ep.terms([berlin, berlin]) == [ex("Berlin")] * 2 and ep.terms([]) == []
         for handle in (missing, -2, len(capitals_store.terms)):
             with pytest.raises(IndexError):
-                ep.term(handle)
+                ep.terms([handle])
             with pytest.raises(IndexError):
                 ep.terms([berlin, handle])
 
     def test_table_checked_once_while_it_is_the_last(self, capitals_store,
                                                      monkeypatch):
         """A tuple of tuple rows that passed is not checked again while it is
-        the last table checked; another width or entry kind is, and refused,
+        the last table checked; another table or width is, and refused,
         which leaves the last table as it was; a list, or a tuple whose rows
         are lists, is checked every time."""
         checked = []
@@ -199,48 +172,43 @@ class TestUndecoded:
         ep = local_endpoint(capitals_store)
         berlin, paris = ep.handles([ex("Berlin"), ex("Paris")])
         table = ((berlin,), (paris,))
-        expected = ep.run_select(CAPITAL_GP, [TARGET_VAR], ([SOURCE_VAR], table),
-                                 decode=False).rows
+        expected = ep.run_select(CAPITAL_GP, [TARGET_VAR], ([SOURCE_VAR], table)).rows
         for cache in (True, False, False):
             assert ep.run_select(CAPITAL_GP, [TARGET_VAR], ([SOURCE_VAR], table),
-                                 cache=cache, decode=False).rows == expected
+                                 cache=cache).rows == expected
         assert checked == [table]
-        with pytest.raises(ValueError, match="holds an entry that is not a Term"):
-            ep.run_select(CAPITAL_GP, [TARGET_VAR], ([SOURCE_VAR], table))
+        term_table = ((ex("Berlin"),), (ex("Paris"),))
+        with pytest.raises(ValueError, match="holds an entry that is not an int"):
+            ep.run_select(CAPITAL_GP, [TARGET_VAR], ([SOURCE_VAR], term_table))
         with pytest.raises(ValueError, match="shorter than its 2 variables"):
-            ep.run_select(CAPITAL_GP, [TARGET_VAR], ([SOURCE_VAR, V("x")], table),
-                          decode=False)
-        assert ep.run_select(CAPITAL_GP, [TARGET_VAR], ([SOURCE_VAR], table),
-                             decode=False).rows == expected
-        assert checked == [table, table]  # the width is refused before it
+            ep.run_select(CAPITAL_GP, [TARGET_VAR], ([SOURCE_VAR, V("x")], table))
+        assert ep.run_select(CAPITAL_GP, [TARGET_VAR], ([SOURCE_VAR], table)).rows == expected
+        assert checked == [table, term_table]  # the width is refused before it
         rows = [(berlin,), (paris,)]
         list_rows = ([berlin], [paris])
         for _ in range(2):
-            ep.run_select(CAPITAL_GP, [TARGET_VAR], ([SOURCE_VAR], rows),
-                          cache=False, decode=False)
+            ep.run_select(CAPITAL_GP, [TARGET_VAR], ([SOURCE_VAR], rows), cache=False)
             ep.run_select(CAPITAL_GP, [TARGET_VAR], ([SOURCE_VAR], list_rows),
-                          cache=False, decode=False)
+                          cache=False)
         assert len(checked) == 6
         list_rows[1][0] = ex("Paris")
         with pytest.raises(ValueError, match="holds an entry that is not an int"):
             ep.run_select(CAPITAL_GP, [TARGET_VAR], ([SOURCE_VAR], list_rows),
-                          cache=False, decode=False)
+                          cache=False)
 
     def test_remote_handles_are_terms(self):
-        """A remote endpoint's handles are its terms, so an undecoded query
-        sends the text a decoded one does, and an id is refused."""
+        """A remote endpoint's handles are its terms, so a query sends its
+        terms' text, uncached as cached, and an id is refused."""
         post = _AnsweringPost([(ex("Berlin"), ex("Germany"))])
         ep = _remote(post, retries=0)
         assert ep.handles([ex("Berlin")]) == [ex("Berlin")]
         values = ([SOURCE_VAR], [(ex("Berlin"),)])
-        rows = ep.run_select(CAPITAL_GP, [SOURCE_VAR, TARGET_VAR], values,
-                             decode=False).rows
+        rows = ep.run_select(CAPITAL_GP, [SOURCE_VAR, TARGET_VAR], values).rows
         assert rows == [(ex("Berlin"), ex("Germany"))]
         ep.run_select(CAPITAL_GP, [SOURCE_VAR, TARGET_VAR], values, cache=False)
         assert post.calls[0] == post.calls[1]
         with pytest.raises(ValueError, match="holds an entry that is not a Term"):
-            ep.run_select(CAPITAL_GP, [SOURCE_VAR], ([SOURCE_VAR], [(3,)]),
-                          decode=False)
+            ep.run_select(CAPITAL_GP, [SOURCE_VAR], ([SOURCE_VAR], [(3,)]))
         assert len(post.calls) == 2
 
 
@@ -256,7 +224,7 @@ class TestValuesTableKey:
         with pytest.raises(ValueError):
             iri("http://e/a>\x1eR:<http://e/b")
         two = [(iri("http://e/a"),), (iri("http://e/b"),)]
-        res = ep.run_select(self.GP, projection, values=([SOURCE_VAR], two))
+        res = select_terms(ep, self.GP, projection, values=([SOURCE_VAR], two))
         assert res.rows == [(iri("http://e/a"), iri("http://e/x"))]
 
     def test_bounded_registry_never_stale(self, capitals_store, monkeypatch):
@@ -267,7 +235,7 @@ class TestValuesTableKey:
         projection = [SOURCE_VAR, TARGET_VAR]
         for _ in range(60):
             rows = [(s,) for s in rng.sample(sources, rng.randint(1, 4))]
-            res = ep.run_select(CAPITAL_GP, projection, values=([SOURCE_VAR], rows))
+            res = select_terms(ep, CAPITAL_GP, projection, values=([SOURCE_VAR], rows))
             expected = select(capitals_store, CAPITAL_GP, projection,
                               values=([SOURCE_VAR], rows))
             assert res.rows == expected.rows
@@ -316,6 +284,9 @@ _LONG_ROW = (ex("Berlin"), ex("Paris"))
 # case names one. A VALUES row holds one Term per VALUES variable, no fewer
 # and no more, so a bare term is no row and a plain tuple equal to a term is
 # no entry; a limit is None or an int >= 0, and a limit of 0 gives no rows.
+# A local endpoint's query is in store ids: its terms are encoded with
+# `select_terms`, unless the case is `unencoded`, when the local endpoint
+# refuses a term with `local_error`.
 _SHAPES = {
     "full_rows": dict(
         projection=[SOURCE_VAR, TARGET_VAR],
@@ -344,6 +315,14 @@ _SHAPES = {
         values=([SOURCE_VAR], [(tuple(ex("Berlin")),)]),
         error="VALUES row %r holds an entry that is not a Term"
               % ((tuple(ex("Berlin")),),)),
+    "unencoded_term": dict(
+        projection=[SOURCE_VAR, TARGET_VAR], unencoded=True,
+        values=([SOURCE_VAR], [(ex("Berlin"),), (ex("Oslo"),)]),
+        sent="VALUES (?source) { (<http://example.org/Berlin>)"
+             " (<http://example.org/Oslo>) }",
+        rows=[(ex("Berlin"), ex("Germany")), (ex("Oslo"), ex("Norway"))],
+        local_error="VALUES row %r holds an entry that is not an int"
+                    % ((ex("Berlin"),),)),
     "projection_outside": dict(
         projection=[V("nowhere")], values=None,
         error="projection variables not in pattern or VALUES: ?nowhere"),
@@ -394,14 +373,19 @@ def test_one_query_shape_rule_on_every_path(capitals_store, case, path):
           "remote_batched": _remote(post, retries=0, batch_size=1)}[path]
 
     pattern = c.get("pattern", CAPITAL_GP)
+    local = path in ("local", "batched")
+    error = c.get("local_error", c.get("error")) if local else c.get("error")
 
     def run():
         if ep is None:
             return select(capitals_store, pattern, c["projection"], c["values"],
                           c.get("limit"))
+        if local and not c.get("unencoded"):
+            return select_terms(ep, pattern, c["projection"], c["values"],
+                                c.get("limit"))
         return ep.run_select(pattern, c["projection"], c["values"], c.get("limit"))
 
-    if "error" not in c:
+    if error is None:
         result = run()
         assert result.rows == c["rows"] and result.status == COMPLETE
         batches = len(c["values"][1]) if c["values"] else 1
@@ -411,10 +395,12 @@ def test_one_query_shape_rule_on_every_path(capitals_store, case, path):
         return
     with pytest.raises(ValueError) as exc:
         run()
-    assert str(exc.value) == c["error"]
+    assert str(exc.value) == error
     assert post.calls == []
     if ep is not None:
         assert len(ep._cache) == 0
+        # only the backend reads the projection
+        assert ep.backend_calls == (case == "projection_outside")
     if path == "remote" and case in ("short_row", "long_row", "bare_term_row",
                                      "late_bad_row", "plain_tuple_entry",
                                      "bad_limit", "float_limit"):
@@ -430,17 +416,17 @@ class TestBatching:
         pairs += [(ex("Berlin"),), (ex("Paris"),), (ex("Oslo"),)]
         big = local_endpoint(capitals_store, batch_size=3)
         small = local_endpoint(capitals_store, batch_size=1000)
-        r_b = big.run_select(CAPITAL_GP, [SOURCE_VAR, TARGET_VAR],
-                             values=([SOURCE_VAR], pairs))
-        r_u = small.run_select(CAPITAL_GP, [SOURCE_VAR, TARGET_VAR],
-                               values=([SOURCE_VAR], pairs))
+        r_b = select_terms(big, CAPITAL_GP, [SOURCE_VAR, TARGET_VAR],
+                           values=([SOURCE_VAR], pairs))
+        r_u = select_terms(small, CAPITAL_GP, [SOURCE_VAR, TARGET_VAR],
+                           values=([SOURCE_VAR], pairs))
         assert r_b.row_set() == r_u.row_set()
 
     def test_batch_request_count(self, capitals_store):
         ep = local_endpoint(capitals_store, batch_size=300)
         pairs = [(ex("s%d" % i),) for i in range(700)]
-        ep.run_select(CAPITAL_GP, [SOURCE_VAR, TARGET_VAR],
-                      values=([SOURCE_VAR], pairs))
+        select_terms(ep, CAPITAL_GP, [SOURCE_VAR, TARGET_VAR],
+                     values=([SOURCE_VAR], pairs))
         assert ep.backend_calls == 3
 
     @pytest.mark.parametrize("cache", [True, False])
@@ -462,12 +448,12 @@ class TestBatching:
         """A local endpoint reads the whole VALUES table before it runs the
         first batch, as a remote one does before it posts."""
         ep = local_endpoint(capitals_store, batch_size=1)
-        for late, error in ((_LONG_ROW, "is longer than its 1 variables"),
-                            (("x",), "holds an entry that is not a Term")):
+        berlin, oslo, paris = ep.handles([ex("Berlin"), ex("Oslo"), ex("Paris")])
+        for late, error in (((berlin, paris), "is longer than its 1 variables"),
+                            (("x",), "holds an entry that is not an int")):
             with pytest.raises(ValueError, match=error):
                 ep.run_select(CAPITAL_GP, [SOURCE_VAR, TARGET_VAR],
-                              values=([SOURCE_VAR], [(ex("Berlin"),), (ex("Oslo"),),
-                                                     late]),
+                              values=([SOURCE_VAR], [(berlin,), (oslo,), late]),
                               cache=cache)
         assert ep.backend_calls == 0 and ep._cache == {}
 

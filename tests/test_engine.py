@@ -16,7 +16,7 @@ from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
                                check_projection, is_var)
 from bgplearn.rdf import Term, Triple, TripleStore, literal, load_ntriples
 
-from conftest import ex, naive_select, random_pattern, random_store
+from conftest import ex, naive_select, random_pattern, random_store, select_terms
 
 V = Variable
 
@@ -552,7 +552,7 @@ class TestPlanMemo:
             projection = sorted(pattern.variables() | {SOURCE_VAR},
                                 key=lambda v: v.name)
             values = ([SOURCE_VAR], [(s,) for s in rng.sample(sources, 2)])
-            res = ep.run_select(pattern, projection, values=values)
+            res = select_terms(ep, pattern, projection, values=values)
             expected = select(capitals_store, pattern, projection, values=values)
             assert (res.rows, res.status, res.elapsed) == (
                 expected.rows, expected.status, expected.elapsed)

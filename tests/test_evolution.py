@@ -307,12 +307,11 @@ class TestFixVar:
         sent = []
 
         class Spy:
-            config, term, handles = inner.config, inner.term, inner.handles
+            config, terms, handles = inner.config, inner.terms, inner.handles
 
-            def run_select(self, gp, projection, values=None, limit=None,
-                           cache=True, decode=True):
-                sent.append([tuple(map(inner.term, row)) for row in values[1]])
-                return inner.run_select(gp, projection, values, limit, cache, decode)
+            def run_select(self, gp, projection, values=None, limit=None, cache=True):
+                sent.append([tuple(inner.terms(row)) for row in values[1]])
+                return inner.run_select(gp, projection, values, limit, cache)
 
         gp = GraphPattern([TriplePattern(SOURCE_VAR, V("p"), TARGET_VAR)])
         fix_var(gp, Spy(), gt, ledger, random.Random(seed))

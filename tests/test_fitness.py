@@ -13,13 +13,14 @@ from bgplearn.endpoint import Endpoint, EndpointConfig, local_endpoint
 from bgplearn.engine import (COMPLETE, SOFT_TIMEOUT, TICKS_PER_SECOND, EvalResult,
                             select)
 from bgplearn.fitness import (_STATUS_PENALTY, OVERFIT_FACTOR, CoverageLedger,
-                              FitnessTuple, GroundTruthPair, PatternEvaluation,
-                              encode_gt, evaluate, score)
+                              FitnessTuple, GroundTruthPair, encode_gt, evaluate,
+                              score)
 from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
                                TriplePattern, Variable, to_select_sparql)
 from bgplearn.rdf import IRI, literal
 
-from conftest import ex, json_term, mixed_store, random_pattern, random_store
+from conftest import (ex, json_term, mixed_store, random_pattern, random_store,
+                      select_terms)
 
 V = Variable
 CAPITAL_GP = GraphPattern([TriplePattern(SOURCE_VAR, ex("capitalOf"), TARGET_VAR)])
@@ -110,31 +111,29 @@ class TestTupleOrdering:
 
 
 class TestScore:
-    def _eval(self, matched):
-        from bgplearn.fitness import PatternEvaluation
-        pv = [1.0 if i in matched else 0.0 for i in range(len(self.gt))]
-        return PatternEvaluation(pv=pv)
+    @staticmethod
+    def _matched(gt, matched):
+        """The distinct sources and targets of the pairs `matched` names."""
+        return ({gt[i].source for i in matched}, {gt[i].target for i in matched})
 
     gt = [GroundTruthPair(ex("a"), ex("x")),
           GroundTruthPair(ex("b"), ex("y")),
           GroundTruthPair(ex("c"), ex("z"))]
 
     def test_diverse_matches_full_gain(self):
-        assert score(3.0, self._eval({0, 1, 2}), self.gt) == 3.0
+        assert score(3.0, *self._matched(self.gt, {0, 1, 2})) == 3.0
 
     def test_single_pair_overfit(self):
-        s = score(1.0, self._eval({0}), self.gt)
+        s = score(1.0, *self._matched(self.gt, {0}))
         assert s == pytest.approx(0.1)
 
     def test_zero_gain(self):
-        assert score(0.0, self._eval({0, 1}), self.gt) == 0.0
+        assert score(0.0, *self._matched(self.gt, {0, 1})) == 0.0
 
     def test_same_source_overfit(self):
         gt = [GroundTruthPair(ex("a"), ex("x")),
               GroundTruthPair(ex("a"), ex("y"))]
-        from bgplearn.fitness import PatternEvaluation
-        ev = PatternEvaluation(pv=[1.0, 1.0])
-        assert score(2.0, ev, gt) == pytest.approx(0.2)
+        assert score(2.0, *self._matched(gt, {0, 1})) == pytest.approx(0.2)
 
 
 class TestEvaluate:
@@ -290,9 +289,8 @@ def _reference_evaluate(endpoint, gp, gt, ledger):
     base = dict(remains=remains, pattern_length=gp.length,
                 pattern_vars=gp.variable_count)
     sources = list(dict.fromkeys(pair.source for pair in gt))
-    res = endpoint.run_select(gp, [SOURCE_VAR, TARGET_VAR],
-                              values=([SOURCE_VAR], [(s,) for s in sources]),
-                              limit=None)
+    res = select_terms(endpoint, gp, [SOURCE_VAR, TARGET_VAR],
+                       values=([SOURCE_VAR], [(s,) for s in sources]), limit=None)
     penalty = _STATUS_PENALTY[res.status]
     targets_by_source = {}
     for s, t in res.rows:

@@ -18,7 +18,7 @@ from bgplearn.predict import (FUSION_STRATEGIES, PatternPortfolio,
                               reduce_queries)
 from bgplearn.rdf import Term, Triple, TripleStore, bnode, literal
 
-from conftest import ex, json_term
+from conftest import ex, json_term, select_terms
 
 V = Variable
 EX_INT = "http://www.w3.org/2001/XMLSchema#integer"
@@ -114,7 +114,7 @@ class TestPredictTargets:
         entry = _entry([1.0], pred="capitalOf")
         portfolio = PatternPortfolio([entry], representatives=[0])
         sets = predict_targets(ep, portfolio, ex("Berlin"))
-        assert [set(map(ep.term, s)) for s in sets] == [{ex("Germany")}]
+        assert [set(ep.terms(list(s))) for s in sets] == [{ex("Germany")}]
 
     def test_unknown_source_gives_empty(self, capitals_store):
         ep = local_endpoint(capitals_store)
@@ -203,6 +203,23 @@ class TestFuse:
         assert dict(pred.rankings["f_measures"])[ex("A")] == 0.8
         assert dict(pred.rankings["gp_precisions"])[ex("A")] == pytest.approx(0.5)
         assert dict(pred.rankings["precisions"])[ex("A")] == pytest.approx(0.5)
+
+    def test_negative_handle_ranked_then_refused(self, capitals_store):
+        """A local `order_key` checks nothing: a negative handle, which names
+        a term the store lacks, ranks as the store's last id does. `fuse`
+        decodes every ranked target with `terms`, which refuses it, so no
+        rankings come back."""
+        ep = local_endpoint(capitals_store)
+        germany, missing = ep.handles([ex("Germany"), ex("Nowhere")])
+        order_key = ep.order_key()
+        assert missing < 0
+        assert order_key(missing) == order_key(len(capitals_store.terms) - 1)
+        portfolio = PatternPortfolio([_entry([1.0])], representatives=[0])
+        pred = None
+        with pytest.raises(IndexError):
+            pred = fuse([{germany, missing}], portfolio, ex("Berlin"), order_key,
+                        ep.terms)
+        assert pred is None
 
     def test_occurrence_counting(self):
         e1, e2, e3 = (_entry([1.0], score=s) for s in (1.0, 2.0, 4.0))
@@ -373,7 +390,7 @@ def test_remote_predict_equals_local():
             for source in _SOURCES + [ex("nowhere")]:
                 args = (entry.pattern, [TARGET_VAR], ([SOURCE_VAR], [(source,)]),
                         local.config.default_limit)
-                res = local.run_select(*args)
+                res = select_terms(local, *args)
                 answers[to_select_sparql(*args)] = (503, None) if res.timed_out else (
                     200, json.dumps({"results": {"bindings": [{"target": json_term(t)}
                                                               for t, in res.rows]}}))
