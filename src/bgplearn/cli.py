@@ -111,17 +111,28 @@ def _read_json(path: str):
 def _read_learned(path: str) -> tuple[list, list[evolution.LearnedPattern],
                                        Optional[int]]:
     """The ground truth, patterns and next run index of a `patterns.json`
-    (None for a file without `next_run`); ValueError if malformed."""
+    (None for a file without `next_run`); ValueError if malformed, or if a
+    pv's length is not the number of ground-truth pairs (the first pv's
+    length, in a file without a ground truth): query reduction pairs the pvs
+    up entry by entry."""
     try:
         doc = _read_json(path)
         next_run = doc.get("next_run")
         if next_run is not None:
             check_run_index("next_run", next_run)
-        return (doc.get("ground_truth"),
-                [learned_from_json(obj) for obj in doc["patterns"]], next_run)
+        gt = doc.get("ground_truth")
+        learned = [learned_from_json(obj) for obj in doc["patterns"]]
+        sizes = [len(lp.evaluation.pv) for lp in learned]
+        pairs = len(gt) if gt is not None else sizes[0] if sizes else 0
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError("patterns %s: malformed (%s: %s)"
                          % (path, type(exc).__name__, exc)) from exc
+    for index, size in enumerate(sizes):
+        if size != pairs:
+            raise ValueError("patterns %s: the pv of pattern %d has %d entries, "
+                             "not one per ground-truth pair (%d)"
+                             % (path, index, size, pairs))
+    return gt, learned, next_run
 
 
 def _write(path: Optional[str], text: str) -> None:
@@ -371,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patterns", required=True, help="patterns.json from learn")
     p.add_argument("--sources", required=True, help="file of source IRIs")
     p.add_argument("--k", type=positive_int, default=100,
-                   help="max prediction queries")
+                   help="max patterns queried per source; a larger portfolio "
+                        "is cut by greedy selection on its precision vectors")
     p.add_argument("--strategy", choices=predict_mod.FUSION_STRATEGIES)
     p.add_argument("--out")
     p.set_defaults(func=cmd_predict)

@@ -183,8 +183,10 @@ class Endpoint:
     def handles(self, terms) -> list:
         """The handle of each of `terms`, for the VALUES table of a query: a
         local store's `engine.term_ids`, where a term the store lacks has a
-        negative id with no term, or a remote endpoint's terms themselves."""
+        negative id with no term, or a remote endpoint's terms themselves.
+        An entry that is not a `Term` is a ValueError on either backend."""
         terms = list(terms)
+        check_values_entries((terms,), Term)
         return terms if self.store is None else engine.term_ids(self.store, terms)
 
     def order_key(self) -> Callable:

@@ -1,5 +1,6 @@
-"""Target prediction: precision-vector clustering to cap query count,
-per-source pattern execution, and five rank-fusion strategies."""
+"""Target prediction: a greedy choice of the patterns to query, which caps
+the query count, per-source pattern execution, and five rank-fusion
+strategies."""
 
 from __future__ import annotations
 
@@ -67,81 +68,14 @@ def precision_loss(entries: list[PortfolioEntry], selected: list[int]) -> float:
     return loss
 
 
-def _representatives_for(entries: list[PortfolioEntry],
-                         groups: list[tuple[int, ...]]) -> list[int]:
-    """The best entry of each group by (score, fitness key), lowest index
-    on a tie."""
-    def rank(i):
-        entry = entries[i]
-        return (entry.score, entry.fitness.key(), -i)
-    return sorted(max(group, key=rank) for group in groups)
-
-
-def _ward_clusters(data, k: int) -> list[tuple[int, ...]]:
-    """The partition of the rows of `data` (1 <= k < rows) that scipy's
-    fcluster(linkage(data, "ward"), k, "maxclust") gives, as sorted tuples of
-    row indices. Same nearest-neighbour chain (Muellner, arXiv:1109.2378), tie
-    rules, float operations and cut as scipy, so its merge heights are
-    bit-identical and a tie at the cut leaves fewer than k groups, as there."""
-    import numpy as np
-    m = len(data)
-    # Euclidean distances, each sum in column order as scipy's, 64 rows at a
-    # time; inf marks a row's own and merged-away clusters
-    cols = data.T.copy()
-    dist = np.empty((m, m))
-    for i in range(0, m, 64):
-        acc = np.zeros((min(64, m - i), m - i))
-        for col in cols:
-            diff = col[i:i + 64, None] - col[i:]
-            diff *= diff
-            acc += diff
-        dist[i:i + 64, i:] = np.sqrt(acc)
-        dist[i:, i:i + 64] = dist[i:i + 64, i:].T
-    np.fill_diagonal(dist, np.inf)
-    size = np.ones(m)
-    chain, merges = [], []
-    for _ in range(m - 1):
-        if not chain:
-            chain.append(int(size.nonzero()[0][0]))
-        # grow the chain to two mutual nearest neighbours: the previous link
-        # wins a tie, then the lowest index
-        while True:
-            x, row = chain[-1], dist[chain[-1]]
-            y = int(row.argmin())
-            if len(chain) > 1 and row[chain[-2]] <= row[y]:
-                y = chain[-2]
-                break
-            chain.append(y)
-        del chain[-2:]
-        height = row[y]
-        x, y = min(x, y), max(x, y)  # the merged cluster keeps index y
-        nx, ny = size[x], size[y]
-        merges.append((height, x, y))
-        size[x], size[y] = 0.0, nx + ny
-        live = size > 0
-        live[y] = False
-        # Lance-Williams update for Ward, in scipy's order of operations; a
-        # square that rounds below 0 (NaN in scipy) is never a nearest neighbour
-        ni, dxi, dyi = size[live], dist[x, live], dist[y, live]
-        t = 1.0 / (nx + ny + ni)
-        sq = ((ni + nx) * t * dxi * dxi + (ni + ny) * t * dyi * dyi
-              - ni * t * height * height)
-        dist[y, live] = dist[live, y] = np.sqrt(np.where(sq < 0, np.inf, sq))
-        dist[x] = dist[:, x] = np.inf
-    # cut at the (m - k)-th lowest height, merging every pair at or below it
-    cut = sorted(h for h, _, _ in merges)[m - k - 1]
-    label = np.arange(m)
-    for height, x, y in merges:
-        if height <= cut:
-            label[label == label[x]] = label[y]
-    groups: dict[int, list[int]] = {}
-    for i, group in enumerate(label.tolist()):
-        groups.setdefault(group, []).append(i)
-    return sorted(map(tuple, groups.values()))
-
-
 def reduce_queries(portfolio: PatternPortfolio, k: int) -> PatternPortfolio:
-    """Pick <=k representatives minimizing precision loss across Ward variants."""
+    """At most k representatives, picked greedily: each pick adds the most to
+    the sum over pairs of the best pv among the picks, the sum whose shortfall
+    `precision_loss` reports. That sum is a facility-location objective, so
+    the picks reach at least 1 - 1/e of the best k patterns' sum (Nemhauser,
+    Wolsey & Fisher 1978). A tie in gain goes to the higher (score, fitness
+    key), then the lower index. The first pick is always made; the picks stop
+    once no pattern adds to the sum."""
     if k < 1:
         raise ValueError("k must be >= 1")
     entries = portfolio.entries
@@ -150,22 +84,18 @@ def reduce_queries(portfolio: PatternPortfolio, k: int) -> PatternPortfolio:
     if k >= len(entries):
         return PatternPortfolio(entries, list(range(len(entries))), "all", 0.0)
 
-    import numpy as np
-    matrix = np.array([e.pv for e in entries], dtype=float)
-    variants = {"ward_raw": matrix}
-    col_max = matrix.max(axis=0)
-    keep = col_max > 0
-    if keep.any():
-        variants["ward_scaled"] = matrix[:, keep] / col_max[keep]
-
-    best: Optional[tuple[float, str, list[int]]] = None
-    for name in sorted(variants):
-        reps = _representatives_for(entries, _ward_clusters(variants[name], k))
-        loss = precision_loss(entries, reps)
-        if best is None or loss < best[0]:
-            best = (loss, name, reps)
-    loss, name, reps = best
-    return PatternPortfolio(entries, reps, name, loss)
+    rank = [(e.score, e.fitness.key(), -i) for i, e in enumerate(entries)]
+    best = [0.0] * len(entries[0].pv)  # of each pair, among the picks
+    reps: list[int] = []
+    while len(reps) < k:
+        gains = [sum(p - b for p, b in zip(e.pv, best) if p > b) for e in entries]
+        pick = max(range(len(entries)), key=lambda i: (gains[i], rank[i]))
+        if reps and gains[pick] <= 0:
+            break
+        reps.append(pick)
+        best = list(map(max, best, entries[pick].pv))
+    reps.sort()
+    return PatternPortfolio(entries, reps, "greedy", precision_loss(entries, reps))
 
 
 def predict_targets(endpoint, portfolio: PatternPortfolio, source: Term) -> list[set]:

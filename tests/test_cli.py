@@ -679,17 +679,20 @@ class TestLearnCommand:
     def test_resume_with_ledger_of_other_length_exits_2(self, workdir, capsys,
                                                          n_ledger, n_gt):
         """The ledger a session resumes from is rebuilt from the `pv` vectors
-        in its patterns.json; one of another length than the GT is refused."""
+        in its patterns.json; one of another length than the GT is refused,
+        by the pattern's index."""
         lines = GT_TSV.splitlines(keepends=True)
         (workdir / "gt.tsv").write_text("".join(lines[:1 + n_gt]))
         (workdir / "out").mkdir()
         (workdir / "out" / "patterns.json").write_text(json.dumps(
             {"ground_truth": GT_PAIRS[:n_gt], "next_run": 2,
-             "patterns": [dict(ENTRY, pv=[1.0] * n_ledger)]}))
+             "patterns": [dict(ENTRY, pv=[1.0] * n_gt),
+                          dict(ENTRY, pv=[1.0] * n_ledger)]}))
         assert run_learn(workdir, extra=["--resume"]) == EXIT_BAD_INPUT
-        assert ("input error: patterns %s: a precision vector has %d entries "
-                "but the ledger %d" % (workdir / "out" / "patterns.json",
-                                       n_ledger, n_gt)) in capsys.readouterr().err
+        assert ("input error: patterns %s: the pv of pattern 1 has %d entries, "
+                "not one per ground-truth pair (%d)"
+                % (workdir / "out" / "patterns.json", n_ledger, n_gt)
+                ) in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", [
         json.dumps({"ground_truth": GT_PAIRS, "next_run": 2}), "not json",
@@ -808,6 +811,30 @@ def test_malformed_patterns_exits_2(workdir, capsys, command, doc):
     (workdir / "patterns.json").write_text(json.dumps(doc))
     assert main(args) == EXIT_BAD_INPUT
     assert "input error: patterns" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ground_truth", [GT_PAIRS[:2], None],
+                         ids=["ground_truth", "no_ground_truth"])
+@pytest.mark.parametrize("k", ["1", "2"])
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_pvs_of_other_lengths_exit_2(workdir, capsys, command, k, ground_truth):
+    """Each pv holds one entry per ground-truth pair, or, in a file without a
+    ground truth, as many as the first pattern's, whatever the k: query
+    reduction pairs the pvs up entry by entry."""
+    args = [command, "--store", str(workdir / "store.ttl"),
+            *command_inputs(workdir, command), "--k", k]
+    doc = {"patterns": [dict(ENTRY, pv=[1.0, 0.0]), dict(ENTRY, pv=[0.0, 1.0])]}
+    if ground_truth is not None:
+        doc["ground_truth"] = ground_truth
+    (workdir / "patterns.json").write_text(json.dumps(doc))
+    assert main(args) == EXIT_OK  # pvs of one length are accepted
+    capsys.readouterr()
+    doc["patterns"][1]["pv"] = [0.0, 1.0, 0.0]
+    (workdir / "patterns.json").write_text(json.dumps(doc))
+    assert main(args) == EXIT_BAD_INPUT
+    assert ("input error: patterns %s: the pv of pattern 1 has 3 entries, not one "
+            "per ground-truth pair (2)" % (workdir / "patterns.json")
+            ) in capsys.readouterr().err
 
 
 # a fitness field or run_index of the wrong kind, and the name the error gives

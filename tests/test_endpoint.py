@@ -155,6 +155,21 @@ class TestUndecoded:
             with pytest.raises(IndexError):
                 ep.terms([berlin, handle])
 
+    @pytest.mark.parametrize("backend", ["local", "remote"])
+    def test_handles_refuse_an_entry_that_is_no_term(self, capitals_store, backend):
+        """A bare IRI string, an int or None is refused as a remote query's
+        VALUES entry is, rather than encoded as a handle that matches nothing."""
+        post = _AnsweringPost([])
+        ep = (local_endpoint(capitals_store) if backend == "local"
+              else _remote(post, retries=0))
+        for entries in (["http://example.org/Berlin"], [ex("Berlin"), 3],
+                        [None, ex("Berlin")]):
+            with pytest.raises(ValueError) as exc:
+                ep.handles(entries)
+            assert str(exc.value) == ("VALUES row %r holds an entry that is not a Term"
+                                      % (entries,))
+        assert ep.handles([]) == [] and post.calls == []
+
     def test_table_checked_once_while_it_is_the_last(self, capitals_store,
                                                      monkeypatch):
         """A tuple of tuple rows that passed is not checked again while it is
@@ -167,10 +182,10 @@ class TestUndecoded:
             checked.append(rows)
             real(rows, kind)
 
+        ep = local_endpoint(capitals_store)
+        berlin, paris = ep.handles([ex("Berlin"), ex("Paris")])  # checked apart
         real = endpoint.check_values_entries
         monkeypatch.setattr(endpoint, "check_values_entries", check)
-        ep = local_endpoint(capitals_store)
-        berlin, paris = ep.handles([ex("Berlin"), ex("Paris")])
         table = ((berlin,), (paris,))
         expected = ep.run_select(CAPITAL_GP, [TARGET_VAR], ([SOURCE_VAR], table)).rows
         for cache in (True, False, False):

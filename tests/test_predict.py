@@ -1,10 +1,9 @@
 import dataclasses
 import itertools
 import json
-import pathlib
+import math
 import random
 
-import numpy as np
 import pytest
 
 from bgplearn.endpoint import Endpoint, EndpointConfig, local_endpoint
@@ -13,8 +12,8 @@ from bgplearn.fitness import FitnessTuple
 from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
                                TriplePattern, Variable, to_select_sparql)
 from bgplearn.predict import (FUSION_STRATEGIES, PatternPortfolio,
-                              PortfolioEntry, RankedPrediction, _ward_clusters,
-                              fuse, precision_loss, predict, predict_targets,
+                              PortfolioEntry, RankedPrediction, fuse,
+                              precision_loss, predict, predict_targets,
                               reduce_queries)
 from bgplearn.rdf import Term, Triple, TripleStore, bnode, literal
 
@@ -22,7 +21,16 @@ from conftest import ex, json_term, select_terms
 
 V = Variable
 EX_INT = "http://www.w3.org/2001/XMLSchema#integer"
-WARD = json.loads((pathlib.Path(__file__).parent / "ward_partitions.json").read_text())
+
+
+# the share of the best k patterns' covered sum that greedy selection reaches
+GREEDY_BOUND = 1 - 1 / math.e
+
+
+def _covered(entries, selected) -> float:
+    """The sum over pairs of the best pv among `selected`."""
+    return sum(max((entries[j].pv[i] for j in selected), default=0.0)
+               for i in range(len(entries[0].pv)))
 
 
 def _fit(score=1.0, f1=0.5, avg=2.0):
@@ -48,7 +56,7 @@ class TestReduceQueries:
                    _entry([1.0, 0.5, 0.0], score=1.0)]
         out = reduce_queries(PatternPortfolio(entries), 1)
         assert out.precision_loss == 0.0
-        assert out.representatives == [0]  # higher score wins the cluster
+        assert out.representatives == [0]  # higher score wins the tie
 
     def test_block_structure_matches_exhaustive_oracle(self):
         rng = random.Random(13)
@@ -63,15 +71,12 @@ class TestReduceQueries:
         for k in (1, 2, 3, 5):
             out = reduce_queries(portfolio, k)
             assert len(out.representatives) <= k
-            best_oracle = min(
-                precision_loss(entries, list(sel))
-                for r in range(1, k + 1)
-                for sel in itertools.combinations(range(len(entries)), r))
-            # clustering is a heuristic; it must at least report its own loss
-            # correctly and stay within a reasonable factor of optimal
-            assert out.precision_loss == pytest.approx(
-                precision_loss(entries, out.representatives))
-            assert out.precision_loss <= best_oracle + 2.5
+            best = max(_covered(entries, sel)
+                       for sel in itertools.combinations(range(len(entries)), k))
+            # greedy reports its own loss and covers at least 1 - 1/e of
+            # what the best k patterns cover
+            assert out.precision_loss == precision_loss(entries, out.representatives)
+            assert _covered(entries, out.representatives) >= GREEDY_BOUND * best
 
     def test_loss_monotone_in_k(self):
         rng = random.Random(4)
@@ -88,24 +93,60 @@ class TestReduceQueries:
         out = reduce_queries(PatternPortfolio(entries), 3)
         assert out.precision_loss == 0.0
 
+    @pytest.mark.parametrize("pvs, scores, k, reps, loss", [
+        # a spread pattern first, then the block it lacks most, then a tie
+        # of equal gain and score that the lower index wins
+        ([[1, 1, 0, 0], [0, 0, 1, 0], [0.5, 0.5, 0.5, 0.5], [0, 0, 0, 1]],
+         [1, 1, 2, 1], 1, [2], 2.0),
+        ([[1, 1, 0, 0], [0, 0, 1, 0], [0.5, 0.5, 0.5, 0.5], [0, 0, 0, 1]],
+         [1, 1, 2, 1], 2, [0, 2], 1.0),
+        ([[1, 1, 0, 0], [0, 0, 1, 0], [0.5, 0.5, 0.5, 0.5], [0, 0, 0, 1]],
+         [1, 1, 2, 1], 3, [0, 1, 2], 0.5),
+        # an equal gain goes to the higher score
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 0.5]], [1, 2, 3], 2, [0, 1], 0.5),
+        # a second pick that adds nothing is not made
+        ([[1, 0], [1, 0], [0, 0]], [1, 1, 1], 2, [0], 0.0),
+        # an all-zero portfolio keeps its best pattern alone
+        ([[0, 0], [0, 0], [0, 0]], [1, 3, 2], 2, [1], 0.0)],
+        ids=["spread_k1", "spread_k2", "spread_k3", "score_tie", "no_gain",
+             "all_zero"])
+    def test_greedy_picks(self, pvs, scores, k, reps, loss):
+        entries = [_entry(pv, score=score) for pv, score in zip(pvs, scores)]
+        out = reduce_queries(PatternPortfolio(entries), k)
+        assert (out.representatives, out.precision_loss) == (reps, loss)
+        assert out.clustering_variant == "greedy"
+        assert out.selected() == [entries[i] for i in reps]
+
+    def test_equal_score_tie_goes_to_higher_fitness_key(self):
+        entries = [_entry([1.0, 0.0], f1=0.5), _entry([1.0, 0.0], f1=0.9),
+                   _entry([0.0, 0.5])]
+        out = reduce_queries(PatternPortfolio(entries), 1)
+        assert out.representatives == [1]
+
+    def test_greedy_covers_bound_of_exhaustive(self):
+        """On random portfolios, sparse and dense, greedy covers at least
+        1 - 1/e of the best subset of at most k patterns."""
+        rng = random.Random(50)
+        for _ in range(200):
+            n, pairs = rng.randint(2, 8), rng.randint(1, 6)
+            density = rng.choice([0.3, 1.0])
+            entries = [_entry([rng.random() if rng.random() < density else 0.0
+                               for _ in range(pairs)],
+                              score=rng.choice([0.5, 1.0, rng.random()]))
+                       for _ in range(n)]
+            portfolio = PatternPortfolio(entries)
+            for k in range(1, n):
+                out = reduce_queries(portfolio, k)
+                assert 1 <= len(out.representatives) <= k
+                best = max(_covered(entries, sel)
+                           for sel in itertools.combinations(range(n), k))
+                assert _covered(entries, out.representatives) >= GREEDY_BOUND * best
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             reduce_queries(PatternPortfolio([]), 2)
         with pytest.raises(ValueError):
             reduce_queries(PatternPortfolio([_entry([1.0])]), 0)
-
-
-@pytest.mark.parametrize("portfolio", WARD["portfolios"])
-def test_ward_clusters_match_recorded_scipy_partitions(portfolio):
-    """Raw and column-scaled rows, as reduce_queries clusters them; the
-    recording includes ties at the cut that leave fewer than k groups."""
-    matrix = np.array(portfolio["rows"])
-    col_max = matrix.max(axis=0)
-    keep = col_max > 0
-    variants = {"raw": matrix, "scaled": matrix[:, keep] / col_max[keep]}
-    for name, data in variants.items():
-        for k, groups in portfolio.get(name, {}).items():
-            assert _ward_clusters(data, int(k)) == list(map(tuple, groups)), (name, k)
 
 
 class TestPredictTargets:
