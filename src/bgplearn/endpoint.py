@@ -8,12 +8,17 @@ results, the table numbers and a local store's plans are three plain dicts;
 once any of them holds `_MEMO_BOUND` entries, all three are cleared
 together, so a table number is never read against results stored under an
 older table. Every query is in the endpoint's handles (see `run_select`).
+
+An answer's rows are distinct: a local one-batch answer's as the engine gave
+them, any other's once `run_select` merged its batches' rows, keeping each
+row's first occurrence.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import time
@@ -27,8 +32,6 @@ from .patterns import (GraphPattern, Variable, check_limit, check_pattern,
                        check_projection, check_values_entries, to_select_sparql,
                        values_table)
 from .rdf import Term, TripleStore, bnode, iri, literal
-
-_STATUS_RANK = {COMPLETE: 0, SOFT_TIMEOUT: 1, HARD_TIMEOUT: 2}
 
 # entries any one memo of an Endpoint may hold before all three are cleared
 _MEMO_BOUND = 100_000
@@ -161,12 +164,20 @@ class Endpoint:
             hit = self._cache.get(key)
             if hit is not None:
                 return hit
-        if values is not None and len(values[1]) > self.config.batch_size:
-            result = self._batched_select(gp, projection, values, limit)
+        bs = self.config.batch_size
+        batches = [values]  # of at most batch_size VALUES rows each
+        if values is not None and len(values[1]) > bs:
+            vvars, rows = values
+            batches = [(vvars, rows[i:i + bs]) for i in range(0, len(rows), bs)]
+        results = []  # a loop, since before 3.12 a comprehension is a call
+        for batch in batches:
+            results.append(self._backend_select(gp, projection, batch, limit))
+        if self.store is not None and len(results) == 1:
+            result = results[0]  # as the engine gave it, its rows distinct
         else:
-            result = self._backend_select(gp, projection, values, limit)
-        # a remote HARD_TIMEOUT only comes from 5xx answers, which are
-        # transient: caching it would keep a fitness penalty for the session
+            result = _merged(results, limit)
+        # a remote HARD_TIMEOUT comes from 5xx answers, which are transient,
+        # or a budget of 0: caching it would keep a fitness penalty
         if cache and (self.store is not None or result.status != HARD_TIMEOUT):
             self._cache[key] = result
         return result
@@ -196,29 +207,6 @@ class Endpoint:
         ranks as one of the store's terms, and `terms` refuses it."""
         return Term.sort_key if self.store is None else self.store.term_rank.__getitem__
 
-    # -- batching -----------------------------------------------------------
-
-    def _batched_select(self, gp, projection, values, limit) -> EvalResult:
-        vvars, rows = values
-        merged: list[tuple] = []
-        seen: set = set()
-        elapsed = 0.0
-        worst = COMPLETE
-        bs = self.config.batch_size
-        for i in range(0, len(rows), bs):
-            chunk = rows[i:i + bs]
-            res = self._backend_select(gp, projection, (vvars, chunk), limit)
-            elapsed += res.elapsed
-            if _STATUS_RANK[res.status] > _STATUS_RANK[worst]:
-                worst = res.status
-            for row in res.rows:
-                if row not in seen:
-                    seen.add(row)
-                    merged.append(row)
-        if worst == HARD_TIMEOUT:
-            return EvalResult([], elapsed, HARD_TIMEOUT)
-        return EvalResult(merged[:limit], elapsed, worst)
-
     # -- backends -----------------------------------------------------------
 
     def _backend_select(self, gp, projection, values, limit) -> EvalResult:
@@ -231,9 +219,11 @@ class Endpoint:
 
     def _remote_select(self, gp, projection, values, limit) -> EvalResult:
         check_projection(gp, projection, values[0] if values else ())
+        if self.config.hard_timeout == 0:  # spent at once; no transport takes a 0
+            return EvalResult([], 0.0, HARD_TIMEOUT)
         query = to_select_sparql(gp, projection, values, limit)
         post = self._http_post or _requests_post
-        started = time.time()
+        started = time.monotonic()
         delay = self.config.backoff
         last_error = None
         for attempt in range(self.config.retries + 1):
@@ -254,13 +244,28 @@ class Endpoint:
         else:
             if last_error is None:
                 # the last attempt got a 5xx answer: fitness punishment, not a crash
-                return EvalResult([], time.time() - started, HARD_TIMEOUT)
+                return EvalResult([], time.monotonic() - started, HARD_TIMEOUT)
             raise EndpointUnreachable("no answer after %d retries: %s"
                                       % (self.config.retries, last_error))
         if status_code >= 400:
             raise EndpointError("SPARQL endpoint rejected query: HTTP %d" % status_code)
-        return EvalResult(_parse_sparql_json(body, projection), time.time() - started,
+        return EvalResult(_parse_sparql_json(body, projection), time.monotonic() - started,
                           COMPLETE)
+
+
+def _merged(results: list[EvalResult], limit) -> EvalResult:
+    """The answer of a query's batches: their distinct rows in first-occurrence
+    order, cut to `limit`, none after a HARD_TIMEOUT; the worst status; the
+    elapsed times summed in batch order."""
+    elapsed = 0.0
+    for res in results:
+        elapsed += res.elapsed
+    status = max([res.status for res in results],
+                 key=(COMPLETE, SOFT_TIMEOUT, HARD_TIMEOUT).index)
+    if status == HARD_TIMEOUT:
+        return EvalResult([], elapsed, status)
+    rows = dict.fromkeys(itertools.chain.from_iterable([res.rows for res in results]))
+    return EvalResult(list(rows)[:limit], elapsed, status)
 
 
 def _requests_post(url, data, headers, timeout):
@@ -282,8 +287,9 @@ def _json_term(obj: dict) -> Term:
 
 
 def _parse_sparql_json(body, projection: list[Variable]) -> list[tuple]:
-    """The distinct rows of a SPARQL JSON answer's body; ValueError unless it is
-    JSON in the results format and each binding binds every projected variable."""
+    """The rows of a SPARQL JSON answer's body, one per binding, repeats kept
+    (`Endpoint.run_select` makes them distinct); ValueError unless it is JSON
+    in the results format and each binding binds every projected variable."""
     try:
         payload = json.loads(body)
     except ValueError as exc:  # bad input, not a network failure to retry
@@ -293,16 +299,12 @@ def _parse_sparql_json(body, projection: list[Variable]) -> list[tuple]:
     if not isinstance(bindings, list):
         raise ValueError("SPARQL JSON answer without a results.bindings list")
     rows = []
-    seen = set()
     for binding in bindings:
         if not (isinstance(binding, dict)
                 and all(v.name in binding for v in projection)):
             raise ValueError("SPARQL JSON binding that does not bind each of %s: %r"
                              % (" ".join(v.n3() for v in projection), binding))
-        row = tuple([_json_term(binding[v.name]) for v in projection])
-        if row not in seen:
-            seen.add(row)
-            rows.append(row)
+        rows.append(tuple([_json_term(binding[v.name]) for v in projection]))
     return rows
 
 

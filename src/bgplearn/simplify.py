@@ -67,20 +67,18 @@ def _loose_leaf_drops(gp: GraphPattern) -> list[TriplePattern]:
 _RULES = (_subsumed_drops, _fixed_appendix_drops, _loose_leaf_drops)
 
 
-def _apply_once(current: GraphPattern, checker: Optional[Checker],
-                rejected: set) -> Optional[GraphPattern]:
+def _apply_once(current: GraphPattern,
+                checker: Optional[Checker]) -> Optional[GraphPattern]:
+    rejected = set()  # victims the checker refused, which two rules may name
     for rule in _RULES:
         for victim in rule(current):
             candidate = current.without_triple(victim)
             if not _admissible(candidate):
                 continue
-            if checker is not None:
-                mark = (current, victim)
-                if mark in rejected:
-                    continue
-                if not checker(current, candidate):
-                    rejected.add(mark)
-                    continue
+            if checker is not None and (victim in rejected
+                                        or not checker(current, candidate)):
+                rejected.add(victim)
+                continue
             return candidate
     return None
 
@@ -91,9 +89,8 @@ def simplify(gp: GraphPattern, checker: Optional[Checker] = None) -> GraphPatter
     if not _admissible(gp):
         return gp
     current = gp
-    rejected: set = set()
     while True:
-        reduced = _apply_once(current, checker, rejected)
+        reduced = _apply_once(current, checker)
         if reduced is None:
             return current
         current = reduced

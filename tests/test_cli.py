@@ -155,6 +155,18 @@ def test_real_http_client_unreachable_exits_3(workdir, capsys, monkeypatch):
     assert "endpoint unreachable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["learn", "predict", "evaluate"])
+def test_remote_budget_of_0_posts_nothing(workdir, monkeypatch, command):
+    """A hard_timeout of 0 is spent at once remotely too: every query is a
+    HARD_TIMEOUT without a post, and the command ends with exit 0."""
+    posts = []
+    monkeypatch.setattr(endpoint, "_requests_post",
+                        lambda *args, **kwargs: posts.append(args))
+    code = main([command, *remote_inputs(workdir, command),
+                 "--set", "hard_timeout=0", "--set", "retries=0"])
+    assert code == 0 and posts == []
+
+
 def test_non_json_answer_exits_2_after_one_post(workdir, capsys, monkeypatch):
     """The HTTP client's own answer: a 200 whose body is not JSON is bad
     input, exit 2, after one post; it is not a network failure to retry."""

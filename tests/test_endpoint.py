@@ -8,7 +8,8 @@ import requests
 from bgplearn import endpoint
 from bgplearn.endpoint import (Endpoint, EndpointConfig, EndpointError,
                                EndpointUnreachable, local_endpoint)
-from bgplearn.engine import COMPLETE, HARD_TIMEOUT, select
+from bgplearn.engine import (COMPLETE, HARD_TIMEOUT, SOFT_TIMEOUT,
+                             TICKS_PER_SECOND, select)
 from bgplearn.evolution import fix_var
 from bgplearn.fitness import CoverageLedger, evaluate
 from bgplearn.patterns import (GraphPattern, SOURCE_VAR, TARGET_VAR,
@@ -427,15 +428,31 @@ def test_one_query_shape_rule_on_every_path(capitals_store, case, path):
 
 class TestBatching:
     def test_batched_equals_unbatched(self, capitals_store):
+        """The same rows in the same order, however the table is batched;
+        Berlin's row repeats in the fourth batch of three, and so does its
+        target under a projection without the VALUES variable."""
         pairs = [(ex("n%d" % i),) for i in range(7)]
-        pairs += [(ex("Berlin"),), (ex("Paris"),), (ex("Oslo"),)]
-        big = local_endpoint(capitals_store, batch_size=3)
-        small = local_endpoint(capitals_store, batch_size=1000)
-        r_b = select_terms(big, CAPITAL_GP, [SOURCE_VAR, TARGET_VAR],
-                           values=([SOURCE_VAR], pairs))
-        r_u = select_terms(small, CAPITAL_GP, [SOURCE_VAR, TARGET_VAR],
-                           values=([SOURCE_VAR], pairs))
-        assert r_b.row_set() == r_u.row_set()
+        pairs += [(ex("Berlin"),), (ex("Paris"),), (ex("Oslo"),), (ex("Berlin"),)]
+        expected = [(ex("Berlin"), ex("Germany")), (ex("Paris"), ex("France")),
+                    (ex("Oslo"), ex("Norway"))]
+        for projection in ([SOURCE_VAR, TARGET_VAR], [TARGET_VAR]):
+            big = local_endpoint(capitals_store, batch_size=3)
+            small = local_endpoint(capitals_store, batch_size=1000)
+            r_b = select_terms(big, CAPITAL_GP, projection, values=([SOURCE_VAR], pairs))
+            r_u = select_terms(small, CAPITAL_GP, projection, values=([SOURCE_VAR], pairs))
+            assert big.backend_calls == 4 and small.backend_calls == 1
+            assert r_b.rows == r_u.rows == [row[-len(projection):] for row in expected]
+
+    def test_worst_batch_status(self, capitals_store):
+        """A soft-timed-out batch makes the answer SOFT_TIMEOUT, also when a
+        later batch completes: Berlin's batch takes 3 ticks, Nowhere's 1, of
+        a budget of 2."""
+        ep = local_endpoint(capitals_store, batch_size=1, soft_timeout=4e-6,
+                            hard_timeout=None)
+        values = ([SOURCE_VAR], [(ex("Berlin"),), (ex("Nowhere"),)])
+        res = select_terms(ep, CAPITAL_GP, [SOURCE_VAR, TARGET_VAR], values)
+        assert res.status == SOFT_TIMEOUT and ep.backend_calls == 2
+        assert res.elapsed == 4 / TICKS_PER_SECOND
 
     def test_batch_request_count(self, capitals_store):
         ep = local_endpoint(capitals_store, batch_size=300)
@@ -505,6 +522,15 @@ _BERLIN = {"type": "uri", "value": "http://example.org/Berlin"}
 def _remote(post, **kw):
     cfg = EndpointConfig(backoff=0.0, **kw)
     return Endpoint(cfg, url="http://fake/sparql", http_post=post)
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    """A fake `time` for the endpoint module; advance it with clock[0]."""
+    now = [1000.0]
+    monkeypatch.setattr(endpoint, "time", SimpleNamespace(
+        monotonic=lambda: now[0], sleep=lambda seconds: None))
+    return now
 
 
 class TestRemote:
@@ -673,6 +699,46 @@ class TestRemote:
         assert res.status == COMPLETE and res.rows[0][0].value == "http://x/G"
         assert len(post.calls) == 2
 
+    def test_rows_distinct_in_first_occurrence_order(self):
+        """A binding repeated within an answer, or in a later batch's answer,
+        gives one row, where it first occurred."""
+        g, f, h = "http://x/G", "http://x/F", "http://x/H"
+        post = _FakePost([("ok", [g, f, g]), ("ok", [h, g])])
+        values = ([SOURCE_VAR], [(ex("Berlin"),), (ex("Paris"),)])
+        res = _remote(post, batch_size=1).run_select(CAPITAL_GP, [TARGET_VAR], values)
+        assert len(post.calls) == 2 and res.status == COMPLETE
+        assert [row[0].value for row in res.rows] == [g, f, h]
+        one = _remote(_FakePost([("ok", [g, g])])).run_select(CAPITAL_GP, [TARGET_VAR])
+        assert [row[0].value for row in one.rows] == [g]
+
+    def test_5xx_batch_makes_answer_hard_timeout(self, clock):
+        """A batch answered 5xx makes the whole answer HARD_TIMEOUT with no
+        rows, though a later batch has some; its elapsed is every batch's."""
+        answers = [((503, None), 0.25), (_answer(_sparql_json(["http://x/G"])), 0.5)]
+
+        def post(url, data, headers, timeout):
+            answer, seconds = answers.pop(0)
+            clock[0] += seconds
+            return answer
+
+        ep = _remote(post, retries=0, batch_size=1)
+        res = ep.run_select(CAPITAL_GP, [TARGET_VAR],
+                            values=([SOURCE_VAR], [(ex("Berlin"),), (ex("Paris"),)]))
+        assert (res.rows, res.elapsed, res.status) == ([], 0.75, HARD_TIMEOUT)
+        assert answers == [] and ep._cache == {}
+
+    def test_budget_of_0_posts_nothing(self):
+        """A hard_timeout of 0 is spent at once, as a local store's is: no
+        post, not cached; a refused query is still refused."""
+        post = _FakePost([])
+        ep = _remote(post, hard_timeout=0)
+        res = ep.run_select(CAPITAL_GP, [TARGET_VAR],
+                            values=([SOURCE_VAR], [(ex("Berlin"),)]))
+        assert (res.rows, res.elapsed, res.status) == ([], 0.0, HARD_TIMEOUT)
+        with pytest.raises(ValueError, match="not in pattern or VALUES"):
+            ep.run_select(CAPITAL_GP, [V("elsewhere")])
+        assert post.calls == [] and ep._cache == {} and ep.backend_calls == 2
+
     def test_http_5xx_timeout_not_cached(self):
         post = _FakePost([("http", 503), ("ok", ["http://x/G"])])
         ep = _remote(post, retries=0)
@@ -731,14 +797,6 @@ class TestBackend:
 
 
 class TestCacheExpiry:
-    @pytest.fixture
-    def clock(self, monkeypatch):
-        """A fake `time` for the endpoint module; advance it with clock[0]."""
-        now = [1000.0]
-        monkeypatch.setattr(endpoint, "time", SimpleNamespace(
-            time=lambda: now[0], sleep=lambda seconds: None))
-        return now
-
     def test_remote_answer_never_expires(self, clock):
         """A remote answer stays cached however long a session runs, so a
         pattern's fitness cannot change within it."""

@@ -148,3 +148,18 @@ class TestVerifiedMode:
         general = TriplePattern(SOURCE_VAR, V("v"), TARGET_VAR)
         out = simplify(gp(core, general), checker=projection_checker(ep))
         assert out.triples == frozenset({core})
+
+    def test_victim_of_two_rules_checked_once(self):
+        """?source ?x ?y is both subsumed by the core and a loose leaf; a
+        checker that refuses every drop is asked about it once."""
+        core = TriplePattern(SOURCE_VAR, ex("p"), TARGET_VAR)
+        both = TriplePattern(SOURCE_VAR, V("x"), V("y"))
+        calls = []
+
+        def refuse(before, after):
+            calls.append((before, after))
+            return False
+
+        pat = gp(core, both)
+        assert simplify(pat, checker=refuse) == pat
+        assert calls == [(pat, gp(core))]
